@@ -15,8 +15,9 @@ where Q collects an orthonormal basis of the complement of the span of
 the node-vanishing polynomials inside the degree-n space, and S is the
 discrete Gram matrix of Q under the cubature weights.  S is the
 identity for Gaussian configurations (sigma = 0); for the other
-configurations it is calibrated from the node set by
-``cubature.weights_from_kernel``.  With that S, the weights satisfy
+configurations it is calibrated from the node set together with the
+cubature weights (``interp.family_rule`` returns the calibrated spec).
+With that S, the weights satisfy
 lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 """
@@ -50,7 +51,6 @@ __all__ = [
     "star_spec_gencheb",
     "star_spec_from_vanishing",
     "p_general",
-    "p_general_trig",
     "generalized_basis",
     "q_m_polynomial",
 ]
@@ -140,22 +140,6 @@ def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> n
         lim = dpm[deg] * pm[k] - dpm[k] * pm[deg]
         out = np.where(small, lim, out)
     return out
-
-
-def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
-    """Reference evaluation of P_{k,n} straight from the angle formula."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    z1, z2 = np.cos(theta - phi), np.cos(theta + phi)
-    if sign < 0:
-        deg = max(n, k)
-        t1 = jacobi_normalized_table(alpha, beta, deg, z1)
-        t2 = jacobi_normalized_table(alpha, beta, deg, z2)
-        return t1[n] * t2[k] + t1[k] * t2[n]
-    deg = n + 1
-    t1 = jacobi_normalized_table(alpha, beta, deg, z1)
-    t2 = jacobi_normalized_table(alpha, beta, deg, z2)
-    return (t1[deg] * t2[k] - t1[k] * t2[deg]) / (2.0 * np.sin(theta) * np.sin(phi))
 
 
 def _gencheb_degree_families(alpha: float, beta: float, sign: float, n: int):
@@ -406,7 +390,7 @@ def kernel_K(w: WeightSpec, n: int, z, z2) -> float:
     return float(kernel_matrix(w, n, np.array([z]), np.array([z2]))[0, 0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelStarSpec:
     """Degree-n splitting of V_n into node-vanishing members and the complement.
 
@@ -414,7 +398,8 @@ class KernelStarSpec:
     complement set and the vanishing set in the coordinates of the
     orthonormal degree-n basis.  ``s_matrix`` is the discrete Gram of the
     complement under the cubature weights; ``None`` means the identity
-    (exact for sigma = 0, calibrated by ``weights_from_kernel`` otherwise).
+    (exact for sigma = 0).  For sigma > 0, ``interp.family_rule`` returns
+    a spec calibrated on its node set.
     """
 
     weight: WeightSpec

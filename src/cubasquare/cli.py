@@ -258,26 +258,30 @@ def _parser() -> argparse.ArgumentParser:
                                 description="cubature rules and interpolation nodes on the square")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, family=True):
-        if family:
-            q.add_argument("family", choices=_FAMILIES)
+    def add_family(q, with_n=True):
+        q.add_argument("family", choices=_FAMILIES)
+        if with_n:
             q.add_argument("n", type=int)
         q.add_argument("--alpha", type=float, default=0.5)
         q.add_argument("--beta", type=float, default=0.5)
-        q.add_argument("--gamma", type=float, default=-0.5)
-        q.add_argument("--weight", default=None)
-        q.add_argument("--out", default=None)
-        q.add_argument("--format", choices=("json", "csv"), default="csv")
+
+    def add_table(q):
+        q.add_argument("--n-list", default="4,8,16")
         q.add_argument("--resolution", type=int, default=None)
+        q.add_argument("--format", choices=("json", "csv"), default="csv")
+        q.add_argument("--out", default=None)
 
     q = sub.add_parser("nodes", help="generate a node family as JSON (optionally SVG)")
-    add_common(q)
+    add_family(q)
+    q.add_argument("--out", default=None)
     q.add_argument("--svg", default=None)
     q.add_argument("--curve", action="store_true")
     q.set_defaults(fn=cmd_nodes)
 
     q = sub.add_parser("rule", help="build a cubature rule file")
-    add_common(q)
+    add_family(q)
+    q.add_argument("--weight", default=None)
+    q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_rule)
 
     q = sub.add_parser("verify", help="re-verify a rule file against the moment oracle")
@@ -285,17 +289,15 @@ def _parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("interp", help="interpolation error table")
-    q.add_argument("family", choices=_FAMILIES)
-    q.add_argument("--n-list", default="4,8,16")
+    add_family(q, with_n=False)
+    add_table(q)
     q.add_argument("--function", choices=sorted(_TEST_FUNCTIONS), default="exp_xy")
     q.add_argument("--norm", choices=("sup", "L2"), default="sup")
-    add_common(q, family=False)
     q.set_defaults(fn=cmd_interp)
 
     q = sub.add_parser("lebesgue", help="Lebesgue constant table")
-    q.add_argument("family", choices=_FAMILIES)
-    q.add_argument("--n-list", default="4,8,16")
-    add_common(q, family=False)
+    add_family(q, with_n=False)
+    add_table(q)
     q.set_defaults(fn=cmd_lebesgue)
 
     q = sub.add_parser("discover", help="search the Hankel systems for the constant weight")
@@ -308,7 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_discover)
 
     q = sub.add_parser("plot", help="render a node family to SVG")
-    add_common(q)
+    add_family(q)
     q.add_argument("--svg", required=True)
     q.add_argument("--curve", action="store_true")
     q.set_defaults(fn=cmd_plot)

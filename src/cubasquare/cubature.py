@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -75,7 +75,14 @@ def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> 
     complement set is calibrated first (square unisolvent solve on the
     interpolation space), after which the reciprocal-kernel formula
     reproduces those weights to roundoff; the agreement is asserted.
+    ``spec`` itself is left as it is.
     """
+    return _calibrated_rule(nodes, spec, w)[0]
+
+
+def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
+    """``weights_from_kernel`` together with the spec calibrated on ``nodes``
+    (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0)."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w, spec.n)
@@ -109,7 +116,7 @@ def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> 
         rhs[0] = F_low[0, 0]  # constant member value (= 1)
         w_unit = np.linalg.solve(Phi, rhs)
         S = (Q * w_unit) @ Q.T
-        spec.s_matrix = S
+        spec = replace(spec, s_matrix=S)
         kdiag = (F_low * F_low).sum(axis=0) + np.einsum("in,ij,jn->n", Q, np.linalg.inv(S), Q)
         if kdiag.min() <= 0:
             raise CubatureError("K*(z, z) <= 0: node set does not match the kernel spec")
@@ -117,13 +124,14 @@ def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> 
         if np.abs(lam - mass * w_unit).max() > 1e-8 * mass:
             raise CubatureError("reciprocal-kernel weights disagree with unisolvent solve")
         degree = 2 * n - 1
-    return CubatureRule(
+    rule = CubatureRule(
         weight=w,
         degree=degree,
         nodes=nodes,
         lambdas=lam,
         provenance=f"kernel weights, sigma={spec.sigma}, {nodes.provenance}",
     )
+    return rule, spec
 
 
 def weights_from_vandermonde(

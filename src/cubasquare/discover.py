@@ -1,15 +1,16 @@
 """Numerical discovery of low-degree rules for the constant weight.
 
-Two quadratic matrix systems over free Hankel entries are solved by
-multistart Levenberg-Marquardt:
+Both rule types solve one quadratic matrix system over free Hankel
+entries h, R(h) = X(h)^T M X(h) - C = 0 with M = A1^T A2 - A2^T A1 and
+X affine in h, by multistart Levenberg-Marquardt:
 
-* even mode (degree 2n-2, Gaussian): Gamma = G_n H G_{n-1}^T must satisfy
-  Gamma^T (A1^T A2 - A2^T A1) Gamma = A1 A2^T - A2 A1^T; the nodes are
-  the common zeros of P_n + Gamma P_{n-1}.
-* odd mode (degree 2n-1, smallest node count): W = I - G_n H G_n^T must
-  satisfy W (A1^T A2 - A2^T A1) W = 0 with W positive semidefinite of
-  rank floor(n/2); the nodes are the common zeros of U^T P_n where the
-  columns of U span the null space of W.
+* even mode (degree 2n-2, Gaussian): X = Gamma = G_n H G_{n-1}^T and
+  C = A1 A2^T - A2 A1^T; the nodes are the common zeros of
+  P_n + Gamma P_{n-1}.
+* odd mode (degree 2n-1, smallest node count): X = W = I - G_n H G_n^T
+  and C = 0, with W positive semidefinite of rank floor(n/2); the nodes
+  are the common zeros of U^T P_n where the columns of U span the null
+  space of W.
 
 The verified odd search appends the trailing eigenvalues of W to the
 residual vector, which steers the iteration onto the semidefinite
@@ -20,18 +21,20 @@ in ``KNOWN_EVEN_HANKEL`` / ``KNOWN_ODD_HANKEL`` as reference fixtures.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from .basis2d import three_term
 from .univariate import jacobi_normalized_table_with_derivative
+from .weights import constant
 
 __all__ = [
     "gamma_coefficient",
     "scaling_matrix",
-    "legendre_A_matrices",
     "HankelParam",
     "hankel_matrix",
     "even_system_residual",
@@ -64,22 +67,6 @@ def scaling_matrix(n: int) -> np.ndarray:
     return np.diag([gamma_coefficient(n - k) * gamma_coefficient(k) for k in range(n + 1)])
 
 
-def _a_coeff(k: int) -> float:
-    return (k + 1) / sqrt((2 * k + 1) * (2 * k + 3))
-
-
-def legendre_A_matrices(n: int):
-    """Banded three-term matrices A_{n,1}, A_{n,2} for the constant weight."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    A1 = np.zeros((n + 1, n + 2))
-    A2 = np.zeros((n + 1, n + 2))
-    for k in range(n + 1):
-        A1[k, k] = _a_coeff(n - k)
-        A2[k, k + 1] = _a_coeff(k)
-    return A1, A2
-
-
 @dataclass(frozen=True)
 class HankelParam:
     """Free Hankel entries h_0, h_1, ... of the even or odd system."""
@@ -104,8 +91,7 @@ class HankelParam:
 
 
 def hankel_matrix(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    return np.array([[h[i + j] for j in range(cols)] for i in range(rows)])
+    return np.asarray(h, dtype=float)[np.add.outer(np.arange(rows), np.arange(cols))]
 
 
 def _coerce_h(n: int, H, mode: str) -> np.ndarray:
@@ -125,38 +111,82 @@ def _coerce_h(n: int, H, mode: str) -> np.ndarray:
     return _coerce_h(n, HankelParam(mode, n, h), mode)
 
 
-def _skew_parts(n: int):
-    A1, A2 = legendre_A_matrices(n - 1)
-    M = A1.T @ A2 - A2.T @ A1
-    C = A1 @ A2.T - A2 @ A1.T
-    return M, C
+class _HankelSystem:
+    """R(h) = X^T M X - C on the strict upper triangle, X = X0 + sum_l h_l B_l.
+
+    Even mode: X0 = 0, B_l = G_n E_l G_{n-1}^T; odd mode: X0 = I,
+    B_l = -G_n E_l G_n^T, where E_l is the Hankel matrix with ones on the
+    anti-diagonal l.  With ``rank_penalty`` (odd mode) the smallest
+    n+1-floor(n/2) eigenvalues of X are appended to R.  ``free`` lists
+    the entries of h the system solves for; the others stay zero.
+    """
+
+    def __init__(self, mode: str, n: int, rank_penalty: bool = False):
+        tt = three_term(constant(), n - 1)
+        A1, A2 = tt.A1, tt.A2
+        self.M = A1.T @ A2 - A2.T @ A1
+        cols = n if mode == "even" else n + 1
+        Gr, Gc = scaling_matrix(n), scaling_matrix(cols - 1)
+        E = np.array([hankel_matrix(e, n + 1, cols) for e in np.eye(n + cols)])
+        if mode == "even":
+            self.X0, self.B, self.C = 0.0, Gr @ E @ Gc.T, A1 @ A2.T - A2 @ A1.T
+        else:
+            self.X0, self.B, self.C = np.eye(n + 1), -(Gr @ E @ Gc.T), 0.0
+        # start magnitude: reciprocal geometric mean of the G_n, G_cols entries
+        self.scale = 1.0 / np.exp(np.mean(np.log(np.diag(Gr))) + np.mean(np.log(np.diag(Gc))))
+        self.iu = np.triu_indices(cols, 1)
+        self.tail = (n + 1) - n // 2 if rank_penalty else 0
+        self.neq = len(self.iu[0]) + self.tail
+        self.nvar = len(self.B)
+        self.free = np.arange(self.nvar)
+
+    def restricted(self) -> "_HankelSystem":
+        """The reflection-symmetric subspace: odd-index entries pinned at zero."""
+        sub = copy.copy(self)
+        sub.free, sub.B = self.free[::2], self.B[::2]
+        return sub
+
+    @property
+    def method(self) -> str:
+        # scipy's LM needs at least as many residuals as unknowns
+        return "lm" if self.neq >= len(self.free) else "trf"
+
+    def X(self, h) -> np.ndarray:
+        return self.X0 + np.tensordot(h, self.B, 1)
+
+    def residual(self, h) -> np.ndarray:
+        X = self.X(h)
+        r = (X.T @ self.M @ X - self.C)[self.iu]
+        if self.tail:
+            r = np.concatenate([r, np.linalg.eigvalsh(X)[: self.tail]])
+        return r
+
+    def jacobian(self, h) -> np.ndarray:
+        X = self.X(h)
+        dR = np.swapaxes(self.B, 1, 2) @ (self.M @ X) + (X.T @ self.M) @ self.B
+        J = dR[:, self.iu[0], self.iu[1]].T
+        if self.tail:
+            Qt = np.linalg.eigh(X)[1][:, : self.tail]
+            J = np.vstack([J, np.einsum("ik,lij,jk->kl", Qt, self.B, Qt)])
+        return J
+
+    def fit(self, h0: np.ndarray, max_nfev: int) -> np.ndarray:
+        """Least-squares solve from the full start h0; the result as a full h."""
+        r = least_squares(self.residual, h0[self.free], jac=self.jacobian, method=self.method,
+                          xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
+        h = np.zeros(self.nvar)
+        h[self.free] = r.x
+        return h
 
 
 def even_system_residual(n: int, H) -> np.ndarray:
     """Independent entries of Gamma^T M Gamma - C; zero iff H solves the system."""
-    h = _coerce_h(n, H, "even")
-    G1, G0 = scaling_matrix(n), scaling_matrix(n - 1)
-    Gam = G1 @ hankel_matrix(h, n + 1, n) @ G0.T
-    M, C = _skew_parts(n)
-    R = Gam.T @ M @ Gam - C
-    iu = np.triu_indices(n, 1)
-    return R[iu]
+    return _HankelSystem("even", n).residual(_coerce_h(n, H, "even"))
 
 
 def odd_system_residual(n: int, H) -> np.ndarray:
     """Independent entries of W M W with W = I - G H G^T."""
-    h = _coerce_h(n, H, "odd")
-    G = scaling_matrix(n)
-    W = np.eye(n + 1) - G @ hankel_matrix(h, n + 1, n + 1) @ G.T
-    M, _ = _skew_parts(n)
-    R = W @ M @ W
-    iu = np.triu_indices(n + 1, 1)
-    return R[iu]
-
-
-def _odd_W(n: int, h: np.ndarray) -> np.ndarray:
-    G = scaling_matrix(n)
-    return np.eye(n + 1) - G @ hankel_matrix(h, n + 1, n + 1) @ G.T
+    return _HankelSystem("odd", n).residual(_coerce_h(n, H, "odd"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,92 +227,41 @@ def align_to_reference(h: np.ndarray, ref: np.ndarray, mode: str):
 _RESID_TOL = 1e-10
 
 
-def _even_jacobian_factory(n: int):
-    G1, G0 = scaling_matrix(n), scaling_matrix(n - 1)
-    M, _ = _skew_parts(n)
-    iu = np.triu_indices(n, 1)
-    basis = []
-    for l in range(2 * n):
-        E = np.zeros((n + 1, n))
-        for i in range(n + 1):
-            j = l - i
-            if 0 <= j < n:
-                E[i, j] = 1.0
-        basis.append(G1 @ E @ G0.T)
-
-    def resid(h):
-        Gam = G1 @ hankel_matrix(h, n + 1, n) @ G0.T
-        _, C = _skew_parts(n)
-        return (Gam.T @ M @ Gam - C)[iu]
-
-    def jac(h):
-        Gam = G1 @ hankel_matrix(h, n + 1, n) @ G0.T
-        cols = []
-        for Gl in basis:
-            dR = Gl.T @ M @ Gam + Gam.T @ M @ Gl
-            cols.append(dR[iu])
-        return np.array(cols).T
-
-    return resid, jac
+def _multistart(fits, seeds: int, rng_seed: int, max_nfev: int, accept):
+    """Draw ``seeds`` random starts; fit each system in ``fits`` from every
+    start and hand each result to ``accept``."""
+    rng = np.random.default_rng(rng_seed)
+    scale, nvar = fits[0].scale, fits[0].nvar
+    for _ in range(seeds):
+        mag = scale * 3.0 ** rng.integers(-1, 2)
+        h0 = rng.uniform(-1.0, 1.0, nvar) * mag
+        for system in fits:
+            accept(system.fit(h0, max_nfev))
 
 
 def solve_even_system(n: int, seeds: int = 80, rng_seed: int = 0):
     """Distinct Hankel solutions of the even system from ``seeds`` random starts.
 
     When the algebraic system has fewer equations than unknowns the search
-    additionally restricts to the reflection-invariant subspace (odd-index
-    entries zero), which isolates the symmetric solutions.  Results are
-    deduplicated under the sign/reflection orbit and sorted canonically;
-    an empty list means no solution was found (not a nonexistence proof).
+    first restricts to the reflection-invariant subspace (odd-index
+    entries zero), which isolates the symmetric solutions, and then probes
+    the full space from the same start.  Results are deduplicated under
+    the sign/reflection orbit and sorted canonically; an empty list means
+    no solution was found (not a nonexistence proof).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    resid, jac = _even_jacobian_factory(n)
-    neq, nvar = n * (n - 1) // 2, 2 * n
-    rng = np.random.default_rng(rng_seed)
-    scale = 1.0 / np.exp(np.mean(np.log(np.diag(scaling_matrix(n)))) +
-                         np.mean(np.log(np.diag(scaling_matrix(n - 1)))))
+    system = _HankelSystem("even", n)
     found: dict[tuple, np.ndarray] = {}
 
     def register(h):
-        if np.abs(resid(h)).max() <= _RESID_TOL:
+        if np.abs(system.residual(h)).max() <= _RESID_TOL:
             key, canon = _canonical(h, "even")
             found.setdefault(key, canon)
 
-    even_idx = np.arange(0, nvar, 2)
-    for trial in range(seeds):
-        mag = scale * 3.0 ** rng.integers(-1, 2)
-        h0 = rng.uniform(-1.0, 1.0, nvar) * mag
-        if neq < nvar:
-            # symmetric restriction: odd entries pinned at zero
-            x0 = h0[even_idx]
-
-            def rsub(x):
-                h = np.zeros(nvar)
-                h[even_idx] = x
-                return resid(h)
-
-            def jsub(x):
-                h = np.zeros(nvar)
-                h[even_idx] = x
-                return jac(h)[:, even_idx]
-
-            method = "lm" if neq >= len(even_idx) else "trf"
-            r = least_squares(rsub, x0, jac=jsub, method=method,
-                              xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-            h = np.zeros(nvar)
-            h[even_idx] = r.x
-            register(h)
-            # also probe the full space from the same start
-            r = least_squares(resid, h0, jac=jac, method="trf",
-                              xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-            register(r.x)
-        else:
-            r = least_squares(resid, h0, jac=jac, method="lm",
-                              xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-            register(r.x)
-    sols = [HankelParam("even", n, found[k]) for k in sorted(found)]
-    return sols
+    fits = [system.restricted(), system] if system.neq < system.nvar else [system]
+    _multistart(fits, seeds, rng_seed, 400, register)
+    return [HankelParam("even", n, found[k]) for k in sorted(found)]
 
 
 @dataclass
@@ -310,121 +289,46 @@ class OddSearchReport:
         return "found" if self.verified else "not-found"
 
 
-def _odd_jacobian_factory(n: int, rank_penalty: bool):
-    G = scaling_matrix(n)
-    M, _ = _skew_parts(n)
-    iu = np.triu_indices(n + 1, 1)
-    r = n // 2
-    tail = (n + 1) - r
-    basis = []
-    for l in range(2 * n + 1):
-        E = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            j = l - i
-            if 0 <= j <= n:
-                E[i, j] = 1.0
-        basis.append(G @ E @ G.T)
-
-    def resid(h):
-        W = _odd_W(n, h)
-        parts = [(W @ M @ W)[iu]]
-        if rank_penalty:
-            parts.append(np.linalg.eigvalsh(W)[:tail])
-        return np.concatenate(parts)
-
-    def jac(h):
-        W = _odd_W(n, h)
-        cols = []
-        if rank_penalty:
-            ev, Q = np.linalg.eigh(W)
-            Qt = Q[:, :tail]
-        for Gl in basis:
-            dW = -Gl
-            dR = dW @ M @ W + W @ M @ dW
-            col = dR[iu]
-            if rank_penalty:
-                col = np.concatenate([col, np.einsum("ik,ij,jk->k", Qt, dW, Qt)])
-            cols.append(col)
-        return np.array(cols).T
-
-    return resid, jac
-
-
 def odd_system_search(n: int, seeds: int = 80, rng_seed: int = 0) -> OddSearchReport:
-    """Multistart search for the odd system; splits verified vs algebraic-only."""
+    """Multistart search for the odd system; splits verified vs algebraic-only.
+
+    Each start runs the rank-penalised system, then (when it has fewer
+    equations than unknowns, or n = 3) the same on the reflection-symmetric
+    subspace, which isolates manifold solutions, then the plain algebraic
+    system, which records solutions failing the PSD/rank filter.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    nvar = 2 * n + 1
-    r = n // 2
-    resid_pen, jac_pen = _odd_jacobian_factory(n, rank_penalty=True)
-    resid_alg, jac_alg = _odd_jacobian_factory(n, rank_penalty=False)
-    rng = np.random.default_rng(rng_seed)
-    g = np.diag(scaling_matrix(n))
-    scale = 1.0 / np.exp(2.0 * np.mean(np.log(g)))
+    penalised = _HankelSystem("odd", n, rank_penalty=True)
+    algebraic = _HankelSystem("odd", n)
+    tail = penalised.tail  # null-space dimension of a verified W
     verified: dict[tuple, OddSystemSolution] = {}
-    algebraic: dict[tuple, np.ndarray] = {}
-    neq_alg = n * (n + 1) // 2
-    even_idx = np.arange(0, nvar, 2)
+    other: dict[tuple, np.ndarray] = {}
 
     def classify(h):
-        if np.abs(odd_system_residual(n, h)).max() > _RESID_TOL:
+        if np.abs(algebraic.residual(h)).max() > _RESID_TOL:
             return
-        W = _odd_W(n, h)
-        ev = np.linalg.eigvalsh(W)
-        tail = ev[: (n + 1) - r]
-        lead = ev[(n + 1) - r:]
-        ok = (
-            np.abs(tail).max() <= 1e-9
-            and (lead.min() if lead.size else 1.0) > 1e-8
-            and (lead.min() if lead.size else 1.0) > 100.0 * np.abs(tail).max()
-        )
+        ev = np.linalg.eigvalsh(algebraic.X(h))
+        small, lead = np.abs(ev[:tail]).max(), ev[tail:].min()
         key, canon = _canonical(h, "odd")
-        if ok:
+        if small <= 1e-9 and lead > 1e-8 and lead > 100.0 * small:
             if key not in verified:
-                Wc = _odd_W(n, canon)
+                Wc = algebraic.X(canon)
                 evc, Qc = np.linalg.eigh(Wc)
-                V = Qc[:, (n + 1) - r:] * np.sqrt(np.maximum(evc[(n + 1) - r:], 0.0))
-                U = Qc[:, : (n + 1) - r]
+                V = Qc[:, tail:] * np.sqrt(np.maximum(evc[tail:], 0.0))
                 verified[key] = OddSystemSolution(
-                    n=n, hankel=HankelParam("odd", n, canon), Wmat=Wc, V=V, U=U, eigenvalues=evc
+                    n=n, hankel=HankelParam("odd", n, canon), Wmat=Wc, V=V, U=Qc[:, :tail], eigenvalues=evc
                 )
         else:
-            algebraic.setdefault(key, canon)
+            other.setdefault(key, canon)
 
-    starts = []
-    for trial in range(seeds):
-        mag = scale * 3.0 ** rng.integers(-1, 2)
-        starts.append(rng.uniform(-1.0, 1.0, nvar) * mag)
-    for h0 in starts:
-        rr = least_squares(resid_pen, h0, jac=jac_pen, method="lm",
-                           xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=600)
-        classify(rr.x)
-        if neq_alg + ((n + 1) - r) < nvar or n == 3:
-            # reflection-symmetric restriction isolates manifold solutions
-            x0 = h0[even_idx]
-
-            def rsub(x):
-                h = np.zeros(nvar)
-                h[even_idx] = x
-                return resid_pen(h)
-
-            def jsub(x):
-                h = np.zeros(nvar)
-                h[even_idx] = x
-                return jac_pen(h)[:, even_idx]
-
-            rr = least_squares(rsub, x0, jac=jsub, method="lm",
-                               xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=600)
-            h = np.zeros(nvar)
-            h[even_idx] = rr.x
-            classify(h)
-        # plain algebraic run records solutions that fail the PSD/rank filter
-        method = "lm" if neq_alg >= nvar else "trf"
-        rr = least_squares(resid_alg, h0, jac=jac_alg, method=method,
-                           xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=600)
-        classify(rr.x)
+    if penalised.neq < penalised.nvar or n == 3:
+        fits = [penalised, penalised.restricted(), algebraic]
+    else:
+        fits = [penalised, algebraic]
+    _multistart(fits, seeds, rng_seed, 600, classify)
     ver = [verified[k] for k in sorted(verified)]
-    alg = [HankelParam("odd", n, algebraic[k]) for k in sorted(algebraic) if k not in verified]
+    alg = [HankelParam("odd", n, other[k]) for k in sorted(other) if k not in verified]
     return OddSearchReport(n=n, seeds=seeds, rng_seed=rng_seed, verified=ver, algebraic_only=alg)
 
 
@@ -497,9 +401,7 @@ def orthogonal_polys_from_U(n: int, U: np.ndarray) -> PolySystem:
 
 def even_system_polys(n: int, H) -> PolySystem:
     """Quasi-orthogonal family P_n + Gamma P_{n-1} for an even-system solution."""
-    h = _coerce_h(n, H, "even")
-    Gam = scaling_matrix(n) @ hankel_matrix(h, n + 1, n) @ scaling_matrix(n - 1).T
-    return PolySystem(n, np.eye(n + 1), Gam)
+    return PolySystem(n, np.eye(n + 1), _HankelSystem("even", n).X(_coerce_h(n, H, "even")))
 
 
 class CommonZeroError(RuntimeError):

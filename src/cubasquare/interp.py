@@ -22,7 +22,7 @@ from .basis2d import (
     star_spec_gaussian,
     star_spec_gencheb,
 )
-from .cubature import weights_from_kernel
+from .cubature import _calibrated_rule
 from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
 from .univariate import eval_chebyshev_t
 from .weights import WeightSpec, cheb1, cheb2, gencheb
@@ -44,6 +44,7 @@ class Interpolant:
     nodes: NodeSet
     f_values: np.ndarray
     _evaluator: object = field(repr=False)
+    collocation_cond: float | None = None  # Padua: condition number of the collocation matrix
 
     def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
         """Matrix L[k, p] = ell_k(pts[p])."""
@@ -60,12 +61,16 @@ class Interpolant:
 def interpolate_kernel(
     nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec, f_values
 ) -> Interpolant:
-    """Kernel interpolant sum_k f(z_k) K*(. , z_k)/K*(z_k, z_k)."""
+    """Kernel interpolant sum_k f(z_k) K*(. , z_k)/K*(z_k, z_k).
+
+    An uncalibrated ``spec`` (sigma > 0, no ``s_matrix``) is calibrated on
+    ``nodes`` first; the caller's spec is not changed.
+    """
     f_values = np.asarray(f_values, dtype=float)
     if len(f_values) != len(nodes):
         raise ValueError("need one sampled value per node")
     if spec.sigma and spec.s_matrix is None:
-        weights_from_kernel(nodes, spec, w)  # calibrates spec.s_matrix
+        spec = _calibrated_rule(nodes, spec, w)[1]
     kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points)).copy()
 
     def evaluator(pts):
@@ -101,17 +106,15 @@ def interpolate_padua(n: int, f_values) -> Interpolant:
         B = _cheb_total_degree_rows(n, pts)
         return lu @ B
 
-    interp = Interpolant(nodes=nodes, f_values=f_values, _evaluator=evaluator)
-    interp.collocation_cond = cond
-    return interp
+    return Interpolant(nodes=nodes, f_values=f_values, _evaluator=evaluator, collocation_cond=cond)
 
 
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
-    """Node set, kernel spec, weight, and rule for a named interpolation family.
+    """Node set, kernel spec calibrated on it, weight, and rule for a named
+    interpolation family.
 
     Families: ``cheb1`` (minimal for even n, near-minimal for odd),
-    ``cheb2`` (Gaussian), ``gencheb`` (alpha, beta; gamma = -1/2),
-    ``padua`` (returns a vandermonde-style rule, no kernel spec).
+    ``cheb2`` (Gaussian), ``gencheb`` (alpha, beta; gamma = -1/2).
     """
     if family == "cheb1":
         w = cheb1()
@@ -127,7 +130,7 @@ def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
         spec = star_spec_gencheb(alpha, beta, n)
     else:
         raise ValueError(f"unknown kernel family {family!r}")
-    rule = weights_from_kernel(nodes, spec, w)
+    rule, spec = _calibrated_rule(nodes, spec, w)
     return nodes, spec, w, rule
 
 
@@ -150,14 +153,11 @@ def lebesgue_constant(
         raise ValueError("grid_resolution must be >= 64")
     pts = _lobatto_grid(grid_resolution)
     if family == "padua":
-        nodes = padua_points(n)
-        interp = interpolate_padua(n, np.zeros(len(nodes)))
-        L = interp.cardinal_matrix(pts)
-        return float(np.abs(L).sum(axis=0).max())
-    nodes, spec, w, rule = family_rule(family, n, alpha, beta)
-    K = kernel_star_matrix(spec, nodes.points, pts)
-    kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
-    L = K / kdiag[:, None]
+        interp = interpolate_padua(n, np.zeros(len(padua_points(n))))
+    else:
+        nodes, spec, w, _ = family_rule(family, n, alpha, beta)
+        interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
+    L = interp.cardinal_matrix(pts)
     return float(np.abs(L).sum(axis=0).max())
 
 

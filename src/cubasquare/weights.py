@@ -11,7 +11,6 @@ Canonical textual forms: ``const``, ``cheb1``, ``cheb2``,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +36,7 @@ __all__ = [
 ]
 
 _KINDS = ("const", "gegenbauer", "jacobi2", "gencheb")
-
-
-def _oracle_margin() -> int:
-    """Extra per-axis quadrature order; tunable via CUBASQUARE_ORACLE_DIGITS."""
-    raw = os.environ.get("CUBASQUARE_ORACLE_DIGITS", "")
-    try:
-        return max(int(raw), 0) if raw else 2
-    except ValueError:
-        return 2
+_ORACLE_MARGIN = 2  # extra per-axis quadrature order beyond exactness
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ def tensor_oracle(w: WeightSpec, degree: int):
     if w.kind == "gencheb":
         ia, ib = _gencheb_halfint(w)
         extra = ia + ib
-    m = (degree + extra) // 2 + 1 + _oracle_margin()
+    m = (degree + extra) // 2 + 1 + _ORACLE_MARGIN
     (pa, _), (pb, _) = _axis_params(w)
     xg, wx = gauss_rule_1d(pa, pa, m)
     yg, wy = gauss_rule_1d(pb, pb, m)
@@ -231,8 +222,8 @@ def moment(w: WeightSpec, i: int, j: int) -> float:
         return float((wts * X**i * Y**j).sum())
     # product weights separate into two 1-D integrals
     (pa, _), (pb, _) = _axis_params(w)
-    mx = (i // 2) + 1 + _oracle_margin()
-    my = (j // 2) + 1 + _oracle_margin()
+    mx = (i // 2) + 1 + _ORACLE_MARGIN
+    my = (j // 2) + 1 + _ORACLE_MARGIN
     xg, wx = gauss_rule_1d(pa, pa, mx)
     yg, wy = gauss_rule_1d(pb, pb, my)
     return float((wx * xg**i).sum() * (wy * yg**j).sum())

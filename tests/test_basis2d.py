@@ -13,14 +13,30 @@ from cubasquare.basis2d import (
     kernel_matrix,
     kernel_star_matrix,
     p_general,
-    p_general_trig,
     product_basis,
     q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
     three_term,
 )
+from cubasquare.univariate import jacobi_normalized_table
 from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass, tensor_oracle
+
+
+def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
+    """Reference evaluation of P_{k,n} straight from the angle formula."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    z1, z2 = np.cos(theta - phi), np.cos(theta + phi)
+    if sign < 0:
+        deg = max(n, k)
+        t1 = jacobi_normalized_table(alpha, beta, deg, z1)
+        t2 = jacobi_normalized_table(alpha, beta, deg, z2)
+        return t1[n] * t2[k] + t1[k] * t2[n]
+    deg = n + 1
+    t1 = jacobi_normalized_table(alpha, beta, deg, z1)
+    t2 = jacobi_normalized_table(alpha, beta, deg, z2)
+    return (t1[deg] * t2[k] - t1[k] * t2[deg]) / (2.0 * np.sin(theta) * np.sin(phi))
 
 
 def gram(w, nmax):
@@ -75,11 +91,15 @@ class TestProductBasis:
 
 class TestThreeTerm:
     def test_constant_closed_form(self):
-        from cubasquare.discover import legendre_A_matrices
-
+        # Legendre: A1[k, k] = a(n - k), A2[k, k + 1] = a(k), zero elsewhere
+        a = lambda k: (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3))
         for n in range(6):
             tt = three_term(constant(), n)
-            A1, A2 = legendre_A_matrices(n)
+            A1 = np.zeros((n + 1, n + 2))
+            A2 = np.zeros((n + 1, n + 2))
+            for k in range(n + 1):
+                A1[k, k] = a(n - k)
+                A2[k, k + 1] = a(k)
             assert_allclose(tt.A1, A1, atol=1e-14)
             assert_allclose(tt.A2, A2, atol=1e-14)
 
@@ -161,12 +181,9 @@ class TestKernelStar:
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_positive_at_nodes(self):
-        from cubasquare.cubature import weights_from_kernel
-        from cubasquare.nodes import min_t_nodes_even
+        from cubasquare.interp import family_rule
 
-        nodes = min_t_nodes_even(4)
-        spec = star_spec_cheb1(4)
-        weights_from_kernel(nodes, spec, cheb1())
+        nodes, spec, _, _ = family_rule("cheb1", 4)  # min_t_nodes_even(4), calibrated star_spec_cheb1(4)
         d = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
         assert d.min() > 0
 

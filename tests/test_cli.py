@@ -3,11 +3,36 @@
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from cubasquare.cli import main
 
 
 def run(args):
     return main(args)
+
+
+# each subcommand accepts only the flags it reads
+FLAG_VALUES = {"--gamma": "0.5", "--weight": "cheb1", "--format": "json", "--resolution": "65",
+               "--out": "unused.json"}
+REMOVED_FLAGS = [
+    (base, flag)
+    for base, flags in [
+        (["nodes", "mint", "4"], ["--gamma", "--weight", "--format", "--resolution"]),
+        (["rule", "mint", "4"], ["--gamma", "--format", "--resolution"]),
+        (["interp", "mint"], ["--gamma", "--weight"]),
+        (["lebesgue", "mint"], ["--gamma", "--weight"]),
+        (["plot", "mint", "4", "--svg", "unused.svg"], ["--gamma", "--out", "--weight", "--format", "--resolution"]),
+    ]
+    for flag in flags
+]
+
+
+@pytest.mark.parametrize("base,flag", REMOVED_FLAGS, ids=[f"{b[0]}{f}" for b, f in REMOVED_FLAGS])
+def test_unread_flag_is_rejected(base, flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(base + [flag, FLAG_VALUES[flag]]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 class TestNodesCommand:

@@ -33,6 +33,11 @@ class TestKernelWeights:
         rule = weights_from_kernel(nodes, star_spec_cheb1(4), cheb1())
         assert rule.lambdas.sum() == pytest.approx(np.pi**2, rel=1e-12)
 
+    def test_spec_not_mutated(self):
+        spec = star_spec_cheb1(6)
+        weights_from_kernel(min_t_nodes_even(6), spec, cheb1())
+        assert spec.s_matrix is None
+
     def test_cheb2_gaussian_degrees(self):
         for n in range(2, 13):
             rule = weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2())

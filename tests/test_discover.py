@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cubasquare.basis2d import three_term
 from cubasquare.cubature import exactness_check, weights_from_vandermonde
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
@@ -19,8 +20,8 @@ from cubasquare.discover import (
     common_zeros,
     even_system_polys,
     even_system_residual,
+    _HankelSystem,
     gamma_coefficient,
-    legendre_A_matrices,
     odd_system_residual,
     odd_system_search,
     odd_system_solve,
@@ -30,6 +31,12 @@ from cubasquare.discover import (
 )
 from cubasquare.nodes import NodeSet
 from cubasquare.weights import constant
+
+
+def legendre_A(n):
+    """Three-term matrices A_{n,1}, A_{n,2} of the constant weight."""
+    tt = three_term(constant(), n)
+    return tt.A1, tt.A2
 
 
 def odd_W(n, h):
@@ -44,12 +51,8 @@ class TestBuildingBlocks:
             exact = Fraction(math.comb(2 * k, k), 2**k)
             assert gamma_coefficient(k) == pytest.approx(float(exact) * math.sqrt(2 * k + 1), rel=1e-15)
 
-    def test_a_entry_k0(self):
-        A1, _ = legendre_A_matrices(0)
-        assert A1[0, 0] == pytest.approx(1 / math.sqrt(3), abs=1e-16)
-
     def test_banded_structure(self):
-        A1, A2 = legendre_A_matrices(5)
+        A1, A2 = legendre_A(5)
         assert ((A1 != 0).sum(axis=1) == 1).all()
         assert ((A2 != 0).sum(axis=1) == 1).all()
 
@@ -59,8 +62,8 @@ class TestBuildingBlocks:
         x, y = rng.uniform(-1, 1, (2, 30))
         b = basis_for(constant(), 7)
         for n in range(1, 6):
-            A1n, A2n = legendre_A_matrices(n)
-            A1m, A2m = legendre_A_matrices(n - 1)
+            A1n, A2n = legendre_A(n)
+            A1m, A2m = legendre_A(n - 1)
             Pn = b.eval_degree(n, x, y)
             Pn1 = b.eval_degree(n + 1, x, y)
             Pm = b.eval_degree(n - 1, x, y)
@@ -84,7 +87,7 @@ class TestStructuralIdentities:
         for n in range(2, 9):
             h = rng.standard_normal(2 * n)
             Gam = scaling_matrix(n) @ HankelParam("even", n, h).matrix @ scaling_matrix(n - 1).T
-            A1, A2 = legendre_A_matrices(n - 1)
+            A1, A2 = legendre_A(n - 1)
             assert np.abs(A1 @ Gam - (A1 @ Gam).T).max() < 1e-10
             assert np.abs(A2 @ Gam - (A2 @ Gam).T).max() < 1e-10
 
@@ -94,7 +97,7 @@ class TestStructuralIdentities:
         for n in range(2, 9):
             h = rng.standard_normal(2 * n + 1)
             W = odd_W(n, h)
-            A1, A2 = legendre_A_matrices(n - 1)
+            A1, A2 = legendre_A(n - 1)
             D = W - np.eye(n + 1)
             assert np.abs(A1 @ D @ A2.T - A2 @ D @ A1.T).max() < 1e-10
 
@@ -105,10 +108,79 @@ class TestStructuralIdentities:
 
     def test_zero_hankel_even_residual(self):
         n = 4
-        A1, A2 = legendre_A_matrices(n - 1)
+        A1, A2 = legendre_A(n - 1)
         C = A1 @ A2.T - A2 @ A1.T
         iu = np.triu_indices(n, 1)
         assert_allclose(even_system_residual(n, np.zeros(2 * n)), -C[iu], atol=1e-15)
+
+
+def reference_even_jacobian(n, h):
+    """Per-entry loop: columns dR/dh_l of Gamma^T M Gamma, Gamma = G_n H G_{n-1}^T."""
+    G1, G0 = scaling_matrix(n), scaling_matrix(n - 1)
+    A1, A2 = legendre_A(n - 1)
+    M = A1.T @ A2 - A2.T @ A1
+    iu = np.triu_indices(n, 1)
+    Gam = G1 @ HankelParam("even", n, h).matrix @ G0.T
+    cols = []
+    for l in range(2 * n):
+        E = np.zeros((n + 1, n))
+        for i in range(n + 1):
+            if 0 <= l - i < n:
+                E[i, l - i] = 1.0
+        Gl = G1 @ E @ G0.T
+        cols.append((Gl.T @ M @ Gam + Gam.T @ M @ Gl)[iu])
+    return np.array(cols).T
+
+
+def reference_odd_jacobian(n, h, rank_penalty):
+    """Per-entry loop: columns dR/dh_l of W M W (and the trailing eigenvalues of W)."""
+    G = scaling_matrix(n)
+    A1, A2 = legendre_A(n - 1)
+    M = A1.T @ A2 - A2.T @ A1
+    iu = np.triu_indices(n + 1, 1)
+    W = odd_W(n, h)
+    Qt = np.linalg.eigh(W)[1][:, : (n + 1) - n // 2]
+    cols = []
+    for l in range(2 * n + 1):
+        E = np.zeros((n + 1, n + 1))
+        for i in range(n + 1):
+            if 0 <= l - i <= n:
+                E[i, l - i] = 1.0
+        dW = -(G @ E @ G.T)
+        col = (dW @ M @ W + W @ M @ dW)[iu]
+        if rank_penalty:
+            col = np.concatenate([col, np.einsum("ik,ij,jk->k", Qt, dW, Qt)])
+        cols.append(col)
+    return np.array(cols).T
+
+
+class TestJacobian:
+    """The batched analytic Jacobian against the per-entry reference loops."""
+
+    @staticmethod
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_even(self, n):
+        h = np.random.default_rng(n).standard_normal(2 * n) * _HankelSystem("even", n).scale
+        self.close(_HankelSystem("even", n).jacobian(h), reference_even_jacobian(n, h))
+
+    @pytest.mark.parametrize("rank_penalty", [True, False])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_odd(self, n, rank_penalty):
+        system = _HankelSystem("odd", n, rank_penalty)
+        h = np.random.default_rng(n).standard_normal(2 * n + 1) * system.scale
+        self.close(system.jacobian(h), reference_odd_jacobian(n, h, rank_penalty))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_odd_restricted(self, n):
+        system = _HankelSystem("odd", n, rank_penalty=True).restricted()
+        x = np.random.default_rng(n).standard_normal(n + 1) * system.scale
+        h = np.zeros(2 * n + 1)
+        h[::2] = x
+        self.close(system.jacobian(x), reference_odd_jacobian(n, h, True)[:, ::2])
 
 
 class TestFixtures:

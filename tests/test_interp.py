@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cubasquare.basis2d import star_spec_cheb1
 from cubasquare.interp import (
     convergence_report,
     family_rule,
@@ -21,6 +22,14 @@ def sample(f, nodes):
 
 
 class TestKernelInterpolation:
+    def test_uncalibrated_spec_calibrated_on_a_copy(self):
+        nodes, spec, w, _ = family_rule("cheb1", 8)
+        assert spec.s_matrix is not None
+        raw = star_spec_cheb1(8)
+        L = interpolate_kernel(nodes, raw, w, np.zeros(len(nodes))).cardinal_matrix(nodes.points)
+        assert raw.s_matrix is None
+        assert np.abs(L - np.eye(len(nodes))).max() < 1e-10
+
     def test_constant_reproduced(self):
         nodes, spec, w, _ = family_rule("cheb1", 6)
         interp = interpolate_kernel(nodes, spec, w, np.ones(len(nodes)))
