@@ -1,6 +1,7 @@
 """Tests for the Hankel-system machinery and common-zero extraction."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestBuildingBlocks:
         for k in range(21):
             exact = Fraction(math.comb(2 * k, k), 2**k)
             assert gamma_coefficient(k) == pytest.approx(float(exact) * math.sqrt(2 * k + 1), rel=1e-15)
+
+    def test_a_entry_k0(self):
+        # reference 1/sqrt(3) rounded once from 28 digits; float 1 / math.sqrt(3)
+        # is itself 7.8e-17 above the true value
+        A1, _ = legendre_A(0)
+        assert A1[0, 0] == pytest.approx(float(1 / Decimal(3).sqrt()), abs=1e-16)
 
     def test_banded_structure(self):
         A1, A2 = legendre_A(5)
