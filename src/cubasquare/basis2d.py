@@ -24,6 +24,7 @@ K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .univariate import (
     jacobi_normalized_table_with_derivative,
     jacobi_recurrence,
 )
-from .weights import WeightSpec, mass as weight_mass, tensor_oracle, weight_string
+from .weights import WeightSpec, mass as weight_mass, parse_weight, tensor_oracle, weight_string
 
 __all__ = [
     "OrthoBasis2D",
@@ -95,13 +96,15 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
         y = np.asarray(y, dtype=float)
         tx = jacobi_normalized_table(self._ax[0], self._ax[1], n, x)
         ty = jacobi_normalized_table(self._ay[0], self._ay[1], n, y)
-        rows = np.empty((dim_upto(n),) + x.shape)
-        r = 0
-        for d in range(n + 1):
-            for k in range(d + 1):
-                rows[r] = tx[d - k] * ty[k]
-                r += 1
-        return rows
+        return _total_degree_rows(tx, ty)
+
+
+def _total_degree_rows(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Rows tx[d-k] * ty[k] ordered by (degree d, k) from two per-axis tables."""
+    d, k = np.tril_indices(len(tx))
+    rows = tx[d - k]
+    rows *= ty[k]
+    return rows
 
 
 def _split_z(x, y):
@@ -269,41 +272,32 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
             raise ValueError("degenerate gencheb basis member (zero norm)")
         return np.sqrt(sq)
 
-    def _ensure(self, n: int):
-        if n > self.nmax:
-            self.nmax = max(n, 2 * self.nmax)
-            self._norms = self._compute_norms(self.nmax)
-
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        self._ensure(n)
+        if n > self.nmax:
+            raise ValueError(f"gencheb basis built for degrees <= {self.nmax}; asked for {n}")
         raw = self._eval_raw(n, x, y)
         return raw / self._norms[: raw.shape[0], None]
 
 
-_BASIS_CACHE: dict[str, OrthoBasis2D] = {}
-
-
 def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:
-    """Orthonormal basis object for a supported weight (cached per weight)."""
-    key = weight_string(w)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        if isinstance(hit, _GenChebOrthoBasis2D):
-            hit._ensure(nmax)
-        return hit
+    """Orthonormal basis object for a supported weight, valid for degrees
+    0..nmax; shared through a bounded cache keyed by (weight string, nmax)."""
+    return _cached_basis(weight_string(w), nmax)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_basis(key: str, nmax: int) -> OrthoBasis2D:
+    w = parse_weight(key)
     if w.kind == "const":
-        basis = _ProductOrthoBasis2D(w, (0.0, 0.0), (0.0, 0.0))
-    elif w.kind == "gegenbauer":
+        return _ProductOrthoBasis2D(w, (0.0, 0.0), (0.0, 0.0))
+    if w.kind == "gegenbauer":
         e = w.alpha - 0.5
-        basis = _ProductOrthoBasis2D(w, (e, e), (e, e))
-    elif w.kind == "jacobi2":
-        basis = _ProductOrthoBasis2D(w, (w.alpha, w.alpha), (w.beta, w.beta))
-    elif w.kind == "gencheb":
-        basis = _GenChebOrthoBasis2D(w, nmax)
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported weight kind {w.kind!r}")
-    _BASIS_CACHE[key] = basis
-    return basis
+        return _ProductOrthoBasis2D(w, (e, e), (e, e))
+    if w.kind == "jacobi2":
+        return _ProductOrthoBasis2D(w, (w.alpha, w.alpha), (w.beta, w.beta))
+    if w.kind == "gencheb":
+        return _GenChebOrthoBasis2D(w, nmax)
+    raise ValueError(f"unsupported weight kind {w.kind!r}")  # pragma: no cover
 
 
 def product_basis(w: WeightSpec, n: int):

@@ -52,6 +52,14 @@ class UsageError(Exception):
     pass
 
 
+def _gencheb_shape(args):
+    """--alpha/--beta shape only the gencheb weight (default 1/2 each)."""
+    if args.family != "gencheb" and (args.alpha, args.beta) != (None, None):
+        raise UsageError(f"--alpha and --beta apply only to the gencheb family, not {args.family!r}")
+    args.alpha = 0.5 if args.alpha is None else args.alpha
+    args.beta = 0.5 if args.beta is None else args.beta
+
+
 def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
     if family == "gaussu":
         return gauss_u_nodes(n)
@@ -140,8 +148,9 @@ def cmd_interp(args) -> int:
     f = _TEST_FUNCTIONS[args.function]
     n_list = [int(s) for s in args.n_list.split(",")]
     fam = _kernel_family_name(args.family) if args.family != "padua" else "padua"
-    rows = convergence_report(fam, f, n_list, norm=args.norm,
-                              grid_resolution=args.resolution or 101,
+    if args.resolution < 2:
+        raise UsageError("--resolution must be at least 2")
+    rows = convergence_report(fam, f, n_list, norm=args.norm, grid_resolution=args.resolution,
                               alpha=args.alpha, beta=args.beta)
     if args.format == "json":
         _write_out(json.dumps([{"n": n, "error": e} for n, e in rows], indent=2), args.out)
@@ -154,7 +163,9 @@ def cmd_interp(args) -> int:
 def cmd_lebesgue(args) -> int:
     n_list = [int(s) for s in args.n_list.split(",")]
     fam = _kernel_family_name(args.family) if args.family != "padua" else "padua"
-    res = args.resolution or 256
+    res = args.resolution
+    if res < 64:
+        raise UsageError("--resolution must be at least 64")
     rows = []
     for n in n_list:
         lam = lebesgue_constant(fam, n, grid_resolution=res, alpha=args.alpha, beta=args.beta)
@@ -262,12 +273,12 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("family", choices=_FAMILIES)
         if with_n:
             q.add_argument("n", type=int)
-        q.add_argument("--alpha", type=float, default=0.5)
-        q.add_argument("--beta", type=float, default=0.5)
+        q.add_argument("--alpha", type=float, default=None)
+        q.add_argument("--beta", type=float, default=None)
 
-    def add_table(q):
+    def add_table(q, resolution):
         q.add_argument("--n-list", default="4,8,16")
-        q.add_argument("--resolution", type=int, default=None)
+        q.add_argument("--resolution", type=int, default=resolution)
         q.add_argument("--format", choices=("json", "csv"), default="csv")
         q.add_argument("--out", default=None)
 
@@ -290,14 +301,14 @@ def _parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("interp", help="interpolation error table")
     add_family(q, with_n=False)
-    add_table(q)
+    add_table(q, resolution=101)
     q.add_argument("--function", choices=sorted(_TEST_FUNCTIONS), default="exp_xy")
     q.add_argument("--norm", choices=("sup", "L2"), default="sup")
     q.set_defaults(fn=cmd_interp)
 
     q = sub.add_parser("lebesgue", help="Lebesgue constant table")
     add_family(q, with_n=False)
-    add_table(q)
+    add_table(q, resolution=256)
     q.set_defaults(fn=cmd_lebesgue)
 
     q = sub.add_parser("discover", help="search the Hankel systems for the constant weight")
@@ -324,6 +335,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "alpha"):
+            _gencheb_shape(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -12,12 +12,16 @@ refinement path).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .basis2d import (
     KernelStarSpec,
-    kernel_star_matrix,
+    _total_degree_rows,
+    basis_for,
+    dim_upto,
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
@@ -36,25 +40,45 @@ __all__ = [
     "convergence_report",
 ]
 
+# Point-side basis rows are evaluated in blocks of at most this many bytes,
+# so memory does not grow with the number of evaluation points.
+_BLOCK_BYTES = 16 * 2**20
 
-@dataclass
+
+@dataclass(frozen=True)
 class Interpolant:
-    """Interpolation operator frozen at a node set with sampled values."""
+    """Interpolation operator frozen at a node set with sampled values.
+
+    ``factor`` (basis rows x nodes) is computed once from the nodes; the
+    cardinal functions are ell_k(p) = (factor.T @ basis_rows(x, y))[k].
+    """
 
     nodes: NodeSet
     f_values: np.ndarray
-    _evaluator: object = field(repr=False)
+    factor: np.ndarray = field(repr=False)
+    basis_rows: Callable[..., np.ndarray] = field(repr=False)
     collocation_cond: float | None = None  # Padua: condition number of the collocation matrix
+    coeffs: np.ndarray = field(init=False, repr=False)  # factor @ f_values
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", self.factor @ self.f_values)
+
+    def _row_blocks(self, pts: np.ndarray):
+        """Basis rows at consecutive blocks of ``pts`` (at least one block)."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        step = max(1, _BLOCK_BYTES // (8 * len(self.factor)))
+        for s in range(0, max(len(pts), 1), step):
+            yield self.basis_rows(pts[s:s + step, 0], pts[s:s + step, 1])
 
     def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
         """Matrix L[k, p] = ell_k(pts[p])."""
-        return self._evaluator(np.asarray(pts, dtype=float).reshape(-1, 2))
+        return np.hstack([self.factor.T @ rows for rows in self._row_blocks(pts)])
 
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         pts = np.stack([x.ravel(), y.ravel()], axis=1)
-        vals = self.f_values @ self.cardinal_matrix(pts)
+        vals = np.concatenate([self.coeffs @ rows for rows in self._row_blocks(pts)])
         return vals.reshape(x.shape)
 
 
@@ -71,25 +95,25 @@ def interpolate_kernel(
         raise ValueError("need one sampled value per node")
     if spec.sigma and spec.s_matrix is None:
         spec = _calibrated_rule(nodes, spec, w)[1]
-    kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points)).copy()
+    # K*(z, p) = G(z) . F(p) with F the basis rows of degrees 0..n and G(z) =
+    # [F_low(z); q^T S^-1 Q(z)]; for sigma = 0, K* = K_{n-1} needs no degree-n rows.
+    basis = basis_for(spec.weight, spec.n)
+    deg = spec.n if spec.sigma else spec.n - 1
+    F = basis.eval_upto(deg, nodes.points[:, 0], nodes.points[:, 1])
+    G = F.copy()
+    if spec.sigma:
+        lo = dim_upto(spec.n - 1)
+        G[lo:] = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ F[lo:])
+    kdiag = (G * F).sum(axis=0) / basis.mass
+    return Interpolant(nodes=nodes, f_values=f_values, factor=G / (basis.mass * kdiag),
+                       basis_rows=partial(basis.eval_upto, deg))
 
-    def evaluator(pts):
-        K = kernel_star_matrix(spec, nodes.points, pts)
-        return K / kdiag[:, None]
 
-    return Interpolant(nodes=nodes, f_values=f_values, _evaluator=evaluator)
-
-
-def _cheb_total_degree_rows(n: int, pts: np.ndarray) -> np.ndarray:
+def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
     """Rows T_{d-k}(x) T_k(y), ordered by (degree, k), at the points."""
-    x, y = pts[:, 0], pts[:, 1]
     tx = np.array([eval_chebyshev_t(k, x) for k in range(n + 1)])
     ty = np.array([eval_chebyshev_t(k, y) for k in range(n + 1)])
-    rows = []
-    for d in range(n + 1):
-        for k in range(d + 1):
-            rows.append(tx[d - k] * ty[k])
-    return np.array(rows)
+    return _total_degree_rows(tx, ty)
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:
@@ -98,15 +122,10 @@ def interpolate_padua(n: int, f_values) -> Interpolant:
     f_values = np.asarray(f_values, dtype=float)
     if len(f_values) != len(nodes):
         raise ValueError(f"need {len(nodes)} values for padua degree {n}")
-    V = _cheb_total_degree_rows(n, nodes.points)  # dim x N, square
-    cond = float(np.linalg.cond(V))
-    lu = np.linalg.inv(V)
-
-    def evaluator(pts):
-        B = _cheb_total_degree_rows(n, pts)
-        return lu @ B
-
-    return Interpolant(nodes=nodes, f_values=f_values, _evaluator=evaluator, collocation_cond=cond)
+    V = _cheb_total_degree_rows(n, nodes.points[:, 0], nodes.points[:, 1])  # dim x N, square
+    return Interpolant(nodes=nodes, f_values=f_values, factor=np.linalg.solve(V.T, np.eye(len(V))),
+                       basis_rows=partial(_cheb_total_degree_rows, n),
+                       collocation_cond=float(np.linalg.cond(V)))
 
 
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
@@ -157,8 +176,11 @@ def lebesgue_constant(
     else:
         nodes, spec, w, _ = family_rule(family, n, alpha, beta)
         interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
-    L = interp.cardinal_matrix(pts)
-    return float(np.abs(L).sum(axis=0).max())
+    lam = 0.0
+    for rows in interp._row_blocks(pts):
+        L = interp.factor.T @ rows
+        lam = max(lam, float(np.abs(L, out=L).sum(axis=0).max()))
+    return lam
 
 
 def convergence_report(

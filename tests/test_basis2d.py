@@ -65,6 +65,30 @@ class TestOrthonormality:
         assert b.eval_upto(6, x, y).shape == (dim_upto(6), 2)
 
 
+class TestBasisCache:
+    def test_shared_per_weight_and_degree(self):
+        w = gencheb(0.5, 0.5, -0.5)
+        assert basis_for(w, 6) is basis_for(gencheb(0.5, 0.5, -0.5), 6)
+        assert basis_for(w, 8) is not basis_for(w, 6)
+
+    def test_gencheb_degree_fixed_at_construction(self):
+        b = basis_for(gencheb(0.5, -0.5, -0.5), 5)
+        x = np.array([0.1, -0.3])
+        b.eval_upto(5, x, x[::-1])
+        with pytest.raises(ValueError):
+            b.eval_upto(6, x, x[::-1])
+        basis_for(gencheb(0.5, -0.5, -0.5), 9).eval_upto(9, x, x[::-1])
+        assert b.nmax == 5
+
+    def test_product_rows_match_degree_loop(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-1, 1, (2, 3, 4))
+        tx = jacobi_normalized_table(-0.5, -0.5, 7, x)
+        ty = jacobi_normalized_table(-0.5, -0.5, 7, y)
+        ref = np.array([tx[d - k] * ty[k] for d in range(8) for k in range(d + 1)])
+        assert np.array_equal(basis_for(cheb1(), 7).eval_upto(7, x, y), ref)
+
+
 class TestProductBasis:
     def test_constant_degree1(self):
         # sqrt(3) x and sqrt(3) y up to ordering

@@ -12,17 +12,18 @@ def run(args):
     return main(args)
 
 
-# each subcommand accepts only the flags it reads
+# each subcommand accepts only the flags it reads; --alpha/--beta only for gencheb
 FLAG_VALUES = {"--gamma": "0.5", "--weight": "cheb1", "--format": "json", "--resolution": "65",
-               "--out": "unused.json"}
+               "--out": "unused.json", "--alpha": "0.3", "--beta": "-0.7"}
 REMOVED_FLAGS = [
     (base, flag)
     for base, flags in [
-        (["nodes", "mint", "4"], ["--gamma", "--weight", "--format", "--resolution"]),
-        (["rule", "mint", "4"], ["--gamma", "--format", "--resolution"]),
-        (["interp", "mint"], ["--gamma", "--weight"]),
-        (["lebesgue", "mint"], ["--gamma", "--weight"]),
-        (["plot", "mint", "4", "--svg", "unused.svg"], ["--gamma", "--out", "--weight", "--format", "--resolution"]),
+        (["nodes", "mint", "4"], ["--gamma", "--weight", "--format", "--resolution", "--alpha", "--beta"]),
+        (["rule", "mint", "4"], ["--gamma", "--format", "--resolution", "--alpha", "--beta"]),
+        (["interp", "mint"], ["--gamma", "--weight", "--alpha", "--beta"]),
+        (["lebesgue", "mint"], ["--gamma", "--weight", "--alpha", "--beta"]),
+        (["plot", "mint", "4", "--svg", "unused.svg"],
+         ["--gamma", "--out", "--weight", "--format", "--resolution", "--alpha", "--beta"]),
     ]
     for flag in flags
 ]
@@ -99,6 +100,13 @@ class TestTables:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("n,lebesgue,per_log2")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("command,resolution", [("lebesgue", "0"), ("lebesgue", "10"), ("lebesgue", "63"),
+                                                    ("interp", "0"), ("interp", "1")])
+    def test_resolution_below_floor_rejected(self, command, resolution, tmp_path):
+        out = tmp_path / "table.csv"
+        assert run([command, "mint", "--n-list", "4", "--resolution", resolution, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_interp_json(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -1,10 +1,13 @@
 """Tests for interpolation, Lebesgue constants, and convergence diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubasquare.basis2d import star_spec_cheb1
+from cubasquare import interp as interp_module
+from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1
 from cubasquare.interp import (
     convergence_report,
     family_rule,
@@ -19,6 +22,27 @@ from cubasquare.weights import cheb1, tensor_oracle
 
 def sample(f, nodes):
     return f(nodes.points[:, 0], nodes.points[:, 1])
+
+
+def build(family, n, f_values=None):
+    """Interpolant of a family at degree n, with its dense cardinal-matrix reference."""
+    if family == "padua":
+        nodes = padua_points(n)
+        fv = np.zeros(len(nodes)) if f_values is None else f_values(len(nodes))
+
+        def rows(p):
+            return np.array([eval_chebyshev_t(d - k, p[:, 0]) * eval_chebyshev_t(k, p[:, 1])
+                             for d in range(n + 1) for k in range(d + 1)])
+
+        return interpolate_padua(n, fv), lambda p: np.linalg.solve(rows(nodes.points), rows(p))
+    nodes, spec, w, _ = family_rule(family, n)
+    fv = np.zeros(len(nodes)) if f_values is None else f_values(len(nodes))
+    kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
+    return (interpolate_kernel(nodes, spec, w, fv),
+            lambda p: kernel_star_matrix(spec, nodes.points, p) / kdiag[:, None])
+
+
+FAMILIES = [("cheb1", 8), ("cheb1", 7), ("cheb2", 8), ("gencheb", 8), ("padua", 8)]
 
 
 class TestKernelInterpolation:
@@ -139,6 +163,47 @@ class TestLebesgue:
     def test_padua_lebesgue(self):
         lam = lebesgue_constant("padua", 6, grid_resolution=65)
         assert 1.0 < lam < 20.0
+
+
+class TestStreaming:
+    """Blocked evaluation against dense references, with blocks of about
+    100 points so that the 65^2-point grid ends in a partial block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 45 * 100)
+
+    @pytest.mark.parametrize("family,n", FAMILIES)
+    def test_lebesgue_matches_dense_reference(self, family, n):
+        interp, dense = build(family, n)
+        pts = interp_module._lobatto_grid(65)
+        L = dense(pts)
+        assert np.abs(interp.cardinal_matrix(pts) - L).max() < 1e-12 * np.abs(L).max()
+        ref = np.abs(L).sum(axis=0).max()
+        assert lebesgue_constant(family, n, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("family,n", FAMILIES)
+    def test_call_matches_cardinal_matrix(self, family, n):
+        rng = np.random.default_rng(n)
+        interp, _ = build(family, n, f_values=rng.standard_normal)
+        x, y = rng.uniform(-1, 1, (2, 37, 31))
+        want = interp.f_values @ interp.cardinal_matrix(np.stack([x.ravel(), y.ravel()], axis=1))
+        got = interp(x, y)
+        assert got.shape == x.shape
+        assert np.abs(got.ravel() - want).max() < 1e-12 * np.abs(want).max()
+        assert interp.cardinal_matrix(np.empty((0, 2))).shape == (len(interp.nodes), 0)
+
+
+@pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24)])
+def test_lebesgue_memory_bounded(family, n):
+    # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 MB
+    tracemalloc.start()
+    try:
+        lebesgue_constant(family, n, grid_resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 class TestConvergence:
