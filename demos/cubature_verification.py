@@ -1,8 +1,9 @@
 """Build rules for every family and verify them against the moment oracle.
 
 Each rule's weights come from the reciprocal of the augmented reproducing
-kernel on the diagonal; verification sweeps all monomials up to the
-declared degree and reports where exactness first fails.
+kernel on the diagonal; verification compares the rule with the exact
+moments of every Chebyshev tensor product T_i(x) T_j(y) up to three
+degrees past the declared one and reports where exactness first fails.
 
 Run:  python3 demos/cubature_verification.py
 """

@@ -276,7 +276,7 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
         if n > self.nmax:
             raise ValueError(f"gencheb basis built for degrees <= {self.nmax}; asked for {n}")
         raw = self._eval_raw(n, x, y)
-        return raw / self._norms[: raw.shape[0], None]
+        return raw / self._norms[: raw.shape[0]].reshape((-1,) + (1,) * (raw.ndim - 1))
 
 
 def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:

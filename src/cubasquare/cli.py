@@ -137,10 +137,13 @@ def cmd_verify(args) -> int:
         return 2
     report = exactness_check(rule)
     status = "PASS" if report.passed else "FAIL"
-    print(
+    line = (
         f"{status} degree={report.declared_degree} max_rel_error={report.max_rel_error:.3e} "
         f"first_failure_degree={report.first_failure_degree}"
     )
+    if not report.passed:
+        line += f" residual={report.residuals[report.first_failure_degree]:.3e}"
+    print(line)
     return 0 if report.passed else 1
 
 

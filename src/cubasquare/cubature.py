@@ -9,7 +9,8 @@ import numpy as np
 
 from .basis2d import KernelStarSpec, basis_for, dim_upto, three_term
 from .nodes import NodeSet, moeller_count
-from .weights import WeightSpec, is_centrally_symmetric, moment_table, parse_weight, weight_string
+from .univariate import chebyshev_t_table
+from .weights import WeightSpec, chebyshev_moments, is_centrally_symmetric, mass, parse_weight, weight_string
 
 __all__ = [
     "CubatureError",
@@ -57,7 +58,7 @@ class CubatureRule:
             return
         if lam.min() <= 0:
             raise CubatureError(f"nonpositive cubature weight: min = {lam.min():.3e}")
-        m00 = moment_table(self.weight, 0)[0, 0]
+        m00 = mass(self.weight)
         if abs(lam.sum() - m00) > 1e-10 * max(1.0, m00):
             raise CubatureError(
                 f"weights sum to {lam.sum():.15g}, expected total mass {m00:.15g}"
@@ -168,7 +169,12 @@ def weights_from_vandermonde(
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Outcome of checking a rule against the moment oracle."""
+    """Outcome of checking a rule against the moment oracle.
+
+    ``residuals[t]`` is the largest error relative to the total mass over
+    the Chebyshev tensor moments of total degree t, for t = 0..checked_through
+    (``None`` for reports read from files written before it was recorded).
+    """
 
     passed: bool
     declared_degree: int
@@ -176,6 +182,7 @@ class ExactnessReport:
     first_failure_degree: int | None
     checked_through: int
     exact_beyond_declared: bool
+    residuals: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -185,35 +192,33 @@ class ExactnessReport:
             "first_failure_degree": self.first_failure_degree,
             "checked_through": self.checked_through,
             "exact_beyond_declared": self.exact_beyond_declared,
+            "residuals": None if self.residuals is None else list(self.residuals),
         }
 
 
 def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 3) -> ExactnessReport:
-    """Compare rule sums with exact moments for all monomials.
+    """Compare rule sums with exact moments in the Chebyshev tensor basis.
 
-    Relative errors are measured against the total mass (all moments on
-    the square are bounded by it).  Degrees up to declared + extra are
-    scanned to locate the first failing total degree.
+    The rule sums sum_k lambda_k T_i(x_k) T_j(y_k) are compared with the
+    modified moments int T_i T_j W.  Both are bounded by the total mass
+    (|T_i| <= 1 on the square), so the error relative to it measures a
+    failure at any degree; monomial moments of high degree are too small
+    to show one.  Degrees up to declared + extra are scanned to locate the
+    first failing total degree.
     """
     deg = rule.degree
     hi = deg + extra_degrees
-    mom = moment_table(rule.weight, hi)
-    m00 = mom[0, 0]
-    x, y = rule.nodes.points[:, 0], rule.nodes.points[:, 1]
-    xp = np.vander(x, hi + 1, increasing=True)
-    yp = np.vander(y, hi + 1, increasing=True)
-    sums = np.einsum("p,pi,pj->ij", rule.lambdas, xp, yp)
-    max_rel = 0.0
-    first_fail = None
-    for tot in range(hi + 1):
-        worst = 0.0
-        for i in range(tot + 1):
-            j = tot - i
-            worst = max(worst, abs(sums[i, j] - mom[i, j]) / m00)
-        if tot <= deg:
-            max_rel = max(max_rel, worst)
-        if worst > tol and first_fail is None:
-            first_fail = tot
+    mom = chebyshev_moments(rule.weight, hi)
+    tx = chebyshev_t_table(hi, rule.nodes.points[:, 0])
+    tx *= rule.lambdas
+    err = np.abs(tx @ chebyshev_t_table(hi, rule.nodes.points[:, 1]).T - mom) / mom[0, 0]
+    # largest error on each anti-diagonal i + j = t
+    residuals = np.zeros(2 * hi + 1)
+    np.maximum.at(residuals, np.add.outer(np.arange(hi + 1), np.arange(hi + 1)), err)
+    residuals = residuals[: hi + 1]
+    failing = np.flatnonzero(~(residuals <= tol))  # NaN counts as failing
+    first_fail = int(failing[0]) if failing.size else None
+    max_rel = float(residuals[: deg + 1].max())
     return ExactnessReport(
         passed=max_rel <= tol,
         declared_degree=deg,
@@ -221,6 +226,7 @@ def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 
         first_failure_degree=first_fail,
         checked_through=hi,
         exact_beyond_declared=first_fail is None or first_fail > deg + 1,
+        residuals=tuple(residuals.tolist()),
     )
 
 
@@ -289,6 +295,7 @@ def rule_from_dict(d: dict) -> CubatureRule:
             first_failure_degree=rep["first_failure_degree"],
             checked_through=rep["checked_through"],
             exact_beyond_declared=rep["exact_beyond_declared"],
+            residuals=None if rep.get("residuals") is None else tuple(rep["residuals"]),
         )
         if rep
         else None

@@ -28,7 +28,7 @@ from .basis2d import (
 )
 from .cubature import _calibrated_rule
 from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
-from .univariate import eval_chebyshev_t
+from .univariate import chebyshev_t_table
 from .weights import WeightSpec, cheb1, cheb2, gencheb
 
 __all__ = [
@@ -111,9 +111,7 @@ def interpolate_kernel(
 
 def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
     """Rows T_{d-k}(x) T_k(y), ordered by (degree, k), at the points."""
-    tx = np.array([eval_chebyshev_t(k, x) for k in range(n + 1)])
-    ty = np.array([eval_chebyshev_t(k, y) for k in range(n + 1)])
-    return _total_degree_rows(tx, ty)
+    return _total_degree_rows(chebyshev_t_table(n, x), chebyshev_t_table(n, y))
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:

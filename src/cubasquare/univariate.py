@@ -17,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "eval_chebyshev_t",
+    "chebyshev_t_table",
     "eval_chebyshev_u",
     "eval_gegenbauer",
     "eval_jacobi_normalized",
@@ -45,6 +46,19 @@ def eval_chebyshev_t(n: int, x):
     for _ in range(1, n):
         pm, p = p, 2.0 * x * p - pm
     return p
+
+
+def chebyshev_t_table(n: int, x) -> np.ndarray:
+    """Table of T_0..T_n at x, shape (n+1,) + x.shape; row k equals
+    ``eval_chebyshev_t(k, x)`` bit for bit (same recurrence)."""
+    x = _as_array(x)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = x
+    for k in range(1, n):
+        out[k + 1] = 2.0 * x * out[k] - out[k - 1]
+    return out
 
 
 def eval_chebyshev_u(n: int, x):

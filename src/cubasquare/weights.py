@@ -2,7 +2,8 @@
 
 Every weight here is centrally symmetric, W(x, y) = W(-x, -y).  Moments
 are computed with tensor Gauss rules whose order is chosen so the result
-is exact up to roundoff; they are the ground truth for every exactness
+is exact up to roundoff.  The modified moments of ``chebyshev_moments``
+(Chebyshev tensor basis) are the ground truth for every exactness
 assertion in the package.
 
 Canonical textual forms: ``const``, ``cheb1``, ``cheb2``,
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import gauss_rule_1d
+from .univariate import chebyshev_t_table, gauss_rule_1d
 
 __all__ = [
     "WeightSpec",
@@ -29,7 +30,7 @@ __all__ = [
     "weight_string",
     "mass",
     "moment",
-    "moment_table",
+    "chebyshev_moments",
     "is_centrally_symmetric",
     "weight_values",
     "tensor_oracle",
@@ -176,20 +177,25 @@ def _axis_params(w: WeightSpec) -> tuple[tuple[float, float], tuple[float, float
     return (w.gamma, w.gamma), (w.gamma, w.gamma)
 
 
+def _oracle_axes(w: WeightSpec, degree: int):
+    """Per-axis Gauss-Jacobi rules (xg, wx), (yg, wy) of the tensor oracle for
+    total degree ``degree``, and the gencheb exponents (ia, ib) on
+    (x-y, x+y), which are (0, 0) for the product weights."""
+    ia = ib = 0
+    if w.kind == "gencheb":
+        ia, ib = _gencheb_halfint(w)
+    m = (degree + ia + ib) // 2 + 1 + _ORACLE_MARGIN
+    (pa, _), (pb, _) = _axis_params(w)
+    return gauss_rule_1d(pa, pa, m), gauss_rule_1d(pb, pb, m), (ia, ib)
+
+
 def tensor_oracle(w: WeightSpec, degree: int):
     """Tensor quadrature (X, Y, wts) integrating f*W exactly for f in Pi_degree^2.
 
     X, Y, wts are flat arrays; sum(wts * f(X, Y)) equals the weighted
     integral of any polynomial f of total degree <= degree.
     """
-    extra = 0
-    if w.kind == "gencheb":
-        ia, ib = _gencheb_halfint(w)
-        extra = ia + ib
-    m = (degree + extra) // 2 + 1 + _ORACLE_MARGIN
-    (pa, _), (pb, _) = _axis_params(w)
-    xg, wx = gauss_rule_1d(pa, pa, m)
-    yg, wy = gauss_rule_1d(pb, pb, m)
+    (xg, wx), (yg, wy), (ia, ib) = _oracle_axes(w, degree)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     Wt = np.outer(wx, wy)
     if w.kind == "gencheb":
@@ -197,8 +203,34 @@ def tensor_oracle(w: WeightSpec, degree: int):
     return X.ravel(), Y.ravel(), Wt.ravel()
 
 
+def chebyshev_moments(w: WeightSpec, degree: int) -> np.ndarray:
+    """Modified moments M[i, j] = int T_i(x) T_j(y) W for i, j <= degree.
+
+    |T_i| <= 1 on the square, so |M[i, j]| <= mass at every degree.  The
+    tensor oracle's per-axis rules integrate each T_i(x) T_j(y) W exactly
+    and are used in factored form, (T(xg) wx) P (T(yg) wy)^T, where P is
+    the m x m matrix of the gencheb factor (x_a - y_b)^ia (x_a + y_b)^ib
+    and all ones for the product weights (an outer product).
+    """
+    (xg, wx), (yg, wy), (ia, ib) = _oracle_axes(w, degree)
+    tx = chebyshev_t_table(degree, xg) * wx
+    ty = chebyshev_t_table(degree, yg) * wy
+    if w.kind == "gencheb":
+        out = tx @ (np.subtract.outer(xg, yg) ** ia * np.add.outer(xg, yg) ** ib) @ ty.T
+    else:
+        out = np.outer(tx.sum(axis=1), ty.sum(axis=1))
+    # central symmetry: odd total-degree moments vanish identically
+    i = np.arange(degree + 1)
+    out[(i[:, None] + i[None, :]) % 2 == 1] = 0.0
+    return out
+
+
 def moment_table(w: WeightSpec, degree: int) -> np.ndarray:
-    """All moments m[i, j] = int x^i y^j W for i, j <= degree."""
+    """All monomial moments m[i, j] = int x^i y^j W for i, j <= degree.
+
+    Not used by the exactness oracle (monomial moments of high degree are
+    exponentially small and hide a failing rule); kept as a reference.
+    """
     X, Y, wts = tensor_oracle(w, 2 * degree)
     xp = np.vander(X, degree + 1, increasing=True)
     yp = np.vander(Y, degree + 1, increasing=True)

@@ -80,6 +80,15 @@ class TestBasisCache:
         basis_for(gencheb(0.5, -0.5, -0.5), 9).eval_upto(9, x, x[::-1])
         assert b.nmax == 5
 
+    @pytest.mark.parametrize("w", [gencheb(0.5, 0.5, -0.5), gencheb(1.5, 0.5, 0.5)])
+    def test_gencheb_rows_on_2d_points(self, w):
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1, 1, (2, 3, 4))
+        b = basis_for(w, 4)
+        rows = b.eval_upto(4, x, y)
+        assert rows.shape == (15, 3, 4)
+        assert np.array_equal(rows.reshape(15, -1), b.eval_upto(4, x.ravel(), y.ravel()))
+
     def test_product_rows_match_degree_loop(self):
         rng = np.random.default_rng(3)
         x, y = rng.uniform(-1, 1, (2, 3, 4))

@@ -80,6 +80,18 @@ class TestRuleAndVerify:
         bad.write_text(json.dumps(d))
         assert run(["verify", str(bad)]) == 1
 
+    def test_over_declared_rule_fails(self, tmp_path, capsys):
+        rf = tmp_path / "rule.json"
+        assert run(["rule", "mint", "16", "--out", str(rf)]) == 0
+        d = json.loads(rf.read_text())
+        d["degree"] = 32
+        over = tmp_path / "over.json"
+        over.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run(["verify", str(over)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL degree=32 max_rel_error=1.000e+00 first_failure_degree=32 residual=1.000e+00")
+
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")

@@ -1,5 +1,8 @@
 """Tests for cubature weights, exactness checking, bounds, serialization."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +13,9 @@ from cubasquare.cubature import (
     CubatureRule,
     exactness_check,
     lower_bounds,
+    rule_from_dict,
     rule_from_json,
+    rule_to_dict,
     rule_to_json,
     weights_from_kernel,
     weights_from_vandermonde,
@@ -109,7 +114,49 @@ class TestVandermondeWeights:
             assert np.abs(r1.lambdas - r2.lambdas).max() < 1e-9
 
 
+RULE_BUILDERS = {
+    "mint": lambda n: weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1()),
+    "nearmint": lambda n: weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1()),
+    "gaussu": lambda n: weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2()),
+    "padua": lambda n: weights_from_vandermonde(padua_points(n), cheb1(), 2 * n - 1),
+    "gencheb": lambda n: weights_from_kernel(
+        gencheb_nodes(0.5, 0.5, n), star_spec_gencheb(0.5, 0.5, n), gencheb(0.5, 0.5, -0.5)),
+}
+SHARP_DEGREE_CASES = (
+    [("mint", n) for n in (2, 8, 32, 64)]
+    + [("nearmint", n) for n in (3, 9, 33, 63)]
+    + [(fam, n) for fam in ("gaussu", "padua", "gencheb") for n in (2, 3, 16, 33, 63, 64)]
+)
+
+
 class TestExactnessCheck:
+    @pytest.mark.parametrize("family,n", SHARP_DEGREE_CASES)
+    def test_declared_degree_is_sharp(self, family, n):
+        # the true degree passes and the same rule declared one degree
+        # higher fails, at even and odd n up to 64
+        rule = RULE_BUILDERS[family](n)
+        rep = exactness_check(rule)
+        assert rep.passed and rep.max_rel_error < 1e-13
+        over = exactness_check(replace(rule, degree=rule.degree + 1))
+        assert not over.passed
+        assert over.first_failure_degree == rule.degree + 1
+        assert over.max_rel_error > 0.1
+
+    def test_residuals_per_degree(self):
+        rule = RULE_BUILDERS["mint"](8)
+        rep = exactness_check(rule)
+        assert len(rep.residuals) == rep.checked_through + 1 == rule.degree + 4
+        assert max(rep.residuals[: rule.degree + 1]) == rep.max_rel_error
+        assert rep.residuals[rep.first_failure_degree] > 1e-9
+        assert all(r <= 1e-9 for r in rep.residuals[: rep.first_failure_degree])
+
+    def test_nan_weight_fails(self):
+        rule = RULE_BUILDERS["mint"](4)
+        lam = rule.lambdas.copy()
+        lam[0] = np.nan
+        rep = exactness_check(replace(rule, lambdas=lam, validate=False))
+        assert not rep.passed and rep.first_failure_degree == 0
+
     def test_midpoint_rule(self):
         ns = NodeSet(points=np.array([[0.0, 0.0]]), family="padua", n=0,
                      expected_count=1, provenance="midpoint")
@@ -198,6 +245,16 @@ class TestSerialization:
         assert r2.oracle_report.passed
         rep = exactness_check(r2)
         assert rep.passed
+
+    def test_report_without_residuals_loads(self):
+        rule = weights_from_kernel(min_t_nodes_even(4), star_spec_cheb1(4), cheb1())
+        rule.oracle_report = exactness_check(rule)
+        d = json.loads(rule_to_json(rule))
+        del d["oracle_report"]["residuals"]
+        r2 = rule_from_dict(d)
+        assert r2.oracle_report.residuals is None
+        assert r2.oracle_report.max_rel_error == rule.oracle_report.max_rel_error
+        assert rule_to_dict(r2)["oracle_report"]["residuals"] is None
 
     def test_mass_helper(self):
         assert mass(cheb1()) == pytest.approx(np.pi**2, rel=1e-14)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cubasquare.univariate import (
+    chebyshev_t_table,
     eval_chebyshev_t,
     eval_chebyshev_u,
     eval_gegenbauer,
@@ -38,6 +39,14 @@ class TestChebyshev:
     def test_u3_at_cos_pi_over_4(self):
         # sin(4 * pi/4) / sin(pi/4) = 0
         assert_allclose(eval_chebyshev_u(3, np.cos(np.pi / 4)), 0.0, atol=1e-14)
+
+    def test_t_table_matches_evaluator_bitwise(self):
+        rng = np.random.default_rng(5)
+        for x in (0.3, rng.uniform(-1, 1, 7), rng.uniform(-1, 1, (3, 4))):
+            tab = chebyshev_t_table(20, x)
+            assert tab.shape == (21,) + np.shape(x)
+            for k in range(21):
+                assert np.array_equal(tab[k], eval_chebyshev_t(k, x))
 
     def test_trig_identity_on_grid(self):
         th = np.linspace(0.05, np.pi - 0.05, 40)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from cubasquare.univariate import chebyshev_t_table
 from cubasquare.weights import (
     WeightSpec,
     cheb1,
     cheb2,
+    chebyshev_moments,
     constant,
     gegenbauer_product,
     gencheb,
@@ -18,6 +21,7 @@ from cubasquare.weights import (
     moment,
     moment_table,
     parse_weight,
+    tensor_oracle,
     weight_string,
 )
 
@@ -72,6 +76,28 @@ class TestMoments:
     def test_gencheb_halfinteger_required(self):
         with pytest.raises(ValueError, match="polynomial"):
             moment(gencheb(0.3, 0.5, -0.5), 2, 2)
+
+
+class TestChebyshevMoments:
+    @pytest.mark.parametrize("d", [1, 6, 12])
+    @pytest.mark.parametrize("w", ALL_WEIGHTS, ids=weight_string)
+    def test_match_monomial_moments(self, w, d):
+        # B[k, i]: coefficient of T_i in x^k (entries in [0, 1]), so the
+        # monomial moments are B M B^T for the Chebyshev moments M
+        B = np.zeros((d + 1, d + 1))
+        for k in range(d + 1):
+            c = chebyshev.poly2cheb(np.eye(d + 1)[k])
+            B[k, : len(c)] = c
+        err = np.abs(B @ chebyshev_moments(w, d) @ B.T - moment_table(w, d)).max()
+        assert err <= 1e-13 * mass(w)
+
+    @pytest.mark.parametrize("w", [gencheb(0.5, 0.5, -0.5), gencheb(0.5, -0.5, -0.5), gencheb(1.5, 0.5, 0.5)],
+                             ids=weight_string)
+    def test_gencheb_factored_matches_tensor_sum(self, w):
+        d = 40
+        X, Y, wts = tensor_oracle(w, 2 * d)
+        ref = (chebyshev_t_table(d, X) * wts) @ chebyshev_t_table(d, Y).T
+        assert np.abs(chebyshev_moments(w, d) - ref).max() <= 1e-13 * mass(w)
 
 
 class TestAdaptiveQuadratureAgreement:
