@@ -29,7 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nodes import padua_points
 from .univariate import (
+    chebyshev_t_table,
+    jacobi_chebyshev_coeffs,
     jacobi_normalized_table,
     jacobi_normalized_table_with_derivative,
     jacobi_recurrence,
@@ -58,6 +61,10 @@ __all__ = [
 
 _DIVDIFF_TOL = 1e-6
 
+# Work arrays over blocks of points or nodes hold at most this many bytes,
+# so memory does not grow with the number of points or nodes.
+_BLOCK_BYTES = 16 * 2**20
+
 
 def dim_upto(n: int) -> int:
     """dim of Pi_n^2 = number of members of degrees 0..n."""
@@ -76,6 +83,12 @@ class OrthoBasis2D:
         self.mass = weight_mass(weight)
 
     def eval_upto(self, n: int, x, y) -> np.ndarray:
+        raise NotImplementedError
+
+    def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
+        """The same polynomials in the rows T_{d-k}(x) T_k(y) of degree <= n:
+        each column c of ``coeffs`` (rows of ``eval_upto(n)``) becomes t with
+        c @ eval_upto(n, x, y) == t @ _cheb_total_degree_rows(n, x, y)."""
         raise NotImplementedError
 
     def eval_degree(self, n: int, x, y) -> np.ndarray:
@@ -98,13 +111,47 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
         ty = jacobi_normalized_table(self._ay[0], self._ay[1], n, y)
         return _total_degree_rows(tx, ty)
 
+    def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
+        # p_a(x) q_b(y) = sum_ij cx[a, i] cy[b, j] T_i(x) T_j(y): one per-axis
+        # map on each side of the (x-degree, y-degree) square, over node blocks
+        cx = jacobi_chebyshev_coeffs(self._ax[0], self._ax[1], n)
+        cy = jacobi_chebyshev_coeffs(self._ay[0], self._ay[1], n)
+        dx, dy = _degree_pairs(n)
+        out = np.empty_like(coeffs, dtype=float)
+        step = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))  # two square work arrays
+        for s in range(0, coeffs.shape[1], step):
+            sq = _square(coeffs[:, s:s + step], n)
+            t = (cx.T @ sq.reshape(n + 1, -1)).reshape(sq.shape)
+            out[:, s:s + step] = np.matmul(cy.T, t, out=sq)[dx, dy]
+        return out
+
+
+def _degree_pairs(n: int):
+    """(x-degree, y-degree) of each row of a degree-<=n basis, ordered by
+    (total degree d, y-degree k)."""
+    d, k = np.tril_indices(n + 1)
+    return d - k, k
+
+
+def _square(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Columns of degree-<=n coefficients as an (x-degree, y-degree, column)
+    array, zero above total degree n."""
+    sq = np.zeros((n + 1, n + 1, coeffs.shape[1]))
+    sq[_degree_pairs(n)] = coeffs
+    return sq
+
 
 def _total_degree_rows(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """Rows tx[d-k] * ty[k] ordered by (degree d, k) from two per-axis tables."""
-    d, k = np.tril_indices(len(tx))
-    rows = tx[d - k]
-    rows *= ty[k]
+    dx, dy = _degree_pairs(len(tx) - 1)
+    rows = tx[dx]
+    rows *= ty[dy]
     return rows
+
+
+def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
+    """Rows T_{d-k}(x) T_k(y), ordered by (degree, k), at the points."""
+    return _total_degree_rows(chebyshev_t_table(n, x), chebyshev_t_table(n, y))
 
 
 def _split_z(x, y):
@@ -277,6 +324,12 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
             raise ValueError(f"gencheb basis built for degrees <= {self.nmax}; asked for {n}")
         raw = self._eval_raw(n, x, y)
         return raw / self._norms[: raw.shape[0]].reshape((-1,) + (1,) * (raw.ndim - 1))
+
+    def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
+        # collocation at the Padua points of degree n, unisolvent for degree n
+        x, y = padua_points(n).points.T
+        V = _cheb_total_degree_rows(n, x, y)
+        return np.linalg.solve(V.T, self.eval_upto(n, x, y).T @ coeffs)
 
 
 def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:

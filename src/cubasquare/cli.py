@@ -60,16 +60,21 @@ def _gencheb_shape(args):
     args.beta = 0.5 if args.beta is None else args.beta
 
 
+def _check_parity(family: str, n: int):
+    """mint is built for even n only, nearmint for odd n only."""
+    if family == "mint" and n % 2:
+        raise UsageError("family 'mint' needs even n")
+    if family == "nearmint" and n % 2 == 0:
+        raise UsageError("family 'nearmint' needs odd n")
+
+
 def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
+    _check_parity(family, n)
     if family == "gaussu":
         return gauss_u_nodes(n)
     if family == "mint":
-        if n % 2:
-            raise UsageError("family 'mint' needs even n")
         return min_t_nodes_even(n)
     if family == "nearmint":
-        if n % 2 == 0:
-            raise UsageError("family 'nearmint' needs odd n")
         return near_min_t_nodes_odd(n)
     if family == "padua":
         return padua_points(n)
@@ -82,7 +87,16 @@ def _kernel_family_name(family: str) -> str:
     return {"gaussu": "cheb2", "mint": "cheb1", "nearmint": "cheb1", "gencheb": "gencheb"}[family]
 
 
+def _table_family(args) -> tuple[str, list[int]]:
+    """interp/lebesgue family name and --n-list, each n checked for parity."""
+    n_list = [int(s) for s in args.n_list.split(",")]
+    for n in n_list:
+        _check_parity(args.family, n)
+    return (_kernel_family_name(args.family) if args.family != "padua" else "padua"), n_list
+
+
 def _build_rule(family: str, n: int, alpha: float, beta: float, weight: str | None):
+    _check_parity(family, n)
     if family == "padua":
         w = parse_weight(weight) if weight else cheb1()
         nodes = padua_points(n)
@@ -149,8 +163,7 @@ def cmd_verify(args) -> int:
 
 def cmd_interp(args) -> int:
     f = _TEST_FUNCTIONS[args.function]
-    n_list = [int(s) for s in args.n_list.split(",")]
-    fam = _kernel_family_name(args.family) if args.family != "padua" else "padua"
+    fam, n_list = _table_family(args)
     if args.resolution < 2:
         raise UsageError("--resolution must be at least 2")
     rows = convergence_report(fam, f, n_list, norm=args.norm, grid_resolution=args.resolution,
@@ -164,8 +177,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_lebesgue(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",")]
-    fam = _kernel_family_name(args.family) if args.family != "padua" else "padua"
+    fam, n_list = _table_family(args)
     res = args.resolution
     if res < 64:
         raise UsageError("--resolution must be at least 64")

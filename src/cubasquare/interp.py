@@ -3,23 +3,27 @@ convergence diagnostics.
 
 Kernel families interpolate through the cardinal functions
 K*(., z_k)/K*(z_k, z_k); the Padua family solves the square collocation
-system in the product-Chebyshev total-degree basis.  Lebesgue constants
-are estimated from below on Chebyshev-Lobatto tensor grids (nested when
-the resolution goes R -> 2R-1, so the estimate is monotone along that
-refinement path).
+system in the product-Chebyshev total-degree basis.  Every interpolant of
+degree m keeps one node-side factor in that basis, the rows
+T_{d-k}(x) T_k(y) with d <= m: kernel factors are converted to it from the
+family's orthonormal basis once, at build time.  Lebesgue constants are
+estimated from below on Chebyshev-Lobatto tensor grids (nested when the
+resolution goes R -> 2R-1, so the estimate is monotone along that
+refinement path); there the cardinal values factor into one x-degree and
+one y-degree contraction with the table T_i(g) of the 1-D grid g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .basis2d import (
+    _BLOCK_BYTES,
     KernelStarSpec,
-    _total_degree_rows,
+    _cheb_total_degree_rows,
+    _square,
     basis_for,
     dim_upto,
     star_spec_cheb1,
@@ -40,24 +44,20 @@ __all__ = [
     "convergence_report",
 ]
 
-# Point-side basis rows are evaluated in blocks of at most this many bytes,
-# so memory does not grow with the number of evaluation points.
-_BLOCK_BYTES = 16 * 2**20
-
-
 @dataclass(frozen=True)
 class Interpolant:
     """Interpolation operator frozen at a node set with sampled values.
 
-    ``factor`` (basis rows x nodes) is computed once from the nodes; the
-    cardinal functions are ell_k(p) = (factor.T @ basis_rows(x, y))[k].
+    ``factor`` (rows T_{d-k}(x) T_k(y) of degree d <= ``degree``, x nodes) is
+    computed once from the nodes; the cardinal functions are
+    ell_k(p) = (factor.T @ _cheb_total_degree_rows(degree, x, y))[k].
     """
 
     nodes: NodeSet
     f_values: np.ndarray
     factor: np.ndarray = field(repr=False)
-    basis_rows: Callable[..., np.ndarray] = field(repr=False)
-    collocation_cond: float | None = None  # Padua: condition number of the collocation matrix
+    degree: int
+    collocation_cond: float | None = None  # Padua: 1-norm condition number of the collocation matrix
     coeffs: np.ndarray = field(init=False, repr=False)  # factor @ f_values
 
     def __post_init__(self):
@@ -68,7 +68,7 @@ class Interpolant:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         step = max(1, _BLOCK_BYTES // (8 * len(self.factor)))
         for s in range(0, max(len(pts), 1), step):
-            yield self.basis_rows(pts[s:s + step, 0], pts[s:s + step, 1])
+            yield _cheb_total_degree_rows(self.degree, pts[s:s + step, 0], pts[s:s + step, 1])
 
     def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
         """Matrix L[k, p] = ell_k(pts[p])."""
@@ -95,23 +95,21 @@ def interpolate_kernel(
         raise ValueError("need one sampled value per node")
     if spec.sigma and spec.s_matrix is None:
         spec = _calibrated_rule(nodes, spec, w)[1]
-    # K*(z, p) = G(z) . F(p) with F the basis rows of degrees 0..n and G(z) =
-    # [F_low(z); q^T S^-1 Q(z)]; for sigma = 0, K* = K_{n-1} needs no degree-n rows.
+    # K*(z, p) = G(z) . F(p) / mass with F the basis rows of degrees 0..n and
+    # G(z) = [F_low(z); q^T S^-1 Q(z)]; for sigma = 0, K* = K_{n-1} needs no
+    # degree-n rows.  The cardinal factor is G(z_k) / (G . F)(z_k).
     basis = basis_for(spec.weight, spec.n)
     deg = spec.n if spec.sigma else spec.n - 1
-    F = basis.eval_upto(deg, nodes.points[:, 0], nodes.points[:, 1])
-    G = F.copy()
+    G = basis.eval_upto(deg, nodes.points[:, 0], nodes.points[:, 1])
     if spec.sigma:
         lo = dim_upto(spec.n - 1)
-        G[lo:] = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ F[lo:])
-    kdiag = (G * F).sum(axis=0) / basis.mass
-    return Interpolant(nodes=nodes, f_values=f_values, factor=G / (basis.mass * kdiag),
-                       basis_rows=partial(basis.eval_upto, deg))
-
-
-def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
-    """Rows T_{d-k}(x) T_k(y), ordered by (degree, k), at the points."""
-    return _total_degree_rows(chebyshev_t_table(n, x), chebyshev_t_table(n, y))
+        high = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ G[lo:])
+        kdiag = np.einsum("ij,ij->j", G[:lo], G[:lo]) + np.einsum("ij,ij->j", high, G[lo:])
+        G[lo:] = high
+    else:
+        kdiag = np.einsum("ij,ij->j", G, G)
+    G /= kdiag
+    return Interpolant(nodes=nodes, f_values=f_values, factor=basis.chebyshev_coeffs(deg, G), degree=deg)
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:
@@ -121,9 +119,9 @@ def interpolate_padua(n: int, f_values) -> Interpolant:
     if len(f_values) != len(nodes):
         raise ValueError(f"need {len(nodes)} values for padua degree {n}")
     V = _cheb_total_degree_rows(n, nodes.points[:, 0], nodes.points[:, 1])  # dim x N, square
-    return Interpolant(nodes=nodes, f_values=f_values, factor=np.linalg.solve(V.T, np.eye(len(V))),
-                       basis_rows=partial(_cheb_total_degree_rows, n),
-                       collocation_cond=float(np.linalg.cond(V)))
+    factor = np.linalg.solve(V.T, np.eye(len(V)))  # V^-T, so ||V^-1||_1 = ||factor||_inf
+    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=n,
+                       collocation_cond=float(np.linalg.norm(V, 1) * np.linalg.norm(factor, np.inf)))
 
 
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
@@ -151,9 +149,14 @@ def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
     return nodes, spec, w, rule
 
 
+def _lobatto_nodes(resolution: int) -> np.ndarray:
+    """Chebyshev-Lobatto points cos(k pi / (R-1)); nested under R -> 2R-1."""
+    return np.cos(np.arange(resolution) * np.pi / (resolution - 1))
+
+
 def _lobatto_grid(resolution: int) -> np.ndarray:
-    """Chebyshev-Lobatto tensor grid; nested under R -> 2R-1."""
-    g = np.cos(np.arange(resolution) * np.pi / (resolution - 1))
+    """Tensor grid of the Lobatto points, x varying slowest."""
+    g = _lobatto_nodes(resolution)
     X, Y = np.meshgrid(g, g, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
@@ -168,17 +171,24 @@ def lebesgue_constant(
     """Lower estimate of the sup-norm Lebesgue constant on a tensor grid."""
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
-    pts = _lobatto_grid(grid_resolution)
     if family == "padua":
         interp = interpolate_padua(n, np.zeros(len(padua_points(n))))
     else:
         nodes, spec, w, _ = family_rule(family, n, alpha, beta)
         interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
-    lam = 0.0
-    for rows in interp._row_blocks(pts):
-        L = interp.factor.T @ rows
-        lam = max(lam, float(np.abs(L, out=L).sum(axis=0).max()))
-    return lam
+    # ell_k(g_a, g_b) = sum_i T_i(g_a) sum_j T_j(g_b) factor[(i, j), k]: per
+    # block of nodes, contract the x-degree, then the y-degree, and add the
+    # |ell_k| into the running sums over k at every grid point.
+    m, R = interp.degree, grid_resolution
+    tg = chebyshev_t_table(m, _lobatto_nodes(R))
+    sums = np.zeros((R, R))
+    step = max(1, _BLOCK_BYTES // (8 * R * R))
+    for s in range(0, interp.factor.shape[1], step):
+        sq = _square(interp.factor[:, s:s + step], m).T            # (k, j, i)
+        w = sq.reshape(-1, m + 1) @ tg                             # (k j, a)
+        L = np.matmul(tg.T, w.reshape(len(sq), m + 1, R))          # (k, b, a)
+        sums += np.abs(L, out=L).sum(axis=0)
+    return float(sums.max())
 
 
 def convergence_report(

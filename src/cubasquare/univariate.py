@@ -24,6 +24,7 @@ __all__ = [
     "jacobi_recurrence",
     "jacobi_normalized_table",
     "jacobi_normalized_table_with_derivative",
+    "jacobi_chebyshev_coeffs",
     "jacobi_mass",
     "JacobiAngleGrid",
     "jacobi_angle_grid",
@@ -158,6 +159,27 @@ def jacobi_normalized_table_with_derivative(alpha: float, beta: float, nmax: int
         p[k + 1] = ((x - ra[k]) * p[k] - c[k] * p[k - 1]) / c[k + 1]
         dp[k + 1] = (p[k] + (x - ra[k]) * dp[k] - c[k] * dp[k - 1]) / c[k + 1]
     return p, dp
+
+
+def jacobi_chebyshev_coeffs(alpha: float, beta: float, nmax: int) -> np.ndarray:
+    """Lower-triangular C, shape (nmax+1, nmax+1), with p_a = sum_i C[a, i] T_i
+    for the normalized Jacobi polynomials of ``jacobi_normalized_table``.
+
+    Runs the same recurrence on Chebyshev coefficient vectors, where
+    x T_0 = T_1 and x T_i = (T_{i-1} + T_{i+1}) / 2.
+    """
+    ra, rb = jacobi_recurrence(alpha, beta, nmax + 2)
+    c = np.sqrt(rb)
+    out = np.zeros((nmax + 1, nmax + 1))
+    out[0, 0] = 1.0
+    for k in range(nmax):
+        p = out[k]
+        xp = np.zeros(nmax + 1)
+        xp[1:] = 0.5 * p[:-1]
+        xp[1] += 0.5 * p[0]
+        xp[:-1] += 0.5 * p[1:]
+        out[k + 1] = (xp - ra[k] * p - (c[k] * out[k - 1] if k else 0.0)) / c[k + 1]
+    return out
 
 
 def eval_jacobi_normalized(alpha: float, beta: float, n: int, x):

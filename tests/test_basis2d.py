@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cubasquare import basis2d
 from cubasquare.basis2d import (
+    _cheb_total_degree_rows,
     basis_for,
     dim_upto,
     generalized_basis,
@@ -19,8 +21,9 @@ from cubasquare.basis2d import (
     star_spec_gaussian,
     three_term,
 )
+from cubasquare.interp import _lobatto_grid
 from cubasquare.univariate import jacobi_normalized_table
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass, tensor_oracle
+from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass, tensor_oracle
 
 
 def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
@@ -96,6 +99,27 @@ class TestBasisCache:
         ty = jacobi_normalized_table(-0.5, -0.5, 7, y)
         ref = np.array([tx[d - k] * ty[k] for d in range(8) for k in range(d + 1)])
         assert np.array_equal(basis_for(cheb1(), 7).eval_upto(7, x, y), ref)
+
+
+CONVERSION_WEIGHTS = {"cheb1": cheb1(), "cheb2": cheb2(), "gencheb-1/2,1/2": gencheb(0.5, 0.5),
+                      "gencheb-3/2,-1/2": gencheb(1.5, -0.5), "const": constant(),
+                      "jacobi2": jacobi_product(0.3, -0.4)}
+
+
+@pytest.mark.parametrize("m", [1, 8, 47, 48])
+@pytest.mark.parametrize("name", list(CONVERSION_WEIGHTS))
+def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
+    # three columns per product-basis block, so 20 columns end in a partial block
+    monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 16 * (m + 1) ** 2 * 3)
+    basis = basis_for(CONVERSION_WEIGHTS[name], m)
+    rng = np.random.default_rng(m)
+    coeffs = rng.standard_normal((dim_upto(m), 20))
+    x, y = np.vstack([rng.uniform(-1, 1, (300, 2)), _lobatto_grid(65)]).T
+    want = coeffs.T @ basis.eval_upto(m, x, y)
+    got = basis.chebyshev_coeffs(m, coeffs).T @ _cheb_total_degree_rows(m, x, y)
+    # relative to the largest value on the square (the 65^2 Lobatto grid holds
+    # the boundary, where these polynomials peak), at the 300 random points
+    assert np.abs(got - want)[:, :300].max() < 1e-13 * np.abs(want).max()
 
 
 class TestProductBasis:

@@ -65,6 +65,18 @@ class TestNodesCommand:
         assert run(["nodes", "hexagon", "4"]) == 2
 
 
+@pytest.mark.parametrize("args", [["rule", "mint", "15"], ["rule", "nearmint", "4"],
+                                  ["interp", "mint", "--n-list", "15"], ["interp", "nearmint", "--n-list", "4"],
+                                  ["lebesgue", "mint", "--n-list", "16,15"],
+                                  ["lebesgue", "nearmint", "--n-list", "4"]],
+                         ids=lambda a: "-".join(a))
+def test_parity_checked_by_every_command(args, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run(args + ["--out", str(out)]) == 2
+    assert "needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestRuleAndVerify:
     def test_rule_then_verify(self, tmp_path):
         rf = tmp_path / "rule.json"

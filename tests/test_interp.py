@@ -131,6 +131,14 @@ class TestPaduaInterpolation:
             interp = interpolate_padua(n, np.zeros(len(nodes)))
             assert np.isfinite(interp.collocation_cond)
 
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_collocation_cond_is_the_1_norm_condition_number(self, n):
+        nodes = padua_points(n)
+        V = np.array([eval_chebyshev_t(d - k, nodes.points[:, 0]) * eval_chebyshev_t(k, nodes.points[:, 1])
+                      for d in range(n + 1) for k in range(d + 1)])
+        got = interpolate_padua(n, np.zeros(len(nodes))).collocation_cond
+        assert got == pytest.approx(np.linalg.cond(V, 1), rel=1e-10)
+
     def test_value_count_checked(self):
         with pytest.raises(ValueError):
             interpolate_padua(5, np.zeros(7))
@@ -164,18 +172,34 @@ class TestLebesgue:
         lam = lebesgue_constant("padua", 6, grid_resolution=65)
         assert 1.0 < lam < 20.0
 
+    # Lebesgue constants at R = 256 as computed by the dense evaluation of
+    # every cardinal function at every grid point
+    @pytest.mark.parametrize("family,n,value", [
+        ("cheb1", 16, 7.440772470410582), ("cheb1", 32, 10.042063032581845),
+        ("cheb1", 64, 13.033260140565384), ("padua", 32, 10.993594541100592),
+        ("gencheb", 24, 241.24211584659213), ("cheb2", 20, 215.23571149209832),
+    ])
+    def test_fixture_values(self, family, n, value):
+        assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-12)
+
+
+NODE_BLOCK = 7
+
 
 class TestStreaming:
-    """Blocked evaluation against dense references, with blocks of about
-    100 points so that the 65^2-point grid ends in a partial block."""
+    """Blocked evaluation against dense references.  On the 65^2-point grid
+    the Lebesgue loop takes blocks of 7 nodes, which no node count here is
+    a multiple of, and point blocks hold 657 or 821 points, so both loops
+    end in a partial block."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 45 * 100)
+        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 65**2 * NODE_BLOCK)
 
     @pytest.mark.parametrize("family,n", FAMILIES)
     def test_lebesgue_matches_dense_reference(self, family, n):
         interp, dense = build(family, n)
+        assert len(interp.nodes) % NODE_BLOCK
         pts = interp_module._lobatto_grid(65)
         L = dense(pts)
         assert np.abs(interp.cardinal_matrix(pts) - L).max() < 1e-12 * np.abs(L).max()
@@ -194,9 +218,9 @@ class TestStreaming:
         assert interp.cardinal_matrix(np.empty((0, 2))).shape == (len(interp.nodes), 0)
 
 
-@pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24)])
+@pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24), ("cheb1", 64)])
 def test_lebesgue_memory_bounded(family, n):
-    # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 MB
+    # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 / 1107 MB
     tracemalloc.start()
     try:
         lebesgue_constant(family, n, grid_resolution=256)
