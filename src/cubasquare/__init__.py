@@ -6,13 +6,8 @@ from .basis2d import (
     OrthoBasis2D,
     ThreeTermCoefficients,
     basis_for,
-    generalized_basis,
-    kernel_K,
-    kernel_K_star,
-    kernel_matrix,
     kernel_star_matrix,
     p_general,
-    product_basis,
     q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
@@ -55,8 +50,6 @@ from .univariate import (
     JacobiAngleGrid,
     eval_chebyshev_t,
     eval_chebyshev_u,
-    eval_gegenbauer,
-    eval_jacobi_normalized,
     gauss_rule_1d,
     jacobi_angle_grid,
 )

@@ -20,6 +20,14 @@ cubature weights (``interp.family_rule`` returns the calibrated spec).
 With that S, the weights satisfy
 lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
+
+Each formula has one source.  ``_gencheb_core`` evaluates the gencheb
+members P_{k,d} of one Jacobi parameter pair from one pair of Jacobi tables;
+``p_general`` and the gencheb basis both call it.  ``_kernel_star_node_factor``
+forms the node-side K* factor G = [F_low; q^T S^-1 Q] and its diagonal
+K*(z_k, z_k) for both the cubature weights and the interpolation factor.
+``kernel_star_matrix`` keeps the dense formula as the tests' independent
+reference.
 """
 
 from __future__ import annotations
@@ -37,25 +45,28 @@ from .univariate import (
     jacobi_normalized_table_with_derivative,
     jacobi_recurrence,
 )
-from .weights import WeightSpec, mass as weight_mass, parse_weight, tensor_oracle, weight_string
+from .weights import (
+    WeightSpec,
+    _axis_params,
+    cheb1,
+    gencheb,
+    mass as weight_mass,
+    parse_weight,
+    tensor_oracle,
+    weight_string,
+)
 
 __all__ = [
     "OrthoBasis2D",
     "basis_for",
-    "product_basis",
     "ThreeTermCoefficients",
     "three_term",
-    "kernel_K",
-    "kernel_matrix",
     "KernelStarSpec",
-    "kernel_K_star",
     "kernel_star_matrix",
     "star_spec_gaussian",
     "star_spec_cheb1",
     "star_spec_gencheb",
-    "star_spec_from_vanishing",
     "p_general",
-    "generalized_basis",
     "q_m_polynomial",
 ]
 
@@ -99,10 +110,9 @@ class OrthoBasis2D:
 class _ProductOrthoBasis2D(OrthoBasis2D):
     """Tensor basis p_(d-k)(x) q_k(y) from per-axis normalized polynomials."""
 
-    def __init__(self, weight: WeightSpec, ax: tuple[float, float], ay: tuple[float, float]):
+    def __init__(self, weight: WeightSpec):
         super().__init__(weight)
-        self._ax = ax
-        self._ay = ay
+        self._ax, self._ay = _axis_params(weight)
 
     def eval_upto(self, n: int, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -162,6 +172,40 @@ def _split_z(x, y):
     return x * y + s, x * y - s
 
 
+def _gencheb_core(pair: tuple[float, float], gamma: float, members, x, y):
+    """Yield P_{k,d}(2xy, x^2+y^2-1) for each (k, d) of ``members``, all with the
+    Jacobi parameter ``pair``, from one pair of normalized Jacobi tables at
+    z1, z2 = cos(theta -+ phi).
+
+    gamma -1/2 gives the symmetrized product p_d(z1) p_k(z2) + p_k(z1) p_d(z2);
+    gamma +1/2 the divided difference
+    (p_{d+1}(z1) p_k(z2) - p_k(z1) p_{d+1}(z2)) / (z1 - z2), whose
+    coincident-argument limit is taken from derivative values at z1 = z2 = xy.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z1, z2 = _split_z(x, y)
+    up = int(gamma > 0)
+    deg = max(max(d + up, k) for k, d in members)
+    t1 = jacobi_normalized_table(*pair, deg, z1)
+    t2 = jacobi_normalized_table(*pair, deg, z2)
+    if gamma < 0:
+        for k, d in members:
+            yield t1[d] * t2[k] + t1[k] * t2[d]
+        return
+    den = z1 - z2
+    small = np.abs(den) < _DIVDIFF_TOL
+    safe = np.where(small, 1.0, den)
+    limit = np.any(small)
+    if limit:
+        pm, dpm = jacobi_normalized_table_with_derivative(*pair, deg, x * y)
+    for k, d in members:
+        core = (t1[d + 1] * t2[k] - t1[k] * t2[d + 1]) / safe
+        if limit:
+            core = np.where(small, dpm[d + 1] * pm[k] - dpm[k] * pm[d + 1], core)
+        yield core
+
+
 def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> np.ndarray:
     """The symmetric-function polynomial P_{k,n} evaluated at (2xy, x^2+y^2-1).
 
@@ -171,68 +215,27 @@ def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> n
     """
     if sign not in (-0.5, 0.5):
         raise ValueError("sign must be -1/2 or +1/2")
-    z1, z2 = _split_z(x, y)
-    if sign < 0:
-        deg = max(n, k)
-        t1 = jacobi_normalized_table(alpha, beta, deg, z1)
-        t2 = jacobi_normalized_table(alpha, beta, deg, z2)
-        return t1[n] * t2[k] + t1[k] * t2[n]
-    deg = n + 1
-    t1 = jacobi_normalized_table(alpha, beta, deg, z1)
-    t2 = jacobi_normalized_table(alpha, beta, deg, z2)
-    den = z1 - z2
-    small = np.abs(den) < _DIVDIFF_TOL
-    safe = np.where(small, 1.0, den)
-    out = (t1[deg] * t2[k] - t1[k] * t2[deg]) / safe
-    if np.any(small):
-        zm = np.asarray(x, dtype=float) * np.asarray(y, dtype=float)
-        pm, dpm = jacobi_normalized_table_with_derivative(alpha, beta, deg, zm)
-        lim = dpm[deg] * pm[k] - dpm[k] * pm[deg]
-        out = np.where(small, lim, out)
-    return out
+    return next(_gencheb_core((alpha, beta), sign, [(k, n)], x, y))
 
 
-def _gencheb_degree_families(alpha: float, beta: float, sign: float, n: int):
-    """(family, params, k, extra-degree, prefactor tag) for each degree-n member."""
-    if n == 0:
-        return [("1", (alpha, beta), 0, 0, "")]
+_PREFACTORS = {
+    "x+y": lambda x, y: x + y,
+    "x-y": lambda x, y: x - y,
+    "xx-yy": lambda x, y: x * x - y * y,
+}
+
+
+def _gencheb_degree_families(alpha: float, beta: float, n: int):
+    """(Jacobi pair, k, core degree, prefactor tag or None) for each degree-n member:
+    for n = 2m the symmetric family (k = 0..m), then the (x^2 - y^2) family
+    (k = 0..m-1); for n = 2m+1 the (x+y) family, then the (x-y) family
+    (k = 0..m each)."""
+    m = n // 2
     if n % 2 == 0:
-        m = n // 2
-        fams = [("1", (alpha, beta), k, m, "") for k in range(m + 1)]
-        fams += [("2", (alpha + 1, beta + 1), k, m - 1, "xx-yy") for k in range(m)]
-        return fams
-    m = (n - 1) // 2
-    fams = [("1", (alpha, beta + 1), k, m, "x+y") for k in range(m + 1)]
-    fams += [("2", (alpha + 1, beta), k, m, "x-y") for k in range(m + 1)]
-    return fams
-
-
-def generalized_basis(alpha: float, beta: float, sign: float, n: int):
-    """Mutually orthogonal degree-n members for the gencheb weight, unnormalized.
-
-    For n = 2m the list is the symmetric family (k = 0..m) followed by the
-    (x^2 - y^2)-prefactored family (k = 0..m-1); for n = 2m+1 it is the
-    (x+y)-family (k = 0..m) followed by the (x-y)-family (k = 0..m).
-    """
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("alpha, beta must exceed -1")
-    polys = []
-    for fam, (pa, pb), k, pdeg, pref in _gencheb_degree_families(alpha, beta, sign, n):
-        def make(pa=pa, pb=pb, k=k, pdeg=pdeg, pref=pref):
-            def f(x, y):
-                x = np.asarray(x, dtype=float)
-                y = np.asarray(y, dtype=float)
-                core = p_general(pa, pb, sign, k, pdeg, x, y)
-                if pref == "x+y":
-                    return (x + y) * core
-                if pref == "x-y":
-                    return (x - y) * core
-                if pref == "xx-yy":
-                    return (x * x - y * y) * core
-                return core
-            return f
-        polys.append(make())
-    return polys
+        return ([((alpha, beta), k, m, None) for k in range(m + 1)]
+                + [((alpha + 1, beta + 1), k, m - 1, "xx-yy") for k in range(m)])
+    return ([((alpha, beta + 1), k, m, "x+y") for k in range(m + 1)]
+            + [((alpha + 1, beta), k, m, "x-y") for k in range(m + 1)])
 
 
 def q_m_polynomial(alpha: float, beta: float, m: int):
@@ -264,51 +267,23 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
     def _eval_raw(self, n: int, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        a, b, g = self.weight.alpha, self.weight.beta, self.weight.gamma
-        z1, z2 = _split_z(x, y)
-        # one normalized-Jacobi table per parameter pair, reused across degrees
-        tables: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-        need: dict[tuple[float, float], int] = {}
-        plans = []
-        for d in range(n + 1):
-            fams = _gencheb_degree_families(a, b, g, d)
-            plans.append(fams)
-            for _, pp, k, pdeg, _ in fams:
-                need[pp] = max(need.get(pp, 0), pdeg + 1, k)
-        for pp, deg in need.items():
-            tables[pp] = (
-                jacobi_normalized_table(pp[0], pp[1], deg, z1),
-                jacobi_normalized_table(pp[0], pp[1], deg, z2),
-            )
-        den = z1 - z2
-        small = np.abs(den) < _DIVDIFF_TOL
-        safe = np.where(small, 1.0, den)
-        dtables = {}
-        if g > 0 and np.any(small):
-            zm = x * y
-            for pp, deg in need.items():
-                dtables[pp] = jacobi_normalized_table_with_derivative(pp[0], pp[1], deg, zm)
-        rows = np.empty((dim_upto(n),) + np.broadcast(x, y).shape)
+        w = self.weight
+        # row indices and (k, core degree) of each (Jacobi pair, prefactor)
+        groups: dict[tuple, tuple[list, list]] = {}
         r = 0
         for d in range(n + 1):
-            for _, pp, k, pdeg, pref in plans[d]:
-                t1, t2 = tables[pp]
-                if g < 0:
-                    core = t1[pdeg] * t2[k] + t1[k] * t2[pdeg]
-                else:
-                    core = (t1[pdeg + 1] * t2[k] - t1[k] * t2[pdeg + 1]) / safe
-                    if np.any(small):
-                        pm, dpm = dtables[pp]
-                        lim = dpm[pdeg + 1] * pm[k] - dpm[k] * pm[pdeg + 1]
-                        core = np.where(small, lim, core)
-                if pref == "x+y":
-                    core = (x + y) * core
-                elif pref == "x-y":
-                    core = (x - y) * core
-                elif pref == "xx-yy":
-                    core = (x * x - y * y) * core
-                rows[r] = core
+            for pair, k, deg, pref in _gencheb_degree_families(w.alpha, w.beta, d):
+                idx, members = groups.setdefault((pair, pref), ([], []))
+                idx.append(r)
+                members.append((k, deg))
                 r += 1
+        rows = np.empty((r,) + np.broadcast(x, y).shape)
+        for (pair, pref), (idx, members) in groups.items():
+            p = _PREFACTORS[pref](x, y) if pref else None
+            for r, core in zip(idx, _gencheb_core(pair, w.gamma, members, x, y)):
+                rows[r] = core
+                if p is not None:
+                    rows[r] *= p
         return rows
 
     def _compute_norms(self, nmax: int) -> np.ndarray:
@@ -341,33 +316,9 @@ def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:
 @functools.lru_cache(maxsize=32)
 def _cached_basis(key: str, nmax: int) -> OrthoBasis2D:
     w = parse_weight(key)
-    if w.kind == "const":
-        return _ProductOrthoBasis2D(w, (0.0, 0.0), (0.0, 0.0))
-    if w.kind == "gegenbauer":
-        e = w.alpha - 0.5
-        return _ProductOrthoBasis2D(w, (e, e), (e, e))
-    if w.kind == "jacobi2":
-        return _ProductOrthoBasis2D(w, (w.alpha, w.alpha), (w.beta, w.beta))
     if w.kind == "gencheb":
         return _GenChebOrthoBasis2D(w, nmax)
-    raise ValueError(f"unsupported weight kind {w.kind!r}")  # pragma: no cover
-
-
-def product_basis(w: WeightSpec, n: int):
-    """Orthonormal degree-n slice as a list of callables f(x, y).
-
-    Only product-type weights (const, gegenbauer, jacobi2) are supported.
-    """
-    if w.kind not in ("const", "gegenbauer", "jacobi2"):
-        raise ValueError(f"product_basis does not support weight kind {w.kind!r}")
-    basis = basis_for(w, n)
-
-    def member(k):
-        def f(x, y):
-            return basis.eval_degree(n, np.asarray(x, float), np.asarray(y, float))[k]
-        return f
-
-    return [member(k) for k in range(n + 1)]
+    return _ProductOrthoBasis2D(w)
 
 
 @dataclass(frozen=True)
@@ -389,13 +340,7 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     """
     if w.kind == "gencheb":
         return _three_term_projected(w, n)
-    if w.kind == "jacobi2":
-        ax, ay = (w.alpha, w.alpha), (w.beta, w.beta)
-    elif w.kind == "const":
-        ax = ay = (0.0, 0.0)
-    else:
-        e = w.alpha - 0.5
-        ax = ay = (e, e)
+    ax, ay = _axis_params(w)
     _, rbx = jacobi_recurrence(ax[0], ax[1], n + 2)
     _, rby = jacobi_recurrence(ay[0], ay[1], n + 2)
     cx = np.sqrt(rbx)
@@ -410,8 +355,6 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
 
 
 def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
-    from .weights import tensor_oracle
-
     basis = basis_for(w, n + 1)
     X, Y, wts = tensor_oracle(w, 2 * n + 4)
     Pn = basis.eval_degree(n, X, Y)
@@ -420,21 +363,6 @@ def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     A2 = ((Y * Pn) * wts) @ Pn1.T / basis.mass
     Z = np.zeros((n + 1, n + 1))
     return ThreeTermCoefficients(n=n, A1=A1, A2=A2, B1=Z, B2=Z.copy())
-
-
-def kernel_matrix(w: WeightSpec, n: int, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Raw reproducing-kernel matrix K_n(a_i, b_j) for degrees 0..n."""
-    basis = basis_for(w, n)
-    pa = np.asarray(pts_a, dtype=float).reshape(-1, 2)
-    pb = np.asarray(pts_b, dtype=float).reshape(-1, 2)
-    Fa = basis.eval_upto(n, pa[:, 0], pa[:, 1])
-    Fb = basis.eval_upto(n, pb[:, 0], pb[:, 1])
-    return (Fa.T @ Fb) / basis.mass
-
-
-def kernel_K(w: WeightSpec, n: int, z, z2) -> float:
-    """Raw reproducing kernel K_n(z, z2) by direct summation."""
-    return float(kernel_matrix(w, n, np.array([z]), np.array([z2]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -487,8 +415,6 @@ def star_spec_cheb1(n: int) -> KernelStarSpec:
     Even n: vanishing = symmetric combinations (sigma = n/2 complement).
     Odd n: vanishing = antisymmetric combinations (sigma = (n+1)/2).
     """
-    from .weights import cheb1 as _cheb1
-
     m = n // 2
     rt = 1.0 / np.sqrt(2.0)
     if n % 2 == 0:
@@ -512,14 +438,12 @@ def star_spec_cheb1(n: int) -> KernelStarSpec:
             q[k, k] = rt
             q[k, n - k] = rt
         sigma = m + 1
-    return KernelStarSpec(weight=_cheb1(), n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
+    return KernelStarSpec(weight=cheb1(), n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
 
 
 def star_spec_gencheb(alpha: float, beta: float, n: int) -> KernelStarSpec:
     """Gencheb splitting: one displayed family vanishes, the other is the complement."""
-    from .weights import gencheb as _gencheb
-
-    w = _gencheb(alpha, beta, -0.5)
+    w = gencheb(alpha, beta, -0.5)
     if n % 2 == 0:
         m = n // 2
         p = np.eye(n + 1)[: m + 1]          # symmetric family vanishes on the node set
@@ -530,17 +454,6 @@ def star_spec_gencheb(alpha: float, beta: float, n: int) -> KernelStarSpec:
         p = np.eye(n + 1)[m + 1:]           # (x-y)-family vanishes
         q = np.eye(n + 1)[: m + 1]          # sigma = m+1
         sigma = m + 1
-    return KernelStarSpec(weight=w, n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
-
-
-def star_spec_from_vanishing(w: WeightSpec, n: int, vanishing_rows: np.ndarray) -> KernelStarSpec:
-    """Build a splitting from arbitrary vanishing combinations (orthonormalized)."""
-    V = np.asarray(vanishing_rows, dtype=float)
-    qv, _ = np.linalg.qr(V.T)
-    p = qv.T
-    u, s, vt = np.linalg.svd(V)
-    sigma = n + 1 - V.shape[0]
-    q = vt[V.shape[0]:]
     return KernelStarSpec(weight=w, n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
 
 
@@ -564,8 +477,16 @@ def kernel_star_matrix(spec: KernelStarSpec, pts_a: np.ndarray, pts_b: np.ndarra
     return K / basis.mass
 
 
-def kernel_K_star(spec: KernelStarSpec, w: WeightSpec, z, z2) -> float:
-    """Raw augmented kernel K*_n(z, z2)."""
-    if weight_string(w) != weight_string(spec.weight):
-        raise ValueError("weight does not match the kernel spec")
-    return float(kernel_star_matrix(spec, np.array([z]), np.array([z2]))[0, 0])
+def _kernel_star_node_factor(spec: KernelStarSpec, F: np.ndarray) -> np.ndarray:
+    """Turn the basis rows F at the nodes z_j (degrees <= n; <= n-1 suffice for
+    sigma = 0) into G = [F_low; q^T S^-1 Q] in place, so that
+    K*(z_j, p) = G[:, j] . F(p) / mass, and return the diagonal
+    mass * K*(z_j, z_j) = sum_i G[i, j] F[i, j].  ``spec.s_matrix`` must be
+    set when sigma > 0."""
+    lo = dim_upto(spec.n - 1)
+    kdiag = np.einsum("ij,ij->j", F[:lo], F[:lo])
+    if spec.sigma:
+        high = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ F[lo:])
+        kdiag += np.einsum("ij,ij->j", high, F[lo:])
+        F[lo:] = high
+    return kdiag

@@ -35,7 +35,7 @@ from .nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from .weights import cheb1, parse_weight, weight_string
+from .weights import cheb1, constant, parse_weight, weight_string
 
 __all__ = ["main"]
 
@@ -88,8 +88,10 @@ def _kernel_family_name(family: str) -> str:
 
 
 def _table_family(args) -> tuple[str, list[int]]:
-    """interp/lebesgue family name and --n-list, each n checked for parity."""
-    n_list = [int(s) for s in args.n_list.split(",")]
+    """interp/lebesgue family name and --n-list, each n checked for parity;
+    the default list is odd for nearmint and even otherwise."""
+    n_list = args.n_list or ("5,9,17" if args.family == "nearmint" else "4,8,16")
+    n_list = [int(s) for s in n_list.split(",")]
     for n in n_list:
         _check_parity(args.family, n)
     return (_kernel_family_name(args.family) if args.family != "padua" else "padua"), n_list
@@ -206,8 +208,6 @@ def cmd_lebesgue(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    from .weights import constant
-
     n = args.n
     report: dict = {"mode": args.mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
     rules = []
@@ -292,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--beta", type=float, default=None)
 
     def add_table(q, resolution):
-        q.add_argument("--n-list", default="4,8,16")
+        q.add_argument("--n-list", default=None)
         q.add_argument("--resolution", type=int, default=resolution)
         q.add_argument("--format", choices=("json", "csv"), default="csv")
         q.add_argument("--out", default=None)

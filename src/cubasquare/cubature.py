@@ -7,7 +7,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .basis2d import KernelStarSpec, basis_for, dim_upto, three_term
+from .basis2d import KernelStarSpec, _kernel_star_node_factor, basis_for, dim_upto, three_term
 from .nodes import NodeSet, moeller_count
 from .univariate import chebyshev_t_table
 from .weights import WeightSpec, chebyshev_moments, is_centrally_symmetric, mass, parse_weight, weight_string
@@ -103,22 +103,18 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     if spec.sigma == 0:
         if len(nodes) != lo:
             raise CubatureError("Gaussian configuration needs dim Pi_{n-1}^2 nodes")
-        kdiag = (F_low * F_low).sum(axis=0)
-        lam = mass / kdiag
+        lam = mass / _kernel_star_node_factor(spec, F)
         degree = 2 * n - 2
     else:
         Q = spec.q_coeffs @ F_deg
-        Phi = np.vstack([F_low, Q])
-        if Phi.shape[0] != Phi.shape[1]:
-            raise CubatureError(
-                f"interpolation space dimension {Phi.shape[0]} != node count {Phi.shape[1]}"
-            )
-        rhs = np.zeros(Phi.shape[0])
+        dim = lo + spec.sigma
+        if dim != len(nodes):
+            raise CubatureError(f"interpolation space dimension {dim} != node count {len(nodes)}")
+        rhs = np.zeros(dim)
         rhs[0] = F_low[0, 0]  # constant member value (= 1)
-        w_unit = np.linalg.solve(Phi, rhs)
-        S = (Q * w_unit) @ Q.T
-        spec = replace(spec, s_matrix=S)
-        kdiag = (F_low * F_low).sum(axis=0) + np.einsum("in,ij,jn->n", Q, np.linalg.inv(S), Q)
+        w_unit = np.linalg.solve(np.vstack([F_low, Q]), rhs)
+        spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
+        kdiag = _kernel_star_node_factor(spec, F)
         if kdiag.min() <= 0:
             raise CubatureError("K*(z, z) <= 0: node set does not match the kernel spec")
         lam = mass / kdiag

@@ -23,9 +23,9 @@ from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
     _cheb_total_degree_rows,
+    _kernel_star_node_factor,
     _square,
     basis_for,
-    dim_upto,
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
@@ -33,7 +33,7 @@ from .basis2d import (
 from .cubature import _calibrated_rule
 from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
 from .univariate import chebyshev_t_table
-from .weights import WeightSpec, cheb1, cheb2, gencheb
+from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle
 
 __all__ = [
     "Interpolant",
@@ -95,20 +95,12 @@ def interpolate_kernel(
         raise ValueError("need one sampled value per node")
     if spec.sigma and spec.s_matrix is None:
         spec = _calibrated_rule(nodes, spec, w)[1]
-    # K*(z, p) = G(z) . F(p) / mass with F the basis rows of degrees 0..n and
-    # G(z) = [F_low(z); q^T S^-1 Q(z)]; for sigma = 0, K* = K_{n-1} needs no
-    # degree-n rows.  The cardinal factor is G(z_k) / (G . F)(z_k).
+    # the basis rows F at the nodes become G in place, and the cardinal factor
+    # is G(z_k) / (G . F)(z_k); for sigma = 0, K* = K_{n-1} needs no degree-n rows
     basis = basis_for(spec.weight, spec.n)
     deg = spec.n if spec.sigma else spec.n - 1
     G = basis.eval_upto(deg, nodes.points[:, 0], nodes.points[:, 1])
-    if spec.sigma:
-        lo = dim_upto(spec.n - 1)
-        high = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ G[lo:])
-        kdiag = np.einsum("ij,ij->j", G[:lo], G[:lo]) + np.einsum("ij,ij->j", high, G[lo:])
-        G[lo:] = high
-    else:
-        kdiag = np.einsum("ij,ij->j", G, G)
-    G /= kdiag
+    G /= _kernel_star_node_factor(spec, G)
     return Interpolant(nodes=nodes, f_values=f_values, factor=basis.chebyshev_coeffs(deg, G), degree=deg)
 
 
@@ -224,8 +216,6 @@ def convergence_report(
         if norm == "sup":
             err = float(np.abs(interp(pts[:, 0], pts[:, 1]) - fg).max())
         else:
-            from .weights import tensor_oracle
-
             X, Y, wts = tensor_oracle(w, 4 * n + 8)
             diff = interp(X, Y) - f(X, Y)
             err = float(np.sqrt((wts * diff * diff).sum()))

@@ -19,13 +19,10 @@ __all__ = [
     "eval_chebyshev_t",
     "chebyshev_t_table",
     "eval_chebyshev_u",
-    "eval_gegenbauer",
-    "eval_jacobi_normalized",
     "jacobi_recurrence",
     "jacobi_normalized_table",
     "jacobi_normalized_table_with_derivative",
     "jacobi_chebyshev_coeffs",
-    "jacobi_mass",
     "JacobiAngleGrid",
     "jacobi_angle_grid",
     "gauss_rule_1d",
@@ -75,28 +72,6 @@ def eval_chebyshev_u(n: int, x):
     return p
 
 
-def eval_gegenbauer(lam: float, n: int, x):
-    """Gegenbauer polynomial C_n^lam(x); 0 for n < 0.
-
-    The lam = 0 limit degenerates (C_n^0 = 0 for n >= 1); callers that
-    want the Chebyshev-T normalization of that limit must use
-    ``eval_chebyshev_t`` instead.
-    """
-    if lam <= -0.5:
-        raise ValueError(f"gegenbauer parameter must exceed -1/2, got {lam}")
-    if lam == 0:
-        raise ValueError("lam = 0 is the Chebyshev-T limit; use eval_chebyshev_t")
-    x = _as_array(x)
-    if n < 0:
-        return np.zeros_like(x)
-    if n == 0:
-        return np.ones_like(x)
-    pm, p = np.ones_like(x), 2.0 * lam * x
-    for k in range(1, n):
-        pm, p = p, (2.0 * (k + lam) * x * p - (k + 2.0 * lam - 1.0) * pm) / (k + 1.0)
-    return p
-
-
 def jacobi_recurrence(alpha: float, beta: float, n: int):
     """Monic Jacobi recurrence coefficients (ra, rb), Gautschi convention.
 
@@ -118,11 +93,6 @@ def jacobi_recurrence(alpha: float, beta: float, n: int):
         ra[k] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
         rb[k] = 4.0 * k * (k + alpha) * (k + beta) * (k + apb) / (c * c * (c + 1.0) * (c - 1.0))
     return ra, rb
-
-
-def jacobi_mass(alpha: float, beta: float) -> float:
-    """Total mass of the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
-    return jacobi_recurrence(alpha, beta, 1)[1][0]
 
 
 def jacobi_normalized_table(alpha: float, beta: float, nmax: int, x) -> np.ndarray:
@@ -180,18 +150,6 @@ def jacobi_chebyshev_coeffs(alpha: float, beta: float, nmax: int) -> np.ndarray:
         xp[:-1] += 0.5 * p[1:]
         out[k + 1] = (xp - ra[k] * p - (c[k] * out[k - 1] if k else 0.0)) / c[k + 1]
     return out
-
-
-def eval_jacobi_normalized(alpha: float, beta: float, n: int, x):
-    """Normalized Jacobi polynomial p_n^(alpha,beta)(x); 0 for n < 0.
-
-    p_0 = 1 and the polynomials are orthonormal under the weight scaled
-    to unit mass.
-    """
-    x = _as_array(x)
-    if n < 0:
-        return np.zeros_like(x)
-    return jacobi_normalized_table(alpha, beta, n, x)[n]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,8 @@ from cubasquare.basis2d import (
     _cheb_total_degree_rows,
     basis_for,
     dim_upto,
-    generalized_basis,
-    kernel_K,
-    kernel_K_star,
-    kernel_matrix,
     kernel_star_matrix,
     p_general,
-    product_basis,
     q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
@@ -125,25 +120,19 @@ def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
 class TestProductBasis:
     def test_constant_degree1(self):
         # sqrt(3) x and sqrt(3) y up to ordering
-        members = product_basis(constant(), 1)
-        vals = sorted(abs(m(0.5, 0.25)) for m in members)
+        vals = sorted(abs(basis_for(constant(), 1).eval_degree(1, np.array(0.5), np.array(0.25))))
         assert_allclose(vals, sorted([np.sqrt(3) * 0.25, np.sqrt(3) * 0.5]), atol=1e-14)
 
     def test_cheb1_degree0_constant(self):
-        (m,) = product_basis(cheb1(), 0)
-        assert_allclose(m(np.array([0.3]), np.array([-0.8])), 1.0, atol=1e-14)
+        (m,) = basis_for(cheb1(), 0).eval_degree(0, np.array([0.3]), np.array([-0.8]))
+        assert_allclose(m, 1.0, atol=1e-14)
 
     def test_cheb2_members_are_u_products(self):
         from cubasquare.univariate import eval_chebyshev_u
 
-        members = product_basis(cheb2(), 3)
         x, y = np.array([0.37]), np.array([-0.21])
-        for k, m in enumerate(members):
-            assert_allclose(m(x, y), eval_chebyshev_u(3 - k, x) * eval_chebyshev_u(k, y), atol=1e-12)
-
-    def test_unsupported_weight(self):
-        with pytest.raises(ValueError):
-            product_basis(gencheb(0.5, 0.5, -0.5), 2)
+        for k, m in enumerate(basis_for(cheb2(), 3).eval_degree(3, x, y)):
+            assert_allclose(m, eval_chebyshev_u(3 - k, x) * eval_chebyshev_u(k, y), atol=1e-12)
 
 
 class TestThreeTerm:
@@ -192,21 +181,24 @@ class TestThreeTerm:
 
 
 class TestKernel:
+    """The plain kernel K_n is the Gaussian-configuration K*_{n+1}."""
+
     def test_k0_is_reciprocal_mass(self):
         for w in (constant(), cheb1(), cheb2()):
-            v = kernel_K(w, 0, (0.3, -0.5), (0.9, 0.1))
+            v = kernel_star_matrix(star_spec_gaussian(w, 1), [(0.3, -0.5)], [(0.9, 0.1)])[0, 0]
             assert v == pytest.approx(1.0 / mass(w), rel=1e-13)
 
     def test_symmetry(self):
-        z, z2 = (0.21, -0.43), (-0.77, 0.52)
-        assert kernel_K(cheb1(), 5, z, z2) == pytest.approx(kernel_K(cheb1(), 5, z2, z), rel=1e-13)
+        z = [(0.21, -0.43), (-0.77, 0.52)]
+        K = kernel_star_matrix(star_spec_gaussian(cheb1(), 6), z, z)
+        assert K[0, 1] == pytest.approx(K[1, 0], rel=1e-13)
 
     def test_reproducing_property(self):
         # int K_5(z, .) p(.) W = p(z) for p = x^2 y under the constant weight
         w = constant()
         z = (0.3, -0.6)
         X, Y, wts = tensor_oracle(w, 16)
-        K = kernel_matrix(w, 5, np.array([z]), np.stack([X, Y], axis=1))[0]
+        K = kernel_star_matrix(star_spec_gaussian(w, 6), np.array([z]), np.stack([X, Y], axis=1))[0]
         got = (wts * K * X**2 * Y).sum()
         assert got == pytest.approx(z[0] ** 2 * z[1], abs=1e-10)
 
@@ -216,7 +208,7 @@ class TestKernel:
             rng = np.random.default_rng(3)
             zs = rng.uniform(-0.9, 0.9, (3, 2))
             for n in (4, 8):
-                K = kernel_matrix(w, n, zs, np.stack([X, Y], axis=1))
+                K = kernel_star_matrix(star_spec_gaussian(w, n + 1), zs, np.stack([X, Y], axis=1))
                 for i in range(n + 1):
                     for j in range(n + 1 - i):
                         got = (wts * K * X**i * Y**j).sum(axis=1)
@@ -225,17 +217,17 @@ class TestKernel:
 
 class TestKernelStar:
     def test_sigma_zero_equals_plain_kernel(self):
+        # K_5(z, z2) summed directly over the orthonormal basis of degree <= 5
         w = cheb2()
-        spec = star_spec_gaussian(w, 6)
-        z, z2 = (0.4, 0.3), (-0.2, 0.8)
-        assert kernel_K_star(spec, w, z, z2) == pytest.approx(kernel_K(w, 5, z, z2), rel=1e-13)
+        z = np.array([(0.4, 0.3), (-0.2, 0.8)])
+        F = basis_for(w, 5).eval_upto(5, z[:, 0], z[:, 1])
+        got = kernel_star_matrix(star_spec_gaussian(w, 6), z[:1], z[1:])[0, 0]
+        assert got == pytest.approx(F[:, 0] @ F[:, 1] / mass(w), rel=1e-13)
 
     def test_symmetry(self):
-        spec = star_spec_cheb1(6)
-        z, z2 = (0.4, 0.3), (-0.2, 0.8)
-        a = kernel_K_star(spec, cheb1(), z, z2)
-        b = kernel_K_star(spec, cheb1(), z2, z)
-        assert a == pytest.approx(b, rel=1e-13)
+        z = [(0.4, 0.3), (-0.2, 0.8)]
+        K = kernel_star_matrix(star_spec_cheb1(6), z, z)
+        assert K[0, 1] == pytest.approx(K[1, 0], rel=1e-13)
 
     def test_positive_at_nodes(self):
         from cubasquare.interp import family_rule
@@ -244,42 +236,60 @@ class TestKernelStar:
         d = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
         assert d.min() > 0
 
-    def test_weight_mismatch_rejected(self):
-        spec = star_spec_cheb1(4)
-        with pytest.raises(ValueError):
-            kernel_K_star(spec, cheb2(), (0, 0), (0, 0))
+
+def gencheb_members(a, b, n):
+    """(Jacobi pair, k, core degree, prefactor) of each degree-n gencheb member, in row order."""
+    m = n // 2
+    if n % 2 == 0:
+        return ([((a, b), k, m, None) for k in range(m + 1)]
+                + [((a + 1, b + 1), k, m - 1, lambda x, y: x * x - y * y) for k in range(m)])
+    return ([((a, b + 1), k, m, lambda x, y: x + y) for k in range(m + 1)]
+            + [((a + 1, b), k, m, lambda x, y: x - y) for k in range(m + 1)])
+
+
+@pytest.mark.parametrize("a,b,g", [(0.5, 0.5, -0.5), (1.5, 0.5, 0.5), (0.5, -0.5, 0.5)])
+def test_gencheb_rows_are_prefactor_times_p_general(a, b, g):
+    # boundary points and x = 1 - 1e-13 put z1, z2 within the divided-difference
+    # tolerance, so the coincident-argument limit runs for gamma = +1/2
+    x = np.concatenate([[1.0, -1.0, 0.3, -0.6, 1 - 1e-13, 0.999999999, 0.4], np.linspace(-0.9, 0.8, 9)])
+    y = np.concatenate([[0.3, -0.2, 1.0, -1.0, 0.7, 0.3, 0.4], np.linspace(0.85, -0.95, 9)])
+    n = 9
+    rows = iter(basis_for(gencheb(a, b, g), n)._eval_raw(n, x, y))
+    for d in range(n + 1):
+        for (pa, pb), k, deg, pref in gencheb_members(a, b, d):
+            want = p_general(pa, pb, g, k, deg, x, y)
+            assert np.array_equal(next(rows), want if pref is None else pref(x, y) * want)
 
 
 class TestGeneralizedFamilies:
     def test_even_symmetries(self):
         rng = np.random.default_rng(5)
         x, y = rng.uniform(-0.95, 0.95, (2, 30))
-        for f in generalized_basis(0.5, 0.5, -0.5, 6):
-            assert_allclose(f(x, y), f(-x, -y), atol=1e-11)
+        b = basis_for(gencheb(0.5, 0.5, -0.5), 6)
+        rows = b.eval_degree(6, x, y)
+        assert_allclose(rows, b.eval_degree(6, -x, -y), atol=1e-11)
         m = 3
-        for k, f in enumerate(generalized_basis(0.5, 0.5, -0.5, 6)[: m + 1]):
-            assert_allclose(f(x, y), f(y, x), atol=1e-11)
+        assert_allclose(rows[: m + 1], b.eval_degree(6, y, x)[: m + 1], atol=1e-11)
 
     @pytest.mark.parametrize("sign", [-0.5, 0.5])
     def test_mutual_orthogonality(self, sign):
-        a, b = 0.5, -0.5
-        w = gencheb(a, b, sign)
+        w = gencheb(0.5, -0.5, sign)
         for n in range(2, 7):
-            fams = generalized_basis(a, b, sign, n)
             X, Y, wts = tensor_oracle(w, 2 * n + 4)
-            F = np.array([f(X, Y) for f in fams])
+            F = basis_for(w, 6).eval_degree(n, X, Y)
             G = (F * wts) @ F.T
             off = G - np.diag(np.diag(G))
             assert np.abs(off).max() < 1e-9 * max(np.diag(G).max(), 1.0)
 
     def test_member_count(self):
-        for n in range(0, 8):
-            assert len(generalized_basis(0.5, 0.5, -0.5, n)) == n + 1
-            assert len(generalized_basis(0.5, 0.5, 0.5, n)) == n + 1
+        x = np.array([0.1, -0.7])
+        for g in (-0.5, 0.5):
+            b = basis_for(gencheb(0.5, 0.5, g), 7)
+            for n in range(0, 8):
+                assert len(b.eval_degree(n, x, x[::-1])) == n + 1
 
     def test_degree0_constant(self):
-        (f,) = generalized_basis(0.5, -0.5, -0.5, 0)
-        vals = f(np.array([0.1, -0.7]), np.array([0.9, 0.2]))
+        (vals,) = basis_for(gencheb(0.5, -0.5, -0.5), 0).eval_degree(0, np.array([0.1, -0.7]), np.array([0.9, 0.2]))
         assert_allclose(vals, vals[0])
 
     def test_well_definedness_trig_swap(self):

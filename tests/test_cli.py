@@ -125,6 +125,12 @@ class TestTables:
         assert lines[0].startswith("n,lebesgue,per_log2")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command", ["interp", "lebesgue"])
+    def test_nearmint_default_n_list_is_odd(self, command, capsys):
+        assert run([command, "nearmint"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["5", "9", "17"]
+
     @pytest.mark.parametrize("command,resolution", [("lebesgue", "0"), ("lebesgue", "10"), ("lebesgue", "63"),
                                                     ("interp", "0"), ("interp", "1")])
     def test_resolution_below_floor_rejected(self, command, resolution, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubasquare.basis2d import star_spec_cheb1, star_spec_gaussian, star_spec_gencheb
+from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1, star_spec_gaussian, star_spec_gencheb
 from cubasquare.cubature import (
     CubatureError,
     CubatureRule,
@@ -20,6 +20,7 @@ from cubasquare.cubature import (
     weights_from_kernel,
     weights_from_vandermonde,
 )
+from cubasquare.interp import family_rule
 from cubasquare.nodes import (
     NodeSet,
     gauss_u_nodes,
@@ -76,6 +77,13 @@ class TestKernelWeights:
                 gencheb_nodes(0.5, 0.5, n), star_spec_gencheb(0.5, 0.5, n), gencheb(0.5, 0.5, -0.5)
             )
             assert rule.lambdas.min() > 0
+
+    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("cheb2", 8), ("gencheb", 8), ("gencheb", 9)])
+    def test_weights_are_reciprocal_dense_kernel_diagonal(self, family, n):
+        # the node factor's diagonal against the dense K* of the calibrated spec
+        nodes, spec, _, rule = family_rule(family, n)
+        kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
+        assert_allclose(rule.lambdas, 1.0 / kdiag, rtol=1e-12)
 
     def test_wrong_pairing_raises(self):
         with pytest.raises(CubatureError):

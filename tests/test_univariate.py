@@ -8,8 +8,6 @@ from cubasquare.univariate import (
     chebyshev_t_table,
     eval_chebyshev_t,
     eval_chebyshev_u,
-    eval_gegenbauer,
-    eval_jacobi_normalized,
     gauss_rule_1d,
     jacobi_angle_grid,
     jacobi_normalized_table,
@@ -56,48 +54,22 @@ class TestChebyshev:
             assert_allclose(eval_chebyshev_u(n, x), np.sin((n + 1) * th) / np.sin(th), atol=1e-11)
 
 
-class TestGegenbauer:
-    def test_lambda_one_is_u(self):
-        assert_allclose(eval_gegenbauer(1.0, 2, 0.5), eval_chebyshev_u(2, 0.5), atol=1e-15)
-        assert_allclose(eval_gegenbauer(1.0, 2, 0.5), 0.0, atol=1e-15)
-
-    def test_lambda_half_is_legendre(self):
-        assert_allclose(eval_gegenbauer(0.5, 1, 0.4), 0.4, atol=1e-15)
-
-    def test_closed_form_degree3(self):
-        # C_3^{3/2}(x) = 17.5 x^3 - 7.5 x from the hypergeometric series
-        lam = 1.5
-        poch2 = lam * (lam + 1)
-        poch3 = poch2 * (lam + 2)
-        x = 0.2
-        expected = poch3 * 8 * x**3 / 6 - 2 * poch2 * x
-        assert_allclose(eval_gegenbauer(lam, 3, x), expected, atol=1e-14)
-        assert_allclose(expected, -1.36, atol=1e-14)
-
-    def test_lambda_zero_rejected(self):
-        with pytest.raises(ValueError, match="chebyshev"):
-            eval_gegenbauer(0.0, 3, 0.5)
-
-    def test_negative_degree(self):
-        assert eval_gegenbauer(1.5, -2, 0.3) == 0.0
-
-
 class TestJacobiNormalized:
     def test_p0_is_one(self):
         for a, b in PARAM_PAIRS:
-            assert eval_jacobi_normalized(a, b, 0, 0.37) == 1.0
+            assert jacobi_normalized_table(a, b, 0, 0.37)[0] == 1.0
 
     def test_chebyshev_case_is_sqrt2_cos(self):
         th = np.linspace(0.1, 3.0, 25)
         for n in (1, 2, 7):
             assert_allclose(
-                eval_jacobi_normalized(-0.5, -0.5, n, np.cos(th)),
+                jacobi_normalized_table(-0.5, -0.5, n, np.cos(th))[n],
                 np.sqrt(2) * np.cos(n * th),
                 atol=1e-12,
             )
 
     def test_odd_vanishes_at_origin(self):
-        assert_allclose(eval_jacobi_normalized(0.5, 0.5, 1, 0.0), 0.0, atol=1e-15)
+        assert_allclose(jacobi_normalized_table(0.5, 0.5, 1, 0.0)[1], 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_orthonormality_gram(self, a, b):
@@ -123,7 +95,7 @@ class TestJacobiNormalized:
                 / ((2 * n + a + b + 1) * gamma(n + a + b + 1) * gamma(n + 1))
             )
             expected = eval_jacobi(n, a, b, x) * np.sqrt(mass / h)
-            assert_allclose(eval_jacobi_normalized(a, b, n, x), expected, atol=1e-12)
+            assert_allclose(jacobi_normalized_table(a, b, n, x)[n], expected, atol=1e-12)
 
 
 class TestRecurrenceConsistency:
@@ -140,14 +112,6 @@ class TestRecurrenceConsistency:
         for n in range(1, 50):
             resid = eval_chebyshev_u(n + 1, x) - (2 * x * eval_chebyshev_u(n, x) - eval_chebyshev_u(n - 1, x))
             assert np.abs(resid).max() < 1e-12
-
-    def test_gegenbauer(self):
-        x = np.linspace(-1, 1, 100)
-        lam = 1.5
-        for n in range(1, 50):
-            lhs = (n + 1) * eval_gegenbauer(lam, n + 1, x)
-            rhs = 2 * (n + lam) * x * eval_gegenbauer(lam, n, x) - (n + 2 * lam - 1) * eval_gegenbauer(lam, n - 1, x)
-            assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(lhs).max()
 
     def test_jacobi_normalized_table_consistency(self):
         x = np.linspace(-1, 1, 100)
