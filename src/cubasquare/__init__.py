@@ -21,6 +21,7 @@ from .cubature import (
     LowerBounds,
     exactness_check,
     lower_bounds,
+    padua_rule,
     rule_from_json,
     rule_to_json,
     weights_from_kernel,

@@ -23,9 +23,10 @@ K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 
 Each formula has one source.  ``_gencheb_core`` evaluates the gencheb
 members P_{k,d} of one Jacobi parameter pair from one pair of Jacobi tables;
-``p_general`` and the gencheb basis both call it.  ``_kernel_star_node_factor``
-forms the node-side K* factor G = [F_low; q^T S^-1 Q] and its diagonal
-K*(z_k, z_k) for both the cubature weights and the interpolation factor.
+``p_general`` and the gencheb basis both call it.  ``_kernel_star_diag``
+forms the diagonal K*(z_k, z_k) for both the cubature checks and the
+interpolation factor; ``_kernel_star_node_factor`` also forms the node-side
+K* factor G = [F_low; q^T S^-1 Q] of the latter.
 ``kernel_star_matrix`` keeps the dense formula as the tests' independent
 reference.
 """
@@ -98,8 +99,10 @@ class OrthoBasis2D:
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         """The same polynomials in the rows T_{d-k}(x) T_k(y) of degree <= n:
-        each column c of ``coeffs`` (rows of ``eval_upto(n)``) becomes t with
-        c @ eval_upto(n, x, y) == t @ _cheb_total_degree_rows(n, x, y)."""
+        each column c of the float array ``coeffs`` (rows of ``eval_upto(n)``)
+        becomes, in place, the t with
+        c @ eval_upto(n, x, y) == t @ _cheb_total_degree_rows(n, x, y).
+        Returns ``coeffs``."""
         raise NotImplementedError
 
     def eval_degree(self, n: int, x, y) -> np.ndarray:
@@ -127,13 +130,12 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
         cx = jacobi_chebyshev_coeffs(self._ax[0], self._ax[1], n)
         cy = jacobi_chebyshev_coeffs(self._ay[0], self._ay[1], n)
         dx, dy = _degree_pairs(n)
-        out = np.empty_like(coeffs, dtype=float)
         step = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))  # two square work arrays
         for s in range(0, coeffs.shape[1], step):
             sq = _square(coeffs[:, s:s + step], n)
             t = (cx.T @ sq.reshape(n + 1, -1)).reshape(sq.shape)
-            out[:, s:s + step] = np.matmul(cy.T, t, out=sq)[dx, dy]
-        return out
+            coeffs[:, s:s + step] = np.matmul(cy.T, t, out=sq)[dx, dy]
+        return coeffs
 
 
 def _degree_pairs(n: int):
@@ -304,7 +306,8 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
         # collocation at the Padua points of degree n, unisolvent for degree n
         x, y = padua_points(n).points.T
         V = _cheb_total_degree_rows(n, x, y)
-        return np.linalg.solve(V.T, self.eval_upto(n, x, y).T @ coeffs)
+        coeffs[:] = np.linalg.solve(V.T, self.eval_upto(n, x, y).T @ coeffs)
+        return coeffs
 
 
 def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:
@@ -484,9 +487,17 @@ def _kernel_star_node_factor(spec: KernelStarSpec, F: np.ndarray) -> np.ndarray:
     mass * K*(z_j, z_j) = sum_i G[i, j] F[i, j].  ``spec.s_matrix`` must be
     set when sigma > 0."""
     lo = dim_upto(spec.n - 1)
-    kdiag = np.einsum("ij,ij->j", F[:lo], F[:lo])
-    if spec.sigma:
-        high = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ F[lo:])
-        kdiag += np.einsum("ij,ij->j", high, F[lo:])
-        F[lo:] = high
+    low_sq = np.einsum("ij,ij->j", F[:lo], F[:lo])
+    if not spec.sigma:
+        return low_sq
+    kdiag, sq = _kernel_star_diag(spec, low_sq, spec.q_coeffs @ F[lo:])
+    F[lo:] = spec.q_coeffs.T @ sq
     return kdiag
+
+
+def _kernel_star_diag(spec: KernelStarSpec, low_sq: np.ndarray, Q: np.ndarray):
+    """mass * K*(z_j, z_j) = low_sq[j] + Q[:, j]^T S^-1 Q[:, j] from the squared
+    norms ``low_sq`` of the degree <= n-1 rows and the complement rows
+    Q = q F_deg at the nodes, together with S^-1 Q."""
+    sq = np.linalg.solve(spec.s_matrix, Q)
+    return low_sq + np.einsum("ij,ij->j", Q, sq), sq

@@ -21,6 +21,7 @@ from ._svg import nodes_svg
 from .cubature import (
     CubatureError,
     exactness_check,
+    padua_rule,
     rule_from_json,
     rule_to_dict,
     weights_from_vandermonde,
@@ -35,7 +36,7 @@ from .nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from .weights import cheb1, constant, parse_weight, weight_string
+from .weights import constant, parse_weight, weight_string
 
 __all__ = ["main"]
 
@@ -100,9 +101,7 @@ def _table_family(args) -> tuple[str, list[int]]:
 def _build_rule(family: str, n: int, alpha: float, beta: float, weight: str | None):
     _check_parity(family, n)
     if family == "padua":
-        w = parse_weight(weight) if weight else cheb1()
-        nodes = padua_points(n)
-        return weights_from_vandermonde(nodes, w, 2 * n - 1)
+        return padua_rule(n, parse_weight(weight) if weight else None)
     _, _, w, rule = family_rule(_kernel_family_name(family), n, alpha, beta)
     if weight and parse_weight(weight) != w:
         raise UsageError(

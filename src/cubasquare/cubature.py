@@ -7,16 +7,26 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .basis2d import KernelStarSpec, _kernel_star_node_factor, basis_for, dim_upto, three_term
-from .nodes import NodeSet, moeller_count
+from .basis2d import _BLOCK_BYTES, KernelStarSpec, _kernel_star_diag, basis_for, dim_upto, three_term
+from .nodes import NodeSet, moeller_count, padua_points
 from .univariate import chebyshev_t_table
-from .weights import WeightSpec, chebyshev_moments, is_centrally_symmetric, mass, parse_weight, weight_string
+from .weights import (
+    WeightSpec,
+    _axis_params,
+    cheb1,
+    chebyshev_moments,
+    is_centrally_symmetric,
+    mass,
+    parse_weight,
+    weight_string,
+)
 
 __all__ = [
     "CubatureError",
     "CubatureRule",
     "weights_from_kernel",
     "weights_from_vandermonde",
+    "padua_rule",
     "ExactnessReport",
     "exactness_check",
     "LowerBounds",
@@ -73,62 +83,115 @@ def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> 
     """Weights 1/K*(z_k, z_k) for a Gaussian / minimal / near-minimal node set.
 
     For sigma = 0 this is direct.  Otherwise the discrete Gram of the
-    complement set is calibrated first (square unisolvent solve on the
-    interpolation space), after which the reciprocal-kernel formula
+    complement set is calibrated with the cubature weights first: the
+    closed form for the cheb1 weight, the square unisolvent solve on the
+    interpolation space for the others.  The reciprocal-kernel formula then
     reproduces those weights to roundoff; the agreement is asserted.
     ``spec`` itself is left as it is.
     """
     return _calibrated_rule(nodes, spec, w)[0]
 
 
+def _closed_form_weights(points: np.ndarray, n: int, n_prime: int) -> np.ndarray:
+    """Unit-mass weights 2 c(x_k) c(y_k) / (n n'), c = 1/2 on the edges |t| = 1
+    and 1 inside: the cheb1 rules of degree 2n-1 on the minimal and
+    near-minimal nodes (n' = n; Xu, J. Approx. Theory 87, 1996) and on the
+    Padua points (n' = n + 1; Caliari, De Marchi, Sommariva, Vianello,
+    Numer. Algorithms 56, 2011)."""
+    c = np.where(np.abs(np.abs(points) - 1.0) <= 1e-12, 0.5, 1.0)
+    return 2.0 / (n * n_prime) * c[:, 0] * c[:, 1]
+
+
+def _is_cheb1(w: WeightSpec) -> bool:
+    """True for the product Chebyshev weight of the first kind under any of
+    its names (cheb1, gegenbauer:0, jacobi2:-0.5:-0.5)."""
+    return w.kind != "gencheb" and _axis_params(w) == _axis_params(cheb1())
+
+
+def _basis_blocks(basis, n: int, pts: np.ndarray):
+    """(start, basis rows of degree <= n) over consecutive node blocks whose
+    rows hold at most ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (8 * dim_upto(n)))
+    for s in range(0, len(pts), step):
+        yield s, basis.eval_upto(n, pts[s:s + step, 0], pts[s:s + step, 1])
+
+
 def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
-    (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0)."""
+    (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
+
+    The cheb1 weights come from their closed form and are checked over node
+    blocks, so no N x N or dim x N array is formed; the other weights solve
+    the dense N x N unisolvent system first."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w, spec.n)
-    n = spec.n
-    pts = nodes.points
-    F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
+    n, sigma, pts = spec.n, spec.sigma, nodes.points
     lo = dim_upto(n - 1)
-    F_low, F_deg = F[:lo], F[lo:]
-    # the vanishing combinations must actually vanish on the nodes
-    van = spec.p_coeffs @ F_deg
-    vmax = float(np.abs(van).max()) if van.size else 0.0
-    if vmax > 1e-8:
-        raise CubatureError(
-            f"node set is not the common-zero set of the spec (residual {vmax:.2e})"
-        )
-    mass = basis.mass
-    if spec.sigma == 0:
-        if len(nodes) != lo:
-            raise CubatureError("Gaussian configuration needs dim Pi_{n-1}^2 nodes")
-        lam = mass / _kernel_star_node_factor(spec, F)
-        degree = 2 * n - 2
+    if len(nodes) != lo + sigma:
+        raise CubatureError(f"interpolation space dimension {lo + sigma} != node count {len(nodes)}")
+    closed = sigma > 0 and _is_cheb1(w)
+    if sigma and not closed:
+        F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
+        rhs = np.zeros(len(nodes))
+        rhs[0] = F[0, 0]  # constant member value (= 1)
+        w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
+        blocks = [(0, F)]
     else:
-        Q = spec.q_coeffs @ F_deg
-        dim = lo + spec.sigma
-        if dim != len(nodes):
-            raise CubatureError(f"interpolation space dimension {dim} != node count {len(nodes)}")
-        rhs = np.zeros(dim)
-        rhs[0] = F_low[0, 0]  # constant member value (= 1)
-        w_unit = np.linalg.solve(np.vstack([F_low, Q]), rhs)
-        spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
-        kdiag = _kernel_star_node_factor(spec, F)
-        if kdiag.min() <= 0:
-            raise CubatureError("K*(z, z) <= 0: node set does not match the kernel spec")
-        lam = mass / kdiag
-        if np.abs(lam - mass * w_unit).max() > 1e-8 * mass:
-            raise CubatureError("reciprocal-kernel weights disagree with unisolvent solve")
-        degree = 2 * n - 1
+        w_unit = _closed_form_weights(pts, n, n) if closed else None
+        blocks = _basis_blocks(basis, n, pts)
+    spec, kdiag = _checked_calibration(spec, blocks, w_unit, len(nodes))
     rule = CubatureRule(
         weight=w,
-        degree=degree,
+        degree=2 * n - 1 if sigma else 2 * n - 2,
         nodes=nodes,
-        lambdas=lam,
-        provenance=f"kernel weights, sigma={spec.sigma}, {nodes.provenance}",
+        lambdas=basis.mass * w_unit if closed else basis.mass / kdiag,
+        provenance=f"{'closed-form' if closed else 'kernel'} weights, sigma={sigma}, {nodes.provenance}",
     )
     return rule, spec
+
+
+def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None, count: int):
+    """Check a kernel spec, and unit-mass weights ``w_unit`` on it, over node
+    blocks (start, basis rows of degree <= n) of ``count`` nodes; return the
+    spec calibrated with S = (Q w) Q^T and mass * K*(z_k, z_k).
+
+    The vanishing combinations must vanish on the nodes.  For sigma > 0, the
+    weights must also satisfy the unisolvent equations [F_low; Q] w = e_0,
+    K* must be positive, and mass / K* must reproduce mass * w; every failing
+    one of these is named in the error.
+    """
+    lo = dim_upto(spec.n - 1)
+    low_sq = np.empty(count)  # |F_low(z_k)|^2
+    Q = np.empty((spec.sigma, count))
+    low_w = np.zeros(lo)  # F_low w
+    van = 0.0
+    for s, F in blocks:
+        e = s + F.shape[1]
+        van = max(van, float(np.abs(spec.p_coeffs @ F[lo:]).max(initial=0.0)))
+        low_sq[s:e] = np.einsum("ij,ij->j", F[:lo], F[:lo])
+        Q[:, s:e] = spec.q_coeffs @ F[lo:]
+        if w_unit is not None:
+            low_w += F[:lo] @ w_unit[s:e]
+    if van > 1e-8:
+        raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e})")
+    if not spec.sigma:
+        return spec, low_sq
+    spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
+    kdiag = _kernel_star_diag(spec, low_sq, Q)[0]
+    low_w[0] -= 1.0
+    failures = []
+    resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max()))
+    if not resid <= 1e-10:
+        failures.append(f"weights miss the unisolvent equations [F_low; Q] w = e_0 (residual {resid:.2e})")
+    if not kdiag.min() > 0:
+        failures.append("K*(z, z) <= 0: node set does not match the kernel spec")
+    gap = float(np.abs(w_unit * kdiag - 1.0).max())
+    if not gap <= 1e-8:
+        failures.append(f"reciprocal-kernel weights disagree with the unisolvent weights (relative gap {gap:.2e})")
+    if failures:
+        raise CubatureError("; ".join(failures))
+    return spec, kdiag
 
 
 def weights_from_vandermonde(
@@ -160,6 +223,34 @@ def weights_from_vandermonde(
         nodes=nodes,
         lambdas=lam,
         provenance=f"vandermonde weights, degree {exact_degree}, {nodes.provenance}",
+    )
+
+
+def padua_rule(n: int, w: WeightSpec | None = None) -> CubatureRule:
+    """Degree-(2n-1) rule on the Padua points of degree n.
+
+    For the cheb1 weight (the default, under any of its names) the weights
+    are closed-form, checked against the modified moments through degree
+    2n-1 (1e-10 relative to the total mass); any other weight goes through
+    ``weights_from_vandermonde``.
+    """
+    w = cheb1() if w is None else w
+    nodes = padua_points(n)
+    degree = 2 * n - 1
+    if not _is_cheb1(w):
+        return weights_from_vandermonde(nodes, w, degree)
+    lam = mass(w) * _closed_form_weights(nodes.points, n, n + 1)
+    resid = float(_degree_residuals(w, nodes.points, lam, degree).max())
+    if not resid <= 1e-10:
+        raise CubatureError(
+            f"closed-form Padua weights miss the moments through degree {degree} (residual {resid:.3e})"
+        )
+    return CubatureRule(
+        weight=w,
+        degree=degree,
+        nodes=nodes,
+        lambdas=lam,
+        provenance=f"closed-form weights, degree {degree}, {nodes.provenance}",
     )
 
 
@@ -204,14 +295,7 @@ def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 
     """
     deg = rule.degree
     hi = deg + extra_degrees
-    mom = chebyshev_moments(rule.weight, hi)
-    tx = chebyshev_t_table(hi, rule.nodes.points[:, 0])
-    tx *= rule.lambdas
-    err = np.abs(tx @ chebyshev_t_table(hi, rule.nodes.points[:, 1]).T - mom) / mom[0, 0]
-    # largest error on each anti-diagonal i + j = t
-    residuals = np.zeros(2 * hi + 1)
-    np.maximum.at(residuals, np.add.outer(np.arange(hi + 1), np.arange(hi + 1)), err)
-    residuals = residuals[: hi + 1]
+    residuals = _degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, hi)
     failing = np.flatnonzero(~(residuals <= tol))  # NaN counts as failing
     first_fail = int(failing[0]) if failing.size else None
     max_rel = float(residuals[: deg + 1].max())
@@ -224,6 +308,19 @@ def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 
         exact_beyond_declared=first_fail is None or first_fail > deg + 1,
         residuals=tuple(residuals.tolist()),
     )
+
+
+def _degree_residuals(w: WeightSpec, points: np.ndarray, lambdas: np.ndarray, degree: int) -> np.ndarray:
+    """Largest |sum_k lambda_k T_i(x_k) T_j(y_k) - int T_i T_j W| / mass over
+    i + j = t, for each total degree t = 0..degree."""
+    mom = chebyshev_moments(w, degree)
+    tx = chebyshev_t_table(degree, points[:, 0])
+    tx *= lambdas
+    err = np.abs(tx @ chebyshev_t_table(degree, points[:, 1]).T - mom) / mom[0, 0]
+    # largest error on each anti-diagonal i + j = t
+    residuals = np.zeros(2 * degree + 1)
+    np.maximum.at(residuals, np.add.outer(np.arange(degree + 1), np.arange(degree + 1)), err)
+    return residuals[: degree + 1]
 
 
 @dataclass(frozen=True)

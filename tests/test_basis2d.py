@@ -111,7 +111,10 @@ def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
     coeffs = rng.standard_normal((dim_upto(m), 20))
     x, y = np.vstack([rng.uniform(-1, 1, (300, 2)), _lobatto_grid(65)]).T
     want = coeffs.T @ basis.eval_upto(m, x, y)
-    got = basis.chebyshev_coeffs(m, coeffs).T @ _cheb_total_degree_rows(m, x, y)
+    work = coeffs.copy()
+    converted = basis.chebyshev_coeffs(m, work)
+    assert converted is work  # converted in place
+    got = converted.T @ _cheb_total_degree_rows(m, x, y)
     # relative to the largest value on the square (the 65^2 Lobatto grid holds
     # the boundary, where these polynomials peak), at the 300 random points
     assert np.abs(got - want)[:, :300].max() < 1e-13 * np.abs(want).max()

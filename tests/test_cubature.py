@@ -1,18 +1,22 @@
 """Tests for cubature weights, exactness checking, bounds, serialization."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cubasquare import cubature
 from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1, star_spec_gaussian, star_spec_gencheb
+from cubasquare.cli import main
 from cubasquare.cubature import (
     CubatureError,
     CubatureRule,
     exactness_check,
     lower_bounds,
+    padua_rule,
     rule_from_dict,
     rule_from_json,
     rule_to_dict,
@@ -30,7 +34,7 @@ from cubasquare.nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass
+from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass
 
 
 class TestKernelWeights:
@@ -122,11 +126,94 @@ class TestVandermondeWeights:
             assert np.abs(r1.lambdas - r2.lambdas).max() < 1e-9
 
 
+class TestClosedFormWeights:
+    """The closed-form cheb1 and Padua weights against the dense references,
+    and the runtime checks that guard them."""
+
+    @pytest.mark.parametrize("n", range(2, 34))
+    def test_cheb1_matches_dense_references(self, n):
+        nodes, spec, w, rule = family_rule("cheb1", n)
+        assert rule.provenance.startswith("closed-form weights")
+        lstsq = weights_from_vandermonde(nodes, w, 2 * n - 1).lambdas
+        kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
+        assert_allclose(rule.lambdas, lstsq, rtol=1e-12, atol=0)
+        assert_allclose(rule.lambdas, 1.0 / kdiag, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_padua_matches_lstsq(self, n):
+        rule = padua_rule(n)
+        assert rule.provenance.startswith("closed-form weights") and rule.degree == 2 * n - 1
+        lstsq = weights_from_vandermonde(padua_points(n), cheb1(), 2 * n - 1).lambdas
+        assert_allclose(rule.lambdas, lstsq, rtol=1e-12, atol=0)
+
+    def test_cheb1_under_another_name_uses_closed_form(self):
+        w = jacobi_product(-0.5, -0.5)
+        rule = padua_rule(8, w)
+        assert rule.provenance.startswith("closed-form weights") and rule.weight == w
+        assert np.array_equal(rule.lambdas, padua_rule(8).lambdas)
+
+    @pytest.fixture
+    def scaled_weight(self, monkeypatch):
+        """The closed form with its largest weight scaled by 1 + 1e-6."""
+        closed = cubature._closed_form_weights
+
+        def scaled(*args):
+            lam = closed(*args)
+            lam[np.argmax(lam)] *= 1 + 1e-6
+            return lam
+
+        monkeypatch.setattr(cubature, "_closed_form_weights", scaled)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_scaled_cheb1_weight_fails_every_weight_check(self, n, scaled_weight):
+        with pytest.raises(CubatureError, match="unisolvent equations.*reciprocal-kernel"):
+            family_rule("cheb1", n)
+
+    def test_scaled_padua_weight_fails_moment_check(self, scaled_weight, tmp_path):
+        with pytest.raises(CubatureError, match="moments through degree 15"):
+            padua_rule(8)
+        assert main(["rule", "padua", "8", "--out", str(tmp_path / "r.json")]) != 0
+        assert not (tmp_path / "r.json").exists()
+
+    def test_moved_node_fails_common_zero_check(self):
+        nodes = min_t_nodes_even(8)
+        pts = nodes.points.copy()
+        pts[5, 0] += 1e-6
+        with pytest.raises(CubatureError, match="common-zero"):
+            weights_from_kernel(replace(nodes, points=pts), star_spec_cheb1(8), cheb1())
+
+    def test_cheb1_128_memory(self):
+        # the dense N x N calibration matrix alone is 562 MB at n = 128
+        tracemalloc.start()
+        try:
+            rule = family_rule("cheb1", 128)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert len(rule.lambdas) == moeller_count(128)
+
+    def test_other_padua_weight_uses_lstsq(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(nodes, w, degree, *args):
+            calls.append((nodes.family, w, degree))
+            return weights_from_vandermonde(nodes, w, degree, *args)
+
+        monkeypatch.setattr(cubature, "weights_from_vandermonde", spy)
+        # the Padua points carry no degree-15 rule for the constant weight
+        assert main(["rule", "padua", "8", "--weight", "const"]) == 1
+        assert "nodes do not support degree 15" in capsys.readouterr().err
+        with pytest.raises(CubatureError, match="nodes do not support degree 15"):
+            padua_rule(8, cheb2())
+        assert calls == [("padua", constant(), 15), ("padua", cheb2(), 15)]
+
+
 RULE_BUILDERS = {
     "mint": lambda n: weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1()),
     "nearmint": lambda n: weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1()),
     "gaussu": lambda n: weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2()),
-    "padua": lambda n: weights_from_vandermonde(padua_points(n), cheb1(), 2 * n - 1),
+    "padua": padua_rule,
     "gencheb": lambda n: weights_from_kernel(
         gencheb_nodes(0.5, 0.5, n), star_spec_gencheb(0.5, 0.5, n), gencheb(0.5, 0.5, -0.5)),
 }

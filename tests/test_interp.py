@@ -230,6 +230,19 @@ def test_lebesgue_memory_bounded(family, n):
     assert peak < 128 * 2**20
 
 
+def test_kernel_factor_memory():
+    # the node factor is converted to the Chebyshev rows in place: 36 MB for
+    # the factor plus the basis evaluation's temporaries
+    nodes, spec, w, _ = family_rule("cheb1", 64)
+    tracemalloc.start()
+    try:
+        interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+
+
 class TestConvergence:
     def test_exponential_decay(self):
         f = lambda x, y: np.exp(x + y)
