@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import discover as dsc
 from ._svg import nodes_svg
 from .cubature import (
     CubatureError,
@@ -207,6 +206,8 @@ def cmd_lebesgue(args) -> int:
 
 
 def cmd_discover(args) -> int:
+    from . import discover as dsc  # imported here: scipy.optimize is slow to load
+
     n = args.n
     report: dict = {"mode": args.mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
     rules = []

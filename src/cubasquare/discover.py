@@ -116,34 +116,50 @@ class _HankelSystem:
 
     Even mode: X0 = 0, B_l = G_n E_l G_{n-1}^T; odd mode: X0 = I,
     B_l = -G_n E_l G_n^T, where E_l is the Hankel matrix with ones on the
-    anti-diagonal l.  With ``rank_penalty`` (odd mode) the smallest
-    n+1-floor(n/2) eigenvalues of X are appended to R.  ``free`` lists
-    the entries of h the system solves for; the others stay zero.
+    anti-diagonal l.  X is affine in h, so R is one quadratic form,
+    precomputed at construction:
+
+        R(h) = a + L h + 1/2 (Q h) h,   dR/dh = L + Q h,
+
+    with a = (X0^T M X0 - C)[iu], L[p, l] = (B_l^T M X0 + X0^T M B_l)[p] and
+    Q[p, l, m] = (B_l^T M B_m + B_m^T M B_l)[p], symmetric in l and m; a
+    residual or a Jacobian is then one matrix-vector product.  With
+    ``rank_penalty`` (odd mode) the smallest n+1-floor(n/2) eigenvalues of
+    X are appended to R.  ``free`` lists the entries of h the system
+    solves for; the others stay zero.
     """
 
     def __init__(self, mode: str, n: int, rank_penalty: bool = False):
         tt = three_term(constant(), n - 1)
         A1, A2 = tt.A1, tt.A2
-        self.M = A1.T @ A2 - A2.T @ A1
+        M = A1.T @ A2 - A2.T @ A1
         cols = n if mode == "even" else n + 1
         Gr, Gc = scaling_matrix(n), scaling_matrix(cols - 1)
         E = np.array([hankel_matrix(e, n + 1, cols) for e in np.eye(n + cols)])
+        B = Gr @ E @ Gc.T
         if mode == "even":
-            self.X0, self.B, self.C = 0.0, Gr @ E @ Gc.T, A1 @ A2.T - A2 @ A1.T
+            X0, C = np.zeros((n + 1, cols)), A1 @ A2.T - A2 @ A1.T
         else:
-            self.X0, self.B, self.C = np.eye(n + 1), -(Gr @ E @ Gc.T), 0.0
+            X0, C, B = np.eye(n + 1), 0.0, -B
         # start magnitude: reciprocal geometric mean of the G_n, G_cols entries
         self.scale = 1.0 / np.exp(np.mean(np.log(np.diag(Gr))) + np.mean(np.log(np.diag(Gc))))
-        self.iu = np.triu_indices(cols, 1)
+        i, j = self.iu = np.triu_indices(cols, 1)
+        self.a = (X0.T @ M @ X0 - C)[i, j]
+        D = np.swapaxes(B, 1, 2) @ (M @ X0) + (X0.T @ M) @ B
+        self.L = np.ascontiguousarray(D[:, i, j].T)
+        T = np.einsum("lap,ab,mbp->plm", B[:, :, i], M, B[:, :, j], optimize=True)
+        self.Q = T + np.swapaxes(T, 1, 2)
+        self.X0, self.B = X0, B.reshape(len(B), -1)
         self.tail = (n + 1) - n // 2 if rank_penalty else 0
-        self.neq = len(self.iu[0]) + self.tail
-        self.nvar = len(self.B)
+        self.neq = len(i) + self.tail
+        self.nvar = len(B)
         self.free = np.arange(self.nvar)
 
     def restricted(self) -> "_HankelSystem":
         """The reflection-symmetric subspace: odd-index entries pinned at zero."""
         sub = copy.copy(self)
-        sub.free, sub.B = self.free[::2], self.B[::2]
+        sub.free, sub.B, sub.L = self.free[::2], self.B[::2], self.L[:, ::2]
+        sub.Q = np.ascontiguousarray(self.Q[:, ::2, ::2])
         return sub
 
     @property
@@ -152,22 +168,21 @@ class _HankelSystem:
         return "lm" if self.neq >= len(self.free) else "trf"
 
     def X(self, h) -> np.ndarray:
-        return self.X0 + np.tensordot(h, self.B, 1)
+        return self.X0 + (h @ self.B).reshape(self.X0.shape)
 
     def residual(self, h) -> np.ndarray:
-        X = self.X(h)
-        r = (X.T @ self.M @ X - self.C)[self.iu]
+        r = self.a + (self.L + 0.5 * (self.Q @ h)) @ h
         if self.tail:
-            r = np.concatenate([r, np.linalg.eigvalsh(X)[: self.tail]])
+            r = np.concatenate([r, np.linalg.eigvalsh(self.X(h))[: self.tail]])
         return r
 
     def jacobian(self, h) -> np.ndarray:
-        X = self.X(h)
-        dR = np.swapaxes(self.B, 1, 2) @ (self.M @ X) + (X.T @ self.M) @ self.B
-        J = dR[:, self.iu[0], self.iu[1]].T
+        J = self.L + self.Q @ h
         if self.tail:
-            Qt = np.linalg.eigh(X)[1][:, : self.tail]
-            J = np.vstack([J, np.einsum("ik,lij,jk->kl", Qt, self.B, Qt)])
+            Qt = np.linalg.eigh(self.X(h))[1][:, : self.tail]
+            # d lambda_k / dh_l = Qt_k^T B_l Qt_k, against the flattened outer products
+            outer = (Qt[:, None, :] * Qt[None, :, :]).reshape(-1, self.tail)
+            J = np.vstack([J, (self.B @ outer).T])
         return J
 
     def fit(self, h0: np.ndarray, max_nfev: int) -> np.ndarray:
@@ -419,7 +434,15 @@ def common_zeros(
     dedupe_tol: float = 1e-9,
 ) -> np.ndarray:
     """All common real zeros in [-region, region]^2 by dense multistart
-    Gauss-Newton; hard error when the count disagrees with expected_count."""
+    Gauss-Newton; hard error when the count disagrees with expected_count.
+
+    Every start of a grid x grid lattice takes at most 80 steps; a start
+    whose step is at most 1e-15 in x and in y stops early, and one that
+    leaves |x|, |y| <= 10 or becomes non-finite restarts from the origin.
+    Points with residual <= ``tol`` in the region are deduplicated
+    greedily in (x, y) order: the first remaining point is kept and every
+    point within ``dedupe_tol`` of it in both coordinates is dropped.
+    """
     g = np.linspace(-region, region, grid)
     X, Y = np.meshgrid(g, g, indexing="ij")
     x = X.ravel().copy()
@@ -435,8 +458,12 @@ def common_zeros(
             Jy = np.array([(p(x, y + _h) - p(x, y - _h)) / (2 * _h) for p in plist])
             return F, Jx, Jy
 
+    active = np.arange(x.size)
     for _ in range(80):
-        F, Jx, Jy = fj(x, y)
+        if not active.size:
+            break
+        xa, ya = x[active], y[active]
+        F, Jx, Jy = fj(xa, ya)
         a = (Jx * Jx).sum(axis=0)
         b = (Jx * Jy).sum(axis=0)
         c = (Jy * Jy).sum(axis=0)
@@ -444,20 +471,26 @@ def common_zeros(
         g2 = (Jy * F).sum(axis=0)
         det = a * c - b * b
         det = np.where(np.abs(det) < 1e-300, 1.0, det)
-        x = x - (c * g1 - b * g2) / det
-        y = y - (a * g2 - b * g1) / det
-        bad = ~np.isfinite(x) | ~np.isfinite(y) | (np.abs(x) > 10) | (np.abs(y) > 10)
-        x[bad] = 0.0
-        y[bad] = 0.0
-    F, _, _ = fj(x, y)
-    ok = (np.abs(F).max(axis=0) <= tol) & (np.abs(x) <= region + 1e-8) & (np.abs(y) <= region + 1e-8)
-    pts = sorted(zip(x[ok], y[ok]))
-    out: list[tuple[float, float]] = []
-    for p in pts:
-        if any(abs(p[0] - q[0]) <= dedupe_tol and abs(p[1] - q[1]) <= dedupe_tol for q in out[-200:]):
-            continue
-        out.append(p)
-    found = np.array(out) if out else np.zeros((0, 2))
+        dx = (c * g1 - b * g2) / det
+        dy = (a * g2 - b * g1) / det
+        xa, ya = xa - dx, ya - dy
+        bad = ~np.isfinite(xa) | ~np.isfinite(ya) | (np.abs(xa) > 10) | (np.abs(ya) > 10)
+        xa[bad] = 0.0
+        ya[bad] = 0.0
+        x[active], y[active] = xa, ya
+        active = active[bad | (np.abs(dx) > 1e-15) | (np.abs(dy) > 1e-15)]
+    inside = np.flatnonzero((np.abs(x) <= region + 1e-8) & (np.abs(y) <= region + 1e-8))
+    F, _, _ = fj(x[inside], y[inside])
+    ok = inside[np.abs(F).max(axis=0) <= tol]
+    order = ok[np.lexsort((y[ok], x[ok]))]
+    px, py = x[order], y[order]
+    live = np.ones(order.size, bool)
+    keep = []
+    while live.any():
+        k = np.argmax(live)
+        keep.append(k)
+        live &= (np.abs(px - px[k]) > dedupe_tol) | (np.abs(py - py[k]) > dedupe_tol)
+    found = np.column_stack([px[keep], py[keep]])
     if len(found) != expected_count:
         raise CommonZeroError(
             f"found {len(found)} common zeros, expected {expected_count}", found

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,16 @@ from cubasquare.cli import main
 
 def run(args):
     return main(args)
+
+
+def test_parser_does_not_load_scipy_optimize():
+    # only `discover` needs scipy.optimize; every other command skips its import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; from cubasquare import cli; cli._parser(); print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # each subcommand accepts only the flags it reads; --alpha/--beta only for gencheb

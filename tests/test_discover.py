@@ -23,6 +23,7 @@ from cubasquare.discover import (
     even_system_residual,
     _HankelSystem,
     gamma_coefficient,
+    hankel_matrix,
     odd_system_residual,
     odd_system_search,
     odd_system_solve,
@@ -190,6 +191,73 @@ class TestJacobian:
         self.close(system.jacobian(x), reference_odd_jacobian(n, h, True)[:, ::2])
 
 
+def reference_residual(mode, n, h, rank_penalty=False):
+    """(X0 + sum_l h_l B_l)^T M (X0 + sum_l h_l B_l) - C on the strict upper
+    triangle, formed directly, and the trailing eigenvalues of X when penalised."""
+    A1, A2 = legendre_A(n - 1)
+    M = A1.T @ A2 - A2.T @ A1
+    cols = n if mode == "even" else n + 1
+    B = [scaling_matrix(n) @ hankel_matrix(e, n + 1, cols) @ scaling_matrix(cols - 1).T
+         for e in np.eye(n + cols)]
+    if mode == "even":
+        X, C = sum(hl * Bl for hl, Bl in zip(h, B)), A1 @ A2.T - A2 @ A1.T
+    else:
+        X, C = np.eye(n + 1) - sum(hl * Bl for hl, Bl in zip(h, B)), 0.0
+    r = (X.T @ M @ X - C)[np.triu_indices(cols, 1)]
+    if rank_penalty:
+        r = np.concatenate([r, np.linalg.eigvalsh(X)[: (n + 1) - n // 2]])
+    return r
+
+
+QUADRATIC_CASES = [(mode, n, rp, sub) for n in range(3, 8) for sub in (False, True)
+                   for mode, rp in (("even", False), ("odd", False), ("odd", True))]
+
+
+class TestQuadraticForm:
+    """The precomputed a + L h + 1/2 (Q h) h against the direct matrix product."""
+
+    @staticmethod
+    def system_and_embed(mode, n, rank_penalty, restricted):
+        system = _HankelSystem(mode, n, rank_penalty)
+        if restricted:
+            system = system.restricted()
+
+        def full(x):
+            h = np.zeros(system.nvar)
+            h[system.free] = x
+            return h
+
+        return system, full
+
+    @pytest.mark.parametrize("mode,n,rank_penalty,restricted", QUADRATIC_CASES)
+    def test_residual_matches_direct_product(self, mode, n, rank_penalty, restricted):
+        system, full = self.system_and_embed(mode, n, rank_penalty, restricted)
+        rng = np.random.default_rng(10 * n + restricted)
+        for _ in range(4):
+            x = rng.standard_normal(len(system.free)) * system.scale * 3.0 ** rng.integers(-1, 2)
+            ref = reference_residual(mode, n, full(x), rank_penalty)
+            got = system.residual(x)
+            assert got.shape == ref.shape == (system.neq,)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode,n,rank_penalty,restricted", QUADRATIC_CASES)
+    def test_jacobian_matches_central_differences(self, mode, n, rank_penalty, restricted):
+        system, full = self.system_and_embed(mode, n, rank_penalty, restricted)
+        x = np.random.default_rng(n).standard_normal(len(system.free)) * system.scale
+        step = 1e-6 * system.scale
+        fd = np.array([(reference_residual(mode, n, full(x + step * e), rank_penalty)
+                        - reference_residual(mode, n, full(x - step * e), rank_penalty)) / (2 * step)
+                       for e in np.eye(len(x))]).T
+        J = system.jacobian(x)
+        assert J.shape == (system.neq, len(system.free))
+        assert np.abs(J - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("mode,n", [("even", 6), ("odd", 7)])
+    def test_q_symmetric(self, mode, n):
+        Q = _HankelSystem(mode, n).Q
+        assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
+
+
 class TestFixtures:
     def test_even_h3(self):
         assert np.abs(even_system_residual(3, KNOWN_EVEN_HANKEL[3])).max() < 1e-10
@@ -298,6 +366,73 @@ class TestCommonZeros:
         plain = [polys[i] for i in range(len(polys))]
         pts = common_zeros(plain, 7)
         assert len(pts) == 7
+
+
+def reference_common_zeros(polys, region=1.3, grid=60, tol=1e-10, dedupe_tol=1e-9):
+    """Every start through all 80 Gauss-Newton sweeps, then a per-point Python dedupe."""
+    g = np.linspace(-region, region, grid)
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    x, y = X.ravel().copy(), Y.ravel().copy()
+    plist = [polys[i] for i in range(len(polys))]
+
+    def fj(x, y, h=1e-7):
+        F = np.array([p(x, y) for p in plist])
+        Jx = np.array([(p(x + h, y) - p(x - h, y)) / (2 * h) for p in plist])
+        Jy = np.array([(p(x, y + h) - p(x, y - h)) / (2 * h) for p in plist])
+        return F, Jx, Jy
+
+    fj = getattr(polys, "values_and_jacobian", fj)
+    for _ in range(80):
+        F, Jx, Jy = fj(x, y)
+        a, b, c = (Jx * Jx).sum(0), (Jx * Jy).sum(0), (Jy * Jy).sum(0)
+        g1, g2 = (Jx * F).sum(0), (Jy * F).sum(0)
+        det = a * c - b * b
+        det = np.where(np.abs(det) < 1e-300, 1.0, det)
+        x = x - (c * g1 - b * g2) / det
+        y = y - (a * g2 - b * g1) / det
+        bad = ~np.isfinite(x) | ~np.isfinite(y) | (np.abs(x) > 10) | (np.abs(y) > 10)
+        x[bad] = 0.0
+        y[bad] = 0.0
+    F, _, _ = fj(x, y)
+    ok = (np.abs(F).max(axis=0) <= tol) & (np.abs(x) <= region + 1e-8) & (np.abs(y) <= region + 1e-8)
+    out = []
+    for p in sorted(zip(x[ok], y[ok])):
+        if not any(abs(p[0] - q[0]) <= dedupe_tol and abs(p[1] - q[1]) <= dedupe_tol for q in out[-200:]):
+            out.append(p)
+    return np.array(out).reshape(-1, 2)
+
+
+def odd_fixture_polys(n):
+    U = np.linalg.eigh(odd_W(n, KNOWN_ODD_HANKEL[n].h))[1][:, : (n + 1) - n // 2]
+    return orthogonal_polys_from_U(n, U)
+
+
+@pytest.fixture(scope="module")
+def even5_polys():
+    return even_system_polys(5, solve_even_system(5, seeds=40, rng_seed=0)[0])
+
+
+class TestCommonZerosReference:
+    """The early-stopping sweep and vectorised dedupe against the dense reference."""
+
+    @pytest.mark.parametrize("case", ["odd3", "odd5", "even5"])
+    def test_same_points_as_dense_loop(self, case, request):
+        polys = request.getfixturevalue("even5_polys") if case == "even5" else odd_fixture_polys(int(case[-1]))
+        ref = reference_common_zeros(polys)
+        got = common_zeros(polys, len(ref))
+        assert len(ref) == {"odd3": 7, "odd5": 17, "even5": 15}[case]
+        assert np.abs(got - ref).max() <= 1e-14
+
+    def test_dedupe_keeps_first_point_in_sorted_order(self):
+        # every start of a 4 x 4 lattice is a zero of F = 0; with a tolerance
+        # between one and two lattice steps the greedy rule keeps the points
+        # of even index, and a chain of neighbours is not merged into one point
+        g = np.linspace(-1.0, 1.0, 4)
+        want = np.array([(g[i], g[j]) for i in (0, 2) for j in (0, 2)])
+        polys = [lambda x, y: 0.0 * x]
+        got = common_zeros(polys, 4, region=1.0, grid=4, dedupe_tol=0.7)
+        assert np.array_equal(got, want)
+        assert np.array_equal(reference_common_zeros(polys, region=1.0, grid=4, dedupe_tol=0.7), want)
 
 
 class TestQDisplay:
