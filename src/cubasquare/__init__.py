@@ -12,6 +12,7 @@ from .basis2d import (
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
+    star_spec_padua,
     three_term,
 )
 from .cubature import (
@@ -21,7 +22,6 @@ from .cubature import (
     LowerBounds,
     exactness_check,
     lower_bounds,
-    padua_rule,
     rule_from_json,
     rule_to_json,
     weights_from_kernel,

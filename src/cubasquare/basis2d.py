@@ -17,6 +17,10 @@ discrete Gram matrix of Q under the cubature weights.  S is the
 identity for Gaussian configurations (sigma = 0); for the other
 configurations it is calibrated from the node set together with the
 cubature weights (``interp.family_rule`` returns the calibrated spec).
+Minimal and near-minimal nodes keep about half of the degree-n members
+(sigma = floor(n/2) or floor(n/2) + 1); the Padua points keep all of them
+(sigma = n + 1), so K*_n is the reproducing kernel of all of Pi_n^2 under
+the discrete inner product and no member vanishes on the nodes.
 With that S, the weights satisfy
 lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
@@ -67,6 +71,7 @@ __all__ = [
     "star_spec_gaussian",
     "star_spec_cheb1",
     "star_spec_gencheb",
+    "star_spec_padua",
     "p_general",
     "q_m_polynomial",
 ]
@@ -155,9 +160,11 @@ def _square(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 def _total_degree_rows(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """Rows tx[d-k] * ty[k] ordered by (degree d, k) from two per-axis tables."""
-    dx, dy = _degree_pairs(len(tx) - 1)
-    rows = tx[dx]
-    rows *= ty[dy]
+    n = len(tx) - 1
+    rows = np.empty((dim_upto(n),) + np.broadcast_shapes(tx.shape[1:], ty.shape[1:]))
+    for d in range(n + 1):
+        r = dim_upto(d - 1)
+        np.multiply(tx[d::-1], ty[:d + 1], out=rows[r:r + d + 1])
     return rows
 
 
@@ -291,7 +298,7 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
     def _compute_norms(self, nmax: int) -> np.ndarray:
         X, Y, wts = tensor_oracle(self.weight, 2 * nmax + 2)
         raw = self._eval_raw(nmax, X, Y)
-        sq = (raw * raw) @ wts / self.mass
+        sq = np.square(raw, out=raw) @ wts / self.mass
         if np.any(sq <= 0):
             raise ValueError("degenerate gencheb basis member (zero norm)")
         return np.sqrt(sq)
@@ -374,10 +381,12 @@ class KernelStarSpec:
 
     q_coeffs (sigma x (n+1)) and p_coeffs ((n+1-sigma) x (n+1)) express the
     complement set and the vanishing set in the coordinates of the
-    orthonormal degree-n basis.  ``s_matrix`` is the discrete Gram of the
-    complement under the cubature weights; ``None`` means the identity
-    (exact for sigma = 0).  For sigma > 0, ``interp.family_rule`` returns
-    a spec calibrated on its node set.
+    orthonormal degree-n basis.  sigma is 0 (Gaussian), floor(n/2) or
+    floor(n/2)+1 (minimal and near-minimal), or n+1 (Padua: no member
+    vanishes).  ``s_matrix`` is the discrete Gram of the complement under
+    the cubature weights; ``None`` means the identity (exact for sigma = 0).
+    For sigma > 0, ``interp.family_rule`` returns a spec calibrated on its
+    node set.
     """
 
     weight: WeightSpec
@@ -389,9 +398,9 @@ class KernelStarSpec:
 
     def __post_init__(self):
         half = self.n // 2
-        if self.sigma not in (0, half, half + 1):
+        if self.sigma not in (0, half, half + 1, self.n + 1):
             raise ValueError(
-                f"sigma must be 0, floor(n/2) or floor(n/2)+1; got {self.sigma} for n={self.n}"
+                f"sigma must be 0, floor(n/2), floor(n/2)+1 or n+1; got {self.sigma} for n={self.n}"
             )
         if self.q_coeffs.shape != (self.sigma, self.n + 1):
             raise ValueError("q_coeffs has wrong shape")
@@ -458,6 +467,13 @@ def star_spec_gencheb(alpha: float, beta: float, n: int) -> KernelStarSpec:
         q = np.eye(n + 1)[: m + 1]          # sigma = m+1
         sigma = m + 1
     return KernelStarSpec(weight=w, n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
+
+
+def star_spec_padua(n: int) -> KernelStarSpec:
+    """Padua splitting for the cheb1 weight: every degree-n member is in the
+    complement (sigma = n + 1) and none vanishes on the nodes."""
+    return KernelStarSpec(weight=cheb1(), n=n, sigma=n + 1, q_coeffs=np.eye(n + 1),
+                          p_coeffs=np.zeros((0, n + 1)))
 
 
 def kernel_star_matrix(spec: KernelStarSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:

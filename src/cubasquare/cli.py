@@ -20,7 +20,6 @@ from ._svg import nodes_svg
 from .cubature import (
     CubatureError,
     exactness_check,
-    padua_rule,
     rule_from_json,
     rule_to_dict,
     weights_from_vandermonde,
@@ -35,7 +34,7 @@ from .nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from .weights import constant, parse_weight, weight_string
+from .weights import constant
 
 __all__ = ["main"]
 
@@ -84,7 +83,8 @@ def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
 
 
 def _kernel_family_name(family: str) -> str:
-    return {"gaussu": "cheb2", "mint": "cheb1", "nearmint": "cheb1", "gencheb": "gencheb"}[family]
+    return {"gaussu": "cheb2", "mint": "cheb1", "nearmint": "cheb1", "padua": "padua",
+            "gencheb": "gencheb"}[family]
 
 
 def _table_family(args) -> tuple[str, list[int]]:
@@ -94,20 +94,12 @@ def _table_family(args) -> tuple[str, list[int]]:
     n_list = [int(s) for s in n_list.split(",")]
     for n in n_list:
         _check_parity(args.family, n)
-    return (_kernel_family_name(args.family) if args.family != "padua" else "padua"), n_list
+    return _kernel_family_name(args.family), n_list
 
 
-def _build_rule(family: str, n: int, alpha: float, beta: float, weight: str | None):
+def _build_rule(family: str, n: int, alpha: float, beta: float):
     _check_parity(family, n)
-    if family == "padua":
-        return padua_rule(n, parse_weight(weight) if weight else None)
-    _, _, w, rule = family_rule(_kernel_family_name(family), n, alpha, beta)
-    if weight and parse_weight(weight) != w:
-        raise UsageError(
-            f"family {family!r} is tied to weight {weight_string(w)!r}; "
-            "--weight can only override the padua family"
-        )
-    return rule
+    return family_rule(_kernel_family_name(family), n, alpha, beta)[3]
 
 
 def _write_out(text: str, path: str | None):
@@ -136,7 +128,7 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_rule(args) -> int:
-    rule = _build_rule(args.family, args.n, args.alpha, args.beta, args.weight)
+    rule = _build_rule(args.family, args.n, args.alpha, args.beta)
     rule.oracle_report = exactness_check(rule)
     _write_out(json.dumps(rule_to_dict(rule), indent=2), args.out)
     return 0 if rule.oracle_report.passed else 1
@@ -306,7 +298,6 @@ def _parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("rule", help="build a cubature rule file")
     add_family(q)
-    q.add_argument("--weight", default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_rule)
 

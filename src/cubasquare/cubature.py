@@ -8,12 +8,10 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .basis2d import _BLOCK_BYTES, KernelStarSpec, _kernel_star_diag, basis_for, dim_upto, three_term
-from .nodes import NodeSet, moeller_count, padua_points
+from .nodes import NodeSet, moeller_count
 from .univariate import chebyshev_t_table
 from .weights import (
     WeightSpec,
-    _axis_params,
-    cheb1,
     chebyshev_moments,
     is_centrally_symmetric,
     mass,
@@ -26,7 +24,6 @@ __all__ = [
     "CubatureRule",
     "weights_from_kernel",
     "weights_from_vandermonde",
-    "padua_rule",
     "ExactnessReport",
     "exactness_check",
     "LowerBounds",
@@ -84,28 +81,24 @@ def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> 
 
     For sigma = 0 this is direct.  Otherwise the discrete Gram of the
     complement set is calibrated with the cubature weights first: the
-    closed form for the cheb1 weight, the square unisolvent solve on the
-    interpolation space for the others.  The reciprocal-kernel formula then
-    reproduces those weights to roundoff; the agreement is asserted.
+    closed form for the cheb1 weight (minimal, near-minimal and Padua
+    nodes), the square unisolvent solve on the interpolation space for the
+    others.  The reciprocal-kernel formula then reproduces those weights to
+    roundoff; the agreement is asserted.
     ``spec`` itself is left as it is.
     """
     return _calibrated_rule(nodes, spec, w)[0]
 
 
-def _closed_form_weights(points: np.ndarray, n: int, n_prime: int) -> np.ndarray:
-    """Unit-mass weights 2 c(x_k) c(y_k) / (n n'), c = 1/2 on the edges |t| = 1
-    and 1 inside: the cheb1 rules of degree 2n-1 on the minimal and
-    near-minimal nodes (n' = n; Xu, J. Approx. Theory 87, 1996) and on the
-    Padua points (n' = n + 1; Caliari, De Marchi, Sommariva, Vianello,
-    Numer. Algorithms 56, 2011)."""
+def _closed_form_weights(points: np.ndarray) -> np.ndarray:
+    """Unit-mass weights c(x_k) c(y_k) / sum_j c(x_j) c(y_j), c = 1/2 on the
+    edges |t| = 1 and 1 inside: the cheb1 rules of degree 2n-1 on the minimal
+    and near-minimal nodes (the sum is n^2 / 2; Xu, J. Approx. Theory 87,
+    1996) and on the Padua points (n (n + 1) / 2; Caliari, De Marchi,
+    Sommariva, Vianello, Numer. Algorithms 56, 2011)."""
     c = np.where(np.abs(np.abs(points) - 1.0) <= 1e-12, 0.5, 1.0)
-    return 2.0 / (n * n_prime) * c[:, 0] * c[:, 1]
-
-
-def _is_cheb1(w: WeightSpec) -> bool:
-    """True for the product Chebyshev weight of the first kind under any of
-    its names (cheb1, gegenbauer:0, jacobi2:-0.5:-0.5)."""
-    return w.kind != "gencheb" and _axis_params(w) == _axis_params(cheb1())
+    c = c[:, 0] * c[:, 1]
+    return c / c.sum()
 
 
 def _basis_blocks(basis, n: int, pts: np.ndarray):
@@ -120,9 +113,10 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
 
-    The cheb1 weights come from their closed form and are checked over node
-    blocks, so no N x N or dim x N array is formed; the other weights solve
-    the dense N x N unisolvent system first."""
+    The cheb1 weights come from their closed form, checked against the
+    moments through degree 2n-1 and over node blocks, so no N x N or dim x N
+    array is formed; the other weights solve the dense N x N unisolvent
+    system first."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w, spec.n)
@@ -130,17 +124,21 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     lo = dim_upto(n - 1)
     if len(nodes) != lo + sigma:
         raise CubatureError(f"interpolation space dimension {lo + sigma} != node count {len(nodes)}")
-    closed = sigma > 0 and _is_cheb1(w)
-    if sigma and not closed:
+    closed = sigma > 0 and weight_string(w) == "cheb1"
+    w_unit, blocks, failures = None, _basis_blocks(basis, n, pts), []
+    if closed:
+        w_unit = _closed_form_weights(pts)
+        resid = float(_degree_residuals(w, pts, basis.mass * w_unit, 2 * n - 1).max())
+        if not resid <= 1e-10:
+            failures.append(f"closed-form weights miss the moments through degree {2 * n - 1} "
+                            f"(residual {resid:.2e})")
+    elif sigma:
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
         rhs = np.zeros(len(nodes))
         rhs[0] = F[0, 0]  # constant member value (= 1)
         w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
         blocks = [(0, F)]
-    else:
-        w_unit = _closed_form_weights(pts, n, n) if closed else None
-        blocks = _basis_blocks(basis, n, pts)
-    spec, kdiag = _checked_calibration(spec, blocks, w_unit, len(nodes))
+    spec, kdiag = _checked_calibration(spec, blocks, w_unit, len(nodes), failures)
     rule = CubatureRule(
         weight=w,
         degree=2 * n - 1 if sigma else 2 * n - 2,
@@ -151,7 +149,8 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     return rule, spec
 
 
-def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None, count: int):
+def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None, count: int,
+                         failures: list[str]):
     """Check a kernel spec, and unit-mass weights ``w_unit`` on it, over node
     blocks (start, basis rows of degree <= n) of ``count`` nodes; return the
     spec calibrated with S = (Q w) Q^T and mass * K*(z_k, z_k).
@@ -159,7 +158,7 @@ def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None
     The vanishing combinations must vanish on the nodes.  For sigma > 0, the
     weights must also satisfy the unisolvent equations [F_low; Q] w = e_0,
     K* must be positive, and mass / K* must reproduce mass * w; every failing
-    one of these is named in the error.
+    one of these is named in the error, after the earlier ``failures``.
     """
     lo = dim_upto(spec.n - 1)
     low_sq = np.empty(count)  # |F_low(z_k)|^2
@@ -180,7 +179,6 @@ def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None
     spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
     kdiag = _kernel_star_diag(spec, low_sq, Q)[0]
     low_w[0] -= 1.0
-    failures = []
     resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max()))
     if not resid <= 1e-10:
         failures.append(f"weights miss the unisolvent equations [F_low; Q] w = e_0 (residual {resid:.2e})")
@@ -223,34 +221,6 @@ def weights_from_vandermonde(
         nodes=nodes,
         lambdas=lam,
         provenance=f"vandermonde weights, degree {exact_degree}, {nodes.provenance}",
-    )
-
-
-def padua_rule(n: int, w: WeightSpec | None = None) -> CubatureRule:
-    """Degree-(2n-1) rule on the Padua points of degree n.
-
-    For the cheb1 weight (the default, under any of its names) the weights
-    are closed-form, checked against the modified moments through degree
-    2n-1 (1e-10 relative to the total mass); any other weight goes through
-    ``weights_from_vandermonde``.
-    """
-    w = cheb1() if w is None else w
-    nodes = padua_points(n)
-    degree = 2 * n - 1
-    if not _is_cheb1(w):
-        return weights_from_vandermonde(nodes, w, degree)
-    lam = mass(w) * _closed_form_weights(nodes.points, n, n + 1)
-    resid = float(_degree_residuals(w, nodes.points, lam, degree).max())
-    if not resid <= 1e-10:
-        raise CubatureError(
-            f"closed-form Padua weights miss the moments through degree {degree} (residual {resid:.3e})"
-        )
-    return CubatureRule(
-        weight=w,
-        degree=degree,
-        nodes=nodes,
-        lambdas=lam,
-        provenance=f"closed-form weights, degree {degree}, {nodes.provenance}",
     )
 
 

@@ -1,12 +1,11 @@
 """Lagrange interpolation on the node families, Lebesgue constants, and
 convergence diagnostics.
 
-Kernel families interpolate through the cardinal functions
-K*(., z_k)/K*(z_k, z_k); the Padua family solves the square collocation
-system in the product-Chebyshev total-degree basis.  Every interpolant of
-degree m keeps one node-side factor in that basis, the rows
-T_{d-k}(x) T_k(y) with d <= m: kernel factors are converted to it from the
-family's orthonormal basis once, at build time.  Lebesgue constants are
+Every family, the Padua points included, interpolates through the
+cardinal functions K*(., z_k)/K*(z_k, z_k).  Every interpolant of degree m
+keeps one node-side factor in the product-Chebyshev total-degree basis,
+the rows T_{d-k}(x) T_k(y) with d <= m, converted to it from the family's
+orthonormal basis once, at build time.  Lebesgue constants are
 estimated from below on Chebyshev-Lobatto tensor grids (nested when the
 resolution goes R -> 2R-1, so the estimate is monotone along that
 refinement path); there the cardinal values factor into one x-degree and
@@ -15,7 +14,7 @@ one y-degree contraction with the table T_i(g) of the 1-D grid g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .basis2d import (
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
+    star_spec_padua,
 )
 from .cubature import _calibrated_rule
 from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
@@ -105,15 +105,15 @@ def interpolate_kernel(
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:
-    """Unique Pi_n^2 interpolant at the Padua points via collocation."""
-    nodes = padua_points(n)
-    f_values = np.asarray(f_values, dtype=float)
-    if len(f_values) != len(nodes):
-        raise ValueError(f"need {len(nodes)} values for padua degree {n}")
-    V = _cheb_total_degree_rows(n, nodes.points[:, 0], nodes.points[:, 1])  # dim x N, square
-    factor = np.linalg.solve(V.T, np.eye(len(V)))  # V^-T, so ||V^-1||_1 = ||factor||_inf
-    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=n,
-                       collocation_cond=float(np.linalg.norm(V, 1) * np.linalg.norm(factor, np.inf)))
+    """Unique Pi_n^2 interpolant at the Padua points, through the kernel of
+    ``family_rule("padua", n)``, with the 1-norm condition number of the
+    collocation matrix V (rows T_{d-k}(x) T_k(y) at the nodes)."""
+    interp = interpolate_kernel(*family_rule("padua", n)[:3], f_values)
+    pts = interp.nodes.points
+    V = _cheb_total_degree_rows(n, pts[:, 0], pts[:, 1])
+    # the cardinal factor is V^-T, so ||V^-1||_1 = ||factor||_inf
+    cond = float(np.linalg.norm(V, 1) * np.linalg.norm(interp.factor, np.inf))
+    return replace(interp, collocation_cond=cond)
 
 
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
@@ -121,7 +121,8 @@ def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
     interpolation family.
 
     Families: ``cheb1`` (minimal for even n, near-minimal for odd),
-    ``cheb2`` (Gaussian), ``gencheb`` (alpha, beta; gamma = -1/2).
+    ``cheb2`` (Gaussian), ``gencheb`` (alpha, beta; gamma = -1/2),
+    ``padua`` (the Padua points, cheb1 weight).
     """
     if family == "cheb1":
         w = cheb1()
@@ -135,6 +136,10 @@ def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
         w = gencheb(alpha, beta, -0.5)
         nodes = gencheb_nodes(alpha, beta, n)
         spec = star_spec_gencheb(alpha, beta, n)
+    elif family == "padua":
+        w = cheb1()
+        nodes = padua_points(n)
+        spec = star_spec_padua(n)
     else:
         raise ValueError(f"unknown kernel family {family!r}")
     rule, spec = _calibrated_rule(nodes, spec, w)
@@ -163,11 +168,8 @@ def lebesgue_constant(
     """Lower estimate of the sup-norm Lebesgue constant on a tensor grid."""
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
-    if family == "padua":
-        interp = interpolate_padua(n, np.zeros(len(padua_points(n))))
-    else:
-        nodes, spec, w, _ = family_rule(family, n, alpha, beta)
-        interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
+    nodes, spec, w, _ = family_rule(family, n, alpha, beta)
+    interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
     # ell_k(g_a, g_b) = sum_i T_i(g_a) sum_j T_j(g_b) factor[(i, j), k]: per
     # block of nodes, contract the x-degree, then the y-degree, and add the
     # |ell_k| into the running sums over k at every grid point.
@@ -204,15 +206,8 @@ def convergence_report(
     fg = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     out = []
     for n in n_list:
-        if family == "padua":
-            nodes = padua_points(n)
-            fv = f(nodes.points[:, 0], nodes.points[:, 1])
-            interp = interpolate_padua(n, fv)
-            w = cheb1()
-        else:
-            nodes, spec, w, _ = family_rule(family, n, alpha, beta)
-            fv = f(nodes.points[:, 0], nodes.points[:, 1])
-            interp = interpolate_kernel(nodes, spec, w, fv)
+        nodes, spec, w, _ = family_rule(family, n, alpha, beta)
+        interp = interpolate_kernel(nodes, spec, w, f(nodes.points[:, 0], nodes.points[:, 1]))
         if norm == "sup":
             err = float(np.abs(interp(pts[:, 0], pts[:, 1]) - fg).max())
         else:

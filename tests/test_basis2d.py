@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from cubasquare import basis2d
 from cubasquare.basis2d import (
+    KernelStarSpec,
     _cheb_total_degree_rows,
     basis_for,
     dim_upto,
@@ -14,6 +15,7 @@ from cubasquare.basis2d import (
     q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
+    star_spec_padua,
     three_term,
 )
 from cubasquare.interp import _lobatto_grid
@@ -231,6 +233,12 @@ class TestKernelStar:
         z = [(0.4, 0.3), (-0.2, 0.8)]
         K = kernel_star_matrix(star_spec_cheb1(6), z, z)
         assert K[0, 1] == pytest.approx(K[1, 0], rel=1e-13)
+
+    def test_sigma_n_plus_1_is_the_only_new_value(self):
+        # Padua keeps all n + 1 degree-n members; sigma = n is no node family's
+        assert star_spec_padua(4).sigma == 5
+        with pytest.raises(ValueError, match="sigma must be"):
+            KernelStarSpec(weight=cheb1(), n=4, sigma=4, q_coeffs=np.eye(5)[:4], p_coeffs=np.eye(5)[4:])
 
     def test_positive_at_nodes(self):
         from cubasquare.interp import family_rule

@@ -33,7 +33,7 @@ REMOVED_FLAGS = [
     (base, flag)
     for base, flags in [
         (["nodes", "mint", "4"], ["--gamma", "--weight", "--format", "--resolution", "--alpha", "--beta"]),
-        (["rule", "mint", "4"], ["--gamma", "--format", "--resolution", "--alpha", "--beta"]),
+        (["rule", "mint", "4"], ["--gamma", "--weight", "--format", "--resolution", "--alpha", "--beta"]),
         (["interp", "mint"], ["--gamma", "--weight", "--alpha", "--beta"]),
         (["lebesgue", "mint"], ["--gamma", "--weight", "--alpha", "--beta"]),
         (["plot", "mint", "4", "--svg", "unused.svg"],

@@ -16,7 +16,6 @@ from cubasquare.cubature import (
     CubatureRule,
     exactness_check,
     lower_bounds,
-    padua_rule,
     rule_from_dict,
     rule_from_json,
     rule_to_dict,
@@ -34,7 +33,7 @@ from cubasquare.nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass
+from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass
 
 
 class TestKernelWeights:
@@ -141,16 +140,13 @@ class TestClosedFormWeights:
 
     @pytest.mark.parametrize("n", range(1, 34))
     def test_padua_matches_lstsq(self, n):
-        rule = padua_rule(n)
+        rule = family_rule("padua", n)[3]
         assert rule.provenance.startswith("closed-form weights") and rule.degree == 2 * n - 1
         lstsq = weights_from_vandermonde(padua_points(n), cheb1(), 2 * n - 1).lambdas
         assert_allclose(rule.lambdas, lstsq, rtol=1e-12, atol=0)
-
-    def test_cheb1_under_another_name_uses_closed_form(self):
-        w = jacobi_product(-0.5, -0.5)
-        rule = padua_rule(8, w)
-        assert rule.provenance.startswith("closed-form weights") and rule.weight == w
-        assert np.array_equal(rule.lambdas, padua_rule(8).lambdas)
+        # bit for bit the mass times 2 c(x) c(y) / (n (n + 1)), c = 1/2 on the edges
+        c = np.where(np.abs(np.abs(rule.nodes.points) - 1.0) <= 1e-12, 0.5, 1.0)
+        assert np.array_equal(rule.lambdas, mass(cheb1()) * (2.0 / (n * (n + 1)) * c[:, 0] * c[:, 1]))
 
     @pytest.fixture
     def scaled_weight(self, monkeypatch):
@@ -164,14 +160,18 @@ class TestClosedFormWeights:
 
         monkeypatch.setattr(cubature, "_closed_form_weights", scaled)
 
+    # every closed-form build checks the moments, the unisolvent equations and
+    # the reciprocal kernel, and names each check that fails
     @pytest.mark.parametrize("n", [8, 9])
     def test_scaled_cheb1_weight_fails_every_weight_check(self, n, scaled_weight):
-        with pytest.raises(CubatureError, match="unisolvent equations.*reciprocal-kernel"):
+        with pytest.raises(CubatureError, match=f"moments through degree {2 * n - 1}.*"
+                                                "unisolvent equations.*reciprocal-kernel"):
             family_rule("cheb1", n)
 
     def test_scaled_padua_weight_fails_moment_check(self, scaled_weight, tmp_path):
-        with pytest.raises(CubatureError, match="moments through degree 15"):
-            padua_rule(8)
+        with pytest.raises(CubatureError,
+                           match="moments through degree 15.*unisolvent equations.*reciprocal-kernel"):
+            family_rule("padua", 8)
         assert main(["rule", "padua", "8", "--out", str(tmp_path / "r.json")]) != 0
         assert not (tmp_path / "r.json").exists()
 
@@ -193,27 +193,12 @@ class TestClosedFormWeights:
         assert peak < 128 * 2**20
         assert len(rule.lambdas) == moeller_count(128)
 
-    def test_other_padua_weight_uses_lstsq(self, monkeypatch, capsys):
-        calls = []
-
-        def spy(nodes, w, degree, *args):
-            calls.append((nodes.family, w, degree))
-            return weights_from_vandermonde(nodes, w, degree, *args)
-
-        monkeypatch.setattr(cubature, "weights_from_vandermonde", spy)
-        # the Padua points carry no degree-15 rule for the constant weight
-        assert main(["rule", "padua", "8", "--weight", "const"]) == 1
-        assert "nodes do not support degree 15" in capsys.readouterr().err
-        with pytest.raises(CubatureError, match="nodes do not support degree 15"):
-            padua_rule(8, cheb2())
-        assert calls == [("padua", constant(), 15), ("padua", cheb2(), 15)]
-
 
 RULE_BUILDERS = {
     "mint": lambda n: weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1()),
     "nearmint": lambda n: weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1()),
     "gaussu": lambda n: weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2()),
-    "padua": padua_rule,
+    "padua": lambda n: family_rule("padua", n)[3],
     "gencheb": lambda n: weights_from_kernel(
         gencheb_nodes(0.5, 0.5, n), star_spec_gencheb(0.5, 0.5, n), gencheb(0.5, 0.5, -0.5)),
 }

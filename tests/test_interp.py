@@ -24,17 +24,19 @@ def sample(f, nodes):
     return f(nodes.points[:, 0], nodes.points[:, 1])
 
 
+def cheb_rows(n, p):
+    """Rows T_{d-k}(x) T_k(y), d <= n, at the points p, one member at a time."""
+    return np.array([eval_chebyshev_t(d - k, p[:, 0]) * eval_chebyshev_t(k, p[:, 1])
+                     for d in range(n + 1) for k in range(d + 1)])
+
+
 def build(family, n, f_values=None):
     """Interpolant of a family at degree n, with its dense cardinal-matrix reference."""
     if family == "padua":
         nodes = padua_points(n)
         fv = np.zeros(len(nodes)) if f_values is None else f_values(len(nodes))
-
-        def rows(p):
-            return np.array([eval_chebyshev_t(d - k, p[:, 0]) * eval_chebyshev_t(k, p[:, 1])
-                             for d in range(n + 1) for k in range(d + 1)])
-
-        return interpolate_padua(n, fv), lambda p: np.linalg.solve(rows(nodes.points), rows(p))
+        return (interpolate_padua(n, fv),
+                lambda p: np.linalg.solve(cheb_rows(n, nodes.points), cheb_rows(n, p)))
     nodes, spec, w, _ = family_rule(family, n)
     fv = np.zeros(len(nodes)) if f_values is None else f_values(len(nodes))
     kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
@@ -134,10 +136,19 @@ class TestPaduaInterpolation:
     @pytest.mark.parametrize("n", [8, 20])
     def test_collocation_cond_is_the_1_norm_condition_number(self, n):
         nodes = padua_points(n)
-        V = np.array([eval_chebyshev_t(d - k, nodes.points[:, 0]) * eval_chebyshev_t(k, nodes.points[:, 1])
-                      for d in range(n + 1) for k in range(d + 1)])
+        V = cheb_rows(n, nodes.points)
         got = interpolate_padua(n, np.zeros(len(nodes))).collocation_cond
         assert got == pytest.approx(np.linalg.cond(V, 1), rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_kernel_factor_is_the_collocation_inverse(self, n):
+        # the factor of the Padua kernel interpolant against a dense solve with
+        # the collocation matrix V: the cardinal functions are V^-1 rows(p)
+        nodes = padua_points(n)
+        V = cheb_rows(n, nodes.points)
+        want = np.linalg.solve(V.T, np.eye(len(V)))
+        got = interpolate_padua(n, np.zeros(len(nodes))).factor
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_value_count_checked(self):
         with pytest.raises(ValueError):
@@ -176,11 +187,12 @@ class TestLebesgue:
     # every cardinal function at every grid point
     @pytest.mark.parametrize("family,n,value", [
         ("cheb1", 16, 7.440772470410582), ("cheb1", 32, 10.042063032581845),
-        ("cheb1", 64, 13.033260140565384), ("padua", 32, 10.993594541100592),
+        ("cheb1", 64, 13.033260140565384), ("padua", 16, 8.40743628465043),
+        ("padua", 32, 10.993594541100592),
         ("gencheb", 24, 241.24211584659213), ("cheb2", 20, 215.23571149209832),
     ])
     def test_fixture_values(self, family, n, value):
-        assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-12)
+        assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-13)
 
 
 NODE_BLOCK = 7
