@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy.optimize
+from scipy.linalg.lapack import dsyevd
+from scipy.optimize import OptimizeResult, leastsq
 
 from .basis2d import three_term
 from .univariate import jacobi_normalized_table_with_derivative
@@ -111,6 +113,42 @@ def _coerce_h(n: int, H, mode: str) -> np.ndarray:
     return _coerce_h(n, HankelParam(mode, n, h), mode)
 
 
+# MINPACK's info code -> the status scipy.optimize.least_squares reports
+_MINPACK_STATUS = {0: -1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 0}
+
+
+def least_squares(fun, x0, *, jac, method, xtol, ftol, gtol, max_nfev):
+    """Nonlinear least squares with an analytic Jacobian, the LM entry point
+    of every Hankel fit.
+
+    ``method="lm"`` calls MINPACK's lmder through ``scipy.optimize.leastsq``
+    (step bound factor 100, ``diag`` from the Jacobian's column norms), the
+    same call and so the same iterates as ``scipy.optimize.least_squares``
+    with ``method="lm"``, without that wrapper's per-evaluation bookkeeping.
+    The result carries ``x``, ``fun`` (the residual at ``x``), ``nfev``,
+    ``njev`` and ``status`` in ``least_squares``' codes.  Any other method
+    (``"trf"`` for the underdetermined systems) is forwarded to
+    ``scipy.optimize.least_squares`` unchanged.
+    """
+    if method != "lm":
+        return scipy.optimize.least_squares(fun, x0, jac=jac, method=method, xtol=xtol,
+                                            ftol=ftol, gtol=gtol, max_nfev=max_nfev)
+    x, _, info, _, ier = leastsq(fun, x0, Dfun=jac, full_output=True, xtol=xtol, ftol=ftol,
+                                 gtol=gtol, maxfev=max_nfev)
+    return OptimizeResult(x=x, fun=info["fvec"], nfev=info["nfev"], njev=info["njev"],
+                          status=_MINPACK_STATUS.get(ier, ier))
+
+
+def _syevd(X, vectors: int):
+    """Eigenvalues (ascending) and, with ``vectors=1``, eigenvectors of the
+    symmetric X from LAPACK dsyevd on its lower triangle: the call behind
+    ``np.linalg.eigvalsh``/``eigh``, without their wrappers."""
+    w, v, info = dsyevd(X.T, compute_v=vectors, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
 class _HankelSystem:
     """R(h) = X^T M X - C on the strict upper triangle, X = X0 + sum_l h_l B_l.
 
@@ -123,10 +161,15 @@ class _HankelSystem:
 
     with a = (X0^T M X0 - C)[iu], L[p, l] = (B_l^T M X0 + X0^T M B_l)[p] and
     Q[p, l, m] = (B_l^T M B_m + B_m^T M B_l)[p], symmetric in l and m; a
-    residual or a Jacobian is then one matrix-vector product.  With
-    ``rank_penalty`` (odd mode) the smallest n+1-floor(n/2) eigenvalues of
-    X are appended to R.  ``free`` lists the entries of h the system
-    solves for; the others stay zero.
+    residual or a Jacobian is then one matrix-vector product on the flat
+    (P * nvar, nvar) view ``Qf`` of Q.  With ``rank_penalty`` (odd mode)
+    the smallest n+1-floor(n/2) eigenvalues of X are appended to R.  They
+    come from LAPACK dsyevd on the lower triangle of X, without
+    eigenvectors in ``residual`` and with them in ``jacobian``, the calls
+    behind ``np.linalg.eigvalsh`` and ``eigh``; the two eigenvalue sets
+    differ in their last bits, so each keeps its own decomposition.
+    ``free`` lists the entries of h the system solves for; the others stay
+    zero.
     """
 
     def __init__(self, mode: str, n: int, rank_penalty: bool = False):
@@ -149,6 +192,7 @@ class _HankelSystem:
         self.L = np.ascontiguousarray(D[:, i, j].T)
         T = np.einsum("lap,ab,mbp->plm", B[:, :, i], M, B[:, :, j], optimize=True)
         self.Q = T + np.swapaxes(T, 1, 2)
+        self.Qf = self.Q.reshape(-1, len(B))
         self.X0, self.B = X0, B.reshape(len(B), -1)
         self.tail = (n + 1) - n // 2 if rank_penalty else 0
         self.neq = len(i) + self.tail
@@ -160,29 +204,33 @@ class _HankelSystem:
         sub = copy.copy(self)
         sub.free, sub.B, sub.L = self.free[::2], self.B[::2], self.L[:, ::2]
         sub.Q = np.ascontiguousarray(self.Q[:, ::2, ::2])
+        sub.Qf = sub.Q.reshape(-1, len(sub.free))
         return sub
 
     @property
     def method(self) -> str:
-        # scipy's LM needs at least as many residuals as unknowns
+        # MINPACK's LM needs at least as many residuals as unknowns
         return "lm" if self.neq >= len(self.free) else "trf"
+
+    def _Qh(self, h) -> np.ndarray:
+        return (self.Qf @ h).reshape(self.L.shape)
 
     def X(self, h) -> np.ndarray:
         return self.X0 + (h @ self.B).reshape(self.X0.shape)
 
     def residual(self, h) -> np.ndarray:
-        r = self.a + (self.L + 0.5 * (self.Q @ h)) @ h
+        r = self.a + (self.L + 0.5 * self._Qh(h)) @ h
         if self.tail:
-            r = np.concatenate([r, np.linalg.eigvalsh(self.X(h))[: self.tail]])
+            r = np.concatenate([r, _syevd(self.X(h), 0)[0][: self.tail]])
         return r
 
     def jacobian(self, h) -> np.ndarray:
-        J = self.L + self.Q @ h
+        J = self.L + self._Qh(h)
         if self.tail:
-            Qt = np.linalg.eigh(self.X(h))[1][:, : self.tail]
+            Qt = np.ascontiguousarray(_syevd(self.X(h), 1)[1][:, : self.tail])
             # d lambda_k / dh_l = Qt_k^T B_l Qt_k, against the flattened outer products
             outer = (Qt[:, None, :] * Qt[None, :, :]).reshape(-1, self.tail)
-            J = np.vstack([J, (self.B @ outer).T])
+            J = np.concatenate([J, (self.B @ outer).T])
         return J
 
     def fit(self, h0: np.ndarray, max_nfev: int) -> np.ndarray:
@@ -377,8 +425,10 @@ class PolySystem:
         ty, dty = jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, np.asarray(y, float))
         return tx, dtx, ty, dty
 
-    def _stack(self, tx, ty, d):
-        return np.array([tx[d - k] * ty[k] for k in range(d + 1)])
+    @staticmethod
+    def _stack(a, b, d):
+        """Rows a_{d-k} b_k, k = 0..d, of two (n + 1, points) tables."""
+        return a[d::-1] * b[: d + 1]
 
     def values(self, x, y) -> np.ndarray:
         tx, _, ty, _ = self._tables(x, y)
@@ -388,21 +438,14 @@ class PolySystem:
         return F
 
     def values_and_jacobian(self, x, y):
-        n = self.n
         tx, dtx, ty, dty = self._tables(x, y)
-        Pn = self._stack(tx, ty, n)
-        Pnx = np.array([dtx[n - k] * ty[k] for k in range(n + 1)])
-        Pny = np.array([tx[n - k] * dty[k] for k in range(n + 1)])
-        F = self.coeff_n @ Pn
-        Jx = self.coeff_n @ Pnx
-        Jy = self.coeff_n @ Pny
+
+        def stacks(d):  # the members of degree d and their x and y derivatives
+            return self._stack(tx, ty, d), self._stack(dtx, ty, d), self._stack(tx, dty, d)
+
+        F, Jx, Jy = (self.coeff_n @ P for P in stacks(self.n))
         if self.coeff_nm1 is not None:
-            Pm = self._stack(tx, ty, n - 1)
-            Pmx = np.array([dtx[n - 1 - k] * ty[k] for k in range(n)])
-            Pmy = np.array([tx[n - 1 - k] * dty[k] for k in range(n)])
-            F = F + self.coeff_nm1 @ Pm
-            Jx = Jx + self.coeff_nm1 @ Pmx
-            Jy = Jy + self.coeff_nm1 @ Pmy
+            F, Jx, Jy = (G + self.coeff_nm1 @ P for G, P in zip((F, Jx, Jy), stacks(self.n - 1)))
         return F, Jx, Jy
 
 

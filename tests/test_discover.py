@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from cubasquare.basis2d import three_term
@@ -16,6 +17,7 @@ from cubasquare.discover import (
     KNOWN_ODD_HANKEL,
     CommonZeroError,
     HankelParam,
+    PolySystem,
     align_to_reference,
     canonical_complement_combos,
     common_zeros,
@@ -24,6 +26,7 @@ from cubasquare.discover import (
     _HankelSystem,
     gamma_coefficient,
     hankel_matrix,
+    least_squares,
     odd_system_residual,
     odd_system_search,
     odd_system_solve,
@@ -256,6 +259,104 @@ class TestQuadraticForm:
     def test_q_symmetric(self, mode, n):
         Q = _HankelSystem(mode, n).Q
         assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
+
+
+def hankel_systems():
+    """Every Hankel system of n = 3..7: even, odd and penalised odd, full and
+    restricted, as (label, system)."""
+    for n in range(3, 8):
+        for mode, rp in (("even", False), ("odd", False), ("odd", True)):
+            system = _HankelSystem(mode, n, rp)
+            for sub in (False, True):
+                yield f"{mode}{n}-{'pen' if rp else 'alg'}-{'sub' if sub else 'full'}", (
+                    system.restricted() if sub else system)
+
+
+LM_SYSTEMS = [pytest.param(s, id=label) for label, s in hankel_systems() if s.method == "lm"]
+TRF_SYSTEMS = [pytest.param(s, id=label) for label, s in hankel_systems() if s.method == "trf"]
+FIT_TOLS = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
+
+
+def fixed_starts(system, count=3):
+    rng = np.random.default_rng(len(system.free) + 100 * system.neq)
+    return [rng.uniform(-1.0, 1.0, len(system.free)) * system.scale * 3.0 ** rng.integers(-1, 2)
+            for _ in range(count)]
+
+
+class TestLeastSquares:
+    """``discover.least_squares`` (MINPACK through ``leastsq``) against scipy's
+    ``least_squares``, and the LAPACK rank tail against numpy's eigensolvers."""
+
+    @pytest.mark.parametrize("system", LM_SYSTEMS)
+    def test_lm_matches_scipy_least_squares(self, system):
+        for x0 in fixed_starts(system):
+            got = least_squares(system.residual, x0, jac=system.jacobian, method="lm",
+                                max_nfev=600, **FIT_TOLS)
+            ref = scipy.optimize.least_squares(system.residual, x0, jac=system.jacobian,
+                                               method="lm", max_nfev=600, **FIT_TOLS)
+            assert np.abs(got.x - ref.x).max() <= 1e-12 * system.scale
+            assert np.abs(got.fun - ref.fun).max() <= 1e-12 * np.abs(system.a).max()
+            assert (got.nfev, got.njev, got.status) == (ref.nfev, ref.njev, ref.status)
+
+    @pytest.mark.parametrize("system", TRF_SYSTEMS)
+    def test_trf_is_scipy_least_squares(self, system):
+        x0 = fixed_starts(system, 1)[0]
+        got = least_squares(system.residual, x0, jac=system.jacobian, method="trf",
+                            max_nfev=400, **FIT_TOLS)
+        ref = scipy.optimize.least_squares(system.residual, x0, jac=system.jacobian,
+                                           method="trf", max_nfev=400, **FIT_TOLS)
+        assert np.array_equal(got.x, ref.x)
+        assert (got.nfev, got.njev, got.status) == (ref.nfev, ref.njev, ref.status)
+        assert np.array_equal(got.optimality, ref.optimality)
+
+    @pytest.mark.parametrize("system", [pytest.param(s, id=label) for label, s in hankel_systems()
+                                        if s.tail])
+    def test_rank_tail_matches_numpy_eigensolvers(self, system):
+        """dsyevd's tail and its Jacobian rows against np.linalg.eigvalsh/eigh
+        and d lambda_k / dh_l = q_k^T B_l q_k written out."""
+        m = system.X0.shape[0]
+        B = system.B.reshape(-1, m, m)
+        for x in fixed_starts(system):
+            X, P = system.X(x), system.neq - system.tail
+            ref_r = np.concatenate([system.a + (system.L + 0.5 * (system.Q @ x)) @ x,
+                                    np.linalg.eigvalsh(X)[: system.tail]])
+            q = np.linalg.eigh(X)[1][:, : system.tail]
+            ref_J = np.vstack([system.L + system.Q @ x, np.einsum("ik,lij,jk->kl", q, B, q)])
+            r, J = system.residual(x), system.jacobian(x)
+            assert np.abs(r[:P] - ref_r[:P]).max() <= 1e-14 * np.abs(ref_r[:P]).max()
+            assert np.abs(r[P:] - ref_r[P:]).max() <= 1e-14 * np.abs(ref_r[P:]).max()
+            assert np.abs(J - ref_J).max() <= 1e-14 * np.abs(ref_J).max()
+
+
+def reference_poly_system(n, coeff_n, coeff_nm1, x, y):
+    """F, dF/dx, dF/dy of a PolySystem, its members formed one k at a time."""
+    from cubasquare.univariate import jacobi_normalized_table_with_derivative as table
+
+    tx, dtx = table(0.0, 0.0, n, x)
+    ty, dty = table(0.0, 0.0, n, y)
+    out = None
+    for c, d in ((coeff_n, n), (coeff_nm1, n - 1)):
+        if c is None:
+            continue
+        P = [np.array([a[d - k] * b[k] for k in range(d + 1)]) for a, b in ((tx, ty), (dtx, ty), (tx, dty))]
+        part = [c @ p for p in P]
+        out = part if out is None else [o + p for o, p in zip(out, part)]
+    return out
+
+
+class TestPolySystemStacks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("with_nm1", [False, True])
+    def test_bitwise_equal_to_per_member_loop(self, n, with_nm1):
+        rng = np.random.default_rng(n)
+        coeff_n = rng.standard_normal((3, n + 1))
+        coeff_nm1 = rng.standard_normal((3, n)) if with_nm1 else None
+        x, y = rng.uniform(-1.3, 1.3, (2, 257))
+        system = PolySystem(n, coeff_n, coeff_nm1)
+        F, Jx, Jy = reference_poly_system(n, coeff_n, coeff_nm1, x, y)
+        got = system.values_and_jacobian(x, y)
+        assert all(np.array_equal(g, r) for g, r in zip(got, (F, Jx, Jy)))
+        assert np.array_equal(system.values(x, y), F)
 
 
 class TestFixtures:

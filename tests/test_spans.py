@@ -20,3 +20,26 @@ def test_span_plan_installs_and_uninstalls(memory, monkeypatch):
         tracer.uninstall()
     assert patched
     assert all(getattr(obj, name) is original for obj, name, original in patched)
+
+
+def test_traced_discover_run_counts_the_lm_layers(monkeypatch, capsys):
+    """A traced ``discover`` command reaches the wrapped LM entry point, so the
+    discovery layers cannot read 0 while the fits run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import spans
+
+    from cubasquare import cli
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["discover", "odd", "5", "--seeds", "1", "--rng", "0"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["discover.lm"] > 0
+    assert tracer.counts["discover.lm.nfev"] > 0
+    assert tracer.counts["discover.lm.njev"] > 0
+    for group in ("discover.residual", "discover.jacobian"):
+        assert tracer.calls[group] > 0
+        assert tracer.self_s[group] > 0
