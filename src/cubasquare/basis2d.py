@@ -355,11 +355,9 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     _, rby = jacobi_recurrence(ay[0], ay[1], n + 2)
     cx = np.sqrt(rbx)
     cy = np.sqrt(rby)
-    A1 = np.zeros((n + 1, n + 2))
-    A2 = np.zeros((n + 1, n + 2))
-    for k in range(n + 1):
-        A1[k, k] = cx[n - k + 1]
-        A2[k, k + 1] = cy[k + 1]
+    A1, A2, k = np.zeros((n + 1, n + 2)), np.zeros((n + 1, n + 2)), np.arange(n + 1)
+    A1[k, k] = cx[n - k + 1]
+    A2[k, k + 1] = cy[k + 1]
     Z = np.zeros((n + 1, n + 1))
     return ThreeTermCoefficients(n=n, A1=A1, A2=A2, B1=Z, B2=Z.copy())
 
@@ -427,30 +425,14 @@ def star_spec_cheb1(n: int) -> KernelStarSpec:
     Even n: vanishing = symmetric combinations (sigma = n/2 complement).
     Odd n: vanishing = antisymmetric combinations (sigma = (n+1)/2).
     """
-    m = n // 2
-    rt = 1.0 / np.sqrt(2.0)
-    if n % 2 == 0:
-        p = np.zeros((m + 1, n + 1))
-        for k in range(m):
-            p[k, k] = rt
-            p[k, n - k] = rt
-        p[m, m] = 1.0
-        q = np.zeros((m, n + 1))
-        for k in range(m):
-            q[k, k] = rt
-            q[k, n - k] = -rt
-        sigma = m
-    else:
-        nv = m + 1
-        p = np.zeros((nv, n + 1))
-        q = np.zeros((nv, n + 1))
-        for k in range(nv):
-            p[k, k] = rt
-            p[k, n - k] = -rt
-            q[k, k] = rt
-            q[k, n - k] = rt
-        sigma = m + 1
-    return KernelStarSpec(weight=cheb1(), n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
+    m, rt, k = n // 2, 1.0 / np.sqrt(2.0), np.arange((n + 1) // 2)  # pairs (k, n - k), k < n - k
+    plus, minus = np.zeros((2, len(k), n + 1))
+    plus[k, k] = plus[k, n - k] = minus[k, k] = rt
+    minus[k, n - k] = -rt
+    if n % 2:
+        return KernelStarSpec(weight=cheb1(), n=n, sigma=m + 1, q_coeffs=plus, p_coeffs=minus)
+    middle = np.eye(1, n + 1, m)  # T_m(x) T_m(y), its own symmetric combination
+    return KernelStarSpec(weight=cheb1(), n=n, sigma=m, q_coeffs=minus, p_coeffs=np.vstack([plus, middle]))
 
 
 def star_spec_gencheb(alpha: float, beta: float, n: int) -> KernelStarSpec:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: nodes, rule, verify, interp, lebesgue, discover, plot.
+Subcommands: nodes, rule, verify, interp, lebesgue, discover.
 Exit codes: 0 success / verification pass, 1 verification failure,
 2 usage or parse errors.  Every command is deterministic given its
 flags and random seed.
@@ -34,7 +34,7 @@ from .nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from .weights import constant
+from .weights import _gencheb_halfint, constant, gencheb
 
 __all__ = ["main"]
 
@@ -67,19 +67,21 @@ def _check_parity(family: str, n: int):
         raise UsageError("family 'nearmint' needs odd n")
 
 
+def _check_oracle(family: str, alpha: float, beta: float):
+    """Refuse, before any build, gencheb (alpha, beta) the moment oracle cannot handle."""
+    if family == "gencheb":
+        try:
+            _gencheb_halfint(gencheb(alpha, beta))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+
+
 def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
     _check_parity(family, n)
-    if family == "gaussu":
-        return gauss_u_nodes(n)
-    if family == "mint":
-        return min_t_nodes_even(n)
-    if family == "nearmint":
-        return near_min_t_nodes_odd(n)
-    if family == "padua":
-        return padua_points(n)
     if family == "gencheb":
         return gencheb_nodes(alpha, beta, n)
-    raise UsageError(f"unknown family {family!r}; choose from {_FAMILIES}")
+    return {"gaussu": gauss_u_nodes, "mint": min_t_nodes_even, "nearmint": near_min_t_nodes_odd,
+            "padua": padua_points}[family](n)
 
 
 def _kernel_family_name(family: str) -> str:
@@ -94,11 +96,13 @@ def _table_family(args) -> tuple[str, list[int]]:
     n_list = [int(s) for s in n_list.split(",")]
     for n in n_list:
         _check_parity(args.family, n)
+    _check_oracle(args.family, args.alpha, args.beta)
     return _kernel_family_name(args.family), n_list
 
 
 def _build_rule(family: str, n: int, alpha: float, beta: float):
     _check_parity(family, n)
+    _check_oracle(family, alpha, beta)
     return family_rule(_kernel_family_name(family), n, alpha, beta)[3]
 
 
@@ -110,26 +114,21 @@ def _write_out(text: str, path: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _maybe_svg(ns: NodeSet, svg_path: str | None, with_curve: bool):
-    if not svg_path:
-        return
-    curve = None
-    if with_curve and ns.family == "padua":
-        t = np.linspace(0.0, 2.0 * np.pi, 4000)
-        curve = lissajous_curve_point(ns.n, t)
-    _write_out(nodes_svg(ns.points, curve=curve, title=f"{ns.family} n={ns.n}"), svg_path)
-
-
 def cmd_nodes(args) -> int:
     ns = _build_nodes(args.family, args.n, args.alpha, args.beta)
     _write_out(json.dumps(ns.to_dict(), indent=2), args.out)
-    _maybe_svg(ns, args.svg, args.curve)
+    if args.svg:
+        curve = None
+        if args.curve and ns.family == "padua":
+            curve = lissajous_curve_point(ns.n, np.linspace(0.0, 2.0 * np.pi, 4000))
+        _write_out(nodes_svg(ns.points, curve=curve, title=f"{ns.family} n={ns.n}"), args.svg)
     return 0
 
 
 def cmd_rule(args) -> int:
     rule = _build_rule(args.family, args.n, args.alpha, args.beta)
-    rule.oracle_report = exactness_check(rule)
+    if rule.oracle_report is None:  # the closed-form builds carry theirs
+        rule.oracle_report = exactness_check(rule)
     _write_out(json.dumps(rule_to_dict(rule), indent=2), args.out)
     return 0 if rule.oracle_report.passed else 1
 
@@ -200,53 +199,38 @@ def cmd_lebesgue(args) -> int:
 def cmd_discover(args) -> int:
     from . import discover as dsc  # imported here: scipy.optimize is slow to load
 
-    n = args.n
-    report: dict = {"mode": args.mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
-    rules = []
-    if args.mode == "even":
+    n, mode = args.n, args.mode
+    report: dict = {"mode": mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
+    # each solution's Hankel entries and the polynomials whose common zeros are its nodes
+    if mode == "even":
         sols = dsc.solve_even_system(n, seeds=args.seeds, rng_seed=args.rng)
-        report["solutions"] = [[format(v, ".17g") for v in s.h] for s in sols]
-        ref = dsc.KNOWN_EVEN_HANKEL.get(n)
-        if ref is not None:
-            entry = {"reference_residual": float(np.abs(dsc.even_system_residual(n, ref)).max())}
-            if sols:
-                entry["best_distance"] = min(
-                    dsc.align_to_reference(s.h, ref.h, "even")[1] for s in sols
-                )
-            report["reference_match"] = entry
-        for idx, s in enumerate(sols):
-            try:
-                pts = dsc.common_zeros(dsc.even_system_polys(n, s), n * (n + 1) // 2)
-            except dsc.CommonZeroError:
-                continue
-            ns = NodeSet(points=pts, family="discovered_even", n=n, expected_count=len(pts),
-                         provenance=f"even-system solution {idx}")
-            rule = weights_from_vandermonde(ns, constant(), 2 * n - 2)
-            rule.oracle_report = exactness_check(rule)
-            rules.append((idx, rule))
+        hs, polys = [s.h for s in sols], [dsc.even_system_polys(n, s) for s in sols]
+        count, degree, ref = n * (n + 1) // 2, 2 * n - 2, dsc.KNOWN_EVEN_HANKEL.get(n)
     else:
         search = dsc.odd_system_search(n, seeds=args.seeds, rng_seed=args.rng)
-        report["solutions"] = [[format(v, ".17g") for v in s.hankel.h] for s in search.verified]
+        hs = [s.hankel.h for s in search.verified]
+        polys = [dsc.orthogonal_polys_from_U(n, s.U) for s in search.verified]
+        count, degree, ref = n * (n + 1) // 2 + n // 2, 2 * n - 1, dsc.KNOWN_ODD_HANKEL.get(n)
+    report["solutions"] = [[format(v, ".17g") for v in h] for h in hs]
+    if mode == "odd":
         report["algebraic_only"] = [[format(v, ".17g") for v in s.h] for s in search.algebraic_only]
-        nmin1 = n * (n + 1) // 2 + n // 2
-        for idx, s in enumerate(search.verified):
-            try:
-                pts = dsc.common_zeros(dsc.orthogonal_polys_from_U(n, s.U), nmin1)
-            except dsc.CommonZeroError:
-                continue
-            ns = NodeSet(points=pts, family="discovered_odd", n=n, expected_count=len(pts),
-                         provenance=f"odd-system solution {idx}")
-            rule = weights_from_vandermonde(ns, constant(), 2 * n - 1)
-            rule.oracle_report = exactness_check(rule)
-            rules.append((idx, rule))
-        ref = dsc.KNOWN_ODD_HANKEL.get(n)
-        if ref is not None:
-            entry = {"reference_residual": float(np.abs(dsc.odd_system_residual(n, ref)).max())}
-            if search.verified:
-                entry["best_distance"] = min(
-                    dsc.align_to_reference(s.hankel.h, ref.h, "odd")[1] for s in search.verified
-                )
-            report["reference_match"] = entry
+    if ref is not None:
+        residual = dsc.even_system_residual if mode == "even" else dsc.odd_system_residual
+        entry = {"reference_residual": float(np.abs(residual(n, ref)).max())}
+        if hs:
+            entry["best_distance"] = min(dsc.align_to_reference(h, ref.h, mode)[1] for h in hs)
+        report["reference_match"] = entry
+    rules = []
+    for idx, p in enumerate(polys):
+        try:
+            pts = dsc.common_zeros(p, count)
+        except dsc.CommonZeroError:
+            continue
+        ns = NodeSet(points=pts, family=f"discovered_{mode}", n=n, expected_count=len(pts),
+                     provenance=f"{mode}-system solution {idx}")
+        rule = weights_from_vandermonde(ns, constant(), degree)
+        rule.oracle_report = exactness_check(rule)
+        rules.append((idx, rule))
     if not rules and not report.get("solutions"):
         report["status"] = "not-found"
         report["note"] = "no solution found with these seeds; nonexistence is not established"
@@ -262,12 +246,6 @@ def cmd_discover(args) -> int:
             with open(path, "w") as fh:
                 json.dump(entry, fh, indent=2)
     _write_out(json.dumps(report, indent=2), args.out)
-    return 0
-
-
-def cmd_plot(args) -> int:
-    ns = _build_nodes(args.family, args.n, args.alpha, args.beta)
-    _maybe_svg(ns, args.svg, args.curve)
     return 0
 
 
@@ -312,7 +290,11 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--norm", choices=("sup", "L2"), default="sup")
     q.set_defaults(fn=cmd_interp)
 
-    q = sub.add_parser("lebesgue", help="Lebesgue constant table")
+    q = sub.add_parser("lebesgue", help="Lebesgue constant table",
+                       description="Lebesgue constant table on the R x R Chebyshev-Lobatto grid.  Cost per "
+                       "node: m + 1 multiply-adds per grid point kept and dim = (m + 1)(m + 2) / 2 per "
+                       "x point kept (m the interpolant's degree); the verified reflections of the node "
+                       "set keep half or a quarter of the grid.  mint 64 at R = 256: 2.8e9 multiply-adds.")
     add_family(q, with_n=False)
     add_table(q, resolution=256)
     q.set_defaults(fn=cmd_lebesgue)
@@ -325,12 +307,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None)
     q.add_argument("--out-dir", default=None)
     q.set_defaults(fn=cmd_discover)
-
-    q = sub.add_parser("plot", help="render a node family to SVG")
-    add_family(q)
-    q.add_argument("--svg", required=True)
-    q.add_argument("--curve", action="store_true")
-    q.set_defaults(fn=cmd_plot)
     return p
 
 

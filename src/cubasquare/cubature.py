@@ -125,10 +125,14 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     if len(nodes) != lo + sigma:
         raise CubatureError(f"interpolation space dimension {lo + sigma} != node count {len(nodes)}")
     closed = sigma > 0 and weight_string(w) == "cheb1"
-    w_unit, blocks, failures = None, _basis_blocks(basis, n, pts), []
+    w_unit, blocks, failures, report = None, _basis_blocks(basis, n, pts), [], None
     if closed:
+        # the moments through 2n + 2 once: the build check through 2n - 1
+        # and the rule's oracle report, as exactness_check would give it
         w_unit = _closed_form_weights(pts)
-        resid = float(_degree_residuals(w, pts, basis.mass * w_unit, 2 * n - 1).max())
+        residuals = _degree_residuals(w, pts, basis.mass * w_unit, 2 * n + 2)
+        report = _exactness_report(2 * n - 1, residuals)
+        resid = float(residuals[:2 * n].max())
         if not resid <= 1e-10:
             failures.append(f"closed-form weights miss the moments through degree {2 * n - 1} "
                             f"(residual {resid:.2e})")
@@ -145,6 +149,7 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
         nodes=nodes,
         lambdas=basis.mass * w_unit if closed else basis.mass / kdiag,
         provenance=f"{'closed-form' if closed else 'kernel'} weights, sigma={sigma}, {nodes.provenance}",
+        oracle_report=report,
     )
     return rule, spec
 
@@ -263,9 +268,13 @@ def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 
     to show one.  Degrees up to declared + extra are scanned to locate the
     first failing total degree.
     """
-    deg = rule.degree
-    hi = deg + extra_degrees
-    residuals = _degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, hi)
+    residuals = _degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, rule.degree + extra_degrees)
+    return _exactness_report(rule.degree, residuals, tol)
+
+
+def _exactness_report(deg: int, residuals: np.ndarray, tol: float = 1e-9) -> ExactnessReport:
+    """The report for declared degree ``deg`` from the per-degree residuals
+    through degree len(residuals) - 1."""
     failing = np.flatnonzero(~(residuals <= tol))  # NaN counts as failing
     first_fail = int(failing[0]) if failing.size else None
     max_rel = float(residuals[: deg + 1].max())
@@ -274,7 +283,7 @@ def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 
         declared_degree=deg,
         max_rel_error=max_rel,
         first_failure_degree=first_fail,
-        checked_through=hi,
+        checked_through=len(residuals) - 1,
         exact_beyond_declared=first_fail is None or first_fail > deg + 1,
         residuals=tuple(residuals.tolist()),
     )
@@ -349,20 +358,10 @@ def rule_from_dict(d: dict) -> CubatureRule:
         beta=d.get("beta"),
         provenance="loaded from file",
     )
-    rep = d.get("oracle_report")
-    report = (
-        ExactnessReport(
-            passed=rep["passed"],
-            declared_degree=rep["declared_degree"],
-            max_rel_error=rep["max_rel_error"],
-            first_failure_degree=rep["first_failure_degree"],
-            checked_through=rep["checked_through"],
-            exact_beyond_declared=rep["exact_beyond_declared"],
-            residuals=None if rep.get("residuals") is None else tuple(rep["residuals"]),
-        )
-        if rep
-        else None
-    )
+    rep, report = d.get("oracle_report"), None
+    if rep:  # files written before the residuals were recorded have none
+        rep = dict(rep, residuals=None if rep.get("residuals") is None else tuple(rep["residuals"]))
+        report = ExactnessReport(**{name: rep[name] for name in ExactnessReport.__dataclass_fields__})
     return CubatureRule(
         weight=parse_weight(d["weight"]),
         degree=int(d["degree"]),

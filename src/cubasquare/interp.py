@@ -8,8 +8,11 @@ the rows T_{d-k}(x) T_k(y) with d <= m, converted to it from the family's
 orthonormal basis once, at build time.  Lebesgue constants are
 estimated from below on Chebyshev-Lobatto tensor grids (nested when the
 resolution goes R -> 2R-1, so the estimate is monotone along that
-refinement path); there the cardinal values factor into one x-degree and
-one y-degree contraction with the table T_i(g) of the 1-D grid g.
+refinement path); there the cardinal values factor into an x-degree
+contraction over the total-degree triangle and a y-degree one with the
+table T_i(g) of the 1-D grid g, and Lambda is evaluated on one point of
+each orbit of the reflections verified on the nodes and on the factor
+(2.8e9 multiply-adds at n = 64, R = 256, from 1.1e10).
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
     _cheb_total_degree_rows,
+    _degree_pairs,
     _kernel_star_node_factor,
-    _square,
     basis_for,
+    dim_upto,
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
@@ -158,6 +162,30 @@ def _lobatto_grid(resolution: int) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
+def _reflections(interp: Interpolant) -> set[str]:
+    """Reflections "x" (x -> -x), "y" (y -> -y), "central" ((x, y) -> (-x, -y))
+    verified to map the Lebesgue function onto itself: the nodes map onto
+    themselves, z_pi(k) = sigma z_k to 1e-12 (paired by sorting coordinates
+    rounded to 2^-30), and D factor == factor[:, pi] to 1e-12 relative with
+    D = (-1)^i, (-1)^j or (-1)^(i+j) on the rows T_i(x) T_j(y), compared
+    through one product with a fixed random vector (O(dim + N) memory).
+    Then ell_k(sigma p) = ell_pi(k)(p), so Lambda(sigma p) = Lambda(p)."""
+    pts, factor = interp.nodes.points, interp.factor
+    i, j = _degree_pairs(interp.degree)
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, len(factor))
+    vf, order = v @ factor, np.lexsort(np.rint(pts * 2**30).T[::-1])
+    tol = 1e-12 * max(factor.max(), -factor.min()) * np.abs(v).sum()
+    found = set()
+    for name, sx, sy in (("x", 1, 0), ("y", 0, 1), ("central", 1, 1)):
+        image = pts * [(-1) ** sx, (-1) ** sy]
+        pi = np.empty(len(pts), dtype=int)
+        pi[np.lexsort(np.rint(image * 2**30).T[::-1])] = order
+        if (np.abs(pts[pi] - image).max() <= 1e-12
+                and np.abs((v * (-1.0) ** (sx * i + sy * j)) @ factor - vf[pi]).max() <= tol):
+            found.add(name)
+    return found
+
+
 def lebesgue_constant(
     family: str,
     n: int,
@@ -165,23 +193,40 @@ def lebesgue_constant(
     alpha: float = 0.5,
     beta: float = 0.5,
 ) -> float:
-    """Lower estimate of the sup-norm Lebesgue constant on a tensor grid."""
+    """Lower estimate of the sup-norm Lebesgue constant on a tensor grid.
+
+    Lambda = sum_k |ell_k| is evaluated on one point of each orbit of the
+    reflections that ``_reflections`` verifies: an x or y reflection keeps
+    the Lobatto points g >= 0 of that axis, the central one alone those of
+    y.  Per node, the x-contraction runs over the total-degree triangle and
+    the y-contraction over the m + 1 y-degrees.  At n = 64, R = 256 (minimal
+    nodes, both axes halved) that is 2112 x (2145 x 128 + 65 x 128^2) =
+    2.8e9 multiply-adds, against 1.1e10 on the full grid with the
+    zero-filled (m + 1)^2 square.
+    """
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
     nodes, spec, w, _ = family_rule(family, n, alpha, beta)
     interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
-    # ell_k(g_a, g_b) = sum_i T_i(g_a) sum_j T_j(g_b) factor[(i, j), k]: per
-    # block of nodes, contract the x-degree, then the y-degree, and add the
-    # |ell_k| into the running sums over k at every grid point.
-    m, R = interp.degree, grid_resolution
-    tg = chebyshev_t_table(m, _lobatto_nodes(R))
-    sums = np.zeros((R, R))
+    # ell_k(g_a, g_b) = sum_j T_j(g_b) sum_i T_i(g_a) factor[(i, j), k]: per
+    # block of nodes, contract the x-degree on each y-degree j (rows
+    # dim_upto(d-1) + j, d = j..m), then the y-degree, and add the |ell_k|
+    # into the running sums over k at every grid point.
+    m, R, factor = interp.degree, grid_resolution, interp.factor
+    refl, g = _reflections(interp), _lobatto_nodes(R)
+    half = g[:(R + 1) // 2]  # g >= 0, the zero line included for odd R
+    tx = chebyshev_t_table(m, half if "x" in refl else g)
+    ty = chebyshev_t_table(m, half if "y" in refl or refl == {"central"} else g)
+    first = dim_upto(np.arange(m + 1) - 1)  # first row of each degree
+    sums = np.zeros((ty.shape[1], tx.shape[1]))
     step = max(1, _BLOCK_BYTES // (8 * R * R))
-    for s in range(0, interp.factor.shape[1], step):
-        sq = _square(interp.factor[:, s:s + step], m).T            # (k, j, i)
-        w = sq.reshape(-1, m + 1) @ tg                             # (k j, a)
-        L = np.matmul(tg.T, w.reshape(len(sq), m + 1, R))          # (k, b, a)
-        sums += np.abs(L, out=L).sum(axis=0)
+    for s in range(0, factor.shape[1], step):
+        blk = factor[:, s:s + step]
+        W = np.empty((m + 1, blk.shape[1], tx.shape[1]))           # (j, k, a)
+        for j in range(m + 1):
+            np.matmul(blk[first[j:] + j].T, tx[:m + 1 - j], out=W[j])
+        L = (ty.T @ W.reshape(m + 1, -1)).reshape(len(sums), blk.shape[1], -1)  # (b, k, a)
+        sums += np.abs(L, out=L).sum(axis=1)
     return float(sums.max())
 
 

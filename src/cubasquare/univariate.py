@@ -33,17 +33,23 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
-def eval_chebyshev_t(n: int, x):
-    """Chebyshev polynomial of the first kind, T_n(x); 0 for n < 0."""
+def _chebyshev(n: int, x, first: float):
+    """Degree n of the recurrence p_{k+1} = 2 x p_k - p_{k-1} from p_0 = 1 and
+    p_1 = first * x; 0 for n < 0."""
     x = _as_array(x)
     if n < 0:
         return np.zeros_like(x)
     if n == 0:
         return np.ones_like(x)
-    pm, p = np.ones_like(x), x.copy()
+    pm, p = np.ones_like(x), first * x
     for _ in range(1, n):
         pm, p = p, 2.0 * x * p - pm
     return p
+
+
+def eval_chebyshev_t(n: int, x):
+    """Chebyshev polynomial of the first kind, T_n(x); 0 for n < 0."""
+    return _chebyshev(n, x, 1.0)
 
 
 def chebyshev_t_table(n: int, x) -> np.ndarray:
@@ -61,15 +67,7 @@ def chebyshev_t_table(n: int, x) -> np.ndarray:
 
 def eval_chebyshev_u(n: int, x):
     """Chebyshev polynomial of the second kind, U_n(x); 0 for n < 0."""
-    x = _as_array(x)
-    if n < 0:
-        return np.zeros_like(x)
-    if n == 0:
-        return np.ones_like(x)
-    pm, p = np.ones_like(x), 2.0 * x
-    for _ in range(1, n):
-        pm, p = p, 2.0 * x * p - pm
-    return p
+    return _chebyshev(n, x, 2.0)
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int):

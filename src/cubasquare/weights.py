@@ -249,7 +249,6 @@ def moment(w: WeightSpec, i: int, j: int) -> float:
     if (i + j) % 2 == 1:
         return 0.0
     if w.kind == "gencheb":
-        ia, ib = _gencheb_halfint(w)
         X, Y, wts = tensor_oracle(w, i + j)
         return float((wts * X**i * Y**j).sum())
     # product weights separate into two 1-D integrals

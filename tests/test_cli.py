@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cubasquare import cli
 from cubasquare.cli import main
 
 
@@ -26,7 +27,8 @@ def test_parser_does_not_load_scipy_optimize():
     assert done.stdout.strip() == "False"
 
 
-# each subcommand accepts only the flags it reads; --alpha/--beta only for gencheb
+# each subcommand accepts only the flags it reads; --alpha/--beta only for gencheb.
+# `plot` is gone (`nodes --svg` draws the same SVG): its old command lines exit 2
 FLAG_VALUES = {"--gamma": "0.5", "--weight": "cheb1", "--format": "json", "--resolution": "65",
                "--out": "unused.json", "--alpha": "0.3", "--beta": "-0.7"}
 REMOVED_FLAGS = [
@@ -89,6 +91,25 @@ def test_parity_checked_by_every_command(args, tmp_path, capsys):
     assert run(args + ["--out", str(out)]) == 2
     assert "needs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,code", [(["nodes", "gencheb", "8"], 0), (["rule", "gencheb", "8"], 2),
+                                       (["interp", "gencheb", "--n-list", "8"], 2),
+                                       (["lebesgue", "gencheb", "--n-list", "8"], 2)],
+                         ids=["nodes", "rule", "interp", "lebesgue"])
+def test_gencheb_parameters_outside_the_oracle(args, code, tmp_path, capsys, monkeypatch):
+    # nodes exist for every alpha, beta > -1; the moment oracle needs half-integers,
+    # so rule, interp and lebesgue refuse the rest before anything is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the parameters were checked")
+
+    for name in ("family_rule", "convergence_report", "lebesgue_constant"):
+        monkeypatch.setattr(cli, name, no_build)
+    out = tmp_path / "out.txt"
+    assert run(args + ["--alpha", "0.3", "--beta", "-0.2", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "gencheb moment oracle needs alpha, beta in {-1/2, 1/2, 3/2, ...}" in capsys.readouterr().err
 
 
 class TestRuleAndVerify:

@@ -148,6 +148,17 @@ class TestClosedFormWeights:
         c = np.where(np.abs(np.abs(rule.nodes.points) - 1.0) <= 1e-12, 0.5, 1.0)
         assert np.array_equal(rule.lambdas, mass(cheb1()) * (2.0 / (n * (n + 1)) * c[:, 0] * c[:, 1]))
 
+    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("padua", 8)])
+    def test_build_carries_the_oracle_report(self, family, n):
+        rule = family_rule(family, n)[3]
+        assert rule.oracle_report == exactness_check(rule)
+
+    def test_rule_command_computes_the_moments_once(self, tmp_path, monkeypatch):
+        degrees, residuals = [], cubature._degree_residuals
+        monkeypatch.setattr(cubature, "_degree_residuals", lambda *a: degrees.append(a[3]) or residuals(*a))
+        assert main(["rule", "mint", "8", "--out", str(tmp_path / "r.json")]) == 0
+        assert degrees == [2 * 8 + 2]
+
     @pytest.fixture
     def scaled_weight(self, monkeypatch):
         """The closed form with its largest weight scaled by 1 + 1e-6."""

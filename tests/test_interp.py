@@ -1,6 +1,7 @@
 """Tests for interpolation, Lebesgue constants, and convergence diagnostics."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,10 @@ def build(family, n, f_values=None):
             lambda p: kernel_star_matrix(spec, nodes.points, p) / kdiag[:, None])
 
 
-FAMILIES = [("cheb1", 8), ("cheb1", 7), ("cheb2", 8), ("gencheb", 8), ("padua", 8)]
+# reflections verified: x+y (cheb1 8, gencheb 8), central only (cheb1 7,
+# gencheb 9), x only (cheb2 8, padua 8), y only (cheb2 9, padua 9)
+FAMILIES = [("cheb1", 8), ("cheb1", 7), ("cheb2", 8), ("gencheb", 8), ("padua", 8),
+            ("cheb2", 9), ("gencheb", 9), ("padua", 9)]
 
 
 class TestKernelInterpolation:
@@ -171,9 +175,10 @@ class TestLebesgue:
             assert 0.2 <= lam / n**2 <= 0.9
 
     def test_monotone_under_nested_refinement(self):
-        a = lebesgue_constant("cheb1", 6, grid_resolution=65)
-        b = lebesgue_constant("cheb1", 6, grid_resolution=129)
-        assert b >= a - 1e-12
+        for family, n in [("cheb1", 6), ("cheb1", 7), ("padua", 7)]:
+            a = lebesgue_constant(family, n, grid_resolution=65)
+            b = lebesgue_constant(family, n, grid_resolution=129)
+            assert b >= a - 1e-12
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -193,6 +198,41 @@ class TestLebesgue:
     ])
     def test_fixture_values(self, family, n, value):
         assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-13)
+
+
+class TestReflections:
+    """The reflections of the square that ``lebesgue_constant`` may fold the
+    grid by, each verified on the nodes and on the factor."""
+
+    @pytest.mark.parametrize("family,n,want", [
+        ("cheb1", 8, {"x", "y", "central"}), ("cheb1", 9, {"central"}),
+        ("padua", 32, {"x"}), ("padua", 33, {"y"}), ("cheb2", 20, {"x"}), ("cheb2", 21, {"y"}),
+        ("gencheb", 24, {"x", "y", "central"}), ("gencheb", 25, {"central"}),
+    ], ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v))
+    def test_reflections_found(self, family, n, want):
+        assert interp_module._reflections(build(family, n)[0]) == want
+
+    def test_moved_node_refused(self):
+        # the factor alone still passes: the node sort pairs the same nodes
+        interp = build("cheb1", 8)[0]
+        pts = interp.nodes.points.copy()
+        pts[5, 0] += 1e-11
+        assert interp_module._reflections(replace(interp, nodes=replace(interp.nodes, points=pts))) == set()
+
+    def test_perturbed_column_refused(self, monkeypatch):
+        # scaling the column of the node in the x, y < 0 quadrant raises the
+        # Lebesgue function there, off the quarter grid that x+y would keep
+        interp = build("cheb1", 8)[0]
+        k = int(np.argmin(interp.nodes.points.sum(axis=1)))
+        factor = interp.factor.copy()
+        factor[:, k] *= 3.0
+        bent = replace(interp, factor=factor)
+        assert interp_module._reflections(bent) == set()
+        monkeypatch.setattr(interp_module, "interpolate_kernel", lambda *args: bent)
+        ref = np.abs(bent.cardinal_matrix(interp_module._lobatto_grid(65))).sum(axis=0).max()
+        assert lebesgue_constant("cheb1", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
+        monkeypatch.setattr(interp_module, "_reflections", lambda interp: {"x", "y", "central"})
+        assert lebesgue_constant("cheb1", 8, grid_resolution=65) < 0.9 * ref
 
 
 NODE_BLOCK = 7
@@ -240,6 +280,18 @@ def test_lebesgue_memory_bounded(family, n):
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_lebesgue_memory_at_minimal_64():
+    # the 36 MB node factor and its build; a dim x N temporary in the
+    # reflection check or the contraction would add another 36 MB
+    tracemalloc.start()
+    try:
+        lebesgue_constant("cheb1", 64, grid_resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_kernel_factor_memory():
