@@ -122,12 +122,13 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
         super().__init__(weight)
         self._ax, self._ay = _axis_params(weight)
 
+    def axis_tables(self, n: int, x, y):
+        """The per-axis tables p_0..p_n at x and q_0..q_n at y."""
+        return (jacobi_normalized_table(self._ax[0], self._ax[1], n, x),
+                jacobi_normalized_table(self._ay[0], self._ay[1], n, y))
+
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        tx = jacobi_normalized_table(self._ax[0], self._ax[1], n, x)
-        ty = jacobi_normalized_table(self._ay[0], self._ay[1], n, y)
-        return _total_degree_rows(tx, ty)
+        return _total_degree_rows(*self.axis_tables(n, x, y))
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # p_a(x) q_b(y) = sum_ij cx[a, i] cy[b, j] T_i(x) T_j(y): one per-axis

@@ -7,7 +7,16 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .basis2d import _BLOCK_BYTES, KernelStarSpec, _kernel_star_diag, basis_for, dim_upto, three_term
+from .basis2d import (
+    _BLOCK_BYTES,
+    KernelStarSpec,
+    _degree_pairs,
+    _kernel_star_diag,
+    _ProductOrthoBasis2D,
+    basis_for,
+    dim_upto,
+    three_term,
+)
 from .nodes import NodeSet, moeller_count
 from .univariate import chebyshev_t_table
 from .weights import (
@@ -45,7 +54,9 @@ class CubatureRule:
 
     Construction validates positivity and the mass identity
     sum(lambdas) = moment(w, 0, 0); pass ``validate=False`` only when
-    loading untrusted data for re-verification.
+    loading untrusted data for re-verification.  ``oracle_report`` describes
+    the lambdas it was built with; one whose declared degree is not
+    ``degree`` (say after ``dataclasses.replace``) is dropped.
     """
 
     weight: WeightSpec
@@ -59,6 +70,8 @@ class CubatureRule:
     def __post_init__(self, validate: bool = True):
         lam = np.asarray(self.lambdas, dtype=float)
         self.lambdas = lam
+        if self.oracle_report is not None and self.oracle_report.declared_degree != self.degree:
+            self.oracle_report = None
         if len(lam) != len(self.nodes):
             raise CubatureError("weight count does not match node count")
         if not validate:
@@ -101,12 +114,27 @@ def _closed_form_weights(points: np.ndarray) -> np.ndarray:
     return c / c.sum()
 
 
-def _basis_blocks(basis, n: int, pts: np.ndarray):
-    """(start, basis rows of degree <= n) over consecutive node blocks whose
-    rows hold at most ``_BLOCK_BYTES``."""
-    step = max(1, _BLOCK_BYTES // (8 * dim_upto(n)))
+def _row_reductions(F: np.ndarray, n: int, w_unit: np.ndarray | None):
+    """The node reductions of ``_checked_calibration`` as one block, from the
+    basis rows F of degree <= n at every node."""
+    lo = dim_upto(n - 1)
+    return [(0, np.einsum("ij,ij->j", F[:lo], F[:lo]), F[lo:], None if w_unit is None else F[:lo] @ w_unit)]
+
+
+def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray | None):
+    """The node reductions of ``_checked_calibration`` for a product basis
+    p_a(x) q_b(y), over node blocks, from the 1-D tables alone:
+    |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y) with C_j = sum_{b <= j} q_b(y)^2,
+    the degree-n rows p_{n-k}(x) q_k(y), and F_low w, the entries a + b <= n-1
+    of P_x diag(w) P_y^T.  The tables of a block and their products hold at
+    most ``_BLOCK_BYTES``."""
+    dx, dy = _degree_pairs(n - 1)
+    step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
     for s in range(0, len(pts), step):
-        yield s, basis.eval_upto(n, pts[s:s + step, 0], pts[s:s + step, 1])
+        px, py = basis.axis_tables(n, pts[s:s + step, 0], pts[s:s + step, 1])
+        low_sq = np.einsum("ij,ij->j", np.square(px[:n]), np.cumsum(np.square(py[:n]), axis=0)[::-1])
+        low_w = None if w_unit is None else ((px[:n] * w_unit[s:s + step]) @ py[:n].T)[dx, dy]
+        yield s, low_sq, px[n::-1] * py, low_w
 
 
 def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
@@ -114,9 +142,10 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
 
     The cheb1 weights come from their closed form, checked against the
-    moments through degree 2n-1 and over node blocks, so no N x N or dim x N
-    array is formed; the other weights solve the dense N x N unisolvent
-    system first."""
+    moments through degree 2n-1.  Product bases are checked from their 1-D
+    tables over node blocks, so no N x N or dim x N array is formed; the
+    other weights solve the dense N x N unisolvent system first, and gencheb
+    is checked on its basis rows."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w, spec.n)
@@ -125,7 +154,7 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     if len(nodes) != lo + sigma:
         raise CubatureError(f"interpolation space dimension {lo + sigma} != node count {len(nodes)}")
     closed = sigma > 0 and weight_string(w) == "cheb1"
-    w_unit, blocks, failures, report = None, _basis_blocks(basis, n, pts), [], None
+    w_unit, failures, report = None, [], None
     if closed:
         # the moments through 2n + 2 once: the build check through 2n - 1
         # and the rule's oracle report, as exactness_check would give it
@@ -136,13 +165,16 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
         if not resid <= 1e-10:
             failures.append(f"closed-form weights miss the moments through degree {2 * n - 1} "
                             f"(residual {resid:.2e})")
-    elif sigma:
+    if isinstance(basis, _ProductOrthoBasis2D) and (closed or not sigma):
+        reductions = _separable_reductions(basis, n, pts, w_unit)
+    else:
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        rhs = np.zeros(len(nodes))
-        rhs[0] = F[0, 0]  # constant member value (= 1)
-        w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
-        blocks = [(0, F)]
-    spec, kdiag = _checked_calibration(spec, blocks, w_unit, len(nodes), failures)
+        if sigma and not closed:
+            rhs = np.zeros(len(nodes))
+            rhs[0] = F[0, 0]  # constant member value (= 1)
+            w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
+        reductions = _row_reductions(F, n, w_unit)
+    spec, kdiag = _checked_calibration(spec, reductions, w_unit, len(nodes), failures)
     rule = CubatureRule(
         weight=w,
         degree=2 * n - 1 if sigma else 2 * n - 2,
@@ -154,29 +186,30 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     return rule, spec
 
 
-def _checked_calibration(spec: KernelStarSpec, blocks, w_unit: np.ndarray | None, count: int,
+def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray | None, count: int,
                          failures: list[str]):
     """Check a kernel spec, and unit-mass weights ``w_unit`` on it, over node
-    blocks (start, basis rows of degree <= n) of ``count`` nodes; return the
-    spec calibrated with S = (Q w) Q^T and mass * K*(z_k, z_k).
+    blocks of ``count`` nodes; return the spec calibrated with S = (Q w) Q^T
+    and mass * K*(z_k, z_k).  Each block of ``reductions`` is (start,
+    |F_low|^2, degree-n rows, F_low w over the block or None), with F_low the
+    basis rows of degree <= n-1.
 
     The vanishing combinations must vanish on the nodes.  For sigma > 0, the
     weights must also satisfy the unisolvent equations [F_low; Q] w = e_0,
     K* must be positive, and mass / K* must reproduce mass * w; every failing
     one of these is named in the error, after the earlier ``failures``.
     """
-    lo = dim_upto(spec.n - 1)
     low_sq = np.empty(count)  # |F_low(z_k)|^2
     Q = np.empty((spec.sigma, count))
-    low_w = np.zeros(lo)  # F_low w
+    low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w
     van = 0.0
-    for s, F in blocks:
-        e = s + F.shape[1]
-        van = max(van, float(np.abs(spec.p_coeffs @ F[lo:]).max(initial=0.0)))
-        low_sq[s:e] = np.einsum("ij,ij->j", F[:lo], F[:lo])
-        Q[:, s:e] = spec.q_coeffs @ F[lo:]
-        if w_unit is not None:
-            low_w += F[:lo] @ w_unit[s:e]
+    for s, sq, Fn, lw in reductions:
+        e = s + len(sq)
+        van = max(van, float(np.abs(spec.p_coeffs @ Fn).max(initial=0.0)))
+        low_sq[s:e] = sq
+        Q[:, s:e] = spec.q_coeffs @ Fn
+        if lw is not None:
+            low_w += lw
     if van > 1e-8:
         raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e})")
     if not spec.sigma:

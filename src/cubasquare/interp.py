@@ -4,20 +4,25 @@ convergence diagnostics.
 Every family, the Padua points included, interpolates through the
 cardinal functions K*(., z_k)/K*(z_k, z_k).  Every interpolant of degree m
 keeps one node-side factor in the product-Chebyshev total-degree basis,
-the rows T_{d-k}(x) T_k(y) with d <= m, converted to it from the family's
-orthonormal basis once, at build time.  Lebesgue constants are
-estimated from below on Chebyshev-Lobatto tensor grids (nested when the
-resolution goes R -> 2R-1, so the estimate is monotone along that
-refinement path); there the cardinal values factor into an x-degree
-contraction over the total-degree triangle and a y-degree one with the
-table T_i(g) of the 1-D grid g, and Lambda is evaluated on one point of
-each orbit of the reflections verified on the nodes and on the factor
-(2.8e9 multiply-adds at n = 64, R = 256, from 1.1e10).
+the rows T_{d-k}(x) T_k(y) with d <= m, formed once, at build time.  For
+the cheb1 weight (minimal, near-minimal and Padua nodes) the orthonormal
+basis is s_a s_b T_a(x) T_b(y) with s_0 = 1 and s_a = sqrt 2, so the factor
+comes from the 1-D Chebyshev tables and one row scaling; the other weights
+convert theirs from their orthonormal basis.  The interpolant is evaluated
+through its (m + 1)^2 coefficient square and the 1-D tables at the points.
+
+Lebesgue constants are estimated from below on Chebyshev-Lobatto tensor
+grids (nested when the resolution goes R -> 2R-1, so the estimate is
+monotone along that refinement path); there the cardinal values factor
+into an x-degree contraction over the total-degree triangle and a y-degree
+one with the table T_i(g) of the 1-D grid g, and Lambda is evaluated on one
+point of each orbit of the reflections verified on the nodes and on the
+factor (2.8e9 multiply-adds at n = 64, R = 256, from 1.1e10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +32,8 @@ from .basis2d import (
     _cheb_total_degree_rows,
     _degree_pairs,
     _kernel_star_node_factor,
+    _square,
+    _total_degree_rows,
     basis_for,
     dim_upto,
     star_spec_cheb1,
@@ -37,7 +44,7 @@ from .basis2d import (
 from .cubature import _calibrated_rule
 from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
 from .univariate import chebyshev_t_table
-from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle
+from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle, weight_string
 
 __all__ = [
     "Interpolant",
@@ -54,7 +61,11 @@ class Interpolant:
 
     ``factor`` (rows T_{d-k}(x) T_k(y) of degree d <= ``degree``, x nodes) is
     computed once from the nodes; the cardinal functions are
-    ell_k(p) = (factor.T @ _cheb_total_degree_rows(degree, x, y))[k].
+    ell_k(p) = (factor.T @ _cheb_total_degree_rows(degree, x, y))[k], which
+    ``cardinal_matrix`` evaluates.  The interpolant itself is evaluated
+    through its coefficient square C[i, j] of T_i(x) T_j(y) (zero above total
+    degree ``degree``), formed once from ``factor @ f_values``:
+    sum_j T_j(y) (C^T T(x))_j, from the 1-D tables alone.
     """
 
     nodes: NodeSet
@@ -62,10 +73,14 @@ class Interpolant:
     factor: np.ndarray = field(repr=False)
     degree: int
     collocation_cond: float | None = None  # Padua: 1-norm condition number of the collocation matrix
-    coeffs: np.ndarray = field(init=False, repr=False)  # factor @ f_values
+    square: np.ndarray = field(init=False, repr=False)  # C, (degree + 1) x (degree + 1)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", self.factor @ self.f_values)
+        f_values = np.asarray(self.f_values, dtype=float)
+        if len(f_values) != len(self.nodes):
+            raise ValueError("need one sampled value per node")
+        object.__setattr__(self, "f_values", f_values)
+        object.__setattr__(self, "square", _square((self.factor @ f_values)[:, None], self.degree)[:, :, 0])
 
     def _row_blocks(self, pts: np.ndarray):
         """Basis rows at consecutive blocks of ``pts`` (at least one block)."""
@@ -81,9 +96,43 @@ class Interpolant:
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        pts = np.stack([x.ravel(), y.ravel()], axis=1)
-        vals = np.concatenate([self.coeffs @ rows for rows in self._row_blocks(pts)])
+        xy = np.stack([x.ravel(), y.ravel()])
+        vals = np.empty(xy.shape[1])
+        # per block of points: the T table of x and y (2 (m + 1) values a
+        # point) and C^T T(x) ((m + 1) more)
+        step = max(1, _BLOCK_BYTES // (24 * (self.degree + 1)))
+        for s in range(0, len(vals), step):
+            t = chebyshev_t_table(self.degree, xy[:, s:s + step])
+            vals[s:s + step] = np.einsum("jp,jp->p", t[:, 1], self.square.T @ t[:, 0])
         return vals.reshape(x.shape)
+
+
+def _kernel_factor(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
+    """The cardinal factor of the kernel interpolant at ``nodes`` in the rows
+    T_{d-k}(x) T_k(y), and its degree; calibrates an uncalibrated ``spec``
+    (sigma > 0, no ``s_matrix``) on ``nodes`` first, on a copy.
+
+    The basis rows F at the nodes become G in place, and the cardinal factor
+    is G(z_k) / (G . F)(z_k); for sigma = 0, K* = K_{n-1} needs no degree-n
+    rows.  For the cheb1 weight p_a = s_a T_a (s_0 = 1, s_a = sqrt 2), so F
+    comes from the T tables and the T-basis factor is G scaled by s_a s_b on
+    row (a, b); the other weights convert G through their basis."""
+    if spec.sigma and spec.s_matrix is None:
+        spec = _calibrated_rule(nodes, spec, w)[1]
+    deg = spec.n if spec.sigma else spec.n - 1
+    x, y = nodes.points.T
+    if weight_string(spec.weight) != "cheb1":
+        basis = basis_for(spec.weight, spec.n)
+        G = basis.eval_upto(deg, x, y)
+        G /= _kernel_star_node_factor(spec, G)
+        return basis.chebyshev_coeffs(deg, G), deg
+    s = np.full((deg + 1, 1), np.sqrt(2.0))
+    s[0] = 1.0
+    G = _total_degree_rows(s * chebyshev_t_table(deg, x), s * chebyshev_t_table(deg, y))
+    G /= _kernel_star_node_factor(spec, G)
+    dx, dy = _degree_pairs(deg)
+    G *= s[dx] * s[dy]
+    return G, deg
 
 
 def interpolate_kernel(
@@ -94,30 +143,22 @@ def interpolate_kernel(
     An uncalibrated ``spec`` (sigma > 0, no ``s_matrix``) is calibrated on
     ``nodes`` first; the caller's spec is not changed.
     """
-    f_values = np.asarray(f_values, dtype=float)
-    if len(f_values) != len(nodes):
-        raise ValueError("need one sampled value per node")
-    if spec.sigma and spec.s_matrix is None:
-        spec = _calibrated_rule(nodes, spec, w)[1]
-    # the basis rows F at the nodes become G in place, and the cardinal factor
-    # is G(z_k) / (G . F)(z_k); for sigma = 0, K* = K_{n-1} needs no degree-n rows
-    basis = basis_for(spec.weight, spec.n)
-    deg = spec.n if spec.sigma else spec.n - 1
-    G = basis.eval_upto(deg, nodes.points[:, 0], nodes.points[:, 1])
-    G /= _kernel_star_node_factor(spec, G)
-    return Interpolant(nodes=nodes, f_values=f_values, factor=basis.chebyshev_coeffs(deg, G), degree=deg)
+    factor, deg = _kernel_factor(nodes, spec, w)
+    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=deg)
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:
     """Unique Pi_n^2 interpolant at the Padua points, through the kernel of
     ``family_rule("padua", n)``, with the 1-norm condition number of the
     collocation matrix V (rows T_{d-k}(x) T_k(y) at the nodes)."""
-    interp = interpolate_kernel(*family_rule("padua", n)[:3], f_values)
-    pts = interp.nodes.points
-    V = _cheb_total_degree_rows(n, pts[:, 0], pts[:, 1])
-    # the cardinal factor is V^-T, so ||V^-1||_1 = ||factor||_inf
-    cond = float(np.linalg.norm(V, 1) * np.linalg.norm(interp.factor, np.inf))
-    return replace(interp, collocation_cond=cond)
+    nodes, spec, w, _ = family_rule("padua", n)
+    factor, deg = _kernel_factor(nodes, spec, w)
+    # ||V||_1 = max_k sum_j |T_j(y_k)| sum_{i <= n-j} |T_i(x_k)| from the 1-D
+    # tables, and the cardinal factor is V^-T, so ||V^-1||_1 = ||factor||_inf
+    t = np.abs(chebyshev_t_table(n, nodes.points.T))
+    v1 = np.einsum("jk,jk->k", t[:, 1], np.cumsum(t[:, 0], axis=0)[::-1]).max()
+    cond = float(v1 * np.linalg.norm(factor, np.inf))
+    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=deg, collocation_cond=cond)
 
 
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
@@ -209,23 +250,28 @@ def lebesgue_constant(
     nodes, spec, w, _ = family_rule(family, n, alpha, beta)
     interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
     # ell_k(g_a, g_b) = sum_j T_j(g_b) sum_i T_i(g_a) factor[(i, j), k]: per
-    # block of nodes, contract the x-degree on each y-degree j (rows
-    # dim_upto(d-1) + j, d = j..m), then the y-degree, and add the |ell_k|
-    # into the running sums over k at every grid point.
+    # block of nodes, gathered once with the rows of each y-degree j (rows
+    # dim_upto(d-1) + j, d = j..m) side by side, contract the x-degree on each
+    # j, then the y-degree, and add the |ell_k| into the running sums over k
+    # at every grid point.
     m, R, factor = interp.degree, grid_resolution, interp.factor
     refl, g = _reflections(interp), _lobatto_nodes(R)
     half = g[:(R + 1) // 2]  # g >= 0, the zero line included for odd R
     tx = chebyshev_t_table(m, half if "x" in refl else g)
     ty = chebyshev_t_table(m, half if "y" in refl or refl == {"central"} else g)
     first = dim_upto(np.arange(m + 1) - 1)  # first row of each degree
+    # the rows T_i(x) T_j(y) grouped by y-degree j, i = 0..m-j: group j is
+    # columns edges[j]:edges[j + 1] of a node-major block
+    order = np.concatenate([first[j:] + j for j in range(m + 1)])
+    edges = np.concatenate([[0], np.cumsum(np.arange(m + 1, 0, -1))])
     sums = np.zeros((ty.shape[1], tx.shape[1]))
     step = max(1, _BLOCK_BYTES // (8 * R * R))
     for s in range(0, factor.shape[1], step):
-        blk = factor[:, s:s + step]
-        W = np.empty((m + 1, blk.shape[1], tx.shape[1]))           # (j, k, a)
+        blk = factor[order, s:s + step].T  # node-major: (k, rows)
+        W = np.empty((m + 1, len(blk), tx.shape[1]))               # (j, k, a)
         for j in range(m + 1):
-            np.matmul(blk[first[j:] + j].T, tx[:m + 1 - j], out=W[j])
-        L = (ty.T @ W.reshape(m + 1, -1)).reshape(len(sums), blk.shape[1], -1)  # (b, k, a)
+            np.matmul(blk[:, edges[j]:edges[j + 1]], tx[:m + 1 - j], out=W[j])
+        L = (ty.T @ W.reshape(m + 1, -1)).reshape(len(sums), len(blk), -1)  # (b, k, a)
         sums += np.abs(L, out=L).sum(axis=1)
     return float(sums.max())
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cubasquare import cubature
+from cubasquare import basis2d, cubature
 from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1, star_spec_gaussian, star_spec_gencheb
 from cubasquare.cli import main
 from cubasquare.cubature import (
@@ -34,6 +34,16 @@ from cubasquare.nodes import (
     padua_points,
 )
 from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Product-basis rows that fail when evaluated: the product builds check
+    from the 1-D tables alone."""
+    def refuse(*args):
+        raise AssertionError("product basis rows evaluated")
+
+    monkeypatch.setattr(basis2d._ProductOrthoBasis2D, "eval_upto", refuse)
 
 
 class TestKernelWeights:
@@ -174,19 +184,19 @@ class TestClosedFormWeights:
     # every closed-form build checks the moments, the unisolvent equations and
     # the reciprocal kernel, and names each check that fails
     @pytest.mark.parametrize("n", [8, 9])
-    def test_scaled_cheb1_weight_fails_every_weight_check(self, n, scaled_weight):
+    def test_scaled_cheb1_weight_fails_every_weight_check(self, n, scaled_weight, no_rows):
         with pytest.raises(CubatureError, match=f"moments through degree {2 * n - 1}.*"
                                                 "unisolvent equations.*reciprocal-kernel"):
             family_rule("cheb1", n)
 
-    def test_scaled_padua_weight_fails_moment_check(self, scaled_weight, tmp_path):
+    def test_scaled_padua_weight_fails_moment_check(self, scaled_weight, tmp_path, no_rows):
         with pytest.raises(CubatureError,
                            match="moments through degree 15.*unisolvent equations.*reciprocal-kernel"):
             family_rule("padua", 8)
         assert main(["rule", "padua", "8", "--out", str(tmp_path / "r.json")]) != 0
         assert not (tmp_path / "r.json").exists()
 
-    def test_moved_node_fails_common_zero_check(self):
+    def test_moved_node_fails_common_zero_check(self, no_rows):
         nodes = min_t_nodes_even(8)
         pts = nodes.points.copy()
         pts[5, 0] += 1e-6
@@ -203,6 +213,44 @@ class TestClosedFormWeights:
             tracemalloc.stop()
         assert peak < 128 * 2**20
         assert len(rule.lambdas) == moeller_count(128)
+
+    def test_cheb1_64_memory(self):
+        # the dense dim x N basis rows alone are 35 MB at n = 64
+        tracemalloc.start()
+        try:
+            family_rule("cheb1", 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
+class TestSeparableCalibration:
+    """The product-basis calibration from the 1-D tables against the dense
+    path on the basis rows, which gencheb takes."""
+
+    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("cheb1", 32), ("cheb1", 33), ("cheb1", 64),
+                                          ("padua", 8), ("padua", 9), ("padua", 48),
+                                          ("cheb2", 20), ("cheb2", 21)])
+    def test_matches_dense_rows(self, family, n, monkeypatch):
+        nodes, spec, w, rule = family_rule(family, n)
+        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w, n)
+        w_unit = rule.lambdas / basis.mass if spec.sigma else None
+        F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
+        dense = cubature._checked_calibration(raw, cubature._row_reductions(F, n, w_unit), w_unit, len(nodes), [])
+        # blocks of 7 nodes, so the last block is partial
+        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
+        sep = cubature._checked_calibration(raw, cubature._separable_reductions(basis, n, pts, w_unit), w_unit,
+                                            len(nodes), [])
+        if spec.sigma:
+            S = dense[0].s_matrix
+            assert np.abs(sep[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
+        assert_allclose(sep[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
+        assert_allclose(rule.lambdas, basis.mass / dense[1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family,n", [("cheb1", 9), ("padua", 8), ("cheb2", 8)])
+    def test_product_builds_use_no_rows(self, family, n, no_rows):
+        assert family_rule(family, n)[3].lambdas.min() > 0
 
 
 RULE_BUILDERS = {
@@ -336,6 +384,16 @@ class TestSerialization:
         assert r2.oracle_report.passed
         rep = exactness_check(r2)
         assert rep.passed
+
+    def test_report_of_another_degree_dropped(self):
+        rule = family_rule("cheb1", 8)[3]
+        assert rule.oracle_report.declared_degree == 15
+        over = replace(rule, degree=16)
+        assert over.oracle_report is None and rule_to_dict(over)["oracle_report"] is None
+        assert replace(rule, provenance="copy").oracle_report is rule.oracle_report
+        d = rule_to_dict(rule)
+        d["degree"] = 16
+        assert rule_from_dict(d).oracle_report is None
 
     def test_report_without_residuals_loads(self):
         rule = weights_from_kernel(min_t_nodes_even(4), star_spec_cheb1(4), cheb1())

@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cubasquare import interp as interp_module
-from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1
+from cubasquare.basis2d import (
+    _kernel_star_node_factor,
+    _ProductOrthoBasis2D,
+    basis_for,
+    kernel_star_matrix,
+    star_spec_cheb1,
+)
 from cubasquare.interp import (
     convergence_report,
     family_rule,
@@ -158,6 +164,32 @@ class TestPaduaInterpolation:
         with pytest.raises(ValueError):
             interpolate_padua(5, np.zeros(7))
 
+    def test_built_once(self, monkeypatch):
+        built, post_init = [], interp_module.Interpolant.__post_init__
+        monkeypatch.setattr(interp_module.Interpolant, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        interpolate_padua(8, np.zeros(45))
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("padua", 8)])
+def test_cheb1_factor_from_t_tables(family, n, monkeypatch):
+    # the cheb1 factor is the orthonormal one scaled by s_a s_b on each row,
+    # with no basis rows and no conversion through the basis
+    nodes, spec, w, _ = family_rule(family, n)
+    basis = basis_for(w, n)
+    G = basis.eval_upto(n, nodes.points[:, 0], nodes.points[:, 1])
+    G /= _kernel_star_node_factor(spec, G)
+    want = basis.chebyshev_coeffs(n, G)
+
+    def refuse(*args):
+        raise AssertionError("basis rows evaluated")
+
+    monkeypatch.setattr(_ProductOrthoBasis2D, "eval_upto", refuse)
+    monkeypatch.setattr(_ProductOrthoBasis2D, "chebyshev_coeffs", refuse)
+    got = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))).factor
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestLebesgue:
     def test_small_n_order_one(self):
@@ -283,20 +315,20 @@ def test_lebesgue_memory_bounded(family, n):
 
 
 def test_lebesgue_memory_at_minimal_64():
-    # the 36 MB node factor and its build; a dim x N temporary in the
-    # reflection check or the contraction would add another 36 MB
+    # the 36 MB node factor and the grid loop's blocks; a dim x N temporary in
+    # the build, the reflection check or the contraction would add another 36 MB
     tracemalloc.start()
     try:
         lebesgue_constant("cheb1", 64, grid_resolution=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 52 * 2**20
 
 
 def test_kernel_factor_memory():
-    # the node factor is converted to the Chebyshev rows in place: 36 MB for
-    # the factor plus the basis evaluation's temporaries
+    # the cheb1 node factor is formed and scaled to the Chebyshev rows in
+    # place: 36 MB for the factor plus its 1-D tables
     nodes, spec, w, _ = family_rule("cheb1", 64)
     tracemalloc.start()
     try:
@@ -304,7 +336,23 @@ def test_kernel_factor_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert peak < 44 * 2**20
+
+
+def test_call_memory():
+    # 256^2 points at cheb1 64: the 1-D tables of a point block hold 16 MB;
+    # evaluating the total-degree rows of each block instead peaks at 34.5 MB
+    nodes, spec, w, _ = family_rule("cheb1", 64)
+    interp = interpolate_kernel(nodes, spec, w, np.ones(len(nodes)))
+    x, y = np.meshgrid(np.linspace(-1, 1, 256), np.linspace(-1, 1, 256))
+    tracemalloc.start()
+    try:
+        vals = interp(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34.5 * 2**20
+    assert np.abs(vals - 1.0).max() < 1e-11
 
 
 class TestConvergence:
