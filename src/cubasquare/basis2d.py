@@ -56,9 +56,7 @@ from .weights import (
     cheb1,
     gencheb,
     mass as weight_mass,
-    parse_weight,
     tensor_oracle,
-    weight_string,
 )
 
 __all__ = [
@@ -182,9 +180,10 @@ def _split_z(x, y):
     return x * y + s, x * y - s
 
 
-def _gencheb_core(pair: tuple[float, float], gamma: float, members, x, y):
-    """Yield P_{k,d}(2xy, x^2+y^2-1) for each (k, d) of ``members``, all with the
-    Jacobi parameter ``pair``, from one pair of normalized Jacobi tables at
+def _gencheb_core(pair: tuple[float, float], gamma: float, blocks, x, y):
+    """Yield, for each (d, k0, k1) of ``blocks``, the members P_{k,d}(2xy, x^2+y^2-1)
+    for k = k0..k1-1 stacked along a new first axis, all with the Jacobi
+    parameter ``pair``, from one pair of normalized Jacobi tables at
     z1, z2 = cos(theta -+ phi).
 
     gamma -1/2 gives the symmetrized product p_d(z1) p_k(z2) + p_k(z1) p_d(z2);
@@ -196,12 +195,12 @@ def _gencheb_core(pair: tuple[float, float], gamma: float, members, x, y):
     y = np.asarray(y, dtype=float)
     z1, z2 = _split_z(x, y)
     up = int(gamma > 0)
-    deg = max(max(d + up, k) for k, d in members)
+    deg = max(max(d + up, k1 - 1) for d, _, k1 in blocks)
     t1 = jacobi_normalized_table(*pair, deg, z1)
     t2 = jacobi_normalized_table(*pair, deg, z2)
     if gamma < 0:
-        for k, d in members:
-            yield t1[d] * t2[k] + t1[k] * t2[d]
+        for d, k0, k1 in blocks:
+            yield t1[d] * t2[k0:k1] + t1[k0:k1] * t2[d]
         return
     den = z1 - z2
     small = np.abs(den) < _DIVDIFF_TOL
@@ -209,10 +208,10 @@ def _gencheb_core(pair: tuple[float, float], gamma: float, members, x, y):
     limit = np.any(small)
     if limit:
         pm, dpm = jacobi_normalized_table_with_derivative(*pair, deg, x * y)
-    for k, d in members:
-        core = (t1[d + 1] * t2[k] - t1[k] * t2[d + 1]) / safe
+    for d, k0, k1 in blocks:
+        core = (t1[d + 1] * t2[k0:k1] - t1[k0:k1] * t2[d + 1]) / safe
         if limit:
-            core = np.where(small, dpm[d + 1] * pm[k] - dpm[k] * pm[d + 1], core)
+            core = np.where(small, dpm[d + 1] * pm[k0:k1] - dpm[k0:k1] * pm[d + 1], core)
         yield core
 
 
@@ -225,7 +224,7 @@ def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> n
     """
     if sign not in (-0.5, 0.5):
         raise ValueError("sign must be -1/2 or +1/2")
-    return next(_gencheb_core((alpha, beta), sign, [(k, n)], x, y))
+    return next(_gencheb_core((alpha, beta), sign, [(n, k, k + 1)], x, y))[0]
 
 
 _PREFACTORS = {
@@ -236,16 +235,14 @@ _PREFACTORS = {
 
 
 def _gencheb_degree_families(alpha: float, beta: float, n: int):
-    """(Jacobi pair, k, core degree, prefactor tag or None) for each degree-n member:
-    for n = 2m the symmetric family (k = 0..m), then the (x^2 - y^2) family
-    (k = 0..m-1); for n = 2m+1 the (x+y) family, then the (x-y) family
-    (k = 0..m each)."""
+    """(Jacobi pair, member count, core degree, prefactor tag or None) of the two
+    degree-n families, whose members have k = 0..count-1: for n = 2m the
+    symmetric family (k = 0..m), then the (x^2 - y^2) family (k = 0..m-1);
+    for n = 2m+1 the (x+y) family, then the (x-y) family (k = 0..m each)."""
     m = n // 2
     if n % 2 == 0:
-        return ([((alpha, beta), k, m, None) for k in range(m + 1)]
-                + [((alpha + 1, beta + 1), k, m - 1, "xx-yy") for k in range(m)])
-    return ([((alpha, beta + 1), k, m, "x+y") for k in range(m + 1)]
-            + [((alpha + 1, beta), k, m, "x-y") for k in range(m + 1)])
+        return [((alpha, beta), m + 1, m, None), ((alpha + 1, beta + 1), m, m - 1, "xx-yy")]
+    return [((alpha, beta + 1), m + 1, m, "x+y"), ((alpha + 1, beta), m + 1, m, "x-y")]
 
 
 def q_m_polynomial(alpha: float, beta: float, m: int):
@@ -267,48 +264,55 @@ def q_m_polynomial(alpha: float, beta: float, m: int):
 
 
 class _GenChebOrthoBasis2D(OrthoBasis2D):
-    """Normalized gencheb basis; norms are fixed once from the moment oracle."""
+    """Normalized gencheb basis with closed-form norms.
 
-    def __init__(self, weight: WeightSpec, nmax: int):
+    In the angle variables (t, s) of the ``weights`` module, z1, z2 = s, t and
+    a member with Jacobi pair (a, b) squares against w_ab(t) w_ab(s) dt ds
+    times ((s-t)/2)^(2 gamma + 1) (the prefactors square to (1 -+ t)(1 -+ s)).
+    So its squared norm is M_ab^2 c / mass, M_ab the Jacobi(a, b) mass, with
+    c = 2 (1 + [k = core degree]) for gamma -1/2 and c = 1/2 for gamma +1/2.
+    """
+
+    def __init__(self, weight: WeightSpec):
         super().__init__(weight)
-        self.nmax = nmax
-        self._norms = self._compute_norms(nmax)
+        a, b = weight.alpha, weight.beta
+        # the pairs of _gencheb_degree_families: even degrees, then odd degrees
+        self._pair_mass = np.array([jacobi_recurrence(*pair, 1)[1][0]
+                                    for pair in ((a, b), (a + 1, b + 1), (a, b + 1), (a + 1, b))])
 
     def _eval_raw(self, n: int, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         w = self.weight
-        # row indices and (k, core degree) of each (Jacobi pair, prefactor)
+        # first rows and (core degree, 0, count) blocks of each (Jacobi pair, prefactor)
         groups: dict[tuple, tuple[list, list]] = {}
         r = 0
         for d in range(n + 1):
-            for pair, k, deg, pref in _gencheb_degree_families(w.alpha, w.beta, d):
-                idx, members = groups.setdefault((pair, pref), ([], []))
-                idx.append(r)
-                members.append((k, deg))
-                r += 1
+            for pair, count, deg, pref in _gencheb_degree_families(w.alpha, w.beta, d):
+                if count:
+                    starts, blocks = groups.setdefault((pair, pref), ([], []))
+                    starts.append(r)
+                    blocks.append((deg, 0, count))
+                r += count
         rows = np.empty((r,) + np.broadcast(x, y).shape)
-        for (pair, pref), (idx, members) in groups.items():
+        for (pair, pref), (starts, blocks) in groups.items():
             p = _PREFACTORS[pref](x, y) if pref else None
-            for r, core in zip(idx, _gencheb_core(pair, w.gamma, members, x, y)):
-                rows[r] = core
-                if p is not None:
-                    rows[r] *= p
+            for r, core in zip(starts, _gencheb_core(pair, w.gamma, blocks, x, y)):
+                rows[r:r + len(core)] = core if p is None else core * p
         return rows
 
-    def _compute_norms(self, nmax: int) -> np.ndarray:
-        X, Y, wts = tensor_oracle(self.weight, 2 * nmax + 2)
-        raw = self._eval_raw(nmax, X, Y)
-        sq = np.square(raw, out=raw) @ wts / self.mass
-        if np.any(sq <= 0):
-            raise ValueError("degenerate gencheb basis member (zero norm)")
-        return np.sqrt(sq)
+    def _norms(self, n: int) -> np.ndarray:
+        """Norms of the rows of ``eval_upto(n)``: row r of degree d = 2m or 2m + 1
+        is in the second family when r > m, and last in its family (k = core
+        degree) when r = m or r = d."""
+        d, r = np.tril_indices(n + 1)
+        m = d // 2
+        c = 2.0 + 2.0 * ((r == m) | (r == d)) if self.weight.gamma < 0 else 0.5
+        return self._pair_mass[2 * (d % 2) + (r > m)] * np.sqrt(c / self.mass)
 
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        if n > self.nmax:
-            raise ValueError(f"gencheb basis built for degrees <= {self.nmax}; asked for {n}")
         raw = self._eval_raw(n, x, y)
-        return raw / self._norms[: raw.shape[0]].reshape((-1,) + (1,) * (raw.ndim - 1))
+        return raw / self._norms(n).reshape((-1,) + (1,) * (raw.ndim - 1))
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # collocation at the Padua points of degree n, unisolvent for degree n
@@ -318,18 +322,11 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
         return coeffs
 
 
-def basis_for(w: WeightSpec, nmax: int = 16) -> OrthoBasis2D:
-    """Orthonormal basis object for a supported weight, valid for degrees
-    0..nmax; shared through a bounded cache keyed by (weight string, nmax)."""
-    return _cached_basis(weight_string(w), nmax)
-
-
 @functools.lru_cache(maxsize=32)
-def _cached_basis(key: str, nmax: int) -> OrthoBasis2D:
-    w = parse_weight(key)
-    if w.kind == "gencheb":
-        return _GenChebOrthoBasis2D(w, nmax)
-    return _ProductOrthoBasis2D(w)
+def basis_for(w: WeightSpec) -> OrthoBasis2D:
+    """Orthonormal basis object for a supported weight, valid at every degree;
+    shared through a bounded cache keyed by the weight."""
+    return _GenChebOrthoBasis2D(w) if w.kind == "gencheb" else _ProductOrthoBasis2D(w)
 
 
 @dataclass(frozen=True)
@@ -364,7 +361,7 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
 
 
 def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
-    basis = basis_for(w, n + 1)
+    basis = basis_for(w)
     X, Y, wts = tensor_oracle(w, 2 * n + 4)
     Pn = basis.eval_degree(n, X, Y)
     Pn1 = basis.eval_degree(n + 1, X, Y)
@@ -461,7 +458,7 @@ def star_spec_padua(n: int) -> KernelStarSpec:
 
 def kernel_star_matrix(spec: KernelStarSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """Raw augmented-kernel matrix K*_n(a_i, b_j)."""
-    basis = basis_for(spec.weight, spec.n)
+    basis = basis_for(spec.weight)
     pa = np.asarray(pts_a, dtype=float).reshape(-1, 2)
     pb = np.asarray(pts_b, dtype=float).reshape(-1, 2)
     Fa = basis.eval_upto(spec.n, pa[:, 0], pa[:, 1])

@@ -34,7 +34,7 @@ from .nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from .weights import _gencheb_halfint, constant, gencheb
+from .weights import constant
 
 __all__ = ["main"]
 
@@ -67,15 +67,6 @@ def _check_parity(family: str, n: int):
         raise UsageError("family 'nearmint' needs odd n")
 
 
-def _check_oracle(family: str, alpha: float, beta: float):
-    """Refuse, before any build, gencheb (alpha, beta) the moment oracle cannot handle."""
-    if family == "gencheb":
-        try:
-            _gencheb_halfint(gencheb(alpha, beta))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-
 def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
     _check_parity(family, n)
     if family == "gencheb":
@@ -96,13 +87,11 @@ def _table_family(args) -> tuple[str, list[int]]:
     n_list = [int(s) for s in n_list.split(",")]
     for n in n_list:
         _check_parity(args.family, n)
-    _check_oracle(args.family, args.alpha, args.beta)
     return _kernel_family_name(args.family), n_list
 
 
 def _build_rule(family: str, n: int, alpha: float, beta: float):
     _check_parity(family, n)
-    _check_oracle(family, alpha, beta)
     return family_rule(_kernel_family_name(family), n, alpha, beta)[3]
 
 
@@ -115,11 +104,13 @@ def _write_out(text: str, path: str | None):
 
 
 def cmd_nodes(args) -> int:
+    if args.curve and (args.family != "padua" or not args.svg):
+        raise UsageError("--curve draws the Padua generating curve: it needs family 'padua' and --svg")
     ns = _build_nodes(args.family, args.n, args.alpha, args.beta)
     _write_out(json.dumps(ns.to_dict(), indent=2), args.out)
     if args.svg:
         curve = None
-        if args.curve and ns.family == "padua":
+        if args.curve:
             curve = lissajous_curve_point(ns.n, np.linspace(0.0, 2.0 * np.pi, 4000))
         _write_out(nodes_svg(ns.points, curve=curve, title=f"{ns.family} n={ns.n}"), args.svg)
     return 0

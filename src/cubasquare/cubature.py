@@ -148,7 +148,7 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     is checked on its basis rows."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
-    basis = basis_for(w, spec.n)
+    basis = basis_for(w)
     n, sigma, pts = spec.n, spec.sigma, nodes.points
     lo = dim_upto(n - 1)
     if len(nodes) != lo + sigma:
@@ -241,7 +241,7 @@ def weights_from_vandermonde(
     Raises if the residual exceeds ``tol`` relative to the total mass: the
     node set then does not support the claimed degree.
     """
-    basis = basis_for(w, exact_degree)
+    basis = basis_for(w)
     pts = nodes.points
     A = basis.eval_upto(exact_degree, pts[:, 0], pts[:, 1])
     rhs = np.zeros(A.shape[0])

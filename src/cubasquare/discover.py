@@ -416,6 +416,9 @@ class PolySystem:
         return self.coeff_n.shape[0]
 
     def __getitem__(self, i):
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"polynomial {i} of a {len(self)}-polynomial system")
+
         def f(x, y):
             return self.values(x, y)[i]
         return f

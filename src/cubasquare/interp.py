@@ -122,7 +122,7 @@ def _kernel_factor(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     deg = spec.n if spec.sigma else spec.n - 1
     x, y = nodes.points.T
     if weight_string(spec.weight) != "cheb1":
-        basis = basis_for(spec.weight, spec.n)
+        basis = basis_for(spec.weight)
         G = basis.eval_upto(deg, x, y)
         G /= _kernel_star_node_factor(spec, G)
         return basis.chebyshev_coeffs(deg, G), deg

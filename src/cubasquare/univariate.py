@@ -164,24 +164,9 @@ class JacobiAngleGrid:
     thetas: np.ndarray
 
 
-def _jacobi_zeros(alpha: float, beta: float, m: int) -> np.ndarray:
-    """Zeros of the degree-m Jacobi polynomial, ascending in x."""
-    ra, rb = jacobi_recurrence(alpha, beta, m)
-    if m == 1:
-        z = np.array([ra[0]])
-    else:
-        z, _ = eigh_tridiagonal(ra, np.sqrt(rb[1:m]))
-    # one Newton polish step on the normalized polynomial
-    p, dp = jacobi_normalized_table_with_derivative(alpha, beta, m, z)
-    z = z - p[m] / dp[m]
-    return np.sort(z)
-
-
 def jacobi_angle_grid(alpha: float, beta: float, m: int) -> JacobiAngleGrid:
-    """Angle grid built from the zeros of the degree-m Jacobi polynomial."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    z = _jacobi_zeros(alpha, beta, m)
+    """Angle grid from the degree-m Jacobi zeros, the m-point Gauss-Jacobi nodes."""
+    z = gauss_rule_1d(alpha, beta, m)[0]
     thetas = np.concatenate([[0.0], np.arccos(z)[::-1]])
     return JacobiAngleGrid(alpha=alpha, beta=beta, m=m, thetas=thetas)
 
@@ -195,8 +180,6 @@ def gauss_rule_1d(alpha: float, beta: float, m: int):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ra, rb = jacobi_recurrence(alpha, beta, m)
-    if m == 1:
-        return np.array([ra[0]]), np.array([rb[0]])
     z, vec = eigh_tridiagonal(ra, np.sqrt(rb[1:m]))
     w = rb[0] * vec[0] ** 2
     p, dp = jacobi_normalized_table_with_derivative(alpha, beta, m, z)

@@ -6,6 +6,14 @@ is exact up to roundoff.  The modified moments of ``chebyshev_moments``
 (Chebyshev tensor basis) are the ground truth for every exactness
 assertion in the package.
 
+The gencheb weight is a product in its angle variables: with
+x = cos(u+v), y = cos(u-v), t = cos 2u, s = cos 2v and each integrand
+averaged over the images (x, y), (y, x), (-x, -y), (-y, -x) of (t, s),
+W dx dy = w(t) w(s) ((s-t)/2)^(2 gamma + 1) dt ds on [-1, 1]^2 with
+w = (1-t)^alpha (1+t)^beta.  The average of a polynomial of total degree d
+has degree <= d/2 in t and in s, so one Gauss-Jacobi(alpha, beta) rule is
+exact for every alpha, beta > -1.
+
 Canonical textual forms: ``const``, ``cheb1``, ``cheb2``,
 ``gegenbauer:L``, ``jacobi2:A:B``, ``gencheb:A:B:G``.
 """
@@ -49,10 +57,8 @@ class WeightSpec:
     kind ``jacobi2``:    W = (1-x^2)^alpha (1-y^2)^beta, per-axis exponents.
     kind ``gencheb``:    W = |x-y|^(2a+1) |x+y|^(2b+1) ((1-x^2)(1-y^2))^g,
                          parameters (alpha, beta, gamma), gamma in {-1/2, 1/2}.
-                         The |x-y| factor carries alpha: with the Jacobi
-                         convention (1-t)^a (1+t)^b this is the square-to-angle
-                         transplant of w_a,b(cos(th-ph)) w_a,b(cos(th+ph)) |x^2-y^2|,
-                         since (1 -+ cos(th-ph))(1 -+ cos(th+ph)) = (x -+ y)^2.
+                         The |x-y| factor carries alpha, as (1-t)^a does in the
+                         angle variables of the module docstring.
     """
 
     kind: str
@@ -152,76 +158,73 @@ def is_centrally_symmetric(w: WeightSpec) -> bool:
     return w.kind in _KINDS
 
 
-def _gencheb_halfint(w: WeightSpec) -> tuple[int, int]:
-    """Exponents (on |x-y|, on |x+y|) when both are even nonnegative integers."""
-    ea = 2.0 * w.alpha + 1.0
-    eb = 2.0 * w.beta + 1.0
-    ia, ib = round(ea), round(eb)
-    if abs(ea - ia) > 1e-12 or abs(eb - ib) > 1e-12 or ia % 2 or ib % 2 or ia < 0 or ib < 0:
-        raise ValueError(
-            "gencheb moment oracle needs alpha, beta in {-1/2, 1/2, 3/2, ...} "
-            f"so the |x+y|, |x-y| factors are polynomial; got ({w.alpha}, {w.beta})"
-        )
-    return ia, ib
-
-
 def _axis_params(w: WeightSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Per-axis Jacobi exponents (a, a), (b, b) for the (1-x^2)-type factors."""
-    if w.kind == "const":
-        return (0.0, 0.0), (0.0, 0.0)
-    if w.kind == "gegenbauer":
-        e = w.alpha - 0.5
-        return (e, e), (e, e)
+    """Per-axis Jacobi exponents (a, a), (b, b) of a product weight's
+    (1-x^2)-type factors."""
     if w.kind == "jacobi2":
         return (w.alpha, w.alpha), (w.beta, w.beta)
-    return (w.gamma, w.gamma), (w.gamma, w.gamma)
+    e = w.alpha - 0.5 if w.kind == "gegenbauer" else 0.0
+    return (e, e), (e, e)
 
 
 def _oracle_axes(w: WeightSpec, degree: int):
-    """Per-axis Gauss-Jacobi rules (xg, wx), (yg, wy) of the tensor oracle for
-    total degree ``degree``, and the gencheb exponents (ia, ib) on
-    (x-y, x+y), which are (0, 0) for the product weights."""
-    ia = ib = 0
-    if w.kind == "gencheb":
-        ia, ib = _gencheb_halfint(w)
-    m = (degree + ia + ib) // 2 + 1 + _ORACLE_MARGIN
+    """Per-axis Gauss-Jacobi rules (xg, wx), (yg, wy) of the product-weight
+    tensor oracle for total degree ``degree``."""
+    m = degree // 2 + 1 + _ORACLE_MARGIN
     (pa, _), (pb, _) = _axis_params(w)
-    return gauss_rule_1d(pa, pa, m), gauss_rule_1d(pb, pb, m), (ia, ib)
+    return gauss_rule_1d(pa, pa, m), gauss_rule_1d(pb, pb, m)
+
+
+def _angle_rule(w: WeightSpec, degree: int):
+    """The gencheb oracle in the angle variables (t, s) of the module docstring:
+    the Gauss-Jacobi(alpha, beta) rule (g, wg) and the factor
+    P[a, b] = ((g_b - g_a)/2)^(2 gamma + 1), together exact through ``degree``
+    in t and in s."""
+    g, wg = gauss_rule_1d(w.alpha, w.beta, degree // 2 + 1 + _ORACLE_MARGIN)
+    return g, wg, ((g[None, :] - g[:, None]) / 2) ** (2 * w.gamma + 1)
 
 
 def tensor_oracle(w: WeightSpec, degree: int):
     """Tensor quadrature (X, Y, wts) integrating f*W exactly for f in Pi_degree^2.
 
     X, Y, wts are flat arrays; sum(wts * f(X, Y)) equals the weighted
-    integral of any polynomial f of total degree <= degree.
+    integral of any polynomial f of total degree <= degree.  For gencheb the
+    points are the four images of the (t, s) grid of ``_angle_rule`` for
+    degree/2, each carrying a quarter of the weight.
     """
-    (xg, wx), (yg, wy), (ia, ib) = _oracle_axes(w, degree)
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
-    Wt = np.outer(wx, wy)
     if w.kind == "gencheb":
-        Wt = Wt * (X - Y) ** ia * (X + Y) ** ib
-    return X.ravel(), Y.ravel(), Wt.ravel()
+        g, wg, P = _angle_rule(w, degree // 2)
+        c, s = np.sqrt((1 + g) / 2), np.sqrt((1 - g) / 2)  # cos u, sin u
+        X, Y = (np.outer(c, c) - np.outer(s, s)).ravel(), (np.outer(c, c) + np.outer(s, s)).ravel()
+        wts = (np.outer(wg, wg) * P / 4).ravel()
+        return np.concatenate([X, Y, -X, -Y]), np.concatenate([Y, X, -Y, -X]), np.tile(wts, 4)
+    (xg, wx), (yg, wy) = _oracle_axes(w, degree)
+    X, Y = np.meshgrid(xg, yg, indexing="ij")
+    return X.ravel(), Y.ravel(), np.outer(wx, wy).ravel()
 
 
 def chebyshev_moments(w: WeightSpec, degree: int) -> np.ndarray:
     """Modified moments M[i, j] = int T_i(x) T_j(y) W for i, j <= degree.
 
     |T_i| <= 1 on the square, so |M[i, j]| <= mass at every degree.  The
-    tensor oracle's per-axis rules integrate each T_i(x) T_j(y) W exactly
-    and are used in factored form, (T(xg) wx) P (T(yg) wy)^T, where P is
-    the m x m matrix of the gencheb factor (x_a - y_b)^ia (x_a + y_b)^ib
-    and all ones for the product weights (an outer product).
+    product weights use the tensor oracle's per-axis rules in factored form,
+    an outer product.  For gencheb and even i + j, T_i(x) T_j(y) averages over
+    the four images of (t, s) to (T_p(t) T_q(s) + T_q(t) T_p(s)) / 2 with
+    p = (i+j)/2, q = |i-j|/2, so M[i, j] = A[p, q] with
+    A = (T(g) wg) P (T(g) wg)^T from ``_angle_rule``.
     """
-    (xg, wx), (yg, wy), (ia, ib) = _oracle_axes(w, degree)
-    tx = chebyshev_t_table(degree, xg) * wx
-    ty = chebyshev_t_table(degree, yg) * wy
+    i = np.arange(degree + 1)
     if w.kind == "gencheb":
-        out = tx @ (np.subtract.outer(xg, yg) ** ia * np.add.outer(xg, yg) ** ib) @ ty.T
+        g, wg, P = _angle_rule(w, degree)
+        tg = chebyshev_t_table(degree, g) * wg
+        out = (tg @ P @ tg.T)[(i[:, None] + i) // 2, np.abs(i[:, None] - i) // 2]
     else:
+        (xg, wx), (yg, wy) = _oracle_axes(w, degree)
+        tx = chebyshev_t_table(degree, xg) * wx
+        ty = chebyshev_t_table(degree, yg) * wy
         out = np.outer(tx.sum(axis=1), ty.sum(axis=1))
     # central symmetry: odd total-degree moments vanish identically
-    i = np.arange(degree + 1)
-    out[(i[:, None] + i[None, :]) % 2 == 1] = 0.0
+    out[(i[:, None] + i) % 2 == 1] = 0.0
     return out
 
 
@@ -252,11 +255,7 @@ def moment(w: WeightSpec, i: int, j: int) -> float:
         X, Y, wts = tensor_oracle(w, i + j)
         return float((wts * X**i * Y**j).sum())
     # product weights separate into two 1-D integrals
-    (pa, _), (pb, _) = _axis_params(w)
-    mx = (i // 2) + 1 + _ORACLE_MARGIN
-    my = (j // 2) + 1 + _ORACLE_MARGIN
-    xg, wx = gauss_rule_1d(pa, pa, mx)
-    yg, wy = gauss_rule_1d(pb, pb, my)
+    (xg, wx), (yg, wy) = _oracle_axes(w, max(i, j))
     return float((wx * xg**i).sum() * (wy * yg**j).sum())
 
 

@@ -41,7 +41,7 @@ def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
 
 def gram(w, nmax):
     X, Y, wts = tensor_oracle(w, 4 * nmax + 6)
-    F = basis_for(w, nmax).eval_upto(nmax, X, Y)
+    F = basis_for(w).eval_upto(nmax, X, Y)
     return (F * wts) @ F.T / mass(w)
 
 
@@ -52,12 +52,14 @@ class TestOrthonormality:
         assert np.abs(G - np.eye(len(G))).max() < 1e-10
 
     def test_gencheb_gram_identity(self):
-        for w in (gencheb(0.5, 0.5, -0.5), gencheb(0.5, -0.5, -0.5)):
-            G = gram(w, 6)
-            assert np.abs(G - np.eye(len(G))).max() < 1e-9
+        # the closed-form norms, at half-integer and other alpha, beta, for both gammas
+        for w in (gencheb(0.5, 0.5, -0.5), gencheb(0.5, -0.5, -0.5), gencheb(0.3, -0.2, -0.5),
+                  gencheb(1.5, 0.5, 0.5), gencheb(-0.7, 2.1, 0.5)):
+            G = gram(w, 12)
+            assert np.abs(G - np.eye(len(G))).max() < 1e-12
 
     def test_dimension_per_degree(self):
-        b = basis_for(constant(), 6)
+        b = basis_for(constant())
         x = np.array([0.1, -0.3])
         y = np.array([0.2, 0.9])
         for n in range(7):
@@ -66,25 +68,20 @@ class TestOrthonormality:
 
 
 class TestBasisCache:
-    def test_shared_per_weight_and_degree(self):
-        w = gencheb(0.5, 0.5, -0.5)
-        assert basis_for(w, 6) is basis_for(gencheb(0.5, 0.5, -0.5), 6)
-        assert basis_for(w, 8) is not basis_for(w, 6)
-
-    def test_gencheb_degree_fixed_at_construction(self):
-        b = basis_for(gencheb(0.5, -0.5, -0.5), 5)
+    def test_shared_per_weight(self):
+        # one object per weight serves every degree: gencheb norms are closed-form
+        w = gencheb(0.3, -0.2, -0.5)
+        b = basis_for(w)
+        assert b is basis_for(gencheb(0.3, -0.2, -0.5))
+        assert b is not basis_for(gencheb(0.3, -0.2, 0.5))
         x = np.array([0.1, -0.3])
-        b.eval_upto(5, x, x[::-1])
-        with pytest.raises(ValueError):
-            b.eval_upto(6, x, x[::-1])
-        basis_for(gencheb(0.5, -0.5, -0.5), 9).eval_upto(9, x, x[::-1])
-        assert b.nmax == 5
+        assert np.array_equal(b.eval_upto(40, x, x[::-1])[:dim_upto(5)], b.eval_upto(5, x, x[::-1]))
 
     @pytest.mark.parametrize("w", [gencheb(0.5, 0.5, -0.5), gencheb(1.5, 0.5, 0.5)])
     def test_gencheb_rows_on_2d_points(self, w):
         rng = np.random.default_rng(4)
         x, y = rng.uniform(-1, 1, (2, 3, 4))
-        b = basis_for(w, 4)
+        b = basis_for(w)
         rows = b.eval_upto(4, x, y)
         assert rows.shape == (15, 3, 4)
         assert np.array_equal(rows.reshape(15, -1), b.eval_upto(4, x.ravel(), y.ravel()))
@@ -95,7 +92,7 @@ class TestBasisCache:
         tx = jacobi_normalized_table(-0.5, -0.5, 7, x)
         ty = jacobi_normalized_table(-0.5, -0.5, 7, y)
         ref = np.array([tx[d - k] * ty[k] for d in range(8) for k in range(d + 1)])
-        assert np.array_equal(basis_for(cheb1(), 7).eval_upto(7, x, y), ref)
+        assert np.array_equal(basis_for(cheb1()).eval_upto(7, x, y), ref)
 
 
 CONVERSION_WEIGHTS = {"cheb1": cheb1(), "cheb2": cheb2(), "gencheb-1/2,1/2": gencheb(0.5, 0.5),
@@ -108,7 +105,7 @@ CONVERSION_WEIGHTS = {"cheb1": cheb1(), "cheb2": cheb2(), "gencheb-1/2,1/2": gen
 def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
     # three columns per product-basis block, so 20 columns end in a partial block
     monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 16 * (m + 1) ** 2 * 3)
-    basis = basis_for(CONVERSION_WEIGHTS[name], m)
+    basis = basis_for(CONVERSION_WEIGHTS[name])
     rng = np.random.default_rng(m)
     coeffs = rng.standard_normal((dim_upto(m), 20))
     x, y = np.vstack([rng.uniform(-1, 1, (300, 2)), _lobatto_grid(65)]).T
@@ -125,18 +122,18 @@ def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
 class TestProductBasis:
     def test_constant_degree1(self):
         # sqrt(3) x and sqrt(3) y up to ordering
-        vals = sorted(abs(basis_for(constant(), 1).eval_degree(1, np.array(0.5), np.array(0.25))))
+        vals = sorted(abs(basis_for(constant()).eval_degree(1, np.array(0.5), np.array(0.25))))
         assert_allclose(vals, sorted([np.sqrt(3) * 0.25, np.sqrt(3) * 0.5]), atol=1e-14)
 
     def test_cheb1_degree0_constant(self):
-        (m,) = basis_for(cheb1(), 0).eval_degree(0, np.array([0.3]), np.array([-0.8]))
+        (m,) = basis_for(cheb1()).eval_degree(0, np.array([0.3]), np.array([-0.8]))
         assert_allclose(m, 1.0, atol=1e-14)
 
     def test_cheb2_members_are_u_products(self):
         from cubasquare.univariate import eval_chebyshev_u
 
         x, y = np.array([0.37]), np.array([-0.21])
-        for k, m in enumerate(basis_for(cheb2(), 3).eval_degree(3, x, y)):
+        for k, m in enumerate(basis_for(cheb2()).eval_degree(3, x, y)):
             assert_allclose(m, eval_chebyshev_u(3 - k, x) * eval_chebyshev_u(k, y), atol=1e-12)
 
 
@@ -172,7 +169,7 @@ class TestThreeTerm:
     def test_recurrence_residual(self, w):
         rng = np.random.default_rng(7)
         x, y = rng.uniform(-1, 1, (2, 50))
-        b = basis_for(w, 9)
+        b = basis_for(w)
         for n in range(1, 9):
             tt = three_term(w, n)
             ttm = three_term(w, n - 1)
@@ -225,7 +222,7 @@ class TestKernelStar:
         # K_5(z, z2) summed directly over the orthonormal basis of degree <= 5
         w = cheb2()
         z = np.array([(0.4, 0.3), (-0.2, 0.8)])
-        F = basis_for(w, 5).eval_upto(5, z[:, 0], z[:, 1])
+        F = basis_for(w).eval_upto(5, z[:, 0], z[:, 1])
         got = kernel_star_matrix(star_spec_gaussian(w, 6), z[:1], z[1:])[0, 0]
         assert got == pytest.approx(F[:, 0] @ F[:, 1] / mass(w), rel=1e-13)
 
@@ -265,7 +262,7 @@ def test_gencheb_rows_are_prefactor_times_p_general(a, b, g):
     x = np.concatenate([[1.0, -1.0, 0.3, -0.6, 1 - 1e-13, 0.999999999, 0.4], np.linspace(-0.9, 0.8, 9)])
     y = np.concatenate([[0.3, -0.2, 1.0, -1.0, 0.7, 0.3, 0.4], np.linspace(0.85, -0.95, 9)])
     n = 9
-    rows = iter(basis_for(gencheb(a, b, g), n)._eval_raw(n, x, y))
+    rows = iter(basis_for(gencheb(a, b, g))._eval_raw(n, x, y))
     for d in range(n + 1):
         for (pa, pb), k, deg, pref in gencheb_members(a, b, d):
             want = p_general(pa, pb, g, k, deg, x, y)
@@ -276,7 +273,7 @@ class TestGeneralizedFamilies:
     def test_even_symmetries(self):
         rng = np.random.default_rng(5)
         x, y = rng.uniform(-0.95, 0.95, (2, 30))
-        b = basis_for(gencheb(0.5, 0.5, -0.5), 6)
+        b = basis_for(gencheb(0.5, 0.5, -0.5))
         rows = b.eval_degree(6, x, y)
         assert_allclose(rows, b.eval_degree(6, -x, -y), atol=1e-11)
         m = 3
@@ -287,7 +284,7 @@ class TestGeneralizedFamilies:
         w = gencheb(0.5, -0.5, sign)
         for n in range(2, 7):
             X, Y, wts = tensor_oracle(w, 2 * n + 4)
-            F = basis_for(w, 6).eval_degree(n, X, Y)
+            F = basis_for(w).eval_degree(n, X, Y)
             G = (F * wts) @ F.T
             off = G - np.diag(np.diag(G))
             assert np.abs(off).max() < 1e-9 * max(np.diag(G).max(), 1.0)
@@ -295,12 +292,12 @@ class TestGeneralizedFamilies:
     def test_member_count(self):
         x = np.array([0.1, -0.7])
         for g in (-0.5, 0.5):
-            b = basis_for(gencheb(0.5, 0.5, g), 7)
+            b = basis_for(gencheb(0.5, 0.5, g))
             for n in range(0, 8):
                 assert len(b.eval_degree(n, x, x[::-1])) == n + 1
 
     def test_degree0_constant(self):
-        (vals,) = basis_for(gencheb(0.5, -0.5, -0.5), 0).eval_degree(0, np.array([0.1, -0.7]), np.array([0.9, 0.2]))
+        (vals,) = basis_for(gencheb(0.5, -0.5, -0.5)).eval_degree(0, np.array([0.1, -0.7]), np.array([0.9, 0.2]))
         assert_allclose(vals, vals[0])
 
     def test_well_definedness_trig_swap(self):

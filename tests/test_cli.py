@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from cubasquare import cli
 from cubasquare.cli import main
 
 
@@ -93,23 +92,27 @@ def test_parity_checked_by_every_command(args, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args,code", [(["nodes", "gencheb", "8"], 0), (["rule", "gencheb", "8"], 2),
-                                       (["interp", "gencheb", "--n-list", "8"], 2),
-                                       (["lebesgue", "gencheb", "--n-list", "8"], 2)],
+@pytest.mark.parametrize("args", [["nodes", "gencheb", "8"], ["rule", "gencheb", "8"],
+                                  ["interp", "gencheb", "--n-list", "8"],
+                                  ["lebesgue", "gencheb", "--n-list", "8"]],
                          ids=["nodes", "rule", "interp", "lebesgue"])
-def test_gencheb_parameters_outside_the_oracle(args, code, tmp_path, capsys, monkeypatch):
-    # nodes exist for every alpha, beta > -1; the moment oracle needs half-integers,
-    # so rule, interp and lebesgue refuse the rest before anything is built
-    def no_build(*args, **kwargs):
-        raise AssertionError("built before the parameters were checked")
-
-    for name in ("family_rule", "convergence_report", "lebesgue_constant"):
-        monkeypatch.setattr(cli, name, no_build)
+def test_gencheb_parameters_outside_the_oracle(args, tmp_path):
+    # every alpha, beta > -1, not only the half-integers, builds nodes, rules,
+    # interpolants and Lebesgue tables; the rule file passes verify
     out = tmp_path / "out.txt"
-    assert run(args + ["--alpha", "0.3", "--beta", "-0.2", "--out", str(out)]) == code
-    assert out.exists() == (code == 0)
-    if code:
-        assert "gencheb moment oracle needs alpha, beta in {-1/2, 1/2, 3/2, ...}" in capsys.readouterr().err
+    assert run(args + ["--alpha", "0.3", "--beta", "-0.2", "--out", str(out)]) == 0
+    if args[0] == "rule":
+        assert run(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [["nodes", "mint", "4", "--curve"], ["nodes", "padua", "4", "--curve"],
+                                  ["nodes", "mint", "4", "--svg", "unused.svg", "--curve"]],
+                         ids=["mint", "padua-without-svg", "mint-with-svg"])
+def test_curve_needs_padua_and_svg(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    assert "--curve" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestRuleAndVerify:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubasquare import basis2d, cubature
@@ -234,7 +236,7 @@ class TestSeparableCalibration:
                                           ("cheb2", 20), ("cheb2", 21)])
     def test_matches_dense_rows(self, family, n, monkeypatch):
         nodes, spec, w, rule = family_rule(family, n)
-        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w, n)
+        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass if spec.sigma else None
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
         dense = cubature._checked_calibration(raw, cubature._row_reductions(F, n, w_unit), w_unit, len(nodes), [])
@@ -253,18 +255,24 @@ class TestSeparableCalibration:
         assert family_rule(family, n)[3].lambdas.min() > 0
 
 
+def gencheb_rule(alpha, beta, n):
+    return weights_from_kernel(gencheb_nodes(alpha, beta, n), star_spec_gencheb(alpha, beta, n),
+                               gencheb(alpha, beta, -0.5))
+
+
 RULE_BUILDERS = {
     "mint": lambda n: weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1()),
     "nearmint": lambda n: weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1()),
     "gaussu": lambda n: weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2()),
     "padua": lambda n: family_rule("padua", n)[3],
-    "gencheb": lambda n: weights_from_kernel(
-        gencheb_nodes(0.5, 0.5, n), star_spec_gencheb(0.5, 0.5, n), gencheb(0.5, 0.5, -0.5)),
+    "gencheb": lambda n: gencheb_rule(0.5, 0.5, n),
+    "gencheb0.3,-0.2": lambda n: gencheb_rule(0.3, -0.2, n),
 }
 SHARP_DEGREE_CASES = (
     [("mint", n) for n in (2, 8, 32, 64)]
     + [("nearmint", n) for n in (3, 9, 33, 63)]
     + [(fam, n) for fam in ("gaussu", "padua", "gencheb") for n in (2, 3, 16, 33, 63, 64)]
+    + [("gencheb0.3,-0.2", n) for n in (8, 9, 32, 33)]
 )
 
 
@@ -280,6 +288,25 @@ class TestExactnessCheck:
         assert not over.passed
         assert over.first_failure_degree == rule.degree + 1
         assert over.max_rel_error > 0.1
+
+    @pytest.mark.parametrize("n", [8, 9, 32, 33])
+    def test_gencheb_far_from_half_integers_is_sharp(self, n):
+        # at (alpha, beta) = (-0.7, 2.1) the first failure is still 2n, though
+        # the error there is only 0.06-0.08 of the mass
+        rule = gencheb_rule(-0.7, 2.1, n)
+        assert exactness_check(rule).passed
+        over = exactness_check(replace(rule, degree=rule.degree + 1))
+        assert not over.passed and over.first_failure_degree == 2 * n
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(alpha=st.floats(-0.95, 3.0), beta=st.floats(-0.95, 3.0), n=st.integers(2, 16))
+    def test_gencheb_every_alpha_beta(self, alpha, beta, n):
+        # exact through 2n - 1, and no longer once the largest weight moves by 1e-6
+        rule = gencheb_rule(alpha, beta, n)
+        assert rule.degree == 2 * n - 1 and exactness_check(rule).passed
+        lam = rule.lambdas.copy()
+        lam[np.argmax(lam)] *= 1 + 1e-6
+        assert not exactness_check(replace(rule, lambdas=lam, validate=False)).passed
 
     def test_residuals_per_degree(self):
         rule = RULE_BUILDERS["mint"](8)

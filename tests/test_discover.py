@@ -71,7 +71,7 @@ class TestBuildingBlocks:
         from cubasquare.basis2d import basis_for
         rng = np.random.default_rng(0)
         x, y = rng.uniform(-1, 1, (2, 30))
-        b = basis_for(constant(), 7)
+        b = basis_for(constant())
         for n in range(1, 6):
             A1n, A2n = legendre_A(n)
             A1m, A2m = legendre_A(n - 1)
@@ -358,6 +358,14 @@ class TestPolySystemStacks:
         assert all(np.array_equal(g, r) for g, r in zip(got, (F, Jx, Jy)))
         assert np.array_equal(system.values(x, y), F)
 
+    def test_iteration_stops_at_len(self):
+        polys = orthogonal_polys_from_U(3, np.linalg.eigh(odd_W(3, KNOWN_ODD_HANKEL[3].h))[1][:, :3])
+        x, y = np.array([0.3, -0.4]), np.array([0.1, 0.7])
+        assert len(list(polys)) == len(polys)
+        assert np.array_equal(polys[-1](x, y), polys.values(x, y)[-1])
+        with pytest.raises(IndexError):
+            polys[len(polys)]
+
 
 class TestFixtures:
     def test_even_h3(self):
@@ -555,7 +563,7 @@ class TestQDisplay:
         polys = orthogonal_polys_from_U(5, Q[:, :4])
         X, Y, wts = tensor_oracle(constant(), 12)
         vals = polys.values(X, Y)
-        low = basis_for(constant(), 4).eval_upto(4, X, Y)
+        low = basis_for(constant()).eval_upto(4, X, Y)
         assert np.abs((vals * wts) @ low.T).max() < 1e-10
 
     def test_count_matches_moeller_complement(self):

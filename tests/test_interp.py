@@ -177,7 +177,7 @@ def test_cheb1_factor_from_t_tables(family, n, monkeypatch):
     # the cheb1 factor is the orthonormal one scaled by s_a s_b on each row,
     # with no basis rows and no conversion through the basis
     nodes, spec, w, _ = family_rule(family, n)
-    basis = basis_for(w, n)
+    basis = basis_for(w)
     G = basis.eval_upto(n, nodes.points[:, 0], nodes.points[:, 1])
     G /= _kernel_star_node_factor(spec, G)
     want = basis.chebyshev_coeffs(n, G)

@@ -6,7 +6,7 @@ from numpy.polynomial import chebyshev
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from cubasquare.univariate import chebyshev_t_table
+from cubasquare.univariate import chebyshev_t_table, gauss_rule_1d
 from cubasquare.weights import (
     WeightSpec,
     cheb1,
@@ -73,9 +73,6 @@ class TestMoments:
                 for j in range(7):
                     assert tbl[i, j] == pytest.approx(moment(w, i, j), abs=1e-12)
 
-    def test_gencheb_halfinteger_required(self):
-        with pytest.raises(ValueError, match="polynomial"):
-            moment(gencheb(0.3, 0.5, -0.5), 2, 2)
 
 
 class TestChebyshevMoments:
@@ -98,6 +95,61 @@ class TestChebyshevMoments:
         X, Y, wts = tensor_oracle(w, 2 * d)
         ref = (chebyshev_t_table(d, X) * wts) @ chebyshev_t_table(d, Y).T
         assert np.abs(chebyshev_moments(w, d) - ref).max() <= 1e-13 * mass(w)
+
+
+def halfint_oracle(w, degree):
+    """The gencheb oracle for half-integer alpha, beta, independent of the angle
+    variables: |x-y|^ia |x+y|^ib with ia = 2 alpha + 1, ib = 2 beta + 1 even is a
+    polynomial factor on per-axis Gauss-Jacobi(gamma, gamma) rules exact through
+    degree + ia + ib."""
+    ia, ib = round(2 * w.alpha + 1), round(2 * w.beta + 1)
+    xg, wx = gauss_rule_1d(w.gamma, w.gamma, (degree + ia + ib) // 2 + 3)
+    X, Y = np.meshgrid(xg, xg, indexing="ij")
+    return X.ravel(), Y.ravel(), (np.outer(wx, wx) * (X - Y) ** ia * (X + Y) ** ib).ravel()
+
+
+HALF_INTEGER = [gencheb(a, b, g) for a, b, g in
+                [(0.5, 0.5, -0.5), (0.5, -0.5, -0.5), (1.5, 0.5, 0.5), (-0.5, 1.5, -0.5), (1.5, 1.5, 0.5)]]
+
+
+@pytest.mark.parametrize("w", HALF_INTEGER, ids=weight_string)
+class TestHalfIntegerReference:
+    """The angle-variable oracle against the polynomial-factor one."""
+
+    def test_chebyshev_moments(self, w):
+        d = 98
+        X, Y, wts = halfint_oracle(w, 2 * d)
+        ref = (chebyshev_t_table(d, X) * wts) @ chebyshev_t_table(d, Y).T
+        assert np.abs(chebyshev_moments(w, d) - ref).max() <= 1e-13 * mass(w)
+
+    def test_moment_table(self, w):
+        X, Y, wts = halfint_oracle(w, 24)
+        ref = np.einsum("p,pi,pj->ij", wts, np.vander(X, 13, increasing=True), np.vander(Y, 13, increasing=True))
+        assert np.abs(moment_table(w, 12) - ref).max() <= 1e-13 * mass(w)
+
+    def test_tensor_oracle(self, w):
+        # every T_i(x) T_j(y) with i + j <= d, odd sums included
+        d = 31
+        got = [(chebyshev_t_table(d, X) * wts) @ chebyshev_t_table(d, Y).T
+               for X, Y, wts in (tensor_oracle(w, d), halfint_oracle(w, d))]
+        i = np.arange(d + 1)
+        low = i[:, None] + i <= d
+        assert np.abs(got[0] - got[1])[low].max() <= 1e-13 * mass(w)
+
+
+def test_gencheb_moments_off_half_integers():
+    # nested adaptive quadrature in x = cos(th), y = cos(ph), with breakpoints on
+    # the kinks of |x - y|^1.6 |x + y|^0.6 at ph = th and ph = pi - th
+    w = gencheb(0.3, -0.2, -0.5)
+
+    def inner(th, i, j):
+        f = lambda ph: (np.cos(ph) ** j * abs(np.cos(th) - np.cos(ph)) ** 1.6
+                        * abs(np.cos(th) + np.cos(ph)) ** 0.6)
+        return quad(f, 0, np.pi, points=sorted({th, np.pi - th}), epsabs=1e-13, epsrel=1e-10)[0]
+
+    for i, j in [(0, 0), (3, 1)]:
+        ref = quad(lambda th: np.cos(th) ** i * inner(th, i, j), 0, np.pi, epsabs=1e-13, epsrel=1e-10)[0]
+        assert moment(w, i, j) == pytest.approx(ref, rel=1e-10)
 
 
 class TestAdaptiveQuadratureAgreement:
