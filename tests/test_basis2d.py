@@ -68,7 +68,7 @@ class TestOrthonormality:
 
 
 class TestBasisCache:
-    def test_shared_per_weight(self):
+    def test_shared_per_weight_and_degree(self):
         # one object per weight serves every degree: gencheb norms are closed-form
         w = gencheb(0.3, -0.2, -0.5)
         b = basis_for(w)

@@ -1,8 +1,13 @@
 """Tests for the Hankel-system machinery and common-zero extraction."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,7 +277,7 @@ def hankel_systems():
                     system.restricted() if sub else system)
 
 
-LM_SYSTEMS = [pytest.param(s, id=label) for label, s in hankel_systems() if s.method == "lm"]
+LM_SYSTEMS = {label: s for label, s in hankel_systems() if s.method == "lm"}
 TRF_SYSTEMS = [pytest.param(s, id=label) for label, s in hankel_systems() if s.method == "trf"]
 FIT_TOLS = dict(xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
@@ -283,17 +288,48 @@ def fixed_starts(system, count=3):
             for _ in range(count)]
 
 
+def write_lm_fits(path):
+    """Fit every LM system from its fixed starts with ``discover.least_squares``
+    and with scipy's ``least_squares``; pickle {label: [(got, ref), ...]} to path."""
+    fits = {label: [tuple(fit(system.residual, x0, jac=system.jacobian, method="lm",
+                              max_nfev=600, **FIT_TOLS)
+                          for fit in (least_squares, scipy.optimize.least_squares))
+                    for x0 in fixed_starts(system)]
+            for label, system in LM_SYSTEMS.items()}
+    Path(path).write_bytes(pickle.dumps(fits))
+
+
+@pytest.fixture(scope="module")
+def lm_fits(tmp_path_factory):
+    """The LM fits of ``write_lm_fits``, run in a fresh interpreter in which
+    glibc overwrites all freed memory with the byte 0x01 (no thread cache).
+
+    scipy's MINPACK lmder (scipy 1.17) reads the double just past its m x n
+    Jacobian buffer, and a large stale value there (1e2 is enough for
+    odd4-alg-full) changes the pivot order of its QR factorisation.  In a
+    long test session that value depends on the heap's history, so two
+    identical fits in one process can end at different points.
+    """
+    path = tmp_path_factory.mktemp("lm") / "fits.pickle"
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               MALLOC_PERTURB_="1", GLIBC_TUNABLES="glibc.malloc.tcache_count=0")
+    code = f"import test_discover; test_discover.write_lm_fits({str(path)!r})"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return pickle.loads(path.read_bytes())
+
+
 class TestLeastSquares:
     """``discover.least_squares`` (MINPACK through ``leastsq``) against scipy's
     ``least_squares``, and the LAPACK rank tail against numpy's eigensolvers."""
 
-    @pytest.mark.parametrize("system", LM_SYSTEMS)
-    def test_lm_matches_scipy_least_squares(self, system):
-        for x0 in fixed_starts(system):
-            got = least_squares(system.residual, x0, jac=system.jacobian, method="lm",
-                                max_nfev=600, **FIT_TOLS)
-            ref = scipy.optimize.least_squares(system.residual, x0, jac=system.jacobian,
-                                               method="lm", max_nfev=600, **FIT_TOLS)
+    @pytest.mark.parametrize("label", list(LM_SYSTEMS))
+    def test_lm_matches_scipy_least_squares(self, label, lm_fits):
+        system = LM_SYSTEMS[label]
+        assert len(lm_fits[label]) == 3
+        for got, ref in lm_fits[label]:
             assert np.abs(got.x - ref.x).max() <= 1e-12 * system.scale
             assert np.abs(got.fun - ref.fun).max() <= 1e-12 * np.abs(system.a).max()
             assert (got.nfev, got.njev, got.status) == (ref.nfev, ref.njev, ref.status)
