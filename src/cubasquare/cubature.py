@@ -13,12 +13,13 @@ from .basis2d import (
     _degree_pairs,
     _kernel_star_diag,
     _ProductOrthoBasis2D,
+    _split_z,
     basis_for,
     dim_upto,
     three_term,
 )
 from .nodes import NodeSet, moeller_count
-from .univariate import chebyshev_t_table
+from .univariate import chebyshev_t_table, jacobi_normalized_table
 from .weights import (
     WeightSpec,
     chebyshev_moments,
@@ -90,38 +91,49 @@ class CubatureRule:
 
 
 def weights_from_kernel(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec) -> CubatureRule:
-    """Weights 1/K*(z_k, z_k) for a Gaussian / minimal / near-minimal node set.
-
-    For sigma = 0 this is direct.  Otherwise the discrete Gram of the
-    complement set is calibrated with the cubature weights first: the
-    closed form for the cheb1 weight (minimal, near-minimal and Padua
-    nodes), the square unisolvent solve on the interpolation space for the
-    others.  The reciprocal-kernel formula then reproduces those weights to
-    roundoff; the agreement is asserted.
-    ``spec`` itself is left as it is.
-    """
+    """Weights 1/K*(z_k, z_k) for a Gaussian / minimal / near-minimal node set,
+    from their closed form, checked against the moments and against the kernel
+    spec calibrated with them (``_calibrated_rule``).  ``spec`` itself is left
+    as it is."""
     return _calibrated_rule(nodes, spec, w)[0]
 
 
-def _closed_form_weights(points: np.ndarray) -> np.ndarray:
-    """Unit-mass weights c(x_k) c(y_k) / sum_j c(x_j) c(y_j), c = 1/2 on the
-    edges |t| = 1 and 1 inside: the cheb1 rules of degree 2n-1 on the minimal
-    and near-minimal nodes (the sum is n^2 / 2; Xu, J. Approx. Theory 87,
-    1996) and on the Padua points (n (n + 1) / 2; Caliari, De Marchi,
-    Sommariva, Vianello, Numer. Algorithms 56, 2011)."""
-    c = np.where(np.abs(np.abs(points) - 1.0) <= 1e-12, 0.5, 1.0)
-    c = c[:, 0] * c[:, 1]
+def _closed_form_weights(w: WeightSpec, n: int, points: np.ndarray) -> np.ndarray:
+    """Unit-mass weights c_k / sum_j c_j of the degree-n kernel rule at ``points``.
+
+    cheb1: c = c(x) c(y), c = 1/2 on the edges |t| = 1 and 1 inside, on the
+    minimal and near-minimal nodes (Xu, J. Approx. Theory 87, 1996) and the
+    Padua points (Caliari, De Marchi, Sommariva, Vianello, Numer. Algorithms
+    56, 2011).  cheb2 (Gaussian nodes): c = (1 - x^2)(1 - y^2).  gencheb,
+    gamma = -1/2: c = rho(t) rho(s) mu, (t, s) = ``_split_z(x, y)`` and
+    rho = 1 / sum_{k <= (n-1)/2} p_k^2 the Jacobi(alpha, beta) Christoffel
+    function, as the nodes are the images of the Gauss (n even) or
+    Gauss-Radau (n odd, fixed node t = 1) grid, exact through degree n - 1 in
+    t and s; mu is 1/4 on the edges (t = s), 1/2 inside, doubled on the
+    diagonal x = y, where (x, y) and (y, x) coincide.  Others: CubatureError."""
+    x, y = points.T
+    edge = np.abs(np.abs(points) - 1.0) <= 1e-12
+    if weight_string(w) == "cheb1":
+        c = np.where(edge, 0.5, 1.0).prod(axis=1)
+    elif weight_string(w) == "cheb2":
+        c = (1.0 - x * x) * (1.0 - y * y)
+    elif w.kind == "gencheb" and w.gamma == -0.5:
+        rho_t, rho_s = (1.0 / np.square(jacobi_normalized_table(w.alpha, w.beta, (n - 1) // 2, z)).sum(axis=0)
+                        for z in _split_z(x, y))
+        c = rho_t * rho_s * np.where(edge.any(axis=1), 0.25, 0.5) * np.where(np.abs(x - y) <= 1e-12, 2.0, 1.0)
+    else:
+        raise CubatureError(f"no closed-form weights for the weight {weight_string(w)}")
     return c / c.sum()
 
 
-def _row_reductions(F: np.ndarray, n: int, w_unit: np.ndarray | None):
+def _row_reductions(F: np.ndarray, n: int, w_unit: np.ndarray):
     """The node reductions of ``_checked_calibration`` as one block, from the
     basis rows F of degree <= n at every node."""
     lo = dim_upto(n - 1)
-    return [(0, np.einsum("ij,ij->j", F[:lo], F[:lo]), F[lo:], None if w_unit is None else F[:lo] @ w_unit)]
+    return [(0, np.einsum("ij,ij->j", F[:lo], F[:lo]), F[lo:], F[:lo] @ w_unit)]
 
 
-def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray | None):
+def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
     """The node reductions of ``_checked_calibration`` for a product basis
     p_a(x) q_b(y), over node blocks, from the 1-D tables alone:
     |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y) with C_j = sum_{b <= j} q_b(y)^2,
@@ -133,7 +145,7 @@ def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray | N
     for s in range(0, len(pts), step):
         px, py = basis.axis_tables(n, pts[s:s + step, 0], pts[s:s + step, 1])
         low_sq = np.einsum("ij,ij->j", np.square(px[:n]), np.cumsum(np.square(py[:n]), axis=0)[::-1])
-        low_w = None if w_unit is None else ((px[:n] * w_unit[s:s + step]) @ py[:n].T)[dx, dy]
+        low_w = ((px[:n] * w_unit[s:s + step]) @ py[:n].T)[dx, dy]
         yield s, low_sq, px[n::-1] * py, low_w
 
 
@@ -141,66 +153,55 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
 
-    The cheb1 weights come from their closed form, checked against the
-    moments through degree 2n-1.  Product bases are checked from their 1-D
-    tables over node blocks, so no N x N or dim x N array is formed; the
-    other weights solve the dense N x N unisolvent system first, and gencheb
-    is checked on its basis rows."""
+    One path for every family: the closed-form weights, their moment
+    residuals through the declared degree + 3 (the build check through the
+    declared degree, and the oracle report ``exactness_check`` would give),
+    then ``_checked_calibration``: from the 1-D tables over node blocks for
+    product bases, so no N x N or dim x N array is formed, from the basis
+    rows for gencheb."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w)
     n, sigma, pts = spec.n, spec.sigma, nodes.points
-    lo = dim_upto(n - 1)
-    if len(nodes) != lo + sigma:
-        raise CubatureError(f"interpolation space dimension {lo + sigma} != node count {len(nodes)}")
-    closed = sigma > 0 and weight_string(w) == "cheb1"
-    w_unit, failures, report = None, [], None
-    if closed:
-        # the moments through 2n + 2 once: the build check through 2n - 1
-        # and the rule's oracle report, as exactness_check would give it
-        w_unit = _closed_form_weights(pts)
-        residuals = _degree_residuals(w, pts, basis.mass * w_unit, 2 * n + 2)
-        report = _exactness_report(2 * n - 1, residuals)
-        resid = float(residuals[:2 * n].max())
-        if not resid <= 1e-10:
-            failures.append(f"closed-form weights miss the moments through degree {2 * n - 1} "
-                            f"(residual {resid:.2e})")
-    if isinstance(basis, _ProductOrthoBasis2D) and (closed or not sigma):
+    if len(nodes) != dim_upto(n - 1) + sigma:
+        raise CubatureError(f"interpolation space dimension {dim_upto(n - 1) + sigma} != node count {len(nodes)}")
+    degree = 2 * n - 1 if sigma else 2 * n - 2
+    w_unit = _closed_form_weights(w, n, pts)
+    residuals = _degree_residuals(w, pts, basis.mass * w_unit, degree + 3)
+    failures = []
+    resid = float(residuals[:degree + 1].max())
+    if not resid <= 1e-10:
+        failures.append(f"closed-form weights miss the moments through degree {degree} (residual {resid:.2e})")
+    if isinstance(basis, _ProductOrthoBasis2D):
         reductions = _separable_reductions(basis, n, pts, w_unit)
     else:
-        F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        if sigma and not closed:
-            rhs = np.zeros(len(nodes))
-            rhs[0] = F[0, 0]  # constant member value (= 1)
-            w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
-        reductions = _row_reductions(F, n, w_unit)
-    spec, kdiag = _checked_calibration(spec, reductions, w_unit, len(nodes), failures)
+        reductions = _row_reductions(basis.eval_upto(n, pts[:, 0], pts[:, 1]), n, w_unit)
+    spec = _checked_calibration(spec, reductions, w_unit, failures)[0]
     rule = CubatureRule(
         weight=w,
-        degree=2 * n - 1 if sigma else 2 * n - 2,
+        degree=degree,
         nodes=nodes,
-        lambdas=basis.mass * w_unit if closed else basis.mass / kdiag,
-        provenance=f"{'closed-form' if closed else 'kernel'} weights, sigma={sigma}, {nodes.provenance}",
-        oracle_report=report,
+        lambdas=basis.mass * w_unit,
+        provenance=f"closed-form weights, sigma={sigma}, {nodes.provenance}",
+        oracle_report=_exactness_report(degree, residuals),
     )
     return rule, spec
 
 
-def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray | None, count: int,
-                         failures: list[str]):
-    """Check a kernel spec, and unit-mass weights ``w_unit`` on it, over node
-    blocks of ``count`` nodes; return the spec calibrated with S = (Q w) Q^T
-    and mass * K*(z_k, z_k).  Each block of ``reductions`` is (start,
-    |F_low|^2, degree-n rows, F_low w over the block or None), with F_low the
-    basis rows of degree <= n-1.
+def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, failures: list[str]):
+    """Check a kernel spec, and unit-mass weights ``w_unit`` (one per node) on
+    it, over node blocks; return the spec calibrated with S = (Q w) Q^T
+    (as it is for sigma = 0) and mass * K*(z_k, z_k).  Each block of
+    ``reductions`` is (start, |F_low|^2, degree-n rows, F_low w over the
+    block), with F_low the basis rows of degree <= n-1.
 
-    The vanishing combinations must vanish on the nodes.  For sigma > 0, the
-    weights must also satisfy the unisolvent equations [F_low; Q] w = e_0,
-    K* must be positive, and mass / K* must reproduce mass * w; every failing
-    one of these is named in the error, after the earlier ``failures``.
+    The vanishing combinations must vanish on the nodes.  The weights must
+    satisfy the unisolvent equations [F_low; Q] w = e_0, K* must be positive,
+    and mass / K* must reproduce mass * w; every failing one of these is
+    named in the error, after the earlier ``failures``.
     """
-    low_sq = np.empty(count)  # |F_low(z_k)|^2
-    Q = np.empty((spec.sigma, count))
+    low_sq = np.empty(len(w_unit))  # |F_low(z_k)|^2
+    Q = np.empty((spec.sigma, len(w_unit)))
     low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w
     van = 0.0
     for s, sq, Fn, lw in reductions:
@@ -208,23 +209,22 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray | 
         van = max(van, float(np.abs(spec.p_coeffs @ Fn).max(initial=0.0)))
         low_sq[s:e] = sq
         Q[:, s:e] = spec.q_coeffs @ Fn
-        if lw is not None:
-            low_w += lw
+        low_w += lw
     if van > 1e-8:
         raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e})")
-    if not spec.sigma:
-        return spec, low_sq
-    spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
-    kdiag = _kernel_star_diag(spec, low_sq, Q)[0]
+    kdiag = low_sq  # K* = K_{n-1} for sigma = 0
+    if spec.sigma:
+        spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
+        kdiag = _kernel_star_diag(spec, low_sq, Q)[0]
     low_w[0] -= 1.0
-    resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max()))
+    resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max(initial=0.0)))
     if not resid <= 1e-10:
         failures.append(f"weights miss the unisolvent equations [F_low; Q] w = e_0 (residual {resid:.2e})")
     if not kdiag.min() > 0:
         failures.append("K*(z, z) <= 0: node set does not match the kernel spec")
     gap = float(np.abs(w_unit * kdiag - 1.0).max())
     if not gap <= 1e-8:
-        failures.append(f"reciprocal-kernel weights disagree with the unisolvent weights (relative gap {gap:.2e})")
+        failures.append(f"reciprocal-kernel weights disagree with the weights (relative gap {gap:.2e})")
     if failures:
         raise CubatureError("; ".join(failures))
     return spec, kdiag

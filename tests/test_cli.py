@@ -92,6 +92,15 @@ def test_parity_checked_by_every_command(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [["lebesgue", "mint", "--n-list", "4,x"], ["interp", "mint", "--n-list", "4,,8"]],
+                         ids=["lebesgue-letter", "interp-empty"])
+def test_malformed_n_list_is_a_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run(args + ["--out", str(out)]) == 2
+    assert "usage error: --n-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["nodes", "gencheb", "8"], ["rule", "gencheb", "8"],
                                   ["interp", "gencheb", "--n-list", "8"],
                                   ["lebesgue", "gencheb", "--n-list", "8"]],

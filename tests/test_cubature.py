@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubasquare import basis2d, cubature
-from cubasquare.basis2d import kernel_star_matrix, star_spec_cheb1, star_spec_gaussian, star_spec_gencheb
+from cubasquare.basis2d import (
+    KernelStarSpec,
+    dim_upto,
+    kernel_star_matrix,
+    star_spec_cheb1,
+    star_spec_gaussian,
+    star_spec_gencheb,
+)
 from cubasquare.cli import main
 from cubasquare.cubature import (
     CubatureError,
@@ -35,7 +42,8 @@ from cubasquare.nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, mass
+from cubasquare.univariate import gauss_rule_1d
+from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass
 
 
 @pytest.fixture
@@ -137,8 +145,22 @@ class TestVandermondeWeights:
             assert np.abs(r1.lambdas - r2.lambdas).max() < 1e-9
 
 
+def unisolvent_weights(nodes, spec):
+    """The dense reference for the weights of a sigma > 0 rule: unit-mass w
+    from the N x N unisolvent system [F_low; q F_n] w = e_0, then
+    mass / K*(z_k, z_k) from the spec calibrated with w."""
+    basis = basis2d.basis_for(spec.weight)
+    F = basis.eval_upto(spec.n, *nodes.points.T)
+    lo = dim_upto(spec.n - 1)
+    rhs = np.zeros(len(nodes))
+    rhs[0] = 1.0
+    w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
+    kdiag = cubature._checked_calibration(spec, cubature._row_reductions(F, spec.n, w_unit), w_unit, [])[1]
+    return basis.mass / kdiag
+
+
 class TestClosedFormWeights:
-    """The closed-form cheb1 and Padua weights against the dense references,
+    """The closed-form weights of every family against the dense references,
     and the runtime checks that guard them."""
 
     @pytest.mark.parametrize("n", range(2, 34))
@@ -160,7 +182,39 @@ class TestClosedFormWeights:
         c = np.where(np.abs(np.abs(rule.nodes.points) - 1.0) <= 1e-12, 0.5, 1.0)
         assert np.array_equal(rule.lambdas, mass(cheb1()) * (2.0 / (n * (n + 1)) * c[:, 0] * c[:, 1]))
 
-    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("padua", 8)])
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.5, -0.5), (0.3, -0.2), (-0.7, 2.1)])
+    @pytest.mark.parametrize("n", [8, 9, 32, 33])
+    def test_gencheb_matches_dense_references(self, alpha, beta, n):
+        nodes, spec, _, rule = family_rule("gencheb", n, alpha, beta)
+        lam = rule.lambdas
+        assert rule.provenance.startswith("closed-form weights")
+        # the dense solve loses digits in the smallest weights as they spread
+        rtol = 1e-12 if lam.min() / lam.max() >= 1e-8 else 1e-10
+        assert_allclose(lam, unisolvent_weights(nodes, spec), rtol=rtol, atol=0)
+        if n % 2 == 0:
+            # the Gauss-Jacobi products w_j w_k, a quarter for j = k (an edge
+            # node) and a half for j < k, on each of the four images
+            gw = gauss_rule_1d(alpha, beta, n // 2)[1]
+            j, k = np.triu_indices(n // 2)
+            ref = np.repeat(gw[j] * gw[k] * np.where(j == k, 0.25, 0.5), 4)
+            assert_allclose(np.sort(lam / lam.sum()), np.sort(ref / ref.sum()), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 33, 64, 65])
+    def test_cheb2_is_reciprocal_kernel_diagonal(self, n):
+        nodes, spec, w, rule = family_rule("cheb2", n)
+        basis = basis2d.basis_for(w)
+        F = basis.eval_upto(n - 1, *nodes.points.T)
+        assert_allclose(rule.lambdas, basis.mass / np.einsum("ij,ij->j", F, F), rtol=1e-13, atol=0)
+
+    def test_other_weight_has_no_closed_form(self):
+        cheb = star_spec_cheb1(4)
+        w = jacobi_product(0.2, 0.2)
+        spec = KernelStarSpec(weight=w, n=4, sigma=cheb.sigma, q_coeffs=cheb.q_coeffs, p_coeffs=cheb.p_coeffs)
+        with pytest.raises(CubatureError, match="no closed-form weights"):
+            weights_from_kernel(min_t_nodes_even(4), spec, w)
+
+    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("padua", 8), ("cheb2", 8), ("gencheb", 8),
+                                          ("gencheb", 9)])
     def test_build_carries_the_oracle_report(self, family, n):
         rule = family_rule(family, n)[3]
         assert rule.oracle_report == exactness_check(rule)
@@ -183,13 +237,14 @@ class TestClosedFormWeights:
 
         monkeypatch.setattr(cubature, "_closed_form_weights", scaled)
 
-    # every closed-form build checks the moments, the unisolvent equations and
-    # the reciprocal kernel, and names each check that fails
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_scaled_cheb1_weight_fails_every_weight_check(self, n, scaled_weight, no_rows):
-        with pytest.raises(CubatureError, match=f"moments through degree {2 * n - 1}.*"
+    # every build checks the moments, the unisolvent equations and the
+    # reciprocal kernel, and names each check that fails
+    @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("cheb2", 8), ("gencheb", 8), ("gencheb", 9)])
+    def test_scaled_weight_fails_every_weight_check(self, family, n, scaled_weight, no_rows):
+        degree = 2 * n - 2 if family == "cheb2" else 2 * n - 1
+        with pytest.raises(CubatureError, match=f"moments through degree {degree}.*"
                                                 "unisolvent equations.*reciprocal-kernel"):
-            family_rule("cheb1", n)
+            family_rule(family, n)
 
     def test_scaled_padua_weight_fails_moment_check(self, scaled_weight, tmp_path, no_rows):
         with pytest.raises(CubatureError,
@@ -204,6 +259,19 @@ class TestClosedFormWeights:
         pts[5, 0] += 1e-6
         with pytest.raises(CubatureError, match="common-zero"):
             weights_from_kernel(replace(nodes, points=pts), star_spec_cheb1(8), cheb1())
+
+    def test_moved_gaussian_pair_fails_every_weight_check(self, no_rows):
+        # (x0, y0) and (-x0, y0) both moved by +1e-6 in x: the moment of
+        # degree 0 cancels to first order, the one of degree 1 does not
+        nodes = gauss_u_nodes(6)
+        pts = nodes.points.copy()
+        i = 0
+        j = int(np.argmin(np.abs(pts - [-pts[i, 0], pts[i, 1]]).sum(axis=1)))
+        assert j != i and np.allclose(pts[j], [-pts[i, 0], pts[i, 1]], rtol=0, atol=1e-15)
+        pts[[i, j], 0] += 1e-6
+        with pytest.raises(CubatureError, match="moments through degree 10.*unisolvent equations.*"
+                                                "reciprocal-kernel"):
+            weights_from_kernel(replace(nodes, points=pts), star_spec_gaussian(cheb2(), 6), cheb2())
 
     def test_cheb1_128_memory(self):
         # the dense N x N calibration matrix alone is 562 MB at n = 128
@@ -237,13 +305,12 @@ class TestSeparableCalibration:
     def test_matches_dense_rows(self, family, n, monkeypatch):
         nodes, spec, w, rule = family_rule(family, n)
         raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
-        w_unit = rule.lambdas / basis.mass if spec.sigma else None
+        w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        dense = cubature._checked_calibration(raw, cubature._row_reductions(F, n, w_unit), w_unit, len(nodes), [])
+        dense = cubature._checked_calibration(raw, cubature._row_reductions(F, n, w_unit), w_unit, [])
         # blocks of 7 nodes, so the last block is partial
         monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
-        sep = cubature._checked_calibration(raw, cubature._separable_reductions(basis, n, pts, w_unit), w_unit,
-                                            len(nodes), [])
+        sep = cubature._checked_calibration(raw, cubature._separable_reductions(basis, n, pts, w_unit), w_unit, [])
         if spec.sigma:
             S = dense[0].s_matrix
             assert np.abs(sep[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
