@@ -253,12 +253,10 @@ def q_m_polynomial(alpha: float, beta: float, m: int):
     def f(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        z1, z2 = _split_z(x, y)
-        t1a = jacobi_normalized_table(alpha, beta + 1, m, z1)[m]
-        t2a = jacobi_normalized_table(alpha, beta + 1, m, z2)[m]
-        t1b = jacobi_normalized_table(alpha + 1, beta, m, z1)[m]
-        t2b = jacobi_normalized_table(alpha + 1, beta, m, z2)[m]
-        return (x + y) * (t1a * t2b + t2a * t1b)
+        z = np.stack(_split_z(x, y))
+        ta = jacobi_normalized_table(alpha, beta + 1, m, z)[m]
+        tb = jacobi_normalized_table(alpha + 1, beta, m, z)[m]
+        return (x + y) * (ta[0] * tb[1] + ta[1] * tb[0])
 
     return f
 

@@ -324,11 +324,16 @@ def _exactness_report(deg: int, residuals: np.ndarray, tol: float = 1e-9) -> Exa
 
 def _degree_residuals(w: WeightSpec, points: np.ndarray, lambdas: np.ndarray, degree: int) -> np.ndarray:
     """Largest |sum_k lambda_k T_i(x_k) T_j(y_k) - int T_i T_j W| / mass over
-    i + j = t, for each total degree t = 0..degree."""
+    i + j = t, for each total degree t = 0..degree; the sums accumulate over
+    node blocks whose two T tables hold at most ``_BLOCK_BYTES``."""
     mom = chebyshev_moments(w, degree)
-    tx = chebyshev_t_table(degree, points[:, 0])
-    tx *= lambdas
-    err = np.abs(tx @ chebyshev_t_table(degree, points[:, 1]).T - mom) / mom[0, 0]
+    err = -mom
+    step = max(1, _BLOCK_BYTES // (16 * (degree + 1)))
+    for s in range(0, len(points), step):
+        tx = chebyshev_t_table(degree, points[s:s + step, 0])
+        tx *= lambdas[s:s + step]
+        err += tx @ chebyshev_t_table(degree, points[s:s + step, 1]).T
+    err = np.abs(err, out=err) / mom[0, 0]
     # largest error on each anti-diagonal i + j = t
     residuals = np.zeros(2 * degree + 1)
     np.maximum.at(residuals, np.add.outer(np.arange(degree + 1), np.arange(degree + 1)), err)

@@ -424,9 +424,8 @@ class PolySystem:
         return f
 
     def _tables(self, x, y):
-        tx, dtx = jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, np.asarray(x, float))
-        ty, dty = jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, np.asarray(y, float))
-        return tx, dtx, ty, dty
+        return (*jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, x),
+                *jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, y))
 
     @staticmethod
     def _stack(a, b, d):

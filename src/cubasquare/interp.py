@@ -82,20 +82,16 @@ class Interpolant:
         object.__setattr__(self, "f_values", f_values)
         object.__setattr__(self, "square", _square((self.factor @ f_values)[:, None], self.degree)[:, :, 0])
 
-    def _row_blocks(self, pts: np.ndarray):
-        """Basis rows at consecutive blocks of ``pts`` (at least one block)."""
+    def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
+        """Matrix L[k, p] = ell_k(pts[p]), from the basis rows at blocks of ``pts``."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         step = max(1, _BLOCK_BYTES // (8 * len(self.factor)))
-        for s in range(0, max(len(pts), 1), step):
-            yield _cheb_total_degree_rows(self.degree, pts[s:s + step, 0], pts[s:s + step, 1])
-
-    def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """Matrix L[k, p] = ell_k(pts[p])."""
-        return np.hstack([self.factor.T @ rows for rows in self._row_blocks(pts)])
+        return np.hstack([self.factor.T @ _cheb_total_degree_rows(self.degree, *pts[s:s + step].T)
+                          for s in range(0, max(len(pts), 1), step)])
 
     def __call__(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Values at (x, y), broadcast together; a ValueError names both shapes if they do not."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xy = np.stack([x.ravel(), y.ravel()])
         vals = np.empty(xy.shape[1])
         # per block of points: the T table of x and y (2 (m + 1) values a

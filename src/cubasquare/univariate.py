@@ -1,10 +1,12 @@
 """Univariate orthogonal polynomials, their zeros, and 1-D Gauss quadrature.
 
-All evaluators use forward three-term recurrences, which are stable on
-[-1, 1].  Polynomials of negative degree evaluate to 0 throughout the
-package.  Zeros and quadrature rules come from the Golub-Welsch
-eigenvalue method on the symmetric Jacobi matrix, followed by one Newton
-polish step.
+All evaluators use forward three-term recurrences, stable on [-1, 1].  One
+kernel for Chebyshev T and U and one for the normalized Jacobi polynomials
+(and their derivatives) fill preallocated rows in place, in the operation
+order of the plain array recurrence, so each table is bit for bit its values.
+Polynomials of negative degree evaluate to 0 throughout the package.  Zeros
+and quadrature rules come from the Golub-Welsch eigenvalue method on the
+symmetric Jacobi matrix, followed by one Newton polish step.
 """
 
 from __future__ import annotations
@@ -29,45 +31,38 @@ __all__ = [
 ]
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _chebyshev(n: int, x, first: float):
-    """Degree n of the recurrence p_{k+1} = 2 x p_k - p_{k-1} from p_0 = 1 and
-    p_1 = first * x; 0 for n < 0."""
-    x = _as_array(x)
-    if n < 0:
-        return np.zeros_like(x)
-    if n == 0:
-        return np.ones_like(x)
-    pm, p = np.ones_like(x), first * x
-    for _ in range(1, n):
-        pm, p = p, 2.0 * x * p - pm
-    return p
+def _chebyshev(n: int, x, first: float, keep: int) -> np.ndarray:
+    """p_0..p_n at x of p_{k+1} = 2 x p_k - p_{k-1}, p_0 = 1, p_1 = first * x,
+    each filled in place into row k % ``keep`` of a (keep,) + x.shape array:
+    keep = n + 1 gives the table, keep = 3 only the last three rows."""
+    out = np.empty((keep,) + np.shape(x))
+    r = list(out.reshape(keep, -1))
+    r = [r[k % keep] for k in range(n + 1)]
+    x = np.asarray(x, dtype=float).reshape(-1)
+    x2 = 2.0 * x
+    r[0].fill(1.0)
+    if n >= 1:
+        np.multiply(first, x, out=r[1])
+    for k in range(1, n):
+        np.multiply(x2, r[k], out=r[k + 1])
+        np.subtract(r[k + 1], r[k - 1], out=r[k + 1])
+    return out
 
 
 def eval_chebyshev_t(n: int, x):
     """Chebyshev polynomial of the first kind, T_n(x); 0 for n < 0."""
-    return _chebyshev(n, x, 1.0)
+    return _chebyshev(n, x, 1.0, 3)[n % 3] if n >= 0 else np.zeros_like(x, dtype=float)
 
 
 def chebyshev_t_table(n: int, x) -> np.ndarray:
     """Table of T_0..T_n at x, shape (n+1,) + x.shape; row k equals
     ``eval_chebyshev_t(k, x)`` bit for bit (same recurrence)."""
-    x = _as_array(x)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = x
-    for k in range(1, n):
-        out[k + 1] = 2.0 * x * out[k] - out[k - 1]
-    return out
+    return _chebyshev(n, x, 1.0, n + 1)
 
 
 def eval_chebyshev_u(n: int, x):
     """Chebyshev polynomial of the second kind, U_n(x); 0 for n < 0."""
-    return _chebyshev(n, x, 2.0)
+    return _chebyshev(n, x, 2.0, 3)[n % 3] if n >= 0 else np.zeros_like(x, dtype=float)
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int):
@@ -78,19 +73,47 @@ def jacobi_recurrence(alpha: float, beta: float, n: int):
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError(f"jacobi parameters must exceed -1, got ({alpha}, {beta})")
-    ra = np.zeros(max(n, 1))
-    rb = np.zeros(max(n, 1))
+    ra, rb = np.zeros(max(n, 1)), np.zeros(max(n, 1))
     apb = alpha + beta
     ra[0] = (beta - alpha) / (apb + 2.0)
     rb[0] = 2.0 ** (apb + 1.0) * _gamma(alpha + 1.0) * _gamma(beta + 1.0) / _gamma(apb + 2.0)
     if n > 1:
         ra[1] = (beta * beta - alpha * alpha) / ((apb + 2.0) * (apb + 4.0))
         rb[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
-    for k in range(2, n):
-        c = 2.0 * k + apb
-        ra[k] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
-        rb[k] = 4.0 * k * (k + alpha) * (k + beta) * (k + apb) / (c * c * (c + 1.0) * (c - 1.0))
+    k = np.arange(2.0, n)
+    c = 2.0 * k + apb
+    ra[2:] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
+    rb[2:] = 4.0 * k * (k + alpha) * (k + beta) * (k + apb) / (c * c * (c + 1.0) * (c - 1.0))
     return ra, rb
+
+
+def _jacobi(alpha: float, beta: float, nmax: int, x, derivative: bool):
+    """The normalized Jacobi table p_0..p_nmax at x and, if ``derivative``,
+    the table of d/dx (else None), their rows filled in place from
+    p_{k+1} = ((x - ra[k]) p_k - c[k] p_{k-1}) / c[k+1], c = sqrt(rb), and
+    p'_{k+1} = (p_k + (x - ra[k]) p'_k - c[k] p'_{k-1}) / c[k+1]."""
+    ra, rb = jacobi_recurrence(alpha, beta, nmax + 2)
+    a, c = ra.tolist(), np.sqrt(rb).tolist()
+    p = np.empty((nmax + 1,) + np.shape(x))
+    dp = np.empty_like(p) if derivative else None
+    r = list(p.reshape(nmax + 1, -1))
+    dr = list(dp.reshape(nmax + 1, -1)) if derivative else []
+    x = np.asarray(x, dtype=float).reshape(-1)
+    t, u = np.empty_like(x), np.empty_like(x)
+    r[0].fill(1.0)
+    if nmax >= 1:
+        np.divide(np.subtract(x, a[0], out=r[1]), c[1], out=r[1])
+    for row, value in zip(dr, (0.0, 1.0 / c[1])):
+        row.fill(value)
+    for k in range(1, nmax):
+        np.subtract(x, a[k], out=t)
+        if derivative:
+            np.add(r[k], np.multiply(t, dr[k], out=dr[k + 1]), out=dr[k + 1])
+            np.subtract(dr[k + 1], np.multiply(c[k], dr[k - 1], out=u), out=dr[k + 1])
+            np.divide(dr[k + 1], c[k + 1], out=dr[k + 1])
+        np.subtract(np.multiply(t, r[k], out=r[k + 1]), np.multiply(c[k], r[k - 1], out=u), out=r[k + 1])
+        np.divide(r[k + 1], c[k + 1], out=r[k + 1])
+    return p, dp
 
 
 def jacobi_normalized_table(alpha: float, beta: float, nmax: int, x) -> np.ndarray:
@@ -100,33 +123,12 @@ def jacobi_normalized_table(alpha: float, beta: float, nmax: int, x) -> np.ndarr
     (1/mass) * int p_n^2 (1-x)^alpha (1+x)^beta dx = 1.
     Returns an array of shape (nmax+1,) + x.shape.
     """
-    x = _as_array(x)
-    ra, rb = jacobi_recurrence(alpha, beta, nmax + 2)
-    c = np.sqrt(rb)
-    out = np.zeros((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = (x - ra[0]) / c[1]
-    for k in range(1, nmax):
-        out[k + 1] = ((x - ra[k]) * out[k] - c[k] * out[k - 1]) / c[k + 1]
-    return out
+    return _jacobi(alpha, beta, nmax, x, False)[0]
 
 
 def jacobi_normalized_table_with_derivative(alpha: float, beta: float, nmax: int, x):
     """Like jacobi_normalized_table, also returning d/dx of each entry."""
-    x = _as_array(x)
-    ra, rb = jacobi_recurrence(alpha, beta, nmax + 2)
-    c = np.sqrt(rb)
-    p = np.zeros((nmax + 1,) + x.shape)
-    dp = np.zeros_like(p)
-    p[0] = 1.0
-    if nmax >= 1:
-        p[1] = (x - ra[0]) / c[1]
-        dp[1] = 1.0 / c[1]
-    for k in range(1, nmax):
-        p[k + 1] = ((x - ra[k]) * p[k] - c[k] * p[k - 1]) / c[k + 1]
-        dp[k + 1] = (p[k] + (x - ra[k]) * dp[k] - c[k] * dp[k - 1]) / c[k + 1]
-    return p, dp
+    return _jacobi(alpha, beta, nmax, x, True)
 
 
 def jacobi_chebyshev_coeffs(alpha: float, beta: float, nmax: int) -> np.ndarray:

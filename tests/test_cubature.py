@@ -274,14 +274,21 @@ class TestClosedFormWeights:
             weights_from_kernel(replace(nodes, points=pts), star_spec_gaussian(cheb2(), 6), cheb2())
 
     def test_cheb1_128_memory(self):
-        # the dense N x N calibration matrix alone is 562 MB at n = 128
+        # the dense N x N calibration matrix alone is 562 MB at n = 128, and
+        # the two T tables of the moment residuals at degree 258 on all nodes
+        # 34 MB; the build peaks at about 21 MB in its blocked calibration
         tracemalloc.start()
         try:
             rule = family_rule("cheb1", 128)[3]
             peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert exactness_check(rule).passed
+            check_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert peak < 22 * 2**20
+        assert check_peak < 20 * 2**20
         assert len(rule.lambdas) == moeller_count(128)
 
     def test_cheb1_64_memory(self):
@@ -382,6 +389,13 @@ class TestExactnessCheck:
         assert max(rep.residuals[: rule.degree + 1]) == rep.max_rel_error
         assert rep.residuals[rep.first_failure_degree] > 1e-9
         assert all(r <= 1e-9 for r in rep.residuals[: rep.first_failure_degree])
+
+    def test_node_blocks_match_one_block(self, monkeypatch):
+        rule = RULE_BUILDERS["mint"](16)
+        one = exactness_check(rule).residuals
+        # blocks of 7 of the 144 nodes, so the last block is partial
+        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 16 * (rule.degree + 4) * 7)
+        assert_allclose(exactness_check(rule).residuals, one, rtol=0, atol=1e-14)
 
     def test_nan_weight_fails(self):
         rule = RULE_BUILDERS["mint"](4)

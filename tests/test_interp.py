@@ -103,6 +103,18 @@ class TestKernelInterpolation:
         got = interp(nodes.points[:, 0], nodes.points[:, 1])
         assert np.abs(got - fv).max() < 1e-9 * (1 + np.abs(fv).max())
 
+    def test_call_broadcasts_x_against_y(self):
+        f = lambda x, y: x**3 * y**2
+        nodes, spec, w, _ = family_rule("cheb1", 8)
+        interp = interpolate_kernel(nodes, spec, w, sample(f, nodes))
+        xs, ys = np.linspace(-1, 1, 3)[:, None], np.linspace(-1, 1, 4)
+        X, Y = np.broadcast_arrays(xs, ys)
+        assert interp(xs, ys).shape == (3, 4)
+        assert np.array_equal(interp(xs, ys), interp(X, Y))
+        assert np.array_equal(interp(0.3, ys), interp(np.full(4, 0.3), ys))
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(12,\)"):
+            interp(np.zeros((3, 4)), np.zeros(12))
+
     def test_quadrature_interpolation_consistency(self):
         # integrating L_n f against the weight equals sum(lambda * f)
         f = lambda x, y: np.exp(x + 0.5 * y)

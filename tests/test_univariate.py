@@ -1,7 +1,12 @@
 """Tests for univariate polynomial evaluation, zeros, and Gauss rules."""
 
+from math import gamma
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cubasquare.univariate import (
@@ -11,9 +16,98 @@ from cubasquare.univariate import (
     gauss_rule_1d,
     jacobi_angle_grid,
     jacobi_normalized_table,
+    jacobi_normalized_table_with_derivative,
+    jacobi_recurrence,
 )
 
 PARAM_PAIRS = [(-0.5, -0.5), (0.5, 0.5), (0.5, -0.5), (0.0, 0.0)]
+
+
+# The three-term recurrences as plain array expressions, one temporary per
+# operation: the references the in-place tables must equal bit for bit.
+
+def ref_chebyshev(n, x, first):
+    x = np.asarray(x, dtype=float)
+    if n < 0:
+        return np.zeros_like(x)
+    if n == 0:
+        return np.ones_like(x)
+    pm, p = np.ones_like(x), first * x
+    for _ in range(1, n):
+        pm, p = p, 2.0 * x * p - pm
+    return p
+
+
+def ref_chebyshev_t_table(n, x):
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = x
+    for k in range(1, n):
+        out[k + 1] = 2.0 * x * out[k] - out[k - 1]
+    return out
+
+
+def ref_jacobi_recurrence(alpha, beta, n):
+    ra = np.zeros(max(n, 1))
+    rb = np.zeros(max(n, 1))
+    apb = alpha + beta
+    ra[0] = (beta - alpha) / (apb + 2.0)
+    rb[0] = 2.0 ** (apb + 1.0) * gamma(alpha + 1.0) * gamma(beta + 1.0) / gamma(apb + 2.0)
+    if n > 1:
+        ra[1] = (beta * beta - alpha * alpha) / ((apb + 2.0) * (apb + 4.0))
+        rb[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
+    for k in range(2, n):
+        c = 2.0 * k + apb
+        ra[k] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
+        rb[k] = 4.0 * k * (k + alpha) * (k + beta) * (k + apb) / (c * c * (c + 1.0) * (c - 1.0))
+    return ra, rb
+
+
+def ref_jacobi_table_with_derivative(alpha, beta, nmax, x):
+    x = np.asarray(x, dtype=float)
+    ra, rb = ref_jacobi_recurrence(alpha, beta, nmax + 2)
+    c = np.sqrt(rb)
+    p = np.zeros((nmax + 1,) + x.shape)
+    dp = np.zeros_like(p)
+    p[0] = 1.0
+    if nmax >= 1:
+        p[1] = (x - ra[0]) / c[1]
+        dp[1] = 1.0 / c[1]
+    for k in range(1, nmax):
+        p[k + 1] = ((x - ra[k]) * p[k] - c[k] * p[k - 1]) / c[k + 1]
+        dp[k + 1] = (p[k] + (x - ra[k]) * dp[k] - c[k] * dp[k - 1]) / c[k + 1]
+    return p, dp
+
+
+def assert_identical(got, ref):
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    x=st.sampled_from([(), (0,), (7,), (3, 5)]).flatmap(
+        lambda shape: arrays(float, shape, elements=st.sampled_from([-1.0, 1.0]) | st.floats(-1.5, 1.5))),
+    n=st.integers(0, 140),
+    alpha=st.floats(-1.0, 3.0, exclude_min=True),
+    beta=st.floats(-1.0, 3.0, exclude_min=True),
+)
+@example(x=np.array([-1.0, -0.5, 0.0, 0.3, 1.0, 1.5, -1.5]), n=140, alpha=-0.5, beta=-0.5)
+@example(x=np.linspace(-1.0, 1.0, 15).reshape(3, 5), n=1, alpha=-0.5, beta=-0.5)
+@example(x=np.array(0.7), n=2, alpha=3.0, beta=-0.5)
+def test_tables_equal_the_reference_recurrences(x, n, alpha, beta):
+    assert_identical(chebyshev_t_table(n, x), ref_chebyshev_t_table(n, x))
+    assert_identical(eval_chebyshev_t(n, x), ref_chebyshev(n, x, 1.0))
+    assert_identical(eval_chebyshev_u(n, x), ref_chebyshev(n, x, 2.0))
+    p, dp = ref_jacobi_table_with_derivative(alpha, beta, n, x)
+    assert_identical(jacobi_normalized_table(alpha, beta, n, x), p)
+    got_p, got_dp = jacobi_normalized_table_with_derivative(alpha, beta, n, x)
+    assert_identical(got_p, p)
+    assert_identical(got_dp, dp)
+    for got, ref in zip(jacobi_recurrence(alpha, beta, n), ref_jacobi_recurrence(alpha, beta, n)):
+        assert_identical(got, ref)
 
 
 class TestChebyshev:

@@ -13,8 +13,13 @@ per-layer metrics.  Nothing else should run on the machine meanwhile.
 The output, ``BENCH_<N>.json`` at the root of the change, has the layout of
 the earlier BENCH files: ``machine``, ``parent_commit``, ``command``,
 ``order``, then ``end_to_end`` (per workload: the seeds; per metric the runs
-of each side, their quartiles, the ratio of the medians and the number of
-pairs the change won, by the metric's direction in BENCHMARK.json;
+of each side, their quartiles, the ratio of the medians, the number of
+pairs the change won, by the metric's direction in BENCHMARK.json, and the
+verdict: |change median - parent median|, the parent's quartile spread
+q3 - q1, ``gain`` (won at least nine tenths of the pairs, and the medians
+differ in the better direction by more than that spread) and
+``worse_beyond_bound`` (the change's median worse than the parent's by more
+than the metric's bound in BENCHMARK.json, a share of the parent's median);
 ``correct``; ``failed_over_attempted``) and ``layers`` (per workload: the
 traced seeds and, per metric, the values of each side in seed order).  The
 file is rewritten after every run, so an interrupted session keeps what
@@ -65,22 +70,31 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summary(parent: list[dict], change: list[dict], directions: dict) -> dict:
-    """The end-to-end record of one workload from its paired results."""
+def summary(parent: list[dict], change: list[dict], specs: dict) -> dict:
+    """The end-to-end record of one workload from its paired results, with
+    ``specs`` the end-to-end metrics of BENCHMARK.json by name."""
     metrics = {}
-    for name, better in directions.items():
+    for name, spec in specs.items():
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
-        sign = 1.0 if better == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        won = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        gain = sign * (statistics.median(c) - statistics.median(p))  # > 0: the change is better
+        parent_q = quartiles(p)
+        spread = parent_q["q3"] - parent_q["q1"]
         metrics[name] = {
             "unit": parent[0]["metrics"][name]["unit"],
             "parent_runs": p,
             "change_runs": c,
-            "parent": quartiles(p),
+            "parent": parent_q,
             "change": quartiles(c),
             "change_over_parent_median": statistics.median(c) / statistics.median(p),
-            "pairs_change_better": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
+            "pairs_change_better": won,
             "pairs": len(p),
+            "median_gap": abs(gain),
+            "parent_quartile_spread": spread,
+            "gain": won >= 0.9 * len(p) and gain > spread,
+            "worse_beyond_bound": -gain > spec["bound"] * statistics.median(p),
         }
     return {
         "metrics": metrics,
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     parent_tree = args.parent_tree.resolve()
     bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     head = subprocess.run(["git", "-C", str(parent_tree), "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -124,7 +138,7 @@ def main(argv=None) -> int:
             print(f"{w} seed {seed}: items_per_s parent {runs['parent'][-1]['metrics']['items_per_s']['value']:.4g}"
                   f" change {runs['change'][-1]['metrics']['items_per_s']['value']:.4g}", file=sys.stderr)
             out["end_to_end"][w] = {"seeds": seeds[:len(runs["parent"])],
-                                    **summary(runs["parent"], runs["change"], directions)}
+                                    **summary(runs["parent"], runs["change"], specs)}
             write()
     for w in workloads:
         traced = {"parent": [], "change": []}
