@@ -83,7 +83,7 @@ def ref_jacobi_table_with_derivative(alpha, beta, nmax, x):
 
 def assert_identical(got, ref):
     assert np.shape(got) == np.shape(ref)
-    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(got, ref)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
