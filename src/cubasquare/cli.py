@@ -9,6 +9,7 @@ flags and random seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from .cubature import (
     exactness_check,
     rule_from_json,
     rule_to_dict,
+    rule_to_json,
     weights_from_vandermonde,
 )
 from .interp import convergence_report, family_rule, lebesgue_constant
@@ -117,7 +119,7 @@ def cmd_nodes(args) -> int:
 def cmd_rule(args) -> int:
     _check_parity(args.family, args.n)
     rule = family_rule(_kernel_family_name(args.family), args.n, args.alpha, args.beta)[3]
-    _write_out(json.dumps(rule_to_dict(rule), indent=2), args.out)
+    _write_out(rule_to_json(rule), args.out)
     return 0 if rule.oracle_report.passed else 1
 
 
@@ -224,20 +226,19 @@ def cmd_discover(args) -> int:
         report["note"] = "no solution found with these seeds; nonexistence is not established"
     else:
         report["status"] = "found" if report.get("solutions") else "not-found"
-    report["rules"] = []
-    for idx, rule in rules:
-        entry = rule_to_dict(rule)
-        report["rules"].append(entry)
-        if args.out_dir:
-            os.makedirs(args.out_dir, exist_ok=True)
-            path = os.path.join(args.out_dir, f"{args.mode}_n{n}_sol{idx}.json")
-            with open(path, "w") as fh:
-                json.dump(entry, fh, indent=2)
+    report["rules"] = [rule_to_dict(rule) for _, rule in rules]
+    if args.out_dir and rules:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for idx, rule in rules:
+            with open(os.path.join(args.out_dir, f"{args.mode}_n{n}_sol{idx}.json"), "w") as fh:
+                fh.write(rule_to_json(rule))
     _write_out(json.dumps(report, indent=2), args.out)
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it without changing it."""
     p = argparse.ArgumentParser(prog="cubasquare",
                                 description="cubature rules and interpolation nodes on the square")
     sub = p.add_subparsers(dest="command", required=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -365,15 +366,16 @@ def lower_bounds(w: WeightSpec, n: int) -> LowerBounds:
 _SCHEMA_VERSION = 1
 
 
-def rule_to_dict(rule: CubatureRule) -> dict:
+def _rule_fields(rule: CubatureRule, nodes, lambdas) -> dict:
+    """The fields of a rule file, in file order, around the given arrays."""
     d = {
         "schema_version": _SCHEMA_VERSION,
         "weight": weight_string(rule.weight),
         "family": rule.nodes.family,
         "n": rule.nodes.n,
         "degree": rule.degree,
-        "nodes": [[format(x, ".17g"), format(y, ".17g")] for x, y in rule.nodes.points],
-        "lambdas": [format(v, ".17g") for v in rule.lambdas],
+        "nodes": nodes,
+        "lambdas": lambdas,
         "provenance": rule.provenance,
         "oracle_report": rule.oracle_report.to_dict() if rule.oracle_report else None,
     }
@@ -383,10 +385,19 @@ def rule_to_dict(rule: CubatureRule) -> dict:
     return d
 
 
+def rule_to_dict(rule: CubatureRule) -> dict:
+    """The rule file as a dict; coordinates and weights are 17-digit strings."""
+    nodes = [[format(x, ".17g"), format(y, ".17g")] for x, y in rule.nodes.points.tolist()]
+    return _rule_fields(rule, nodes, [format(v, ".17g") for v in rule.lambdas.tolist()])
+
+
 def rule_from_dict(d: dict) -> CubatureRule:
     if d.get("schema_version") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    pts = np.array([[float(x), float(y)] for x, y in d["nodes"]])
+    rows, lam = d["nodes"], d["lambdas"]
+    if set(map(len, rows)) - {2}:
+        raise ValueError("every node needs exactly two coordinates")
+    pts = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows)).reshape(-1, 2)
     ns = NodeSet(
         points=pts,
         family=d["family"],
@@ -404,15 +415,38 @@ def rule_from_dict(d: dict) -> CubatureRule:
         weight=parse_weight(d["weight"]),
         degree=int(d["degree"]),
         nodes=ns,
-        lambdas=np.array([float(v) for v in d["lambdas"]]),
+        lambdas=np.fromiter(map(float, lam), float, len(lam)),
         provenance=d.get("provenance", ""),
         oracle_report=report,
         validate=False,
     )
 
 
+# one node of the nodes array and the separator of the lambdas, at their indent-2 depth
+_NODE_TEXT = '    [\n      "{:.17g}",\n      "{:.17g}"\n    ]'.format
+_LAMBDA_SEP = '",\n    "'
+
+
 def rule_to_json(rule: CubatureRule) -> str:
-    return json.dumps(rule_to_dict(rule), indent=2)
+    """The rule file: the text of ``json.dumps(rule_to_dict(rule), indent=2)``.
+
+    This is the only writer of rule files.  The scalar fields go through
+    ``json.dumps``; the nodes and lambdas arrays are formatted in one pass
+    each, as the same indent-2 layout of 17-significant-digit strings.
+    """
+    lam = rule.lambdas.tolist()
+    arrays = {
+        "nodes": "[\n" + ",\n".join(map(_NODE_TEXT, *rule.nodes.points.T.tolist())) + "\n  ]",
+        "lambdas": '[\n    "' + _LAMBDA_SEP.join(map("{:.17g}".format, lam)) + '"\n  ]',
+    } if lam else {}  # empty arrays are "[]", as json.dumps writes them
+    items = []
+    for key, value in _rule_fields(rule, [], []).items():
+        if key in arrays:
+            text = arrays[key]
+        else:  # a nested value is indented one level, as json.dumps indents it inside the rule
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def rule_from_json(text: str) -> CubatureRule:

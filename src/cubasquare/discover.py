@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.optimize import OptimizeResult, leastsq
 
 from .basis2d import three_term
-from .univariate import jacobi_normalized_table_with_derivative
+from .univariate import jacobi_normalized_table, jacobi_normalized_table_with_derivative
 from .weights import constant
 
 __all__ = [
@@ -423,24 +423,20 @@ class PolySystem:
             return self.values(x, y)[i]
         return f
 
-    def _tables(self, x, y):
-        return (*jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, x),
-                *jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, y))
-
     @staticmethod
     def _stack(a, b, d):
         """Rows a_{d-k} b_k, k = 0..d, of two (n + 1, points) tables."""
         return a[d::-1] * b[: d + 1]
 
     def values(self, x, y) -> np.ndarray:
-        tx, _, ty, _ = self._tables(x, y)
+        tx, ty = (jacobi_normalized_table(0.0, 0.0, self.n, v) for v in (x, y))
         F = self.coeff_n @ self._stack(tx, ty, self.n)
         if self.coeff_nm1 is not None:
             F = F + self.coeff_nm1 @ self._stack(tx, ty, self.n - 1)
         return F
 
     def values_and_jacobian(self, x, y):
-        tx, dtx, ty, dty = self._tables(x, y)
+        (tx, dtx), (ty, dty) = (jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, v) for v in (x, y))
 
         def stacks(d):  # the members of degree d and their x and y derivatives
             return self._stack(tx, ty, d), self._stack(dtx, ty, d), self._stack(tx, dty, d)

@@ -169,10 +169,12 @@ def _axis_params(w: WeightSpec) -> tuple[tuple[float, float], tuple[float, float
 
 def _oracle_axes(w: WeightSpec, degree: int):
     """Per-axis Gauss-Jacobi rules (xg, wx), (yg, wy) of the product-weight
-    tensor oracle for total degree ``degree``."""
+    tensor oracle for total degree ``degree``; one rule object serves both
+    axes when their exponents agree (every gegenbauer weight)."""
     m = degree // 2 + 1 + _ORACLE_MARGIN
     (pa, _), (pb, _) = _axis_params(w)
-    return gauss_rule_1d(pa, pa, m), gauss_rule_1d(pb, pb, m)
+    x_rule = gauss_rule_1d(pa, pa, m)
+    return x_rule, x_rule if pb == pa else gauss_rule_1d(pb, pb, m)
 
 
 def _angle_rule(w: WeightSpec, degree: int):
@@ -221,7 +223,7 @@ def chebyshev_moments(w: WeightSpec, degree: int) -> np.ndarray:
     else:
         (xg, wx), (yg, wy) = _oracle_axes(w, degree)
         tx = chebyshev_t_table(degree, xg) * wx
-        ty = chebyshev_t_table(degree, yg) * wy
+        ty = tx if yg is xg else chebyshev_t_table(degree, yg) * wy
         out = np.outer(tx.sum(axis=1), ty.sum(axis=1))
     # central symmetry: odd total-degree moments vanish identically
     out[(i[:, None] + i) % 2 == 1] = 0.0

@@ -26,6 +26,32 @@ def test_parser_does_not_load_scipy_optimize():
     assert done.stdout.strip() == "False"
 
 
+def test_one_parser_serves_every_command(tmp_path, monkeypatch, capsys):
+    # the cached parser gives each command the exit code and output of a freshly built one
+    from cubasquare import cli
+
+    assert cli._parser() is cli._parser()
+    commands = [["rule", "mint", "4", "--out", "rule.json"], ["rule", "mint", "x"], ["verify", "rule.json"],
+                ["discover", "even", "3", "--seeds", "2"], ["rule", "gencheb", "5", "--alpha", "0.3"]]
+
+    def session(name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        out = []
+        for argv in commands:
+            rc = cli.main(argv)
+            out.append((rc, *capsys.readouterr()))
+        return out, (tmp_path / name / "rule.json").read_text()
+
+    cached = session("cached")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli._parser.__wrapped__)
+        fresh = session("fresh")
+    assert cached == fresh
+    assert [rc for rc, *_ in cached[0]] == [0, 2, 0, 0, 0]
+    assert "invalid int value" in cached[0][1][2]
+
+
 # each subcommand accepts only the flags it reads; --alpha/--beta only for gencheb.
 # `plot` is gone (`nodes --svg` draws the same SVG): its old command lines exit 2
 FLAG_VALUES = {"--gamma": "0.5", "--weight": "cheb1", "--format": "json", "--resolution": "65",

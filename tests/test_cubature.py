@@ -515,3 +515,75 @@ class TestSerialization:
 
     def test_mass_helper(self):
         assert mass(cheb1()) == pytest.approx(np.pi**2, rel=1e-14)
+
+
+def reference_rule_text(rule):
+    """The rule file as the stdlib writes it: the layout ``rule_to_json`` must reproduce."""
+    return json.dumps(rule_to_dict(rule), indent=2)
+
+
+def float_bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+RULES_FAMILIES = [("cheb1", 6, None, None), ("cheb1", 7, None, None), ("cheb2", 8, None, None),
+                  ("padua", 6, None, None), ("gencheb", 8, 0.5, 0.5), ("gencheb", 9, 0.3, -0.2)]
+
+
+class TestRuleFileWriter:
+    @pytest.mark.parametrize("family,n,alpha,beta", RULES_FAMILIES, ids=[f"{f}{n}" for f, n, *_ in RULES_FAMILIES])
+    def test_family_rules_byte_identical(self, family, n, alpha, beta):
+        rule = family_rule(family, n, alpha, beta)[3]
+        text = rule_to_json(rule)
+        assert text == reference_rule_text(rule)
+        assert ("alpha" in json.loads(text)) == (family == "gencheb")
+
+    def test_without_report_and_without_residuals(self):
+        rule = family_rule("cheb1", 6)[3]
+        unreported = replace(rule, oracle_report=None)
+        assert rule_to_json(unreported) == reference_rule_text(unreported)
+        bare = replace(rule, oracle_report=replace(rule.oracle_report, residuals=None))
+        assert rule_to_json(bare) == reference_rule_text(bare)
+        assert '"residuals": null' in rule_to_json(bare)
+
+    def test_loaded_special_values(self):
+        d = rule_to_dict(family_rule("cheb2", 4)[3])
+        d["nodes"][0] = ["nan", "-0"]
+        d["nodes"][1] = ["inf", "5e-324"]
+        d["lambdas"][:4] = ["-0", "nan", "-inf", "1e-300"]
+        d["oracle_report"]["max_rel_error"] = float("nan")
+        d["provenance"] = 'quote " backslash \\ newline \n tab \t \u00e9'
+        rule = rule_from_dict(d)
+        assert rule_to_json(rule) == reference_rule_text(rule)
+        assert rule_to_dict(rule)["nodes"][:2] == [["nan", "-0"], ["inf", "4.9406564584124654e-324"]]
+
+    def test_one_node_rule(self):
+        ns = NodeSet(points=np.array([[0.0, -0.0]]), family="padua", n=0, expected_count=1, provenance="")
+        rule = CubatureRule(weight=constant(), degree=1, nodes=ns, lambdas=np.array([4.0]))
+        assert rule_to_json(rule) == reference_rule_text(rule)
+        rule.oracle_report = exactness_check(rule)
+        assert rule_to_json(rule) == reference_rule_text(rule)
+
+    def test_empty_arrays_as_the_stdlib_writes_them(self):
+        d = rule_to_dict(family_rule("cheb1", 4)[3])
+        d["nodes"], d["lambdas"], d["oracle_report"] = [], [], None
+        rule = rule_from_dict(d)
+        assert rule_to_json(rule) == reference_rule_text(rule)
+        assert '"nodes": [],\n  "lambdas": [],' in rule_to_json(rule)
+
+    @pytest.mark.parametrize("family,n,alpha,beta", RULES_FAMILIES, ids=[f"{f}{n}" for f, n, *_ in RULES_FAMILIES])
+    def test_reader_arrays_are_float_of_every_string(self, family, n, alpha, beta):
+        d = json.loads(rule_to_json(family_rule(family, n, alpha, beta)[3]))
+        d["nodes"][0], d["lambdas"][0] = ["-0", "nan"], "1.0000000000000002"
+        rule = rule_from_json(json.dumps(d))
+        assert rule.nodes.points.shape == (len(d["nodes"]), 2)
+        assert np.array_equal(float_bits(rule.nodes.points), float_bits([[float(x), float(y)] for x, y in d["nodes"]]))
+        assert np.array_equal(float_bits(rule.lambdas), float_bits([float(v) for v in d["lambdas"]]))
+
+    @pytest.mark.parametrize("row", [["0.5"], ["0.5", "0.5", "0.5"], []])
+    def test_reader_rejects_a_node_without_two_coordinates(self, row):
+        d = rule_to_dict(family_rule("cheb1", 4)[3])
+        d["nodes"][3] = row
+        with pytest.raises(ValueError):
+            rule_from_dict(d)
+

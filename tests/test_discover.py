@@ -394,6 +394,17 @@ class TestPolySystemStacks:
         assert all(np.array_equal(g, r) for g, r in zip(got, (F, Jx, Jy)))
         assert np.array_equal(system.values(x, y), F)
 
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("with_nm1", [False, True])
+    def test_values_without_derivative_tables(self, n, with_nm1):
+        # values and __getitem__ use the plain Jacobi tables, whose rows are those of the derivative kernel
+        rng = np.random.default_rng(10 + n)
+        system = PolySystem(n, rng.standard_normal((4, n + 1)), rng.standard_normal((4, n)) if with_nm1 else None)
+        x, y = (g.ravel() for g in np.meshgrid(*2 * [np.linspace(-1.3, 1.3, 60)]))
+        F = system.values_and_jacobian(x, y)[0]
+        assert np.array_equal(system.values(x, y), F)
+        assert np.array_equal(system[2](x, y), F[2])
+
     def test_iteration_stops_at_len(self):
         polys = orthogonal_polys_from_U(3, np.linalg.eigh(odd_W(3, KNOWN_ODD_HANKEL[3].h))[1][:, :3])
         x, y = np.array([0.3, -0.4]), np.array([0.1, 0.7])

@@ -97,6 +97,23 @@ class TestChebyshevMoments:
         assert np.abs(chebyshev_moments(w, d) - ref).max() <= 1e-13 * mass(w)
 
 
+@pytest.mark.parametrize("w", [constant(), cheb1(), cheb2(), gegenbauer_product(1.5), jacobi_product(0.5, 1.0)],
+                         ids=weight_string)
+def test_product_moments_equal_two_axis_rules(w):
+    # one Gauss rule serves both axes when their exponents agree; the moments keep the bits of two rules
+    from cubasquare.weights import _ORACLE_MARGIN, _axis_params, _oracle_axes
+
+    d = 40
+    (pa, _), (pb, _) = _axis_params(w)
+    (xg, wx), (yg, wy) = (gauss_rule_1d(p, p, d // 2 + 1 + _ORACLE_MARGIN) for p in (pa, pb))
+    ref = np.outer((chebyshev_t_table(d, xg) * wx).sum(axis=1), (chebyshev_t_table(d, yg) * wy).sum(axis=1))
+    i = np.arange(d + 1)
+    ref[(i[:, None] + i) % 2 == 1] = 0.0
+    assert np.array_equal(chebyshev_moments(w, d), ref)
+    x_rule, y_rule = _oracle_axes(w, d)
+    assert (x_rule is y_rule) == (pa == pb)
+
+
 def halfint_oracle(w, degree):
     """The gencheb oracle for half-integer alpha, beta, independent of the angle
     variables: |x-y|^ia |x+y|^ib with ia = 2 alpha + 1, ib = 2 beta + 1 even is a
