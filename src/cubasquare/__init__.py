@@ -61,7 +61,6 @@ from .weights import (
     constant,
     gegenbauer_product,
     gencheb,
-    is_centrally_symmetric,
     jacobi_product,
     mass,
     moment,

@@ -329,21 +329,17 @@ def basis_for(w: WeightSpec) -> OrthoBasis2D:
 
 @dataclass(frozen=True)
 class ThreeTermCoefficients:
-    """Coefficient matrices of x_i P_n = A_i P_{n+1} + B_i P_n + A'_{n-1,i} P_{n-1}."""
+    """Coefficient matrices of x_i P_n = A_i P_{n+1} + A_{n-1,i}^T P_{n-1}; there
+    is no P_n term, as every supported weight is centrally symmetric."""
 
     n: int
     A1: np.ndarray
     A2: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
 
 
 def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     """Three-term matrices: closed form for product weights, moment-oracle
-    projections otherwise.
-
-    B1 = B2 = 0 because every supported weight is centrally symmetric.
-    """
+    projections otherwise."""
     if w.kind == "gencheb":
         return _three_term_projected(w, n)
     ax, ay = _axis_params(w)
@@ -354,8 +350,7 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     A1, A2, k = np.zeros((n + 1, n + 2)), np.zeros((n + 1, n + 2)), np.arange(n + 1)
     A1[k, k] = cx[n - k + 1]
     A2[k, k + 1] = cy[k + 1]
-    Z = np.zeros((n + 1, n + 1))
-    return ThreeTermCoefficients(n=n, A1=A1, A2=A2, B1=Z, B2=Z.copy())
+    return ThreeTermCoefficients(n=n, A1=A1, A2=A2)
 
 
 def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
@@ -365,8 +360,7 @@ def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     Pn1 = basis.eval_degree(n + 1, X, Y)
     A1 = ((X * Pn) * wts) @ Pn1.T / basis.mass
     A2 = ((Y * Pn) * wts) @ Pn1.T / basis.mass
-    Z = np.zeros((n + 1, n + 1))
-    return ThreeTermCoefficients(n=n, A1=A1, A2=A2, B1=Z, B2=Z.copy())
+    return ThreeTermCoefficients(n=n, A1=A1, A2=A2)
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def cmd_nodes(args) -> int:
     if args.curve and (args.family != "padua" or not args.svg):
         raise UsageError("--curve draws the Padua generating curve: it needs family 'padua' and --svg")
     ns = _build_nodes(args.family, args.n, args.alpha, args.beta)
-    _write_out(json.dumps(ns.to_dict(), indent=2), args.out)
+    _write_out(ns.to_json(), args.out)
     if args.svg:
         curve = None
         if args.curve:

@@ -19,12 +19,11 @@ from .basis2d import (
     dim_upto,
     three_term,
 )
-from .nodes import NodeSet, moeller_count
+from .nodes import NodeSet, _json_text, _points_json, moeller_count
 from .univariate import chebyshev_t_table, jacobi_normalized_table
 from .weights import (
     WeightSpec,
     chebyshev_moments,
-    is_centrally_symmetric,
     mass,
     parse_weight,
     weight_string,
@@ -345,7 +344,7 @@ def _degree_residuals(w: WeightSpec, points: np.ndarray, lambdas: np.ndarray, de
 class LowerBounds:
     dim_bound: int
     rank_bound: int
-    moeller_bound: int | None
+    moeller_bound: int
 
 
 def lower_bounds(w: WeightSpec, n: int) -> LowerBounds:
@@ -356,8 +355,7 @@ def lower_bounds(w: WeightSpec, n: int) -> LowerBounds:
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int((sv > 1e-10 * max(sv[0], 1.0)).sum()) if sv.size else 0
     rank_bound = dim_bound + rank // 2
-    moeller = moeller_count(n) if is_centrally_symmetric(w) else None
-    return LowerBounds(dim_bound=dim_bound, rank_bound=rank_bound, moeller_bound=moeller)
+    return LowerBounds(dim_bound=dim_bound, rank_bound=rank_bound, moeller_bound=moeller_count(n))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +393,13 @@ def rule_from_dict(d: dict) -> CubatureRule:
     if d.get("schema_version") != _SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     rows, lam = d["nodes"], d["lambdas"]
-    if set(map(len, rows)) - {2}:
+    if not isinstance(rows, list) or set(map(type, rows)) - {list} or set(map(len, rows)) - {2}:
         raise ValueError("every node needs exactly two coordinates")
-    pts = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows)).reshape(-1, 2)
+    try:
+        pts = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows)).reshape(-1, 2)
+        lambdas = np.fromiter(map(float, lam), float, len(lam))
+    except TypeError:
+        raise ValueError("every coordinate and weight must be a number or a numeric string") from None
     ns = NodeSet(
         points=pts,
         family=d["family"],
@@ -415,15 +417,14 @@ def rule_from_dict(d: dict) -> CubatureRule:
         weight=parse_weight(d["weight"]),
         degree=int(d["degree"]),
         nodes=ns,
-        lambdas=np.fromiter(map(float, lam), float, len(lam)),
+        lambdas=lambdas,
         provenance=d.get("provenance", ""),
         oracle_report=report,
         validate=False,
     )
 
 
-# one node of the nodes array and the separator of the lambdas, at their indent-2 depth
-_NODE_TEXT = '    [\n      "{:.17g}",\n      "{:.17g}"\n    ]'.format
+# the separator of the lambdas at their indent-2 depth
 _LAMBDA_SEP = '",\n    "'
 
 
@@ -431,22 +432,13 @@ def rule_to_json(rule: CubatureRule) -> str:
     """The rule file: the text of ``json.dumps(rule_to_dict(rule), indent=2)``.
 
     This is the only writer of rule files.  The scalar fields go through
-    ``json.dumps``; the nodes and lambdas arrays are formatted in one pass
-    each, as the same indent-2 layout of 17-significant-digit strings.
+    ``json.dumps``; the nodes array (by ``nodes._points_json``, the writer of
+    node files' points) and the lambdas are formatted in one pass each, as
+    the same indent-2 layout of 17-significant-digit strings.
     """
     lam = rule.lambdas.tolist()
-    arrays = {
-        "nodes": "[\n" + ",\n".join(map(_NODE_TEXT, *rule.nodes.points.T.tolist())) + "\n  ]",
-        "lambdas": '[\n    "' + _LAMBDA_SEP.join(map("{:.17g}".format, lam)) + '"\n  ]',
-    } if lam else {}  # empty arrays are "[]", as json.dumps writes them
-    items = []
-    for key, value in _rule_fields(rule, [], []).items():
-        if key in arrays:
-            text = arrays[key]
-        else:  # a nested value is indented one level, as json.dumps indents it inside the rule
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+    lambdas = '[\n    "' + _LAMBDA_SEP.join(map("{:.17g}".format, lam)) + '"\n  ]' if lam else "[]"
+    return _json_text(_rule_fields(rule, [], []), nodes=_points_json(rule.nodes.points), lambdas=lambdas)
 
 
 def rule_from_json(text: str) -> CubatureRule:

@@ -82,14 +82,19 @@ class HankelParam:
             raise ValueError("mode must be 'even' or 'odd'")
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "h", h)
-        want = 2 * self.n if self.mode == "even" else 2 * self.n + 1
+        want = self.n + _hankel_cols(self.mode, self.n)
         if h.shape != (want,):
             raise ValueError(f"{self.mode} system at n={self.n} needs {want} entries, got {h.shape}")
 
     @property
     def matrix(self) -> np.ndarray:
-        cols = self.n if self.mode == "even" else self.n + 1
-        return hankel_matrix(self.h, self.n + 1, cols)
+        return hankel_matrix(self.h, self.n + 1, _hankel_cols(self.mode, self.n))
+
+
+def _hankel_cols(mode: str, n: int) -> int:
+    """Columns of the (n + 1)-row Hankel matrix: n for the even system, n + 1
+    for the odd one; its n + cols anti-diagonals are the free entries."""
+    return n if mode == "even" else n + 1
 
 
 def hankel_matrix(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -97,20 +102,12 @@ def hankel_matrix(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _coerce_h(n: int, H, mode: str) -> np.ndarray:
+    """The entries h of a ``HankelParam`` or of a flat array, checked against mode and n."""
     if isinstance(H, HankelParam):
         if H.mode != mode or H.n != n:
             raise ValueError(f"HankelParam is for {H.mode} n={H.n}, expected {mode} n={n}")
         return H.h
-    h = np.asarray(H, dtype=float)
-    if h.ndim == 2:  # accept a materialized Hankel matrix
-        rows, cols = (n + 1, n) if mode == "even" else (n + 1, n + 1)
-        if h.shape != (rows, cols):
-            raise ValueError(f"expected shape {(rows, cols)}, got {h.shape}")
-        flat = np.concatenate([h[0, :], h[1:, -1]])
-        if np.abs(hankel_matrix(flat, rows, cols) - h).max() > 1e-12 * max(1.0, np.abs(h).max()):
-            raise ValueError("matrix does not have constant anti-diagonals")
-        return flat
-    return _coerce_h(n, HankelParam(mode, n, h), mode)
+    return HankelParam(mode, n, H).h
 
 
 # MINPACK's info code -> the status scipy.optimize.least_squares reports
@@ -176,7 +173,7 @@ class _HankelSystem:
         tt = three_term(constant(), n - 1)
         A1, A2 = tt.A1, tt.A2
         M = A1.T @ A2 - A2.T @ A1
-        cols = n if mode == "even" else n + 1
+        cols = _hankel_cols(mode, n)
         Gr, Gc = scaling_matrix(n), scaling_matrix(cols - 1)
         E = np.array([hankel_matrix(e, n + 1, cols) for e in np.eye(n + cols)])
         B = Gr @ E @ Gc.T
@@ -412,17 +409,6 @@ class PolySystem:
         self.coeff_n = np.asarray(coeff_n, dtype=float)
         self.coeff_nm1 = None if coeff_nm1 is None else np.asarray(coeff_nm1, dtype=float)
 
-    def __len__(self) -> int:
-        return self.coeff_n.shape[0]
-
-    def __getitem__(self, i):
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"polynomial {i} of a {len(self)}-polynomial system")
-
-        def f(x, y):
-            return self.values(x, y)[i]
-        return f
-
     @staticmethod
     def _stack(a, b, d):
         """Rows a_{d-k} b_k, k = 0..d, of two (n + 1, points) tables."""
@@ -467,15 +453,16 @@ class CommonZeroError(RuntimeError):
 
 
 def common_zeros(
-    polys,
+    polys: PolySystem,
     expected_count: int,
     region: float = 1.3,
     grid: int = 60,
     tol: float = 1e-10,
     dedupe_tol: float = 1e-9,
 ) -> np.ndarray:
-    """All common real zeros in [-region, region]^2 by dense multistart
-    Gauss-Newton; hard error when the count disagrees with expected_count.
+    """All common real zeros of ``polys`` in [-region, region]^2 by dense
+    multistart Gauss-Newton on its analytic Jacobian; hard error when the
+    count disagrees with expected_count.
 
     Every start of a grid x grid lattice takes at most 80 steps; a start
     whose step is at most 1e-15 in x and in y stops early, and one that
@@ -488,23 +475,12 @@ def common_zeros(
     X, Y = np.meshgrid(g, g, indexing="ij")
     x = X.ravel().copy()
     y = Y.ravel().copy()
-    if hasattr(polys, "values_and_jacobian"):
-        fj = polys.values_and_jacobian
-    else:
-        plist = list(polys)
-
-        def fj(x, y, _h=1e-7):
-            F = np.array([p(x, y) for p in plist])
-            Jx = np.array([(p(x + _h, y) - p(x - _h, y)) / (2 * _h) for p in plist])
-            Jy = np.array([(p(x, y + _h) - p(x, y - _h)) / (2 * _h) for p in plist])
-            return F, Jx, Jy
-
     active = np.arange(x.size)
     for _ in range(80):
         if not active.size:
             break
         xa, ya = x[active], y[active]
-        F, Jx, Jy = fj(xa, ya)
+        F, Jx, Jy = polys.values_and_jacobian(xa, ya)
         a = (Jx * Jx).sum(axis=0)
         b = (Jx * Jy).sum(axis=0)
         c = (Jy * Jy).sum(axis=0)
@@ -521,7 +497,7 @@ def common_zeros(
         x[active], y[active] = xa, ya
         active = active[bad | (np.abs(dx) > 1e-15) | (np.abs(dy) > 1e-15)]
     inside = np.flatnonzero((np.abs(x) <= region + 1e-8) & (np.abs(y) <= region + 1e-8))
-    F, _, _ = fj(x[inside], y[inside])
+    F = polys.values(x[inside], y[inside])
     ok = inside[np.abs(F).max(axis=0) <= tol]
     order = ok[np.lexsort((y[ok], x[ok]))]
     px, py = x[order], y[order]

@@ -1,14 +1,16 @@
 """Node families on the square and their generating polynomials.
 
-Each family is produced directly from its cosine-lattice description:
+The four cosine families are one rule: the checkerboard of a cosine
+lattice (x_a, y_b) with a + b of one parity (``_checkerboard``).
 
-* ``gauss_u``:        interior checkerboard (cos(a pi/(n+2)), cos(b pi/(n+1))),
-                      1 <= a <= n+1, 1 <= b <= n, a + b even.
-* ``min_t_even``:     closed checkerboard (cos(a pi/n), cos(b pi/n)),
-                      0 <= a, b <= n, a + b odd  (n = 2m).
-* ``near_min_t_odd``: two full grids of even and odd cosine multiples of
-                      pi/n  (n = 2m-1).
-* ``padua``:          (-cos(j pi/n), -cos(l pi/(n+1))), j + l even.
+* ``gauss_u``:        (cos(a pi/(n+2)), cos(b pi/(n+1))), 1 <= a <= n+1,
+                      1 <= b <= n, a + b even.
+* ``min_t_even``:     (cos(a pi/n), cos(b pi/n)), 0 <= a, b <= n, a + b odd
+                      (n = 2m).
+* ``near_min_t_odd``: the same lattice, a + b even (n = 2m-1): the
+                      complement of the minimal checkerboard.
+* ``padua``:          (-cos(a pi/n), -cos(b pi/(n+1))), 0 <= a <= n,
+                      0 <= b <= n+1, a + b even.
 * ``gencheb``:        fourfold symmetrization of the half-angle sums and
                       differences of Jacobi-zero angles.
 
@@ -20,6 +22,7 @@ polynomials vanish, and pass the moment-oracle exactness checks.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,103 +73,105 @@ class NodeSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def to_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "n": self.n,
-            "count": len(self.points),
-            "points": [[format(x, ".17g"), format(y, ".17g")] for x, y in self.points],
-            "provenance": self.provenance,
-        }
+    def to_json(self) -> str:
+        """The node file: family, n, count, the points as 17-significant-digit
+        strings, provenance, and alpha, beta when set; the indent-2 text of
+        ``json.dumps``."""
+        fields = {"family": self.family, "n": self.n, "count": len(self), "points": [],
+                  "provenance": self.provenance}
         if self.alpha is not None:
-            d["alpha"] = self.alpha
-            d["beta"] = self.beta
-        return d
+            fields.update(alpha=self.alpha, beta=self.beta)
+        return _json_text(fields, points=_points_json(self.points))
 
 
-def _finish(points: list[tuple[float, float]], **kw) -> NodeSet:
-    """Dedupe (max-norm tolerance), sort lexicographically, build the set."""
-    pts = sorted(points)
-    out = []
-    for p in pts:
-        if out and abs(p[0] - out[-1][0]) <= _DEDUP_TOL and abs(p[1] - out[-1][1]) <= _DEDUP_TOL:
-            continue
-        out.append(p)
-    return NodeSet(points=np.array(out), **kw)
+# one point of a points array at its indent-2 depth
+_POINT_TEXT = '    [\n      "{:.17g}",\n      "{:.17g}"\n    ]'.format
+
+
+def _points_json(points: np.ndarray) -> str:
+    """An N x 2 array as the indent-2 JSON array of 17-significant-digit
+    string pairs that ``json.dumps`` writes for it as a field of an object,
+    in one pass: the one format of node and rule files."""
+    if not len(points):
+        return "[]"
+    return "[\n" + ",\n".join(map(_POINT_TEXT, *points.T.tolist())) + "\n  ]"
+
+
+def _json_text(fields: dict, **arrays: str) -> str:
+    """The text of ``json.dumps(fields, indent=2)``, with the fields named in
+    ``arrays`` written as their given text."""
+    items = []
+    for key, value in fields.items():
+        # a nested value is indented one level, as json.dumps indents it inside the object
+        text = arrays[key] if key in arrays else json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _finish(points: np.ndarray, **kw) -> NodeSet:
+    """Sort the rows lexicographically, drop each point within ``_DEDUP_TOL``
+    (max norm) of the last point kept before it, and build the set.  Each
+    pass compares with the points the previous pass kept, which settles at
+    least one more leading point; the greedy choice is the fixed point."""
+    pts = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(len(pts), bool)
+    while True:
+        last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[:-1]
+        new = keep.copy()
+        new[1:] = np.abs(pts[1:] - pts[last]).max(axis=1) > _DEDUP_TOL
+        if np.array_equal(new, keep):
+            return NodeSet(points=pts[keep], **kw)
+        keep = new
+
+
+def _cosines(d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """cos(a pi / d) for a = lo..hi (hi = d by default)."""
+    return np.cos(np.arange(lo, d + 1 if hi is None else hi + 1) * np.pi / d)
+
+
+def _checkerboard(xs: np.ndarray, ys: np.ndarray, parity: int, **meta) -> NodeSet:
+    """The lattice points (xs[a], ys[b]) with a + b = parity (mod 2), as a
+    ``NodeSet``; xs and ys start at the same lattice index, so the array
+    indices have the lattice indices' parity."""
+    a, b = np.indices((len(xs), len(ys)))
+    cut = (a + b) % 2 == parity
+    return _finish(np.column_stack([xs[a[cut]], ys[b[cut]]]), **meta)
 
 
 def gauss_u_nodes(n: int) -> NodeSet:
     """Gaussian nodes of the degree-(2n-2) rule for the Chebyshev-2 weight."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = [
-        (np.cos(a * np.pi / (n + 2)), np.cos(b * np.pi / (n + 1)))
-        for a in range(1, n + 2)
-        for b in range(1, n + 1)
-        if (a + b) % 2 == 0
-    ]
-    return _finish(
-        pts,
-        family="gauss_u",
-        n=n,
-        expected_count=n * (n + 1) // 2,
-        provenance="interior checkerboard a+b even on pi/(n+2) x pi/(n+1) lattice",
-    )
+    return _checkerboard(_cosines(n + 2, 1, n + 1), _cosines(n + 1, 1, n), 0, family="gauss_u", n=n,
+                         expected_count=n * (n + 1) // 2,
+                         provenance="interior checkerboard a+b even on pi/(n+2) x pi/(n+1) lattice")
 
 
 def min_t_nodes_even(n: int) -> NodeSet:
     """Minimal-rule nodes of degree 2n-1 for the Chebyshev-1 weight, n even."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    pts = [
-        (np.cos(a * np.pi / n), np.cos(b * np.pi / n))
-        for a in range(n + 1)
-        for b in range(n + 1)
-        if (a + b) % 2 == 1
-    ]
-    return _finish(
-        pts,
-        family="min_t_even",
-        n=n,
-        expected_count=moeller_count(n),
-        provenance="closed checkerboard a+b odd on pi/n lattice",
-    )
+    return _checkerboard(_cosines(n), _cosines(n), 1, family="min_t_even", n=n, expected_count=moeller_count(n),
+                         provenance="closed checkerboard a+b odd on pi/n lattice")
 
 
 def near_min_t_nodes_odd(n: int) -> NodeSet:
-    """Near-minimal nodes of degree 2n-1 for the Chebyshev-1 weight, n odd."""
+    """Near-minimal nodes of degree 2n-1 for the Chebyshev-1 weight, n odd:
+    the complement of the minimal checkerboard on the pi/n lattice."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    m = (n + 1) // 2
-    ev = [np.cos(2 * i * np.pi / n) for i in range(m)]
-    od = [np.cos((2 * i + 1) * np.pi / n) for i in range(m)]
-    pts = [(x, y) for x in ev for y in ev] + [(x, y) for x in od for y in od]
-    return _finish(
-        pts,
-        family="near_min_t_odd",
-        n=n,
-        expected_count=moeller_count(n) + 1,
-        provenance="even-even and odd-odd full grids of cosine multiples of pi/n",
-    )
+    return _checkerboard(_cosines(n), _cosines(n), 0, family="near_min_t_odd", n=n,
+                         expected_count=moeller_count(n) + 1,
+                         provenance="even-even and odd-odd full grids of cosine multiples of pi/n")
 
 
 def padua_points(n: int) -> NodeSet:
     """Padua points: dim Pi_n^2 points on the generating Lissajous curve."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pts = [
-        (-np.cos(j * np.pi / n), -np.cos(l * np.pi / (n + 1)))
-        for j in range(n + 1)
-        for l in range(n + 2)
-        if (j + l) % 2 == 0
-    ]
-    return _finish(
-        pts,
-        family="padua",
-        n=n,
-        expected_count=(n + 1) * (n + 2) // 2,
-        provenance="parity lattice j+l even on pi/n x pi/(n+1) grid, both axes negated",
-    )
+    return _checkerboard(-_cosines(n), -_cosines(n + 1), 0, family="padua", n=n,
+                         expected_count=(n + 1) * (n + 2) // 2,
+                         provenance="parity lattice j+l even on pi/n x pi/(n+1) grid, both axes negated")
 
 
 def gencheb_nodes(alpha: float, beta: float, n: int) -> NodeSet:
@@ -175,39 +180,22 @@ def gencheb_nodes(alpha: float, beta: float, n: int) -> NodeSet:
     Even n = 2m uses the degree-m Jacobi angles with parameters
     (alpha, beta) over 1 <= j <= k <= m; odd n = 2m+1 uses parameters
     (alpha+1, beta) over 0 <= j <= k <= m, which places 2(m+1) points on
-    the main diagonal.
+    the main diagonal.  Each pair gives s = cos((th_j - th_k)/2),
+    t = cos((th_j + th_k)/2) and the images (s, t), (t, s), (-s, -t), (-t, -s).
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("alpha, beta must exceed -1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        m = n // 2
-        grid = jacobi_angle_grid(alpha, beta, m)
-        lo, expected = 1, moeller_count(n)
-        family = "gencheb_even"
-    else:
-        m = (n - 1) // 2
-        grid = jacobi_angle_grid(alpha + 1, beta, m)
-        lo, expected = 0, moeller_count(n) + 1
-        family = "gencheb_odd"
-    th = grid.thetas
-    pts = []
-    for j in range(lo, m + 1):
-        for k in range(j, m + 1):
-            s = np.cos((th[j] - th[k]) / 2.0)
-            t = np.cos((th[j] + th[k]) / 2.0)
-            pts.extend([(s, t), (t, s), (-s, -t), (-t, -s)])
+    odd, m = n % 2, n // 2
+    th = jacobi_angle_grid(alpha + 1 if odd else alpha, beta, m).thetas[1 - odd:]
+    j, k = np.triu_indices(len(th))
+    s, t = np.cos((th[j] - th[k]) / 2.0), np.cos((th[j] + th[k]) / 2.0)
     try:
-        return _finish(
-            pts,
-            family=family,
-            n=n,
-            expected_count=expected,
-            alpha=alpha,
-            beta=beta,
-            provenance=f"fourfold symmetrized half-angle lattice, jacobi degree {m}",
-        )
+        return _finish(np.column_stack([s, t, t, s, -s, -t, -t, -s]).reshape(-1, 2),
+                       family=("gencheb_even", "gencheb_odd")[odd], n=n, expected_count=moeller_count(n) + odd,
+                       alpha=alpha, beta=beta,
+                       provenance=f"fourfold symmetrized half-angle lattice, jacobi degree {m}")
     except ValueError as exc:
         raise ValueError(f"gencheb node count degenerated for ({alpha}, {beta}, {n}): {exc}") from None
 

@@ -39,7 +39,6 @@ __all__ = [
     "mass",
     "moment",
     "chebyshev_moments",
-    "is_centrally_symmetric",
     "weight_values",
     "tensor_oracle",
 ]
@@ -78,12 +77,6 @@ class WeightSpec:
                 raise ValueError("gencheb weight needs alpha, beta > -1")
             if self.gamma not in (-0.5, 0.5):
                 raise ValueError("gencheb gamma must be -1/2 or +1/2")
-
-    @property
-    def lam(self) -> float:
-        if self.kind != "gegenbauer":
-            raise AttributeError("lam is only defined for gegenbauer weights")
-        return self.alpha
 
 
 def constant() -> WeightSpec:
@@ -151,11 +144,6 @@ def parse_weight(text: str) -> WeightSpec:
     except ValueError as exc:
         raise ValueError(f"bad weight string {text!r}: {exc}") from None
     raise ValueError(f"bad weight string {text!r}")
-
-
-def is_centrally_symmetric(w: WeightSpec) -> bool:
-    """True for every supported weight kind."""
-    return w.kind in _KINDS
 
 
 def _axis_params(w: WeightSpec) -> tuple[tuple[float, float], tuple[float, float]]:

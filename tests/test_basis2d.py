@@ -160,10 +160,13 @@ class TestThreeTerm:
         assert a(0) == pytest.approx(1 / np.sqrt(3), abs=1e-15)
 
     def test_b_matrices_zero(self):
-        for w in (constant(), cheb1(), cheb2()):
-            tt = three_term(w, 4)
-            assert not tt.B1.any()
-            assert not tt.B2.any()
+        # the P_n coefficients B_i = <x_i P_n, P_n^T> vanish: there is no P_n term to store
+        for w in (constant(), cheb1(), cheb2(), gencheb(0.5, -0.5)):
+            b = basis_for(w)
+            X, Y, wts = tensor_oracle(w, 12)
+            Pn = b.eval_degree(4, X, Y)
+            for xi in (X, Y):
+                assert np.abs(((xi * Pn) * wts) @ Pn.T / b.mass).max() < 1e-13
 
     @pytest.mark.parametrize("w", [constant(), cheb1(), cheb2()])
     def test_recurrence_residual(self, w):

@@ -105,6 +105,26 @@ class TestNodesCommand:
     def test_unknown_family_exit_2(self):
         assert run(["nodes", "hexagon", "4"]) == 2
 
+    @pytest.mark.parametrize("argv", [["gaussu", "9"], ["mint", "10"], ["nearmint", "11"], ["padua", "7"],
+                                      ["gencheb", "8"], ["gencheb", "9", "--alpha", "0.3", "--beta", "-0.2"]],
+                             ids=lambda a: "-".join(a))
+    def test_file_is_the_stdlib_json_text(self, argv, tmp_path, capsys):
+        # the one-pass writer gives the text json.dumps writes for the node file's fields
+        from cubasquare.cli import _build_nodes
+
+        out = tmp_path / "nodes.json"
+        assert run(["nodes", *argv, "--out", str(out)]) == 0
+        alpha, beta = (0.3, -0.2) if "--alpha" in argv else (0.5, 0.5)
+        ns = _build_nodes(argv[0], int(argv[1]), alpha, beta)
+        want = {"family": ns.family, "n": ns.n, "count": len(ns),
+                "points": [[format(x, ".17g"), format(y, ".17g")] for x, y in ns.points],
+                "provenance": ns.provenance}
+        if argv[0] == "gencheb":
+            want.update(alpha=alpha, beta=beta)
+        assert out.read_text() == json.dumps(want, indent=2)
+        assert run(["nodes", *argv]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
 
 @pytest.mark.parametrize("args", [["rule", "mint", "15"], ["rule", "nearmint", "4"],
                                   ["interp", "mint", "--n-list", "15"], ["interp", "nearmint", "--n-list", "4"],
@@ -188,6 +208,24 @@ class TestRuleAndVerify:
         d = json.loads(rf.read_text())
         assert d["degree"] == 11
         assert d["oracle_report"]["passed"]
+
+    @pytest.mark.parametrize("edit", ["node-not-a-pair", "null-weight", "null-coordinate"])
+    def test_malformed_arrays_exit_2(self, edit, tmp_path, capsys):
+        # wrong JSON types in the arrays are a load error, not a traceback
+        rf = tmp_path / "rule.json"
+        assert run(["rule", "padua", "8", "--out", str(rf)]) == 0
+        d = json.loads(rf.read_text())
+        if edit == "node-not-a-pair":
+            d["nodes"][0] = 1.5
+        elif edit == "null-weight":
+            d["lambdas"][3] = None
+        else:
+            d["nodes"][2][1] = None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load rule file: ")
 
 
 class TestTables:

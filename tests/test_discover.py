@@ -397,21 +397,12 @@ class TestPolySystemStacks:
     @pytest.mark.parametrize("n", [5, 7])
     @pytest.mark.parametrize("with_nm1", [False, True])
     def test_values_without_derivative_tables(self, n, with_nm1):
-        # values and __getitem__ use the plain Jacobi tables, whose rows are those of the derivative kernel
+        # values uses the plain Jacobi tables, whose rows are those of the derivative kernel
         rng = np.random.default_rng(10 + n)
         system = PolySystem(n, rng.standard_normal((4, n + 1)), rng.standard_normal((4, n)) if with_nm1 else None)
         x, y = (g.ravel() for g in np.meshgrid(*2 * [np.linspace(-1.3, 1.3, 60)]))
         F = system.values_and_jacobian(x, y)[0]
         assert np.array_equal(system.values(x, y), F)
-        assert np.array_equal(system[2](x, y), F[2])
-
-    def test_iteration_stops_at_len(self):
-        polys = orthogonal_polys_from_U(3, np.linalg.eigh(odd_W(3, KNOWN_ODD_HANKEL[3].h))[1][:, :3])
-        x, y = np.array([0.3, -0.4]), np.array([0.1, 0.7])
-        assert len(list(polys)) == len(polys)
-        assert np.array_equal(polys[-1](x, y), polys.values(x, y)[-1])
-        with pytest.raises(IndexError):
-            polys[len(polys)]
 
 
 class TestFixtures:
@@ -517,27 +508,13 @@ class TestCommonZeros:
             common_zeros(orthogonal_polys_from_U(5, U), 99)
         assert len(exc.value.found) == 17
 
-    def test_plain_callable_interface(self):
-        polys = orthogonal_polys_from_U(3, np.linalg.eigh(odd_W(3, KNOWN_ODD_HANKEL[3].h))[1][:, :3])
-        plain = [polys[i] for i in range(len(polys))]
-        pts = common_zeros(plain, 7)
-        assert len(pts) == 7
-
 
 def reference_common_zeros(polys, region=1.3, grid=60, tol=1e-10, dedupe_tol=1e-9):
     """Every start through all 80 Gauss-Newton sweeps, then a per-point Python dedupe."""
     g = np.linspace(-region, region, grid)
     X, Y = np.meshgrid(g, g, indexing="ij")
     x, y = X.ravel().copy(), Y.ravel().copy()
-    plist = [polys[i] for i in range(len(polys))]
-
-    def fj(x, y, h=1e-7):
-        F = np.array([p(x, y) for p in plist])
-        Jx = np.array([(p(x + h, y) - p(x - h, y)) / (2 * h) for p in plist])
-        Jy = np.array([(p(x, y + h) - p(x, y - h)) / (2 * h) for p in plist])
-        return F, Jx, Jy
-
-    fj = getattr(polys, "values_and_jacobian", fj)
+    fj = polys.values_and_jacobian
     for _ in range(80):
         F, Jx, Jy = fj(x, y)
         a, b, c = (Jx * Jx).sum(0), (Jx * Jy).sum(0), (Jy * Jy).sum(0)
@@ -585,7 +562,7 @@ class TestCommonZerosReference:
         # of even index, and a chain of neighbours is not merged into one point
         g = np.linspace(-1.0, 1.0, 4)
         want = np.array([(g[i], g[j]) for i in (0, 2) for j in (0, 2)])
-        polys = [lambda x, y: 0.0 * x]
+        polys = PolySystem(1, np.zeros((1, 2)))
         got = common_zeros(polys, 4, region=1.0, grid=4, dedupe_tol=0.7)
         assert np.array_equal(got, want)
         assert np.array_equal(reference_common_zeros(polys, region=1.0, grid=4, dedupe_tol=0.7), want)
@@ -619,4 +596,4 @@ class TestQDisplay:
             ev, Q = np.linalg.eigh(W)
             U = Q[:, : (n + 1) - n // 2]
             polys = orthogonal_polys_from_U(n, U)
-            assert len(polys) == (n + 1) - n // 2
+            assert polys.coeff_n.shape[0] == (n + 1) - n // 2

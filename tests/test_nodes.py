@@ -1,10 +1,13 @@
-"""Tests for the node families: cardinalities, vanishing, symmetry, geometry."""
+"""Tests for the node families: cardinalities, vanishing, symmetry, geometry,
+and bit equality with the per-point loop builders."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cubasquare.nodes import (
+    NodeSet,
+    _finish,
     gauss_u_nodes,
     gencheb_nodes,
     lissajous_curve_point,
@@ -14,6 +17,7 @@ from cubasquare.nodes import (
     padua_points,
     vanishing_residual,
 )
+from cubasquare.univariate import jacobi_angle_grid
 
 
 def as_set(pts, digits=10):
@@ -150,3 +154,137 @@ class TestGencheb:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             gencheb_nodes(-1.2, 0.5, 8)
+
+
+# ---------------------------------------------------------------------------
+# The per-point loop builders that the array builders replaced, kept as
+# bit-equality references: one scalar np.cos per point, a Python sort of the
+# tuples and a greedy dedupe against the last kept point.
+
+def reference_finish(points, **kw):
+    out = []
+    for p in sorted(points):
+        if out and abs(p[0] - out[-1][0]) <= 1e-12 and abs(p[1] - out[-1][1]) <= 1e-12:
+            continue
+        out.append(p)
+    return NodeSet(points=np.array(out), **kw)
+
+
+def reference_gauss_u(n):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pts = [(np.cos(a * np.pi / (n + 2)), np.cos(b * np.pi / (n + 1)))
+           for a in range(1, n + 2) for b in range(1, n + 1) if (a + b) % 2 == 0]
+    return reference_finish(pts, family="gauss_u", n=n, expected_count=n * (n + 1) // 2,
+                            provenance="interior checkerboard a+b even on pi/(n+2) x pi/(n+1) lattice")
+
+
+def reference_min_t(n):
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2")
+    pts = [(np.cos(a * np.pi / n), np.cos(b * np.pi / n))
+           for a in range(n + 1) for b in range(n + 1) if (a + b) % 2 == 1]
+    return reference_finish(pts, family="min_t_even", n=n, expected_count=moeller_count(n),
+                            provenance="closed checkerboard a+b odd on pi/n lattice")
+
+
+def reference_near_min(n):
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    m = (n + 1) // 2
+    ev = [np.cos(2 * i * np.pi / n) for i in range(m)]
+    od = [np.cos((2 * i + 1) * np.pi / n) for i in range(m)]
+    pts = [(x, y) for x in ev for y in ev] + [(x, y) for x in od for y in od]
+    return reference_finish(pts, family="near_min_t_odd", n=n, expected_count=moeller_count(n) + 1,
+                            provenance="even-even and odd-odd full grids of cosine multiples of pi/n")
+
+
+def reference_padua(n):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    pts = [(-np.cos(j * np.pi / n), -np.cos(l * np.pi / (n + 1)))
+           for j in range(n + 1) for l in range(n + 2) if (j + l) % 2 == 0]
+    return reference_finish(pts, family="padua", n=n, expected_count=(n + 1) * (n + 2) // 2,
+                            provenance="parity lattice j+l even on pi/n x pi/(n+1) grid, both axes negated")
+
+
+def reference_gencheb(alpha, beta, n):
+    if alpha <= -1 or beta <= -1:
+        raise ValueError("alpha, beta must exceed -1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n % 2 == 0:
+        m = n // 2
+        grid = jacobi_angle_grid(alpha, beta, m)
+        lo, expected, family = 1, moeller_count(n), "gencheb_even"
+    else:
+        m = (n - 1) // 2
+        grid = jacobi_angle_grid(alpha + 1, beta, m)
+        lo, expected, family = 0, moeller_count(n) + 1, "gencheb_odd"
+    th = grid.thetas
+    pts = []
+    for j in range(lo, m + 1):
+        for k in range(j, m + 1):
+            s = np.cos((th[j] - th[k]) / 2.0)
+            t = np.cos((th[j] + th[k]) / 2.0)
+            pts.extend([(s, t), (t, s), (-s, -t), (-t, -s)])
+    try:
+        return reference_finish(pts, family=family, n=n, expected_count=expected, alpha=alpha, beta=beta,
+                                provenance=f"fourfold symmetrized half-angle lattice, jacobi degree {m}")
+    except ValueError as exc:
+        raise ValueError(f"gencheb node count degenerated for ({alpha}, {beta}, {n}): {exc}") from None
+
+
+def assert_same_set(got, want):
+    assert np.array_equal(got.points, want.points)
+    meta = ("family", "n", "expected_count", "alpha", "beta", "provenance")
+    assert [getattr(got, f) for f in meta] == [getattr(want, f) for f in meta]
+
+
+def assert_same_error(build, ref, *args):
+    with pytest.raises(ValueError) as got:
+        build(*args)
+    with pytest.raises(ValueError) as want:
+        ref(*args)
+    assert str(got.value) == str(want.value)
+
+
+CHECKERBOARDS = {
+    "gauss_u": (gauss_u_nodes, reference_gauss_u, range(1, 129), (0, -3)),
+    "min_t": (min_t_nodes_even, reference_min_t, range(2, 129, 2), (0, 1, 7, 129)),
+    "near_min": (near_min_t_nodes_odd, reference_near_min, range(3, 128, 2), (-1, 1, 2, 64)),
+    "padua": (padua_points, reference_padua, range(1, 129), (0, -1)),
+}
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize("family", sorted(CHECKERBOARDS))
+    def test_checkerboards_bit_equal(self, family):
+        build, ref, ns, bad = CHECKERBOARDS[family]
+        for n in ns:
+            assert_same_set(build(n), ref(n))
+        for n in bad:
+            assert_same_error(build, ref, n)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (-0.5, -0.5), (0.3, -0.2), (1.5, -0.5), (5.0, 5.0),
+                                             (-0.9, 3.0)])
+    def test_gencheb_bit_equal(self, alpha, beta):
+        for n in range(2, 97):
+            assert_same_set(gencheb_nodes(alpha, beta, n), reference_gencheb(alpha, beta, n))
+        for n in (1, 0):
+            assert_same_error(gencheb_nodes, reference_gencheb, alpha, beta, n)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1.0, 0.5), (0.5, -1.0), (-1.2, -3.0)])
+    def test_gencheb_bad_parameters(self, alpha, beta):
+        assert_same_error(gencheb_nodes, reference_gencheb, alpha, beta, 8)
+
+    def test_dedupe_is_greedy_against_the_last_kept_point(self):
+        # a chain of points 0.8e-12 apart: each is within the tolerance of its
+        # predecessor, but only every other one of the point kept before it
+        chain = [(0.8e-12 * i, 0.5) for i in range(7)] + [(0.3, -0.1), (0.3, -0.1 + 1e-13), (0.3, 0.2)]
+        meta = dict(family="chain", n=1, expected_count=6)
+        rng = np.random.default_rng(0)
+        shuffled = np.array(chain)[rng.permutation(len(chain))]
+        got = _finish(shuffled, **meta)
+        assert_same_set(got, reference_finish(list(map(tuple, shuffled)), **meta))
+        assert np.array_equal(got.points[:, 0][:4], 1.6e-12 * np.arange(4))
