@@ -12,18 +12,16 @@ from cubasquare.discover import (
     KNOWN_ODD_HANKEL,
     align_to_reference,
     common_zeros,
-    even_system_polys,
-    odd_system_solve,
-    orthogonal_polys_from_U,
+    odd_system_search,
     solve_even_system,
 )
 from cubasquare.nodes import NodeSet
 from cubasquare.weights import constant
 
 print("odd system, n = 3 (degree-5 rule on 7 nodes)")
-sols = odd_system_solve(3, seeds=20, rng_seed=1)
+sols = odd_system_search(3, seeds=20, rng_seed=1).verified
 best = min(sols, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1])
-pts = common_zeros(orthogonal_polys_from_U(3, best.U), 7)
+pts = common_zeros(best.hankel)
 rule = weights_from_vandermonde(
     NodeSet(points=pts, family="discovered_odd", n=3, expected_count=7), constant(), 5
 )
@@ -34,11 +32,11 @@ print("  exactness:", exactness_check(rule).passed)
 print()
 
 print("odd system, n = 5 (degree-9 rule on 17 nodes)")
-sols = odd_system_solve(5, seeds=60, rng_seed=0)
+sols = odd_system_search(5, seeds=60, rng_seed=0).verified
 best = min(sols, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1])
 _, dist = align_to_reference(best.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")
 print(f"  entrywise distance to the stored reference matrix: {dist:.2e}")
-pts = common_zeros(orthogonal_polys_from_U(5, best.U), 17)
+pts = common_zeros(best.hankel)
 rule = weights_from_vandermonde(
     NodeSet(points=pts, family="discovered_odd", n=5, expected_count=17), constant(), 9
 )
@@ -48,7 +46,7 @@ print()
 
 print("even system, n = 5 (degree-8 rule on 15 nodes, one outside the square)")
 sols = solve_even_system(5, seeds=40, rng_seed=0)
-pts = common_zeros(even_system_polys(5, sols[0]), 15)
+pts = common_zeros(sols[0])
 outside = pts[~np.all(np.abs(pts) <= 1 + 1e-10, axis=1)]
 print(f"  outside node(s): {outside}")
 rule = weights_from_vandermonde(

@@ -191,29 +191,26 @@ def cmd_discover(args) -> int:
 
     n, mode = args.n, args.mode
     report: dict = {"mode": mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
-    # each solution's Hankel entries and the polynomials whose common zeros are its nodes
     if mode == "even":
         sols = dsc.solve_even_system(n, seeds=args.seeds, rng_seed=args.rng)
-        hs, polys = [s.h for s in sols], [dsc.even_system_polys(n, s) for s in sols]
-        count, degree, ref = n * (n + 1) // 2, 2 * n - 2, dsc.KNOWN_EVEN_HANKEL.get(n)
+        degree, ref = 2 * n - 2, dsc.KNOWN_EVEN_HANKEL.get(n)
     else:
         search = dsc.odd_system_search(n, seeds=args.seeds, rng_seed=args.rng)
-        hs = [s.hankel.h for s in search.verified]
-        polys = [dsc.orthogonal_polys_from_U(n, s.U) for s in search.verified]
-        count, degree, ref = n * (n + 1) // 2 + n // 2, 2 * n - 1, dsc.KNOWN_ODD_HANKEL.get(n)
-    report["solutions"] = [[format(v, ".17g") for v in h] for h in hs]
+        sols = [s.hankel for s in search.verified]
+        degree, ref = 2 * n - 1, dsc.KNOWN_ODD_HANKEL.get(n)
+    report["solutions"] = [[format(v, ".17g") for v in s.h] for s in sols]
     if mode == "odd":
         report["algebraic_only"] = [[format(v, ".17g") for v in s.h] for s in search.algebraic_only]
     if ref is not None:
         residual = dsc.even_system_residual if mode == "even" else dsc.odd_system_residual
         entry = {"reference_residual": float(np.abs(residual(n, ref)).max())}
-        if hs:
-            entry["best_distance"] = min(dsc.align_to_reference(h, ref.h, mode)[1] for h in hs)
+        if sols:
+            entry["best_distance"] = min(dsc.align_to_reference(s.h, ref.h, mode)[1] for s in sols)
         report["reference_match"] = entry
     rules = []
-    for idx, p in enumerate(polys):
+    for idx, s in enumerate(sols):
         try:
-            pts = dsc.common_zeros(p, count)
+            pts = dsc.common_zeros(s)
         except dsc.CommonZeroError:
             continue
         ns = NodeSet(points=pts, family=f"discovered_{mode}", n=n, expected_count=len(pts),
@@ -221,11 +218,9 @@ def cmd_discover(args) -> int:
         rule = weights_from_vandermonde(ns, constant(), degree)
         rule.oracle_report = exactness_check(rule)
         rules.append((idx, rule))
-    if not rules and not report.get("solutions"):
-        report["status"] = "not-found"
+    report["status"] = "found" if sols else "not-found"
+    if not sols:
         report["note"] = "no solution found with these seeds; nonexistence is not established"
-    else:
-        report["status"] = "found" if report.get("solutions") else "not-found"
     report["rules"] = [rule_to_dict(rule) for _, rule in rules]
     if args.out_dir and rules:
         os.makedirs(args.out_dir, exist_ok=True)

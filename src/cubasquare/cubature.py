@@ -400,10 +400,15 @@ def rule_from_dict(d: dict) -> CubatureRule:
         lambdas = np.fromiter(map(float, lam), float, len(lam))
     except TypeError:
         raise ValueError("every coordinate and weight must be a number or a numeric string") from None
+    for name in ("degree", "n"):
+        if type(d[name]) is not int:
+            raise ValueError(f"{name} must be an integer, not {d[name]!r}")
+    if not isinstance(d["weight"], str):
+        raise ValueError(f"weight must be a string, not {d['weight']!r}")
     ns = NodeSet(
         points=pts,
         family=d["family"],
-        n=int(d["n"]),
+        n=d["n"],
         expected_count=len(pts),
         alpha=d.get("alpha"),
         beta=d.get("beta"),
@@ -415,7 +420,7 @@ def rule_from_dict(d: dict) -> CubatureRule:
         report = ExactnessReport(**{name: rep[name] for name in ExactnessReport.__dataclass_fields__})
     return CubatureRule(
         weight=parse_weight(d["weight"]),
-        degree=int(d["degree"]),
+        degree=d["degree"],
         nodes=ns,
         lambdas=lambdas,
         provenance=d.get("provenance", ""),

@@ -15,8 +15,12 @@ X affine in h, by multistart Levenberg-Marquardt:
 The verified odd search appends the trailing eigenvalues of W to the
 residual vector, which steers the iteration onto the semidefinite
 rank-deficient branch; plain algebraic solutions failing that condition
-are reported separately.  Known solution matrices for small n are kept
-in ``KNOWN_EVEN_HANKEL`` / ``KNOWN_ODD_HANKEL`` as reference fixtures.
+are reported separately.  ``common_zeros`` finds a solution's nodes, in
+the whole plane, as the joint eigenvalues of its truncated Jacobi
+matrices J_1, J_2, which commute exactly when the system holds, and
+checks them against the generating polynomials.  Known solution matrices
+for small n are kept in ``KNOWN_EVEN_HANKEL`` / ``KNOWN_ODD_HANKEL`` as
+reference fixtures.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ import scipy.optimize
 from scipy.linalg.lapack import dsyevd
 from scipy.optimize import OptimizeResult, leastsq
 
-from .basis2d import three_term
-from .univariate import jacobi_normalized_table, jacobi_normalized_table_with_derivative
+from .basis2d import basis_for, dim_upto, three_term
 from .weights import constant
 
 __all__ = [
@@ -44,11 +47,7 @@ __all__ = [
     "solve_even_system",
     "OddSystemSolution",
     "OddSearchReport",
-    "odd_system_solve",
     "odd_system_search",
-    "PolySystem",
-    "orthogonal_polys_from_U",
-    "even_system_polys",
     "common_zeros",
     "CommonZeroError",
     "canonical_complement_combos",
@@ -392,59 +391,8 @@ def odd_system_search(n: int, seeds: int = 80, rng_seed: int = 0) -> OddSearchRe
     return OddSearchReport(n=n, seeds=seeds, rng_seed=rng_seed, verified=ver, algebraic_only=alg)
 
 
-def odd_system_solve(n: int, seeds: int = 80, rng_seed: int = 0):
-    """Verified solutions only (PSD W of rank floor(n/2))."""
-    return odd_system_search(n, seeds, rng_seed).verified
-
-
 # ---------------------------------------------------------------------------
-# polynomial systems and common zeros
-
-class PolySystem:
-    """Linear combinations of degree-n (and optionally degree-(n-1))
-    product-Legendre members, with analytic gradients."""
-
-    def __init__(self, n: int, coeff_n: np.ndarray, coeff_nm1: np.ndarray | None = None):
-        self.n = n
-        self.coeff_n = np.asarray(coeff_n, dtype=float)
-        self.coeff_nm1 = None if coeff_nm1 is None else np.asarray(coeff_nm1, dtype=float)
-
-    @staticmethod
-    def _stack(a, b, d):
-        """Rows a_{d-k} b_k, k = 0..d, of two (n + 1, points) tables."""
-        return a[d::-1] * b[: d + 1]
-
-    def values(self, x, y) -> np.ndarray:
-        tx, ty = (jacobi_normalized_table(0.0, 0.0, self.n, v) for v in (x, y))
-        F = self.coeff_n @ self._stack(tx, ty, self.n)
-        if self.coeff_nm1 is not None:
-            F = F + self.coeff_nm1 @ self._stack(tx, ty, self.n - 1)
-        return F
-
-    def values_and_jacobian(self, x, y):
-        (tx, dtx), (ty, dty) = (jacobi_normalized_table_with_derivative(0.0, 0.0, self.n, v) for v in (x, y))
-
-        def stacks(d):  # the members of degree d and their x and y derivatives
-            return self._stack(tx, ty, d), self._stack(dtx, ty, d), self._stack(tx, dty, d)
-
-        F, Jx, Jy = (self.coeff_n @ P for P in stacks(self.n))
-        if self.coeff_nm1 is not None:
-            F, Jx, Jy = (G + self.coeff_nm1 @ P for G, P in zip((F, Jx, Jy), stacks(self.n - 1)))
-        return F, Jx, Jy
-
-
-def orthogonal_polys_from_U(n: int, U: np.ndarray) -> PolySystem:
-    """The degree-n orthogonal polynomials U^T P_n as an evaluator system."""
-    U = np.asarray(U, dtype=float)
-    if U.shape[0] != n + 1:
-        raise ValueError(f"U must have {n + 1} rows")
-    return PolySystem(n, U.T)
-
-
-def even_system_polys(n: int, H) -> PolySystem:
-    """Quasi-orthogonal family P_n + Gamma P_{n-1} for an even-system solution."""
-    return PolySystem(n, np.eye(n + 1), _HankelSystem("even", n).X(_coerce_h(n, H, "even")))
-
+# common zeros as joint eigenvalues
 
 class CommonZeroError(RuntimeError):
     def __init__(self, message, found):
@@ -452,67 +400,68 @@ class CommonZeroError(RuntimeError):
         self.found = found
 
 
-def common_zeros(
-    polys: PolySystem,
-    expected_count: int,
-    region: float = 1.3,
-    grid: int = 60,
-    tol: float = 1e-10,
-    dedupe_tol: float = 1e-9,
-) -> np.ndarray:
-    """All common real zeros of ``polys`` in [-region, region]^2 by dense
-    multistart Gauss-Newton on its analytic Jacobian; hard error when the
-    count disagrees with expected_count.
+def _jacobi_system(hankel: HankelParam):
+    """The truncated Jacobi matrices J_1, J_2 of a solution, stacked, and the
+    coefficients C of its generating polynomials C @ [P_{n-1}; P_n].
 
-    Every start of a grid x grid lattice takes at most 80 steps; a start
-    whose step is at most 1e-15 in x and in y stops early, and one that
-    leaves |x|, |y| <= 10 or becomes non-finite restarts from the origin.
-    Points with residual <= ``tol`` in the region are deduplicated
-    greedily in (x, y) order: the first remaining point is kept and every
-    point within ``dedupe_tol`` of it in both coordinates is dropped.
+    J_i is block tridiagonal on P_0..P_{n-1} with blocks A_{k,i} above and
+    A_{k,i}^T below the diagonal.  Even mode: the generating polynomials are
+    P_n + Gamma P_{n-1}, so the last diagonal block is -A_{n-1,i} Gamma.  Odd
+    mode: they are U^T P_n, with U the null space of W = V V^T, and J_i gains
+    one symmetric block row and column A_{n-1,i} V with a zero corner.
     """
-    g = np.linspace(-region, region, grid)
-    X, Y = np.meshgrid(g, g, indexing="ij")
-    x = X.ravel().copy()
-    y = Y.ravel().copy()
-    active = np.arange(x.size)
-    for _ in range(80):
-        if not active.size:
-            break
-        xa, ya = x[active], y[active]
-        F, Jx, Jy = polys.values_and_jacobian(xa, ya)
-        a = (Jx * Jx).sum(axis=0)
-        b = (Jx * Jy).sum(axis=0)
-        c = (Jy * Jy).sum(axis=0)
-        g1 = (Jx * F).sum(axis=0)
-        g2 = (Jy * F).sum(axis=0)
-        det = a * c - b * b
-        det = np.where(np.abs(det) < 1e-300, 1.0, det)
-        dx = (c * g1 - b * g2) / det
-        dy = (a * g2 - b * g1) / det
-        xa, ya = xa - dx, ya - dy
-        bad = ~np.isfinite(xa) | ~np.isfinite(ya) | (np.abs(xa) > 10) | (np.abs(ya) > 10)
-        xa[bad] = 0.0
-        ya[bad] = 0.0
-        x[active], y[active] = xa, ya
-        active = active[bad | (np.abs(dx) > 1e-15) | (np.abs(dy) > 1e-15)]
-    inside = np.flatnonzero((np.abs(x) <= region + 1e-8) & (np.abs(y) <= region + 1e-8))
-    F = polys.values(x[inside], y[inside])
-    ok = inside[np.abs(F).max(axis=0) <= tol]
-    order = ok[np.lexsort((y[ok], x[ok]))]
-    px, py = x[order], y[order]
-    live = np.ones(order.size, bool)
-    keep = []
-    while live.any():
-        k = np.argmax(live)
-        keep.append(k)
-        live &= (np.abs(px - px[k]) > dedupe_tol) | (np.abs(py - py[k]) > dedupe_tol)
-    found = np.column_stack([px[keep], py[keep]])
-    if len(found) != expected_count:
-        raise CommonZeroError(
-            f"found {len(found)} common zeros, expected {expected_count}", found
-        )
-    return found
+    n = hankel.n
+    G, H = scaling_matrix(n), hankel.matrix
+    A = [three_term(constant(), k) for k in range(n)]
+    N = dim_upto(n - 1)
+    if hankel.mode == "even":
+        gamma = G @ H @ scaling_matrix(n - 1).T
+        C, extra = np.hstack([gamma, np.eye(n + 1)]), 0
+    else:
+        tail = (n + 1) - n // 2
+        ev, Q = _syevd(np.eye(n + 1) - G @ H @ G.T, 1)
+        V = Q[:, tail:] * np.sqrt(np.maximum(ev[tail:], 0.0))
+        C, extra = np.hstack([np.zeros((tail, n)), Q[:, :tail].T]), n // 2
+    J = np.zeros((2, N + extra, N + extra))
+    for k in range(n - 1):
+        r, c = dim_upto(k - 1), dim_upto(k)
+        J[:, r:c, c:c + k + 2] = A[k].A1, A[k].A2
+    last, r = np.stack([A[-1].A1, A[-1].A2]), dim_upto(n - 2)
+    if extra:
+        J[:, r:N, N:] = last @ V
+    J = J + np.swapaxes(J, 1, 2)
+    if not extra:
+        J[:, r:N, r:N] = -last @ gamma
+    return J, C
+
+
+def common_zeros(hankel: HankelParam) -> np.ndarray:
+    """The nodes of a Hankel solution: the common zeros of its generating
+    polynomials, as the joint eigenvalues of its commuting truncated Jacobi
+    matrices J_1, J_2, lexsorted by (x, y).
+
+    The eigenvectors E of cos(1) J_1 + sin(1) J_2 give each node's
+    coordinates as v^T J_i v per column v (odd mode, J_i symmetric) or as
+    the diagonal of E^-1 J_i E (even mode).  A node set on which the generating
+    polynomials exceed 1e-10 raises ``CommonZeroError``: the Hankel system
+    does not hold, or two nodes share a projection.
+    """
+    J, C = _jacobi_system(hankel)
+    M = np.cos(1.0) * J[0] + np.sin(1.0) * J[1]
+    if hankel.mode == "odd":
+        v = _syevd(M, 1)[1]
+        pts = np.einsum("ij,kil,lj->jk", v, J, v)
+    else:
+        v = np.linalg.eig(M)[1]
+        pts = np.diagonal(np.linalg.solve(v, J @ v), axis1=1, axis2=2).real.T
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    n = hankel.n
+    rows = basis_for(constant()).eval_upto(n, pts[:, 0], pts[:, 1])[dim_upto(n - 2):]
+    residual = np.abs(C @ rows).max()
+    if not residual <= _RESID_TOL:
+        raise CommonZeroError(f"the generating polynomials reach {residual:.1e} on the {len(pts)} "
+                              f"eigenvalue nodes, above {_RESID_TOL:.0e}", pts)
+    return pts
 
 
 def canonical_complement_combos(U: np.ndarray) -> np.ndarray:

@@ -16,13 +16,11 @@ from cubasquare.cubature import (
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
     KNOWN_ODD_HANKEL,
+    CommonZeroError,
     align_to_reference,
     common_zeros,
-    even_system_polys,
     even_system_residual,
     odd_system_search,
-    odd_system_solve,
-    orthogonal_polys_from_U,
     solve_even_system,
 )
 from cubasquare.interp import convergence_report, interpolate_padua, lebesgue_constant
@@ -121,15 +119,15 @@ def test_criterion_06_hankel_fixtures_and_pipelines():
     # printed even H3 satisfies the even system
     assert np.abs(even_system_residual(3, KNOWN_EVEN_HANKEL[3])).max() <= 1e-10
     # odd solver reproduces the reference H3 and H5 entrywise after alignment
-    sols3 = odd_system_solve(3, seeds=20, rng_seed=1)
+    sols3 = odd_system_search(3, seeds=20, rng_seed=1).verified
     d3 = min(align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1] for s in sols3)
     assert d3 < 1e-8
-    sols5 = odd_system_solve(5, seeds=60, rng_seed=0)
+    sols5 = odd_system_search(5, seeds=60, rng_seed=0).verified
     d5 = min(align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1] for s in sols5)
     assert d5 < 1e-8
     # odd n=5 pipeline: exactly 17 real common zeros and a verified degree-9 rule
     best5 = min(sols5, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1])
-    pts = common_zeros(orthogonal_polys_from_U(5, best5.U), 17)
+    pts = common_zeros(best5.hankel)
     ns = NodeSet(points=pts, family="discovered_odd", n=5, expected_count=17)
     rule = weights_from_vandermonde(ns, constant(), 9)
     assert exactness_check(rule, tol=1e-9).passed
@@ -138,8 +136,8 @@ def test_criterion_06_hankel_fixtures_and_pipelines():
     inside = False
     for s in sols4:
         try:
-            p4 = common_zeros(orthogonal_polys_from_U(4, s.U), 12)
-        except Exception:
+            p4 = common_zeros(s.hankel)
+        except CommonZeroError:
             continue
         if np.all(np.abs(p4) <= 1.0 + 1e-12):
             ns4 = NodeSet(points=p4, family="discovered_odd", n=4, expected_count=12)
@@ -149,7 +147,7 @@ def test_criterion_06_hankel_fixtures_and_pipelines():
     assert inside
     # even n=5: a rule with exactly one node outside the square
     sols_e5 = solve_even_system(5, seeds=40, rng_seed=0)
-    pts = common_zeros(even_system_polys(5, sols_e5[0]), 15)
+    pts = common_zeros(sols_e5[0])
     outside = int((~np.all(np.abs(pts) <= 1 + 1e-10, axis=1)).sum())
     assert outside == 1
     ns5 = NodeSet(points=pts, family="discovered_even", n=5, expected_count=15)

@@ -228,6 +228,23 @@ class TestRuleAndVerify:
         assert capsys.readouterr().err.startswith("error: cannot load rule file: ")
 
 
+    @pytest.mark.parametrize("field,value", [("degree", None), ("n", None), ("weight", 5),
+                                             ("degree", 15.5), ("degree", True)])
+    def test_wrong_scalar_type_exit_2(self, field, value, tmp_path, capsys):
+        # degree and n are JSON integers and the weight a string; anything else is
+        # a load error, not a traceback, a truncation or a bool read as 1
+        rf = tmp_path / "rule.json"
+        assert run(["rule", "padua", "8", "--out", str(rf)]) == 0
+        d = json.loads(rf.read_text())
+        d[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert run(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load rule file: ")
+
 class TestTables:
     def test_lebesgue_csv(self, tmp_path, capsys):
         out = tmp_path / "leb.csv"
@@ -277,3 +294,14 @@ class TestDiscover:
         rep = json.loads(out.read_text())
         assert rep["status"] == "not-found"
         assert "nonexistence" in rep["note"]
+
+    def test_even_n3_one_rule_per_solution(self, tmp_path):
+        # common zeros outside [-1.3, 1.3]^2 still give a rule for every solution
+        out, outdir = tmp_path / "report.json", tmp_path / "rules"
+        assert run(["discover", "even", "3", "--seeds", "2", "--out", str(out), "--out-dir", str(outdir)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "found"
+        assert len(rep["rules"]) == len(rep["solutions"]) == 4
+        files = sorted(outdir.glob("even_n3_sol*.json"))
+        assert len(files) == 4
+        assert all(run(["verify", str(f)]) == 0 for f in files)

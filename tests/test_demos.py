@@ -1,9 +1,12 @@
 """Smoke tests: the quick demos run to completion against the package source.
 
-``rule_discovery.py`` is left out: its multistart searches take about ten
-seconds, and the discovery pipeline has its own tests.
+``rule_discovery.py`` is left out of the runs: its multistart searches take
+about ten seconds, and the discovery pipeline has its own tests.  Every demo,
+that one included, is checked for the names it imports from the package.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +29,16 @@ def test_demo_runs(script, with_out_dir, tmp_path):
     assert done.returncode == 0, done.stderr
     if with_out_dir:
         assert list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(script):
+    # a public name removed from the package breaks a demo that is never run here
+    tree = ast.parse((ROOT / "demos" / script).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "cubasquare"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{script}: {node.module} has no {missing}"

@@ -14,7 +14,7 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from cubasquare.basis2d import three_term
+from cubasquare.basis2d import basis_for, dim_upto, three_term
 from cubasquare.cubature import exactness_check, weights_from_vandermonde
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
@@ -22,20 +22,17 @@ from cubasquare.discover import (
     KNOWN_ODD_HANKEL,
     CommonZeroError,
     HankelParam,
-    PolySystem,
     align_to_reference,
     canonical_complement_combos,
     common_zeros,
-    even_system_polys,
     even_system_residual,
     _HankelSystem,
+    _jacobi_system,
     gamma_coefficient,
     hankel_matrix,
     least_squares,
     odd_system_residual,
     odd_system_search,
-    odd_system_solve,
-    orthogonal_polys_from_U,
     scaling_matrix,
     solve_even_system,
 )
@@ -73,7 +70,6 @@ class TestBuildingBlocks:
         assert ((A2 != 0).sum(axis=1) == 1).all()
 
     def test_three_term_residual(self):
-        from cubasquare.basis2d import basis_for
         rng = np.random.default_rng(0)
         x, y = rng.uniform(-1, 1, (2, 30))
         b = basis_for(constant())
@@ -365,7 +361,7 @@ class TestLeastSquares:
 
 
 def reference_poly_system(n, coeff_n, coeff_nm1, x, y):
-    """F, dF/dx, dF/dy of a PolySystem, its members formed one k at a time."""
+    """F, dF/dx, dF/dy of coeff_n P_n (+ coeff_nm1 P_{n-1}), the members formed one k at a time."""
     from cubasquare.univariate import jacobi_normalized_table_with_derivative as table
 
     tx, dtx = table(0.0, 0.0, n, x)
@@ -380,7 +376,24 @@ def reference_poly_system(n, coeff_n, coeff_nm1, x, y):
     return out
 
 
+def library_poly_system(n, coeff_n, coeff_nm1, x, y):
+    """F, dF/dx, dF/dy from the library's total-degree row stacks, combined per degree
+    as in the reference."""
+    from cubasquare.basis2d import _total_degree_rows
+    from cubasquare.univariate import jacobi_normalized_table_with_derivative as table
+
+    (tx, dtx), (ty, dty) = table(0.0, 0.0, n, x), table(0.0, 0.0, n, y)
+    stacks = [_total_degree_rows(a, b) for a, b in ((tx, ty), (dtx, ty), (tx, dty))]
+    out = [coeff_n @ rows[dim_upto(n - 1):] for rows in stacks]
+    if coeff_nm1 is not None:
+        out = [o + coeff_nm1 @ rows[dim_upto(n - 2):dim_upto(n - 1)] for o, rows in zip(out, stacks)]
+    return out
+
+
 class TestPolySystemStacks:
+    """The reference evaluator behind ``reference_common_zeros`` against the
+    library's stacked basis rows, which the check of ``common_zeros`` evaluates."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("with_nm1", [False, True])
     def test_bitwise_equal_to_per_member_loop(self, n, with_nm1):
@@ -388,21 +401,22 @@ class TestPolySystemStacks:
         coeff_n = rng.standard_normal((3, n + 1))
         coeff_nm1 = rng.standard_normal((3, n)) if with_nm1 else None
         x, y = rng.uniform(-1.3, 1.3, (2, 257))
-        system = PolySystem(n, coeff_n, coeff_nm1)
-        F, Jx, Jy = reference_poly_system(n, coeff_n, coeff_nm1, x, y)
-        got = system.values_and_jacobian(x, y)
-        assert all(np.array_equal(g, r) for g, r in zip(got, (F, Jx, Jy)))
-        assert np.array_equal(system.values(x, y), F)
+        got = library_poly_system(n, coeff_n, coeff_nm1, x, y)
+        ref = reference_poly_system(n, coeff_n, coeff_nm1, x, y)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
     @pytest.mark.parametrize("n", [5, 7])
     @pytest.mark.parametrize("with_nm1", [False, True])
     def test_values_without_derivative_tables(self, n, with_nm1):
-        # values uses the plain Jacobi tables, whose rows are those of the derivative kernel
+        # eval_upto uses the plain Jacobi tables, whose rows are those of the derivative kernel
         rng = np.random.default_rng(10 + n)
-        system = PolySystem(n, rng.standard_normal((4, n + 1)), rng.standard_normal((4, n)) if with_nm1 else None)
+        coeff_n, coeff_nm1 = rng.standard_normal((4, n + 1)), rng.standard_normal((4, n)) if with_nm1 else None
         x, y = (g.ravel() for g in np.meshgrid(*2 * [np.linspace(-1.3, 1.3, 60)]))
-        F = system.values_and_jacobian(x, y)[0]
-        assert np.array_equal(system.values(x, y), F)
+        rows = basis_for(constant()).eval_upto(n, x, y)
+        F = coeff_n @ rows[dim_upto(n - 1):]
+        if with_nm1:
+            F = F + coeff_nm1 @ rows[dim_upto(n - 2):dim_upto(n - 1)]
+        assert np.array_equal(F, reference_poly_system(n, coeff_n, coeff_nm1, x, y)[0])
 
 
 class TestFixtures:
@@ -450,18 +464,18 @@ class TestSolvers:
         assert np.abs(even_system_residual(3, r.x)).max() < 1e-11
 
     def test_odd_n3_recovers_known_h3(self):
-        sols = odd_system_solve(3, seeds=20, rng_seed=1)
+        sols = odd_system_search(3, seeds=20, rng_seed=1).verified
         dists = [align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1] for s in sols]
         assert min(dists) < 1e-8
 
     def test_odd_n5_recovers_known_h5(self):
-        sols = odd_system_solve(5, seeds=60, rng_seed=0)
+        sols = odd_system_search(5, seeds=60, rng_seed=0).verified
         assert sols
         dists = [align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1] for s in sols]
         assert min(dists) < 1e-8
 
     def test_odd_solution_factorization(self):
-        sols = odd_system_solve(5, seeds=60, rng_seed=0)
+        sols = odd_system_search(5, seeds=60, rng_seed=0).verified
         s = sols[0]
         assert np.abs(s.V @ s.V.T - s.Wmat).max() < 1e-9
         assert np.abs(s.U.T @ s.V).max() < 1e-10
@@ -475,46 +489,46 @@ class TestSolvers:
 
 class TestCommonZeros:
     def test_odd_n3_seven_nodes_degree5(self):
-        W = odd_W(3, KNOWN_ODD_HANKEL[3].h)
-        ev, Q = np.linalg.eigh(W)
-        U = Q[:, : 4 - 1]
-        pts = common_zeros(orthogonal_polys_from_U(3, U), 7)
+        pts = common_zeros(KNOWN_ODD_HANKEL[3])
         assert len(pts) == 7
         ns = NodeSet(points=pts, family="discovered_odd", n=3, expected_count=7)
         rule = weights_from_vandermonde(ns, constant(), 5)
         assert exactness_check(rule).passed
 
     def test_odd_n5_seventeen_interior_nodes_degree9(self):
-        W = odd_W(5, KNOWN_ODD_HANKEL[5].h)
-        ev, Q = np.linalg.eigh(W)
-        U = Q[:, :4]
-        pts = common_zeros(orthogonal_polys_from_U(5, U), 17)
+        pts = common_zeros(KNOWN_ODD_HANKEL[5])
+        assert len(pts) == 17
         assert np.all(np.abs(pts) <= 1.0)
         ns = NodeSet(points=pts, family="discovered_odd", n=5, expected_count=17)
         rule = weights_from_vandermonde(ns, constant(), 9)
         assert exactness_check(rule).passed
 
-    def test_even_n5_one_node_outside(self):
-        sols = solve_even_system(5, seeds=40, rng_seed=0)
-        pts = common_zeros(even_system_polys(5, sols[0]), 15)
+    def test_even_n5_one_node_outside(self, even5):
+        pts = common_zeros(even5)
+        assert len(pts) == 15
         outside = (~np.all(np.abs(pts) <= 1 + 1e-10, axis=1)).sum()
         assert outside == 1
 
-    def test_count_mismatch_raises_with_found_set(self):
-        W = odd_W(5, KNOWN_ODD_HANKEL[5].h)
-        ev, Q = np.linalg.eigh(W)
-        U = Q[:, :4]
-        with pytest.raises(CommonZeroError) as exc:
-            common_zeros(orthogonal_polys_from_U(5, U), 99)
-        assert len(exc.value.found) == 17
+
+def generating_coeffs(hankel):
+    """coeff_n, coeff_nm1 of a solution's generating polynomials: P_n + Gamma P_{n-1}
+    (even) or U^T P_n with U the null space of W (odd)."""
+    n = hankel.n
+    if hankel.mode == "even":
+        return np.eye(n + 1), scaling_matrix(n) @ hankel.matrix @ scaling_matrix(n - 1).T
+    return np.linalg.eigh(odd_W(n, hankel.h))[1][:, : (n + 1) - n // 2].T, None
 
 
-def reference_common_zeros(polys, region=1.3, grid=60, tol=1e-10, dedupe_tol=1e-9):
-    """Every start through all 80 Gauss-Newton sweeps, then a per-point Python dedupe."""
+def reference_common_zeros(n, coeff_n, coeff_nm1, region=1.3, grid=60, tol=1e-10, dedupe_tol=1e-9):
+    """Gauss-Newton from every start of a grid x grid lattice through 80 sweeps,
+    then a per-point Python dedupe: the zeros inside [-region, region]^2."""
     g = np.linspace(-region, region, grid)
     X, Y = np.meshgrid(g, g, indexing="ij")
     x, y = X.ravel().copy(), Y.ravel().copy()
-    fj = polys.values_and_jacobian
+
+    def fj(x, y):
+        return reference_poly_system(n, coeff_n, coeff_nm1, x, y)
+
     for _ in range(80):
         F, Jx, Jy = fj(x, y)
         a, b, c = (Jx * Jx).sum(0), (Jx * Jy).sum(0), (Jy * Jy).sum(0)
@@ -535,37 +549,60 @@ def reference_common_zeros(polys, region=1.3, grid=60, tol=1e-10, dedupe_tol=1e-
     return np.array(out).reshape(-1, 2)
 
 
-def odd_fixture_polys(n):
-    U = np.linalg.eigh(odd_W(n, KNOWN_ODD_HANKEL[n].h))[1][:, : (n + 1) - n // 2]
-    return orthogonal_polys_from_U(n, U)
+def one_to_one_distance(got, ref):
+    """Largest distance from a point of got to its nearest point of ref, after
+    checking that nearest partners pair the two sets one to one."""
+    assert got.shape == ref.shape
+    D = np.abs(got[:, None, :] - ref[None, :, :]).max(axis=2)
+    assert sorted(D.argmin(axis=1)) == list(range(len(ref)))
+    return D.min(axis=1).max()
 
 
 @pytest.fixture(scope="module")
-def even5_polys():
-    return even_system_polys(5, solve_even_system(5, seeds=40, rng_seed=0)[0])
+def even5():
+    return solve_even_system(5, seeds=40, rng_seed=0)[0]
+
+
+# the fixture solutions and their node counts n(n+1)/2 (even), n(n+1)/2 + floor(n/2) (odd)
+SOLUTION_CASES = {"odd3": 7, "odd4": 12, "odd5": 17, "even3": 6, "even5": 15}
+
+
+def solution_case(case, request):
+    if case == "even5":
+        return request.getfixturevalue("even5")
+    known = KNOWN_EVEN_HANKEL if case.startswith("even") else KNOWN_ODD_HANKEL
+    return known[int(case[-1])]
 
 
 class TestCommonZerosReference:
-    """The early-stopping sweep and vectorised dedupe against the dense reference."""
+    """The joint eigenvalues against Gauss-Newton on the generating polynomials."""
 
-    @pytest.mark.parametrize("case", ["odd3", "odd5", "even5"])
+    @pytest.mark.parametrize("case", SOLUTION_CASES)
     def test_same_points_as_dense_loop(self, case, request):
-        polys = request.getfixturevalue("even5_polys") if case == "even5" else odd_fixture_polys(int(case[-1]))
-        ref = reference_common_zeros(polys)
-        got = common_zeros(polys, len(ref))
-        assert len(ref) == {"odd3": 7, "odd5": 17, "even5": 15}[case]
-        assert np.abs(got - ref).max() <= 1e-14
+        hankel = solution_case(case, request)
+        ref = reference_common_zeros(hankel.n, *generating_coeffs(hankel))
+        got = common_zeros(hankel)
+        assert len(got) == len(ref) == SOLUTION_CASES[case]
+        assert one_to_one_distance(got, ref) <= 1e-14
+        assert np.array_equal(got, got[np.lexsort((got[:, 1], got[:, 0]))])
 
-    def test_dedupe_keeps_first_point_in_sorted_order(self):
-        # every start of a 4 x 4 lattice is a zero of F = 0; with a tolerance
-        # between one and two lattice steps the greedy rule keeps the points
-        # of even index, and a chain of neighbours is not merged into one point
-        g = np.linspace(-1.0, 1.0, 4)
-        want = np.array([(g[i], g[j]) for i in (0, 2) for j in (0, 2)])
-        polys = PolySystem(1, np.zeros((1, 2)))
-        got = common_zeros(polys, 4, region=1.0, grid=4, dedupe_tol=0.7)
-        assert np.array_equal(got, want)
-        assert np.array_equal(reference_common_zeros(polys, region=1.0, grid=4, dedupe_tol=0.7), want)
+
+class TestJacobiMatrices:
+    @pytest.mark.parametrize("case", SOLUTION_CASES)
+    def test_commute_at_solutions(self, case, request):
+        J, _ = _jacobi_system(solution_case(case, request))
+        count = SOLUTION_CASES[case]
+        assert J.shape == (2, count, count)
+        assert np.abs(J[0] @ J[1] - J[1] @ J[0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", SOLUTION_CASES)
+    def test_perturbed_hankel_raises(self, case, request):
+        hankel = solution_case(case, request)
+        rng = np.random.default_rng(0)
+        h = hankel.h * (1.0 + 1e-6 * rng.standard_normal(hankel.h.size))
+        with pytest.raises(CommonZeroError, match="above 1e-10") as exc:
+            common_zeros(HankelParam(hankel.mode, hankel.n, h))
+        assert len(exc.value.found) == SOLUTION_CASES[case]
 
 
 class TestQDisplay:
@@ -580,20 +617,17 @@ class TestQDisplay:
 
     def test_combos_orthogonal_to_lower_degrees(self):
         from cubasquare.weights import tensor_oracle
-        from cubasquare.basis2d import basis_for
 
         W = odd_W(5, KNOWN_ODD_HANKEL[5].h)
         ev, Q = np.linalg.eigh(W)
-        polys = orthogonal_polys_from_U(5, Q[:, :4])
         X, Y, wts = tensor_oracle(constant(), 12)
-        vals = polys.values(X, Y)
+        vals = Q[:, :4].T @ basis_for(constant()).eval_degree(5, X, Y)
         low = basis_for(constant()).eval_upto(4, X, Y)
         assert np.abs((vals * wts) @ low.T).max() < 1e-10
 
     def test_count_matches_moeller_complement(self):
+        # (n + 1) - floor(n/2) polynomials of degree n with n(n+1)/2 + floor(n/2) common zeros
         for n in (3, 4, 5):
-            W = odd_W(n, KNOWN_ODD_HANKEL[n].h)
-            ev, Q = np.linalg.eigh(W)
-            U = Q[:, : (n + 1) - n // 2]
-            polys = orthogonal_polys_from_U(n, U)
-            assert polys.coeff_n.shape[0] == (n + 1) - n // 2
+            coeff_n, _ = generating_coeffs(KNOWN_ODD_HANKEL[n])
+            assert coeff_n.shape[0] == (n + 1) - n // 2
+            assert len(common_zeros(KNOWN_ODD_HANKEL[n])) == n * (n + 1) // 2 + n // 2
