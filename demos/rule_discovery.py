@@ -20,8 +20,8 @@ from cubasquare.weights import constant
 
 print("odd system, n = 3 (degree-5 rule on 7 nodes)")
 sols = odd_system_search(3, seeds=20, rng_seed=1).verified
-best = min(sols, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1])
-pts = common_zeros(best.hankel)
+best = min(sols, key=lambda s: align_to_reference(s, KNOWN_ODD_HANKEL[3])[1])
+pts = common_zeros(best)
 rule = weights_from_vandermonde(
     NodeSet(points=pts, family="discovered_odd", n=3, expected_count=7), constant(), 5
 )
@@ -33,10 +33,10 @@ print()
 
 print("odd system, n = 5 (degree-9 rule on 17 nodes)")
 sols = odd_system_search(5, seeds=60, rng_seed=0).verified
-best = min(sols, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1])
-_, dist = align_to_reference(best.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")
+best = min(sols, key=lambda s: align_to_reference(s, KNOWN_ODD_HANKEL[5])[1])
+_, dist = align_to_reference(best, KNOWN_ODD_HANKEL[5])
 print(f"  entrywise distance to the stored reference matrix: {dist:.2e}")
-pts = common_zeros(best.hankel)
+pts = common_zeros(best)
 rule = weights_from_vandermonde(
     NodeSet(points=pts, family="discovered_odd", n=5, expected_count=17), constant(), 9
 )

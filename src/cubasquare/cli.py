@@ -85,7 +85,8 @@ def _kernel_family_name(family: str) -> str:
 def _table_family(args) -> tuple[str, list[int]]:
     """interp/lebesgue family name and --n-list, each n checked for parity;
     the default list is odd for nearmint and even otherwise."""
-    text = args.n_list or ("5,9,17" if args.family == "nearmint" else "4,8,16")
+    default = "5,9,17" if args.family == "nearmint" else "4,8,16"
+    text = default if args.n_list is None else args.n_list
     try:
         n_list = [int(s) for s in text.split(",")]
     except ValueError:
@@ -190,22 +191,24 @@ def cmd_discover(args) -> int:
     from . import discover as dsc  # imported here: scipy.optimize is slow to load
 
     n, mode = args.n, args.mode
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
+    if args.rng < 0:
+        raise UsageError("--rng must be non-negative")
     report: dict = {"mode": mode, "n": n, "seeds": args.seeds, "rng_seed": args.rng}
     if mode == "even":
         sols = dsc.solve_even_system(n, seeds=args.seeds, rng_seed=args.rng)
         degree, ref = 2 * n - 2, dsc.KNOWN_EVEN_HANKEL.get(n)
     else:
         search = dsc.odd_system_search(n, seeds=args.seeds, rng_seed=args.rng)
-        sols = [s.hankel for s in search.verified]
-        degree, ref = 2 * n - 1, dsc.KNOWN_ODD_HANKEL.get(n)
+        sols, degree, ref = search.verified, 2 * n - 1, dsc.KNOWN_ODD_HANKEL.get(n)
     report["solutions"] = [[format(v, ".17g") for v in s.h] for s in sols]
     if mode == "odd":
         report["algebraic_only"] = [[format(v, ".17g") for v in s.h] for s in search.algebraic_only]
     if ref is not None:
-        residual = dsc.even_system_residual if mode == "even" else dsc.odd_system_residual
-        entry = {"reference_residual": float(np.abs(residual(n, ref)).max())}
+        entry = {"reference_residual": float(np.abs(ref.residual()).max())}
         if sols:
-            entry["best_distance"] = min(dsc.align_to_reference(s.h, ref.h, mode)[1] for s in sols)
+            entry["best_distance"] = min(dsc.align_to_reference(s, ref)[1] for s in sols)
         report["reference_match"] = entry
     rules = []
     for idx, s in enumerate(sols):

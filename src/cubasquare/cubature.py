@@ -44,6 +44,10 @@ __all__ = [
     "rule_from_json",
 ]
 
+_EXACT_TOL = 1e-9  # largest moment error, relative to the mass, of an exact degree
+_EXTRA_DEGREES = 3  # degrees scanned past the declared one to locate the first failure
+_VANDERMONDE_TOL = 1e-10  # largest moment residual of least-squares weights, relative to the mass
+
 
 class CubatureError(RuntimeError):
     pass
@@ -154,11 +158,11 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
 
     One path for every family: the closed-form weights, their moment
-    residuals through the declared degree + 3 (the build check through the
-    declared degree, and the oracle report ``exactness_check`` would give),
-    then ``_checked_calibration``: from the 1-D tables over node blocks for
-    product bases, so no N x N or dim x N array is formed, from the basis
-    rows for gencheb."""
+    residuals through the declared degree + ``_EXTRA_DEGREES`` (the build
+    check through the declared degree, and the oracle report
+    ``exactness_check`` would give), then ``_checked_calibration``: from
+    the 1-D tables over node blocks for product bases, so no N x N or
+    dim x N array is formed, from the basis rows for gencheb."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w)
@@ -167,7 +171,7 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
         raise CubatureError(f"interpolation space dimension {dim_upto(n - 1) + sigma} != node count {len(nodes)}")
     degree = 2 * n - 1 if sigma else 2 * n - 2
     w_unit = _closed_form_weights(w, n, pts)
-    residuals = _degree_residuals(w, pts, basis.mass * w_unit, degree + 3)
+    residuals = _degree_residuals(w, pts, basis.mass * w_unit, degree + _EXTRA_DEGREES)
     failures = []
     resid = float(residuals[:degree + 1].max())
     if not resid <= 1e-10:
@@ -230,16 +234,11 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, f
     return spec, kdiag
 
 
-def weights_from_vandermonde(
-    nodes: NodeSet,
-    w: WeightSpec,
-    exact_degree: int,
-    tol: float = 1e-10,
-) -> CubatureRule:
+def weights_from_vandermonde(nodes: NodeSet, w: WeightSpec, exact_degree: int) -> CubatureRule:
     """Least-squares moment matching on the orthonormal basis of Pi_exact_degree^2.
 
-    Raises if the residual exceeds ``tol`` relative to the total mass: the
-    node set then does not support the claimed degree.
+    Raises if the residual exceeds ``_VANDERMONDE_TOL`` relative to the total
+    mass: the node set then does not support the claimed degree.
     """
     basis = basis_for(w)
     pts = nodes.points
@@ -248,7 +247,7 @@ def weights_from_vandermonde(
     rhs[0] = basis.mass  # integral of the constant member; others vanish
     lam, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     resid = float(np.abs(A @ lam - rhs).max())
-    if resid > tol * max(1.0, basis.mass):
+    if resid > _VANDERMONDE_TOL * max(1.0, basis.mass):
         raise CubatureError(
             f"moment residual {resid:.3e} exceeds tolerance: "
             f"nodes do not support degree {exact_degree}"
@@ -291,28 +290,29 @@ class ExactnessReport:
         }
 
 
-def exactness_check(rule: CubatureRule, tol: float = 1e-9, extra_degrees: int = 3) -> ExactnessReport:
+def exactness_check(rule: CubatureRule) -> ExactnessReport:
     """Compare rule sums with exact moments in the Chebyshev tensor basis.
 
     The rule sums sum_k lambda_k T_i(x_k) T_j(y_k) are compared with the
     modified moments int T_i T_j W.  Both are bounded by the total mass
     (|T_i| <= 1 on the square), so the error relative to it measures a
     failure at any degree; monomial moments of high degree are too small
-    to show one.  Degrees up to declared + extra are scanned to locate the
+    to show one.  A degree passes when that error is at most ``_EXACT_TOL``;
+    degrees up to declared + ``_EXTRA_DEGREES`` are scanned to locate the
     first failing total degree.
     """
-    residuals = _degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, rule.degree + extra_degrees)
-    return _exactness_report(rule.degree, residuals, tol)
+    residuals = _degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, rule.degree + _EXTRA_DEGREES)
+    return _exactness_report(rule.degree, residuals)
 
 
-def _exactness_report(deg: int, residuals: np.ndarray, tol: float = 1e-9) -> ExactnessReport:
+def _exactness_report(deg: int, residuals: np.ndarray) -> ExactnessReport:
     """The report for declared degree ``deg`` from the per-degree residuals
     through degree len(residuals) - 1."""
-    failing = np.flatnonzero(~(residuals <= tol))  # NaN counts as failing
+    failing = np.flatnonzero(~(residuals <= _EXACT_TOL))  # NaN counts as failing
     first_fail = int(failing[0]) if failing.size else None
     max_rel = float(residuals[: deg + 1].max())
     return ExactnessReport(
-        passed=max_rel <= tol,
+        passed=max_rel <= _EXACT_TOL,
         declared_degree=deg,
         max_rel_error=max_rel,
         first_failure_degree=first_fail,

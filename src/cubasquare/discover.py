@@ -12,7 +12,9 @@ X affine in h, by multistart Levenberg-Marquardt:
   are the common zeros of U^T P_n where the columns of U span the null
   space of W.
 
-The verified odd search appends the trailing eigenvalues of W to the
+A solution is a ``HankelParam``: its ``system`` property is the one
+formula for Gamma or W, and ``residual()`` evaluates R at it.  The
+verified odd search appends the trailing eigenvalues of W to the
 residual vector, which steers the iteration onto the semidefinite
 rank-deficient branch; plain algebraic solutions failing that condition
 are reported separately.  ``common_zeros`` finds a solution's nodes, in
@@ -41,20 +43,14 @@ __all__ = [
     "gamma_coefficient",
     "scaling_matrix",
     "HankelParam",
-    "hankel_matrix",
-    "even_system_residual",
-    "odd_system_residual",
     "solve_even_system",
-    "OddSystemSolution",
     "OddSearchReport",
     "odd_system_search",
     "common_zeros",
     "CommonZeroError",
-    "canonical_complement_combos",
     "align_to_reference",
     "KNOWN_EVEN_HANKEL",
     "KNOWN_ODD_HANKEL",
-    "KNOWN_ODD5_COMBOS",
 ]
 
 
@@ -87,7 +83,19 @@ class HankelParam:
 
     @property
     def matrix(self) -> np.ndarray:
-        return hankel_matrix(self.h, self.n + 1, _hankel_cols(self.mode, self.n))
+        """H[i, j] = h[i + j], with n + 1 rows and ``_hankel_cols`` columns."""
+        return self.h[np.add.outer(np.arange(self.n + 1), np.arange(_hankel_cols(self.mode, self.n)))]
+
+    @property
+    def system(self) -> np.ndarray:
+        """Gamma = G_n H G_{n-1}^T (even mode) or W = I - G_n H G_n^T (odd mode)."""
+        n = self.n
+        GHG = scaling_matrix(n) @ self.matrix @ scaling_matrix(_hankel_cols(self.mode, n) - 1).T
+        return GHG if self.mode == "even" else np.eye(n + 1) - GHG
+
+    def residual(self) -> np.ndarray:
+        """The independent entries of X^T M X - C; zero iff h solves the system."""
+        return _HankelSystem(self.mode, self.n).residual(self.h)
 
 
 def _hankel_cols(mode: str, n: int) -> int:
@@ -96,17 +104,9 @@ def _hankel_cols(mode: str, n: int) -> int:
     return n if mode == "even" else n + 1
 
 
-def hankel_matrix(h: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(h, dtype=float)[np.add.outer(np.arange(rows), np.arange(cols))]
-
-
-def _coerce_h(n: int, H, mode: str) -> np.ndarray:
-    """The entries h of a ``HankelParam`` or of a flat array, checked against mode and n."""
-    if isinstance(H, HankelParam):
-        if H.mode != mode or H.n != n:
-            raise ValueError(f"HankelParam is for {H.mode} n={H.n}, expected {mode} n={n}")
-        return H.h
-    return HankelParam(mode, n, H).h
+def _nullity(n: int) -> int:
+    """Null-space dimension of a verified odd W, of rank floor(n/2)."""
+    return (n + 1) - n // 2
 
 
 # MINPACK's info code -> the status scipy.optimize.least_squares reports
@@ -159,7 +159,7 @@ class _HankelSystem:
     Q[p, l, m] = (B_l^T M B_m + B_m^T M B_l)[p], symmetric in l and m; a
     residual or a Jacobian is then one matrix-vector product on the flat
     (P * nvar, nvar) view ``Qf`` of Q.  With ``rank_penalty`` (odd mode)
-    the smallest n+1-floor(n/2) eigenvalues of X are appended to R.  They
+    the smallest ``_nullity(n)`` eigenvalues of X are appended to R.  They
     come from LAPACK dsyevd on the lower triangle of X, without
     eigenvectors in ``residual`` and with them in ``jacobian``, the calls
     behind ``np.linalg.eigvalsh`` and ``eigh``; the two eigenvalue sets
@@ -169,12 +169,14 @@ class _HankelSystem:
     """
 
     def __init__(self, mode: str, n: int, rank_penalty: bool = False):
+        if n < 2:
+            raise ValueError("n must be >= 2")
         tt = three_term(constant(), n - 1)
         A1, A2 = tt.A1, tt.A2
         M = A1.T @ A2 - A2.T @ A1
         cols = _hankel_cols(mode, n)
         Gr, Gc = scaling_matrix(n), scaling_matrix(cols - 1)
-        E = np.array([hankel_matrix(e, n + 1, cols) for e in np.eye(n + cols)])
+        E = np.array([HankelParam(mode, n, e).matrix for e in np.eye(n + cols)])
         B = Gr @ E @ Gc.T
         if mode == "even":
             X0, C = np.zeros((n + 1, cols)), A1 @ A2.T - A2 @ A1.T
@@ -190,7 +192,7 @@ class _HankelSystem:
         self.Q = T + np.swapaxes(T, 1, 2)
         self.Qf = self.Q.reshape(-1, len(B))
         self.X0, self.B = X0, B.reshape(len(B), -1)
-        self.tail = (n + 1) - n // 2 if rank_penalty else 0
+        self.tail = _nullity(n) if rank_penalty else 0
         self.neq = len(i) + self.tail
         self.nvar = len(B)
         self.free = np.arange(self.nvar)
@@ -238,16 +240,6 @@ class _HankelSystem:
         return h
 
 
-def even_system_residual(n: int, H) -> np.ndarray:
-    """Independent entries of Gamma^T M Gamma - C; zero iff H solves the system."""
-    return _HankelSystem("even", n).residual(_coerce_h(n, H, "even"))
-
-
-def odd_system_residual(n: int, H) -> np.ndarray:
-    """Independent entries of W M W with W = I - G H G^T."""
-    return _HankelSystem("odd", n).residual(_coerce_h(n, H, "odd"))
-
-
 # ---------------------------------------------------------------------------
 # symmetry orbits and deduplication
 
@@ -264,26 +256,26 @@ def _orbit(h: np.ndarray, mode: str):
     return [v for b in base for v in (b, b[::-1].copy())]
 
 
-def _canonical(h: np.ndarray, mode: str, decimals: int = 7):
-    keys = [tuple(np.round(v, decimals)) for v in _orbit(h, mode)]
-    i = max(range(len(keys)), key=lambda j: keys[j])
-    return keys[i], _orbit(h, mode)[i]
+def _canonical(h: np.ndarray, mode: str):
+    orbit = _orbit(h, mode)
+    keys = [tuple(np.round(v, _KEY_DECIMALS)) for v in orbit]
+    i = max(range(len(keys)), key=keys.__getitem__)
+    return keys[i], orbit[i]
 
 
-def align_to_reference(h: np.ndarray, ref: np.ndarray, mode: str):
-    """Orbit element of h closest to ref and the entrywise distance."""
-    best, dist = None, np.inf
-    for v in _orbit(np.asarray(h, float), mode):
-        d = float(np.abs(v - np.asarray(ref, float)).max())
-        if d < dist:
-            best, dist = v, d
-    return best, dist
+def align_to_reference(hankel: HankelParam, ref: HankelParam):
+    """The orbit element of ``hankel`` closest to ``ref`` and their entrywise distance."""
+    if (hankel.mode, hankel.n) != (ref.mode, ref.n):
+        raise ValueError(f"cannot align {hankel.mode} n={hankel.n} to {ref.mode} n={ref.n}")
+    best = min(_orbit(hankel.h, hankel.mode), key=lambda v: np.abs(v - ref.h).max())
+    return HankelParam(hankel.mode, hankel.n, best), float(np.abs(best - ref.h).max())
 
 
 # ---------------------------------------------------------------------------
 # multistart solvers
 
 _RESID_TOL = 1e-10
+_KEY_DECIMALS = 7  # a solution's key: its canonical orbit element rounded to these decimals
 
 
 def _multistart(fits, seeds: int, rng_seed: int, max_nfev: int, accept):
@@ -308,15 +300,12 @@ def solve_even_system(n: int, seeds: int = 80, rng_seed: int = 0):
     the sign/reflection orbit and sorted canonically; an empty list means
     no solution was found (not a nonexistence proof).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     system = _HankelSystem("even", n)
     found: dict[tuple, np.ndarray] = {}
 
     def register(h):
         if np.abs(system.residual(h)).max() <= _RESID_TOL:
-            key, canon = _canonical(h, "even")
-            found.setdefault(key, canon)
+            found.setdefault(*_canonical(h, "even"))
 
     fits = [system.restricted(), system] if system.neq < system.nvar else [system]
     _multistart(fits, seeds, rng_seed, 400, register)
@@ -324,24 +313,11 @@ def solve_even_system(n: int, seeds: int = 80, rng_seed: int = 0):
 
 
 @dataclass
-class OddSystemSolution:
-    """Verified odd-system solution: W = V V^T is PSD of rank floor(n/2)."""
-
-    n: int
-    hankel: HankelParam
-    Wmat: np.ndarray
-    V: np.ndarray
-    U: np.ndarray
-    eigenvalues: np.ndarray
-
-
-@dataclass
 class OddSearchReport:
-    n: int
-    seeds: int
-    rng_seed: int
-    verified: list
-    algebraic_only: list
+    """Odd solutions whose W is PSD of rank floor(n/2), and the others."""
+
+    verified: list[HankelParam]
+    algebraic_only: list[HankelParam]
 
     @property
     def status(self) -> str:
@@ -356,39 +332,30 @@ def odd_system_search(n: int, seeds: int = 80, rng_seed: int = 0) -> OddSearchRe
     subspace, which isolates manifold solutions, then the plain algebraic
     system, which records solutions failing the PSD/rank filter.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     penalised = _HankelSystem("odd", n, rank_penalty=True)
     algebraic = _HankelSystem("odd", n)
-    tail = penalised.tail  # null-space dimension of a verified W
-    verified: dict[tuple, OddSystemSolution] = {}
+    tail = penalised.tail
+    verified: dict[tuple, np.ndarray] = {}
     other: dict[tuple, np.ndarray] = {}
 
     def classify(h):
         if np.abs(algebraic.residual(h)).max() > _RESID_TOL:
             return
-        ev = np.linalg.eigvalsh(algebraic.X(h))
+        ev = np.linalg.eigvalsh(HankelParam("odd", n, h).system)
         small, lead = np.abs(ev[:tail]).max(), ev[tail:].min()
         key, canon = _canonical(h, "odd")
-        if small <= 1e-9 and lead > 1e-8 and lead > 100.0 * small:
-            if key not in verified:
-                Wc = algebraic.X(canon)
-                evc, Qc = np.linalg.eigh(Wc)
-                V = Qc[:, tail:] * np.sqrt(np.maximum(evc[tail:], 0.0))
-                verified[key] = OddSystemSolution(
-                    n=n, hankel=HankelParam("odd", n, canon), Wmat=Wc, V=V, U=Qc[:, :tail], eigenvalues=evc
-                )
-        else:
-            other.setdefault(key, canon)
+        psd_rank = small <= 1e-9 and lead > 1e-8 and lead > 100.0 * small
+        (verified if psd_rank else other).setdefault(key, canon)
 
     if penalised.neq < penalised.nvar or n == 3:
         fits = [penalised, penalised.restricted(), algebraic]
     else:
         fits = [penalised, algebraic]
     _multistart(fits, seeds, rng_seed, 600, classify)
-    ver = [verified[k] for k in sorted(verified)]
-    alg = [HankelParam("odd", n, other[k]) for k in sorted(other) if k not in verified]
-    return OddSearchReport(n=n, seeds=seeds, rng_seed=rng_seed, verified=ver, algebraic_only=alg)
+    return OddSearchReport(
+        verified=[HankelParam("odd", n, verified[k]) for k in sorted(verified)],
+        algebraic_only=[HankelParam("odd", n, other[k]) for k in sorted(other) if k not in verified],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +377,14 @@ def _jacobi_system(hankel: HankelParam):
     mode: they are U^T P_n, with U the null space of W = V V^T, and J_i gains
     one symmetric block row and column A_{n-1,i} V with a zero corner.
     """
-    n = hankel.n
-    G, H = scaling_matrix(n), hankel.matrix
+    n, X = hankel.n, hankel.system
     A = [three_term(constant(), k) for k in range(n)]
     N = dim_upto(n - 1)
     if hankel.mode == "even":
-        gamma = G @ H @ scaling_matrix(n - 1).T
-        C, extra = np.hstack([gamma, np.eye(n + 1)]), 0
+        C, extra = np.hstack([X, np.eye(n + 1)]), 0
     else:
-        tail = (n + 1) - n // 2
-        ev, Q = _syevd(np.eye(n + 1) - G @ H @ G.T, 1)
+        tail = _nullity(n)
+        ev, Q = _syevd(X, 1)
         V = Q[:, tail:] * np.sqrt(np.maximum(ev[tail:], 0.0))
         C, extra = np.hstack([np.zeros((tail, n)), Q[:, :tail].T]), n // 2
     J = np.zeros((2, N + extra, N + extra))
@@ -431,14 +396,15 @@ def _jacobi_system(hankel: HankelParam):
         J[:, r:N, N:] = last @ V
     J = J + np.swapaxes(J, 1, 2)
     if not extra:
-        J[:, r:N, r:N] = -last @ gamma
+        J[:, r:N, r:N] = -last @ X
     return J, C
 
 
 def common_zeros(hankel: HankelParam) -> np.ndarray:
     """The nodes of a Hankel solution: the common zeros of its generating
     polynomials, as the joint eigenvalues of its commuting truncated Jacobi
-    matrices J_1, J_2, lexsorted by (x, y).
+    matrices J_1, J_2, lexsorted by (x, y) rounded to 12 decimals, so nodes
+    whose x agree to rounding noise come out by ascending y.
 
     The eigenvectors E of cos(1) J_1 + sin(1) J_2 give each node's
     coordinates as v^T J_i v per column v (odd mode, J_i symmetric) or as
@@ -454,7 +420,8 @@ def common_zeros(hankel: HankelParam) -> np.ndarray:
     else:
         v = np.linalg.eig(M)[1]
         pts = np.diagonal(np.linalg.solve(v, J @ v), axis1=1, axis2=2).real.T
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    key = np.round(pts, 12)
+    pts = pts[np.lexsort((key[:, 1], key[:, 0]))]
     n = hankel.n
     rows = basis_for(constant()).eval_upto(n, pts[:, 0], pts[:, 1])[dim_upto(n - 2):]
     residual = np.abs(C @ rows).max()
@@ -462,16 +429,6 @@ def common_zeros(hankel: HankelParam) -> np.ndarray:
         raise CommonZeroError(f"the generating polynomials reach {residual:.1e} on the {len(pts)} "
                               f"eigenvalue nodes, above {_RESID_TOL:.0e}", pts)
     return pts
-
-
-def canonical_complement_combos(U: np.ndarray) -> np.ndarray:
-    """Row-reduce span(U^T) so each row has a unit coefficient on one of the
-    trailing member slots (descending), zeros on the others."""
-    B = np.asarray(U, dtype=float).T
-    q = B.shape[0]
-    sub = B[:, -q:]
-    C = np.linalg.solve(sub, B)
-    return C[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +467,3 @@ KNOWN_ODD_HANKEL = {
         )
     ),
 }
-
-# degree-5 complement combinations in the product-Legendre basis, rows with a
-# unit coefficient on members 5, 4, 3, 2 respectively
-KNOWN_ODD5_COMBOS = np.array(
-    [
-        [10.0 * sqrt(86.0) / 189.0, 1081.0 * sqrt(11.0) / (2835.0 * sqrt(3.0)), 0.0, 0.0, 0.0, 1.0],
-        [205.0 / (21.0 * sqrt(33.0)), 10.0 * sqrt(86.0) / 189.0, 0.0, 0.0, 1.0, 0.0],
-        [-5.0 * sqrt(430.0) / (27.0 * sqrt(77.0)), 62.0 * sqrt(5.0) / (81.0 * sqrt(21.0)), 0.0, 1.0, 0.0, 0.0],
-        [-10.0 * sqrt(5.0) / (3.0 * sqrt(77.0)), -sqrt(430.0) / (9.0 * sqrt(21.0)), 1.0, 0.0, 0.0, 0.0],
-    ]
-)

@@ -19,7 +19,6 @@ from cubasquare.discover import (
     CommonZeroError,
     align_to_reference,
     common_zeros,
-    even_system_residual,
     odd_system_search,
     solve_even_system,
 )
@@ -56,7 +55,7 @@ def test_criterion_02_cheb2_gaussian_exactness():
         assert len(nodes) == n * (n + 1) // 2  # attains the dimension bound
         rule = weights_from_kernel(nodes, star_spec_gaussian(cheb2(), n), cheb2())
         assert rule.degree == 2 * n - 2
-        rep = exactness_check(rule, tol=1e-9)
+        rep = exactness_check(rule)
         assert rep.passed
         worst = max(worst, rep.max_rel_error)
     report(2, f"chebyshev-2 Gaussian rules exact for n=2..12, worst rel err {worst:.2e}")
@@ -68,14 +67,14 @@ def test_criterion_03_cheb1_minimal_and_near_minimal():
         rule = weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1())
         assert rule.node_count == moeller_count(n)
         assert rule.degree == 2 * n - 1
-        rep = exactness_check(rule, tol=1e-9)
+        rep = exactness_check(rule)
         assert rep.passed
         worst = max(worst, rep.max_rel_error)
     for n in range(3, 16, 2):
         rule = weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1())
         assert rule.node_count == moeller_count(n) + 1
         assert rule.degree == 2 * n - 1
-        rep = exactness_check(rule, tol=1e-9)
+        rep = exactness_check(rule)
         assert rep.passed
         worst = max(worst, rep.max_rel_error)
     report(3, f"chebyshev-1 minimal (even<=16) and near-minimal (odd<=15), worst {worst:.2e}")
@@ -92,8 +91,8 @@ def test_criterion_04_padua():
         assert np.isfinite(interp.collocation_cond)
         assert np.abs(interp(X, Y) - f(X, Y)).max() < 1e-9
         # a degree-(2n-1) rule exists with tiny moment residual
-        rule = weights_from_vandermonde(nodes, cheb1(), 2 * n - 1, tol=1e-10)
-        assert exactness_check(rule, tol=1e-9).passed
+        rule = weights_from_vandermonde(nodes, cheb1(), 2 * n - 1)
+        assert exactness_check(rule).passed
     report(4, "padua unisolvence, projection, and degree-(2n-1) rules for n<=20")
 
 
@@ -117,32 +116,32 @@ def test_criterion_05_moeller_consistency():
 
 def test_criterion_06_hankel_fixtures_and_pipelines():
     # printed even H3 satisfies the even system
-    assert np.abs(even_system_residual(3, KNOWN_EVEN_HANKEL[3])).max() <= 1e-10
+    assert np.abs(KNOWN_EVEN_HANKEL[3].residual()).max() <= 1e-10
     # odd solver reproduces the reference H3 and H5 entrywise after alignment
     sols3 = odd_system_search(3, seeds=20, rng_seed=1).verified
-    d3 = min(align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1] for s in sols3)
+    d3 = min(align_to_reference(s, KNOWN_ODD_HANKEL[3])[1] for s in sols3)
     assert d3 < 1e-8
     sols5 = odd_system_search(5, seeds=60, rng_seed=0).verified
-    d5 = min(align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1] for s in sols5)
+    d5 = min(align_to_reference(s, KNOWN_ODD_HANKEL[5])[1] for s in sols5)
     assert d5 < 1e-8
     # odd n=5 pipeline: exactly 17 real common zeros and a verified degree-9 rule
-    best5 = min(sols5, key=lambda s: align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1])
-    pts = common_zeros(best5.hankel)
+    best5 = min(sols5, key=lambda s: align_to_reference(s, KNOWN_ODD_HANKEL[5])[1])
+    pts = common_zeros(best5)
     ns = NodeSet(points=pts, family="discovered_odd", n=5, expected_count=17)
     rule = weights_from_vandermonde(ns, constant(), 9)
-    assert exactness_check(rule, tol=1e-9).passed
+    assert exactness_check(rule).passed
     # odd n=4: a 12-node solution with all nodes inside the square
     sols4 = odd_system_search(4, seeds=30, rng_seed=0).verified
     inside = False
     for s in sols4:
         try:
-            p4 = common_zeros(s.hankel)
+            p4 = common_zeros(s)
         except CommonZeroError:
             continue
         if np.all(np.abs(p4) <= 1.0 + 1e-12):
             ns4 = NodeSet(points=p4, family="discovered_odd", n=4, expected_count=12)
             rule4 = weights_from_vandermonde(ns4, constant(), 7)
-            inside = exactness_check(rule4, tol=1e-9).passed
+            inside = exactness_check(rule4).passed
             break
     assert inside
     # even n=5: a rule with exactly one node outside the square
@@ -152,7 +151,7 @@ def test_criterion_06_hankel_fixtures_and_pipelines():
     assert outside == 1
     ns5 = NodeSet(points=pts, family="discovered_even", n=5, expected_count=15)
     rule5 = weights_from_vandermonde(ns5, constant(), 8)
-    assert exactness_check(rule5, tol=1e-9).passed
+    assert exactness_check(rule5).passed
     report(6, f"fixtures verified (H3 odd dist {d3:.1e}, H5 dist {d5:.1e}); pipelines reproduce 17/12/15-node rules")
 
 

@@ -147,6 +147,20 @@ def test_malformed_n_list_is_a_usage_error(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["discover", "odd", "3", "--seeds", "-1"], "--seeds"),
+    (["discover", "odd", "3", "--rng", "-1"], "--rng"),
+    (["interp", "mint", "--n-list", ""], "--n-list"),
+    (["lebesgue", "mint", "--n-list", ""], "--n-list"),
+], ids=["seeds-negative", "rng-negative", "interp-n-list-empty", "lebesgue-n-list-empty"])
+def test_unusable_input_is_a_usage_error(args, flag, tmp_path, capsys):
+    # no search runs with no starts or a negative seed, and no table falls back to the default list
+    out = tmp_path / "out.txt"
+    assert run(args + ["--out", str(out)]) == 2
+    assert f"usage error: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["nodes", "gencheb", "8"], ["rule", "gencheb", "8"],
                                   ["interp", "gencheb", "--n-list", "8"],
                                   ["lebesgue", "gencheb", "--n-list", "8"]],

@@ -18,20 +18,15 @@ from cubasquare.basis2d import basis_for, dim_upto, three_term
 from cubasquare.cubature import exactness_check, weights_from_vandermonde
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
-    KNOWN_ODD5_COMBOS,
     KNOWN_ODD_HANKEL,
     CommonZeroError,
     HankelParam,
     align_to_reference,
-    canonical_complement_combos,
     common_zeros,
-    even_system_residual,
     _HankelSystem,
     _jacobi_system,
     gamma_coefficient,
-    hankel_matrix,
     least_squares,
-    odd_system_residual,
     odd_system_search,
     scaling_matrix,
     solve_even_system,
@@ -50,6 +45,10 @@ def odd_W(n, h):
     G = scaling_matrix(n)
     H = HankelParam("odd", n, h).matrix
     return np.eye(n + 1) - G @ H @ G.T
+
+
+def residual(mode, n, h):
+    return HankelParam(mode, n, h).residual()
 
 
 class TestBuildingBlocks:
@@ -91,6 +90,14 @@ class TestBuildingBlocks:
         assert H.shape == (4, 4)
         assert np.abs(H - H.T).max() == 0.0
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_system_is_the_closed_formula(self, n):
+        rng = np.random.default_rng(n)
+        h_even, h_odd = rng.standard_normal(2 * n), rng.standard_normal(2 * n + 1)
+        gamma = scaling_matrix(n) @ HankelParam("even", n, h_even).matrix @ scaling_matrix(n - 1).T
+        assert np.array_equal(HankelParam("even", n, h_even).system, gamma)
+        assert np.array_equal(HankelParam("odd", n, h_odd).system, odd_W(n, h_odd))
+
 
 class TestStructuralIdentities:
     def test_even_hankel_parameterization_symmetry(self):
@@ -115,15 +122,15 @@ class TestStructuralIdentities:
 
     def test_residual_dimensions(self):
         for n in (3, 5, 7):
-            assert even_system_residual(n, np.zeros(2 * n)).shape == (n * (n - 1) // 2,)
-            assert odd_system_residual(n, np.zeros(2 * n + 1)).shape == (n * (n + 1) // 2,)
+            assert residual("even", n, np.zeros(2 * n)).shape == (n * (n - 1) // 2,)
+            assert residual("odd", n, np.zeros(2 * n + 1)).shape == (n * (n + 1) // 2,)
 
     def test_zero_hankel_even_residual(self):
         n = 4
         A1, A2 = legendre_A(n - 1)
         C = A1 @ A2.T - A2 @ A1.T
         iu = np.triu_indices(n, 1)
-        assert_allclose(even_system_residual(n, np.zeros(2 * n)), -C[iu], atol=1e-15)
+        assert_allclose(residual("even", n, np.zeros(2 * n)), -C[iu], atol=1e-15)
 
 
 def reference_even_jacobian(n, h):
@@ -201,7 +208,7 @@ def reference_residual(mode, n, h, rank_penalty=False):
     A1, A2 = legendre_A(n - 1)
     M = A1.T @ A2 - A2.T @ A1
     cols = n if mode == "even" else n + 1
-    B = [scaling_matrix(n) @ hankel_matrix(e, n + 1, cols) @ scaling_matrix(cols - 1).T
+    B = [scaling_matrix(n) @ HankelParam(mode, n, e).matrix @ scaling_matrix(cols - 1).T
          for e in np.eye(n + cols)]
     if mode == "even":
         X, C = sum(hl * Bl for hl, Bl in zip(h, B)), A1 @ A2.T - A2 @ A1.T
@@ -421,11 +428,11 @@ class TestPolySystemStacks:
 
 class TestFixtures:
     def test_even_h3(self):
-        assert np.abs(even_system_residual(3, KNOWN_EVEN_HANKEL[3])).max() < 1e-10
+        assert np.abs(KNOWN_EVEN_HANKEL[3].residual()).max() < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_odd_fixtures_solve(self, n):
-        assert np.abs(odd_system_residual(n, KNOWN_ODD_HANKEL[n])).max() < 1e-10
+        assert np.abs(KNOWN_ODD_HANKEL[n].residual()).max() < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_odd_fixtures_psd_rank(self, n):
@@ -442,7 +449,7 @@ class TestSolvers:
         sols = solve_even_system(5, seeds=40, rng_seed=0)
         assert len(sols) >= 1
         for s in sols:
-            assert np.abs(even_system_residual(5, s)).max() < 1e-10
+            assert np.abs(s.residual()).max() < 1e-10
 
     def test_determinism(self):
         a = solve_even_system(5, seeds=20, rng_seed=7)
@@ -459,28 +466,38 @@ class TestSolvers:
         ref = KNOWN_EVEN_HANKEL[3].h
         rng = np.random.default_rng(4)
         x0 = ref + rng.normal(scale=1e-3, size=ref.shape)
-        r = least_squares(lambda h: even_system_residual(3, h), x0, method="trf",
+        r = least_squares(lambda h: residual("even", 3, h), x0, method="trf",
                           xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        assert np.abs(even_system_residual(3, r.x)).max() < 1e-11
+        assert np.abs(residual("even", 3, r.x)).max() < 1e-11
 
     def test_odd_n3_recovers_known_h3(self):
         sols = odd_system_search(3, seeds=20, rng_seed=1).verified
-        dists = [align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[3].h, "odd")[1] for s in sols]
+        dists = [align_to_reference(s, KNOWN_ODD_HANKEL[3])[1] for s in sols]
         assert min(dists) < 1e-8
 
     def test_odd_n5_recovers_known_h5(self):
         sols = odd_system_search(5, seeds=60, rng_seed=0).verified
         assert sols
-        dists = [align_to_reference(s.hankel.h, KNOWN_ODD_HANKEL[5].h, "odd")[1] for s in sols]
+        dists = [align_to_reference(s, KNOWN_ODD_HANKEL[5])[1] for s in sols]
         assert min(dists) < 1e-8
 
     def test_odd_solution_factorization(self):
+        # every verified W is PSD with floor(n/2) positive and (n+1) - floor(n/2) zero eigenvalues
         sols = odd_system_search(5, seeds=60, rng_seed=0).verified
-        s = sols[0]
-        assert np.abs(s.V @ s.V.T - s.Wmat).max() < 1e-9
-        assert np.abs(s.U.T @ s.V).max() < 1e-10
-        assert s.V.shape == (6, 2)
-        assert s.U.shape == (6, 4)
+        assert sols
+        for s in sols:
+            assert np.array_equal(s.system, odd_W(5, s.h))
+            ev = np.linalg.eigvalsh(s.system)
+            assert np.abs(ev[:4]).max() <= 1e-9
+            assert ev[4:].min() > 1e-8
+
+    def test_align_to_reference(self):
+        ref = KNOWN_ODD_HANKEL[5]
+        mirrored = HankelParam("odd", 5, ref.h[::-1] * (-1.0) ** np.arange(11))
+        best, dist = align_to_reference(mirrored, ref)
+        assert dist == 0.0 and np.array_equal(best.h, ref.h) and best.mode == "odd"
+        with pytest.raises(ValueError, match="cannot align"):
+            align_to_reference(KNOWN_ODD_HANKEL[3], ref)
 
     def test_odd_search_report_status(self):
         rep = odd_system_search(4, seeds=10, rng_seed=0)
@@ -584,7 +601,21 @@ class TestCommonZerosReference:
         got = common_zeros(hankel)
         assert len(got) == len(ref) == SOLUTION_CASES[case]
         assert one_to_one_distance(got, ref) <= 1e-14
-        assert np.array_equal(got, got[np.lexsort((got[:, 1], got[:, 0]))])
+        key = np.round(got, 12)
+        assert np.array_equal(got, got[np.lexsort((key[:, 1], key[:, 0]))])
+
+    @pytest.mark.parametrize("n,ties", [(3, 2), (4, 3)])
+    def test_x_ties_by_ascending_y(self, n, ties):
+        # nodes whose x agree to 12 decimals come out by ascending y, whatever the last bits of h
+        hankel = KNOWN_ODD_HANKEL[n]
+        orders = []
+        for h in (hankel.h, hankel.h * (1.0 + 2.0**-52)):
+            pts = common_zeros(HankelParam("odd", n, h))
+            tied = np.flatnonzero(np.round(pts[1:, 0], 12) == np.round(pts[:-1, 0], 12))
+            assert len(tied) == ties
+            assert (pts[tied + 1, 1] > pts[tied, 1]).all()
+            orders.append(np.round(pts, 12))
+        assert np.array_equal(*orders)
 
 
 class TestJacobiMatrices:
@@ -603,6 +634,28 @@ class TestJacobiMatrices:
         with pytest.raises(CommonZeroError, match="above 1e-10") as exc:
             common_zeros(HankelParam(hankel.mode, hankel.n, h))
         assert len(exc.value.found) == SOLUTION_CASES[case]
+
+
+def canonical_complement_combos(U):
+    """Row-reduce span(U^T) so each row has a unit coefficient on one of the
+    trailing member slots (descending), zeros on the others."""
+    B = np.asarray(U, dtype=float).T
+    q = B.shape[0]
+    return np.linalg.solve(B[:, -q:], B)[::-1]
+
+
+# the paper's degree-5 complement combinations in the product-Legendre basis,
+# rows with a unit coefficient on members 5, 4, 3, 2 respectively
+KNOWN_ODD5_COMBOS = np.array(
+    [
+        [10.0 * math.sqrt(86.0) / 189.0, 1081.0 * math.sqrt(11.0) / (2835.0 * math.sqrt(3.0)), 0.0, 0.0, 0.0, 1.0],
+        [205.0 / (21.0 * math.sqrt(33.0)), 10.0 * math.sqrt(86.0) / 189.0, 0.0, 0.0, 1.0, 0.0],
+        [-5.0 * math.sqrt(430.0) / (27.0 * math.sqrt(77.0)), 62.0 * math.sqrt(5.0) / (81.0 * math.sqrt(21.0)),
+         0.0, 1.0, 0.0, 0.0],
+        [-10.0 * math.sqrt(5.0) / (3.0 * math.sqrt(77.0)), -math.sqrt(430.0) / (9.0 * math.sqrt(21.0)),
+         1.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
 class TestQDisplay:
