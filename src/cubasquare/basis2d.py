@@ -26,13 +26,13 @@ lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 
 Each formula has one source.  ``_gencheb_core`` evaluates the gencheb
-members P_{k,d} of one Jacobi parameter pair from one pair of Jacobi tables;
-``p_general`` and the gencheb basis both call it.  ``_kernel_star_diag``
-forms the diagonal K*(z_k, z_k) for both the cubature checks and the
-interpolation factor; ``_kernel_star_node_factor`` also forms the node-side
-K* factor G = [F_low; q^T S^-1 Q] of the latter.
-``kernel_star_matrix`` keeps the dense formula as the tests' independent
-reference.
+members from one pair of Jacobi tables at z1, z2 = cos(theta -+ phi); the
+gencheb basis groups its rows in four families of one Jacobi pair and
+prefactor, and maps them to the rows T_{d-k}(x) T_k(y) from 1-D
+Jacobi-to-Chebyshev coefficients in the angle variables, with no solve.
+``_kernel_star_diag`` forms K*(z_k, z_k) for the cubature checks and the
+interpolation factor, ``_kernel_star_node_factor`` the node factor
+G = [F_low; q^T S^-1 Q], ``kernel_star_matrix`` the dense reference.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nodes import padua_points
 from .univariate import (
     chebyshev_t_table,
     jacobi_chebyshev_coeffs,
@@ -200,7 +199,9 @@ def _gencheb_core(pair: tuple[float, float], gamma: float, blocks, x, y):
     t2 = jacobi_normalized_table(*pair, deg, z2)
     if gamma < 0:
         for d, k0, k1 in blocks:
-            yield t1[d] * t2[k0:k1] + t1[k0:k1] * t2[d]
+            core = t1[d] * t2[k0:k1]
+            core += t1[k0:k1] * t2[d]
+            yield core
         return
     den = z1 - z2
     small = np.abs(den) < _DIVDIFF_TOL
@@ -234,17 +235,6 @@ _PREFACTORS = {
 }
 
 
-def _gencheb_degree_families(alpha: float, beta: float, n: int):
-    """(Jacobi pair, member count, core degree, prefactor tag or None) of the two
-    degree-n families, whose members have k = 0..count-1: for n = 2m the
-    symmetric family (k = 0..m), then the (x^2 - y^2) family (k = 0..m-1);
-    for n = 2m+1 the (x+y) family, then the (x-y) family (k = 0..m each)."""
-    m = n // 2
-    if n % 2 == 0:
-        return [((alpha, beta), m + 1, m, None), ((alpha + 1, beta + 1), m, m - 1, "xx-yy")]
-    return [((alpha, beta + 1), m + 1, m, "x+y"), ((alpha + 1, beta), m + 1, m, "x-y")]
-
-
 def q_m_polynomial(alpha: float, beta: float, m: int):
     """Extra degree-(2m+1) orthogonal polynomial with the (x+y) factor."""
     if alpha <= -1 or beta <= -1:
@@ -262,62 +252,95 @@ def q_m_polynomial(alpha: float, beta: float, m: int):
 
 
 class _GenChebOrthoBasis2D(OrthoBasis2D):
-    """Normalized gencheb basis with closed-form norms.
+    """Normalized gencheb basis with closed-form norms.  In the angle variables
+    (t, s) of the ``weights`` module, z1, z2 = s, t, and a member with Jacobi
+    pair (a, b) squares against w_ab(t) w_ab(s) ((s-t)/2)^(2 gamma + 1) dt ds
+    (the prefactors square to (1 -+ t)(1 -+ s)), so its squared norm is
+    M_ab^2 c / mass, M_ab the Jacobi(a, b) mass, with c = 2 (1 + [k = D]) for
+    gamma -1/2 and c = 1/2 for gamma +1/2 (D the core degree)."""
 
-    In the angle variables (t, s) of the ``weights`` module, z1, z2 = s, t and
-    a member with Jacobi pair (a, b) squares against w_ab(t) w_ab(s) dt ds
-    times ((s-t)/2)^(2 gamma + 1) (the prefactors square to (1 -+ t)(1 -+ s)).
-    So its squared norm is M_ab^2 c / mass, M_ab the Jacobi(a, b) mass, with
-    c = 2 (1 + [k = core degree]) for gamma -1/2 and c = 1/2 for gamma +1/2.
-    """
-
-    def __init__(self, weight: WeightSpec):
-        super().__init__(weight)
-        a, b = weight.alpha, weight.beta
-        # the pairs of _gencheb_degree_families: even degrees, then odd degrees
-        self._pair_mass = np.array([jacobi_recurrence(*pair, 1)[1][0]
-                                    for pair in ((a, b), (a + 1, b + 1), (a, b + 1), (a + 1, b))])
+    def families(self, n: int):
+        """The rows of ``eval_upto(n)`` by family, as (Jacobi pair, prefactor
+        tag or None, core degrees D, indices k <= D, row numbers, norms).
+        Degree 2m holds the symmetric family (D = m, k = 0..m), then the
+        (x^2 - y^2) family (D = m - 1); degree 2m + 1 the (x + y) family, then
+        the (x - y) family (D = m each)."""
+        a, b = self.weight.alpha, self.weight.beta
+        d, r = np.tril_indices(n + 1)
+        second = r > d // 2
+        fam, k = 2 * (d % 2) + second, r - (d // 2 + 1) * second
+        D = d // 2 - (fam == 1)
+        c = 2.0 + 2.0 * (k == D) if self.weight.gamma < 0 else np.full(len(k), 0.5)
+        pairs = (((a, b), None), ((a + 1, b + 1), "xx-yy"), ((a, b + 1), "x+y"), ((a + 1, b), "x-y"))
+        return [(pair, pref, D[f], k[f], np.flatnonzero(f),
+                 jacobi_recurrence(*pair, 1)[1][0] * np.sqrt(c[f] / self.mass))  # M_ab sqrt(c / mass)
+                for (pair, pref), f in zip(pairs, (fam == i for i in range(4))) if f.any()]
 
     def _eval_raw(self, n: int, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = self.weight
-        # first rows and (core degree, 0, count) blocks of each (Jacobi pair, prefactor)
-        groups: dict[tuple, tuple[list, list]] = {}
-        r = 0
-        for d in range(n + 1):
-            for pair, count, deg, pref in _gencheb_degree_families(w.alpha, w.beta, d):
-                if count:
-                    starts, blocks = groups.setdefault((pair, pref), ([], []))
-                    starts.append(r)
-                    blocks.append((deg, 0, count))
-                r += count
-        rows = np.empty((r,) + np.broadcast(x, y).shape)
-        for (pair, pref), (starts, blocks) in groups.items():
-            p = _PREFACTORS[pref](x, y) if pref else None
-            for r, core in zip(starts, _gencheb_core(pair, w.gamma, blocks, x, y)):
-                rows[r:r + len(core)] = core if p is None else core * p
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        rows = np.empty((dim_upto(n),) + np.broadcast(x, y).shape)
+        for pair, pref, D, k, r, _ in self.families(n):
+            p = _PREFACTORS[pref](x, y) if pref else 1.0
+            blocks = [(d, 0, d + 1) for d in D[k == 0].tolist()]  # rows k = 0..D of each core degree D
+            for s, core in zip(r[k == 0], _gencheb_core(pair, self.weight.gamma, blocks, x, y)):
+                np.multiply(core, p, out=rows[s:s + len(core)])
         return rows
 
-    def _norms(self, n: int) -> np.ndarray:
-        """Norms of the rows of ``eval_upto(n)``: row r of degree d = 2m or 2m + 1
-        is in the second family when r > m, and last in its family (k = core
-        degree) when r = m or r = d."""
-        d, r = np.tril_indices(n + 1)
-        m = d // 2
-        c = 2.0 + 2.0 * ((r == m) | (r == d)) if self.weight.gamma < 0 else 0.5
-        return self._pair_mass[2 * (d % 2) + (r > m)] * np.sqrt(c / self.mass)
-
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        raw = self._eval_raw(n, x, y)
-        return raw / self._norms(n).reshape((-1,) + (1,) * (raw.ndim - 1))
+        rows = self._eval_raw(n, x, y)
+        norms = np.empty(len(rows))
+        for *_, r, nrm in self.families(n):
+            norms[r] = nrm
+        rows /= norms.reshape((-1,) + (1,) * (rows.ndim - 1))
+        return rows
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
-        # collocation at the Padua points of degree n, unisolvent for degree n
-        x, y = padua_points(n).points.T
-        V = _cheb_total_degree_rows(n, x, y)
-        coeffs[:] = np.linalg.solve(V.T, self.eval_upto(n, x, y).T @ coeffs)
+        # With x = cos(u+v), y = cos(u-v), z1 and z2 are cos 2u and cos 2v and
+        # a prefactor is a g(u) g(v) (``_angle_series``), so a family with
+        # coefficients c[D, k] is a sum_pq E[p, q] (f_p(u) f_q(v) + f_q(u) f_p(v)),
+        # E = C'^T c C', which is +-(T_a(x) T_b(y) +- T_b(x) T_a(y)) at
+        # a = (p + q)/2, b = |p - q|/2.
+        if self.weight.gamma > 0:
+            raise NotImplementedError("T-basis map of the gamma = +1/2 gencheb basis")
+        fams, scales = [], np.empty((len(coeffs), 1))
+        for pair, pref, D, k, rows, norms in self.families(n):
+            C, e, scale, sign = _angle_series(jacobi_chebyshev_coeffs(*pair, D[-1]), pref)
+            scales[rows, 0] = scale / norms
+            i, j = np.tril_indices(C.shape[1])
+            first = (2 * i + e) * (2 * i + e + 1) // 2  # output rows of degree a + b = 2i + e
+            fams.append((rows[k == 0].tolist(), C, i, j, first + i - j, first + i + j + e, sign))
+        coeffs *= scales
+        step = max(1, _BLOCK_BYTES // (32 * (n + 1) ** 2))
+        for s in range(0, coeffs.shape[1], step):
+            cols = coeffs[:, s:s + step]
+            out = np.zeros(cols.shape)
+            for starts, C, i, j, r1, r2, sign in fams:
+                Y = np.empty((len(C), C.shape[1], cols.shape[1]))  # Y[D] = C'^T c[D]^T
+                for d, r in enumerate(starts):
+                    np.matmul(C[:d + 1].T, cols[r:r + d + 1], out=Y[d])
+                E = (C.T @ Y.reshape(len(C), -1)).reshape(C.shape[1], C.shape[1], -1)
+                h = E[i, j]
+                h[i != j] += E[j[i != j], i[i != j]]
+                out[r1] += h
+                out[r2] += h if sign > 0 else -h
+            cols[:] = out
         return coeffs
+
+
+def _angle_series(C: np.ndarray, pref: str | None):
+    """(C', e, scale, sign) of a gencheb prefactor a g(u) g(v): x + y = 2 cos u
+    cos v, x - y = -2 sin u sin v, x^2 - y^2 = -sin 2u sin 2v.  C'[D, i] is the
+    coefficient of f_p(u), p = 2i + e, in g(u) p_D(cos 2u) (f = cos for g = 1
+    or cos u, sin otherwise); scale = a times -1 for sin, whose combination is
+    sin pu sin qv + sin qu sin pv = -(T_a(x) T_b(y) - T_b(x) T_a(y))."""
+    if pref is None:
+        return C, 0, 1.0, 1.0
+    s, sign = (2, -1.0) if pref == "xx-yy" else (1, 1.0 if pref == "x+y" else -1.0)
+    Cp = np.zeros((len(C), len(C) + s - 1))  # g(u) cos 2iu = (f_{2i+s} + sign f_{2i-s}) / 2
+    Cp[:, s - 1:] += C
+    Cp[:, :len(C) - 1] += sign * C[:, 1:]
+    Cp[:, s - 1] += C[:, 0]  # i = 0: sign f_{-s} = f_s
+    return Cp / 2, s % 2, 3.0 - s, sign
 
 
 @functools.lru_cache(maxsize=32)
@@ -426,19 +449,12 @@ def star_spec_cheb1(n: int) -> KernelStarSpec:
 
 
 def star_spec_gencheb(alpha: float, beta: float, n: int) -> KernelStarSpec:
-    """Gencheb splitting: one displayed family vanishes, the other is the complement."""
-    w = gencheb(alpha, beta, -0.5)
-    if n % 2 == 0:
-        m = n // 2
-        p = np.eye(n + 1)[: m + 1]          # symmetric family vanishes on the node set
-        q = np.eye(n + 1)[m + 1:]           # sigma = m
-        sigma = m
-    else:
-        m = (n - 1) // 2
-        p = np.eye(n + 1)[m + 1:]           # (x-y)-family vanishes
-        q = np.eye(n + 1)[: m + 1]          # sigma = m+1
-        sigma = m + 1
-    return KernelStarSpec(weight=w, n=n, sigma=sigma, q_coeffs=q, p_coeffs=p)
+    """Gencheb splitting: one family of degree n vanishes on the nodes, the
+    symmetric one (k = 0..n/2) for even n and the (x - y) one for odd n; the
+    other is the complement (sigma = floor(n/2) or floor(n/2) + 1)."""
+    first, second = np.split(np.eye(n + 1), [n // 2 + 1])
+    p, q = (first, second) if n % 2 == 0 else (second, first)
+    return KernelStarSpec(weight=gencheb(alpha, beta, -0.5), n=n, sigma=len(q), q_coeffs=q, p_coeffs=p)
 
 
 def star_spec_padua(n: int) -> KernelStarSpec:

@@ -40,7 +40,7 @@ from .weights import constant
 
 __all__ = ["main"]
 
-_FAMILIES = ("gaussu", "mint", "nearmint", "padua", "gencheb")
+_FAMILIES = {"gaussu": 1, "mint": 2, "nearmint": 3, "padua": 1, "gencheb": 2}  # the smallest n of each
 
 _TEST_FUNCTIONS = {
     "exp_xy": lambda x, y: np.exp(x + y),
@@ -61,8 +61,10 @@ def _gencheb_shape(args):
     args.beta = 0.5 if args.beta is None else args.beta
 
 
-def _check_parity(family: str, n: int):
-    """mint is built for even n only, nearmint for odd n only."""
+def _check_n(family: str, n: int):
+    """Each family from its smallest n; mint for even n only, nearmint for odd n only."""
+    if n < _FAMILIES[family]:
+        raise UsageError(f"family {family!r} needs n >= {_FAMILIES[family]}, not n = {n}")
     if family == "mint" and n % 2:
         raise UsageError("family 'mint' needs even n")
     if family == "nearmint" and n % 2 == 0:
@@ -70,7 +72,7 @@ def _check_parity(family: str, n: int):
 
 
 def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
-    _check_parity(family, n)
+    _check_n(family, n)
     if family == "gencheb":
         return gencheb_nodes(alpha, beta, n)
     return {"gaussu": gauss_u_nodes, "mint": min_t_nodes_even, "nearmint": near_min_t_nodes_odd,
@@ -83,7 +85,7 @@ def _kernel_family_name(family: str) -> str:
 
 
 def _table_family(args) -> tuple[str, list[int]]:
-    """interp/lebesgue family name and --n-list, each n checked for parity;
+    """interp/lebesgue family name and --n-list, each n checked by ``_check_n``;
     the default list is odd for nearmint and even otherwise."""
     default = "5,9,17" if args.family == "nearmint" else "4,8,16"
     text = default if args.n_list is None else args.n_list
@@ -92,7 +94,7 @@ def _table_family(args) -> tuple[str, list[int]]:
     except ValueError:
         raise UsageError(f"--n-list takes comma-separated integers, not {text!r}") from None
     for n in n_list:
-        _check_parity(args.family, n)
+        _check_n(args.family, n)
     return _kernel_family_name(args.family), n_list
 
 
@@ -118,7 +120,7 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_rule(args) -> int:
-    _check_parity(args.family, args.n)
+    _check_n(args.family, args.n)
     rule = family_rule(_kernel_family_name(args.family), args.n, args.alpha, args.beta)[3]
     _write_out(rule_to_json(rule), args.out)
     return 0 if rule.oracle_report.passed else 1
@@ -191,6 +193,8 @@ def cmd_discover(args) -> int:
     from . import discover as dsc  # imported here: scipy.optimize is slow to load
 
     n, mode = args.n, args.mode
+    if n < 2:
+        raise UsageError(f"discover needs n >= 2, not n = {n}")
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
     if args.rng < 0:

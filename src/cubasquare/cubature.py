@@ -12,6 +12,7 @@ from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
     _degree_pairs,
+    _PREFACTORS,
     _kernel_star_diag,
     _ProductOrthoBasis2D,
     _split_z,
@@ -130,13 +131,6 @@ def _closed_form_weights(w: WeightSpec, n: int, points: np.ndarray) -> np.ndarra
     return c / c.sum()
 
 
-def _row_reductions(F: np.ndarray, n: int, w_unit: np.ndarray):
-    """The node reductions of ``_checked_calibration`` as one block, from the
-    basis rows F of degree <= n at every node."""
-    lo = dim_upto(n - 1)
-    return [(0, np.einsum("ij,ij->j", F[:lo], F[:lo]), F[lo:], F[:lo] @ w_unit)]
-
-
 def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
     """The node reductions of ``_checked_calibration`` for a product basis
     p_a(x) q_b(y), over node blocks, from the 1-D tables alone:
@@ -153,6 +147,33 @@ def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
         yield s, low_sq, px[n::-1] * py, low_w
 
 
+def _angle_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
+    """The node reductions of ``_checked_calibration`` for the gencheb basis
+    (gamma -1/2) over node blocks, from one pair of Jacobi tables at
+    z1, z2 = ``_split_z(x, y)`` per family of ``basis.families(n)``, whose rows
+    (D, k) below degree n are k <= D < m with norms nu sqrt(1 + [k = D]).  With
+    prefactor f, a family adds f^2 (C(z1) C(z2) + K^2) / nu^2 to |F_low|^2
+    (C = sum_{d < m} p_d^2, K = sum_{d < m} p_d(z1) p_d(z2)) and the entries
+    (D, k) of A + A^T, A = P(z1) diag(f w) P(z2)^T, to F_low w.  A block's
+    tables and their products hold at most ``_BLOCK_BYTES``."""
+    lo, fams = dim_upto(n - 1), basis.families(n)
+    step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
+    for s in range(0, len(pts), step):
+        x, y = pts[s:s + step].T
+        low_sq, Fn, low_w = np.zeros(len(x)), np.empty((n + 1, len(x))), np.empty(lo)
+        for pair, pref, D, k, rows, norms in fams:
+            f = _PREFACTORS[pref](x, y) if pref else np.ones(len(x))
+            t1, t2 = (jacobi_normalized_table(*pair, D[-1], z) for z in _split_z(x, y))
+            top, m = rows >= lo, D[rows < lo].max(initial=-1) + 1
+            c = np.einsum("ij,ij->j", t1[:m], t2[:m])
+            nu2 = norms[0] ** 2 / 2  # row (0, 0) has the norm nu sqrt 2
+            low_sq += f * f * (np.square(t1[:m]).sum(axis=0) * np.square(t2[:m]).sum(axis=0) + c * c) / nu2
+            a = (t1[:m] * (f * w_unit[s:s + step])) @ t2[:m].T
+            low_w[rows[~top]] = (a + a.T)[D[~top], k[~top]] / norms[~top]
+            Fn[rows[top] - lo] = f * (t1[D[top]] * t2[k[top]] + t1[k[top]] * t2[D[top]]) / norms[top, None]
+        yield s, low_sq, Fn, low_w
+
+
 def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
@@ -160,9 +181,9 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     One path for every family: the closed-form weights, their moment
     residuals through the declared degree + ``_EXTRA_DEGREES`` (the build
     check through the declared degree, and the oracle report
-    ``exactness_check`` would give), then ``_checked_calibration``: from
-    the 1-D tables over node blocks for product bases, so no N x N or
-    dim x N array is formed, from the basis rows for gencheb."""
+    ``exactness_check`` would give), then ``_checked_calibration`` from 1-D
+    tables over node blocks, in x and y for product bases and in the angle
+    variables for gencheb, so no N x N or dim x N array is formed."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w)
@@ -176,11 +197,8 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     resid = float(residuals[:degree + 1].max())
     if not resid <= 1e-10:
         failures.append(f"closed-form weights miss the moments through degree {degree} (residual {resid:.2e})")
-    if isinstance(basis, _ProductOrthoBasis2D):
-        reductions = _separable_reductions(basis, n, pts, w_unit)
-    else:
-        reductions = _row_reductions(basis.eval_upto(n, pts[:, 0], pts[:, 1]), n, w_unit)
-    spec = _checked_calibration(spec, reductions, w_unit, failures)[0]
+    reductions = _separable_reductions if isinstance(basis, _ProductOrthoBasis2D) else _angle_reductions
+    spec = _checked_calibration(spec, reductions(basis, n, pts, w_unit), w_unit, failures)[0]
     rule = CubatureRule(
         weight=w,
         degree=degree,
@@ -199,23 +217,26 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, f
     ``reductions`` is (start, |F_low|^2, degree-n rows, F_low w over the
     block), with F_low the basis rows of degree <= n-1.
 
-    The vanishing combinations must vanish on the nodes.  The weights must
-    satisfy the unisolvent equations [F_low; Q] w = e_0, K* must be positive,
-    and mass / K* must reproduce mass * w; every failing one of these is
-    named in the error, after the earlier ``failures``.
+    The vanishing combinations must vanish on the nodes to 1e-12 of the
+    largest degree-n value there, at least 1 (1.2e8 for gencheb (-0.9, 3) at
+    n = 64).  The weights must satisfy the unisolvent equations
+    [F_low; Q] w = e_0, K* must be positive, and mass / K* must reproduce
+    mass * w; each failing one is named in the error, after ``failures``.
     """
     low_sq = np.empty(len(w_unit))  # |F_low(z_k)|^2
     Q = np.empty((spec.sigma, len(w_unit)))
     low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w
-    van = 0.0
+    van = top = 0.0  # largest |p_coeffs F_n| and |F_n| over the nodes
     for s, sq, Fn, lw in reductions:
         e = s + len(sq)
         van = max(van, float(np.abs(spec.p_coeffs @ Fn).max(initial=0.0)))
+        top = max(top, float(Fn.max(initial=0.0)), -float(Fn.min(initial=0.0)))
         low_sq[s:e] = sq
         Q[:, s:e] = spec.q_coeffs @ Fn
         low_w += lw
-    if van > 1e-8:
-        raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e})")
+    if not van <= 1e-12 * max(1.0, top):
+        raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e}, "
+                            f"largest degree-{spec.n} value {top:.2e})")
     kdiag = low_sq  # K* = K_{n-1} for sigma = 0
     if spec.sigma:
         spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
@@ -330,9 +351,10 @@ def _degree_residuals(w: WeightSpec, points: np.ndarray, lambdas: np.ndarray, de
     err = -mom
     step = max(1, _BLOCK_BYTES // (16 * (degree + 1)))
     for s in range(0, len(points), step):
-        tx = chebyshev_t_table(degree, points[s:s + step, 0])
-        tx *= lambdas[s:s + step]
-        err += tx @ chebyshev_t_table(degree, points[s:s + step, 1]).T
+        t = chebyshev_t_table(degree, points[s:s + step].T)  # the x and y tables in one array
+        t[:, 0] *= lambdas[s:s + step]
+        err += t[:, 0] @ t[:, 1].T
+        del t  # before the next block's table
     err = np.abs(err, out=err) / mom[0, 0]
     # largest error on each anti-diagonal i + j = t
     residuals = np.zeros(2 * degree + 1)

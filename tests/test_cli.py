@@ -288,6 +288,23 @@ class TestTables:
         assert rows[1]["error"] < rows[0]["error"]
 
 
+# an n below a family's smallest (below 2 for discover) is a usage error
+# that names n, and nothing is written
+@pytest.mark.parametrize("command,message", [
+    ("discover odd 1", "discover needs n >= 2, not n = 1"),
+    ("rule padua 0", "family 'padua' needs n >= 1, not n = 0"),
+    ("rule gencheb 1", "family 'gencheb' needs n >= 2, not n = 1"),
+    ("nodes nearmint 1", "family 'nearmint' needs n >= 3, not n = 1"),
+    ("interp mint --n-list 0", "family 'mint' needs n >= 2, not n = 0"),
+    ("lebesgue padua --n-list 4,0", "family 'padua' needs n >= 1, not n = 0"),
+])
+def test_n_below_smallest_is_usage_error(command, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(command.split() + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 class TestDiscover:
     def test_odd_n3_pipeline(self, tmp_path):
         out = tmp_path / "report.json"

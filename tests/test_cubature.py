@@ -56,6 +56,23 @@ def no_rows(monkeypatch):
     monkeypatch.setattr(basis2d._ProductOrthoBasis2D, "eval_upto", refuse)
 
 
+@pytest.fixture
+def no_gencheb_rows(monkeypatch):
+    """gencheb basis rows that fail when evaluated: gencheb builds check from
+    the 1-D Jacobi tables in the angle variables alone."""
+    def refuse(*args):
+        raise AssertionError("gencheb basis rows evaluated")
+
+    monkeypatch.setattr(basis2d._GenChebOrthoBasis2D, "eval_upto", refuse)
+
+
+def row_reductions(F, n, w_unit):
+    """The dense reference for the node reductions of ``_checked_calibration``:
+    one block, from the basis rows F of degree <= n at every node."""
+    lo = dim_upto(n - 1)
+    return [(0, np.einsum("ij,ij->j", F[:lo], F[:lo]), F[lo:], F[:lo] @ w_unit)]
+
+
 class TestKernelWeights:
     def test_cheb1_minimal_sum_is_pi_squared(self):
         nodes = min_t_nodes_even(4)
@@ -155,7 +172,7 @@ def unisolvent_weights(nodes, spec):
     rhs = np.zeros(len(nodes))
     rhs[0] = 1.0
     w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
-    kdiag = cubature._checked_calibration(spec, cubature._row_reductions(F, spec.n, w_unit), w_unit, [])[1]
+    kdiag = cubature._checked_calibration(spec, row_reductions(F, spec.n, w_unit), w_unit, [])[1]
     return basis.mass / kdiag
 
 
@@ -291,6 +308,18 @@ class TestClosedFormWeights:
         assert check_peak < 20 * 2**20
         assert len(rule.lambdas) == moeller_count(128)
 
+    def test_gencheb_128_memory(self):
+        # the dense dim x N basis rows alone were 558 MB at n = 128; the
+        # angle-variable build peaks at about 18 MB
+        tracemalloc.start()
+        try:
+            rule = family_rule("gencheb", 128)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(rule.lambdas) == dim_upto(127) + 64
+
     def test_cheb1_64_memory(self):
         # the dense dim x N basis rows alone are 35 MB at n = 64
         tracemalloc.start()
@@ -303,8 +332,9 @@ class TestClosedFormWeights:
 
 
 class TestSeparableCalibration:
-    """The product-basis calibration from the 1-D tables against the dense
-    path on the basis rows, which gencheb takes."""
+    """The calibration from 1-D tables, in x and y for the product bases and
+    in the angle variables for gencheb, against the dense path on the basis
+    rows."""
 
     @pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("cheb1", 32), ("cheb1", 33), ("cheb1", 64),
                                           ("padua", 8), ("padua", 9), ("padua", 48),
@@ -314,7 +344,7 @@ class TestSeparableCalibration:
         raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        dense = cubature._checked_calibration(raw, cubature._row_reductions(F, n, w_unit), w_unit, [])
+        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit, [])
         # blocks of 7 nodes, so the last block is partial
         monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
         sep = cubature._checked_calibration(raw, cubature._separable_reductions(basis, n, pts, w_unit), w_unit, [])
@@ -327,6 +357,48 @@ class TestSeparableCalibration:
     @pytest.mark.parametrize("family,n", [("cheb1", 9), ("padua", 8), ("cheb2", 8)])
     def test_product_builds_use_no_rows(self, family, n, no_rows):
         assert family_rule(family, n)[3].lambdas.min() > 0
+
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.5, -0.5), (0.3, -0.2), (-0.7, 2.1)])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33, 47, 48])
+    def test_gencheb_matches_dense_rows(self, alpha, beta, n, monkeypatch):
+        nodes, spec, w, rule = family_rule("gencheb", n, alpha, beta)
+        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
+        w_unit = rule.lambdas / basis.mass
+        F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
+        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit, [])
+        # blocks of 7 nodes, so the last block is partial
+        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
+        ang = cubature._checked_calibration(raw, cubature._angle_reductions(basis, n, pts, w_unit), w_unit, [])
+        S = dense[0].s_matrix
+        assert np.abs(ang[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
+        assert_allclose(ang[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
+        assert_allclose(rule.lambdas, basis.mass / ang[1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65])
+    def test_gencheb_builds_use_no_rows(self, n, no_gencheb_rows):
+        assert family_rule("gencheb", n)[3].lambdas.min() > 0
+
+    @pytest.mark.parametrize("n", [64, 65, 128])
+    def test_gencheb_minus_half_is_cheb1(self, n):
+        # gencheb(-1/2, -1/2) is the cheb1 weight and builds the same rule and
+        # kernel through the other basis: a reference at large n without rows
+        rules = {}
+        for family in ("gencheb", "cheb1"):
+            nodes, spec, w, rule = family_rule(family, n, -0.5, -0.5)
+            basis, w_unit = basis2d.basis_for(w), rule.lambdas / mass(w)
+            reduce = cubature._angle_reductions if family == "gencheb" else cubature._separable_reductions
+            kdiag = cubature._checked_calibration(replace(spec, s_matrix=None),
+                                                  reduce(basis, n, nodes.points, w_unit), w_unit, [])[1]
+            order = np.lexsort(np.round(nodes.points, 12).T[::-1])
+            rules[family] = nodes.points[order], rule.lambdas, kdiag[order] / basis.mass
+        (pg, lg, kg), (pc, lc, kc) = rules["gencheb"], rules["cheb1"]
+        assert np.abs(pg - pc).max() <= 1e-13
+        # the gencheb side reads its Jacobi tables at z1, z2 = cos(theta -+ phi)
+        # rounded from the nodes, and sums of m = n/2 squares p_k(z)^2 move by
+        # about m^2 eps for that rounding: 5.5e-14 at n = 64, 2.2e-13 at 128
+        tol = 1e-13 * max(1.0, (n / 80) ** 2)
+        assert_allclose(kg, kc, rtol=tol, atol=0)
+        assert np.abs(np.sort(lg) - np.sort(lc)).max() <= tol * lc.max()
 
 
 def gencheb_rule(alpha, beta, n):
@@ -381,6 +453,38 @@ class TestExactnessCheck:
         lam = rule.lambdas.copy()
         lam[np.argmax(lam)] *= 1 + 1e-6
         assert not exactness_check(replace(rule, lambdas=lam, validate=False)).passed
+
+    @pytest.mark.parametrize("alpha,beta,n", [(5, 5, 64), (-0.9, 3, 64), (10, -0.5, 32), (8, 8, 64),
+                                              (20, 20, 32), (3, 3, 128)])
+    def test_gencheb_large_parameters_build_and_are_sharp(self, alpha, beta, n):
+        # the degree-n values reach 1e6..1e9 here, so a common-zero check
+        # against an absolute 1e-8 rejected these correct node sets
+        rule = gencheb_rule(alpha, beta, n)
+        assert rule.degree == 2 * n - 1 and exactness_check(rule).passed
+        over = exactness_check(replace(rule, degree=rule.degree + 1))
+        assert not over.passed and over.first_failure_degree == 2 * n
+
+    @pytest.mark.parametrize("alpha,beta", [(5, 5), (-0.9, 3)])
+    def test_gencheb_large_parameters_refuse_moved_node(self, alpha, beta):
+        nodes = gencheb_nodes(alpha, beta, 64)
+        pts = nodes.points.copy()
+        pts[5, 0] += 1e-6
+        with pytest.raises(CubatureError, match="common-zero"):
+            weights_from_kernel(replace(nodes, points=pts), star_spec_gencheb(alpha, beta, 64),
+                                gencheb(alpha, beta, -0.5))
+
+    @pytest.mark.parametrize("alpha,beta", [(5, 5), (-0.9, 3)])
+    def test_gencheb_large_parameters_refuse_scaled_weight(self, alpha, beta, monkeypatch):
+        closed = cubature._closed_form_weights
+
+        def scaled(*args):
+            lam = closed(*args)
+            lam[np.argmax(lam)] *= 1 + 1e-6
+            return lam
+
+        monkeypatch.setattr(cubature, "_closed_form_weights", scaled)
+        with pytest.raises(CubatureError, match="moments through degree 127"):
+            gencheb_rule(alpha, beta, 64)
 
     def test_residuals_per_degree(self):
         rule = RULE_BUILDERS["mint"](8)

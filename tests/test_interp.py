@@ -314,6 +314,30 @@ class TestStreaming:
         assert interp.cardinal_matrix(np.empty((0, 2))).shape == (len(interp.nodes), 0)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.5, -0.5), (0.3, -0.2), (-0.7, 2.1)])
+@pytest.mark.parametrize("n", [8, 9, 32, 33, 47, 48])
+def test_gencheb_cardinals_match_dense_kernel(alpha, beta, n):
+    # the factor mapped to the T basis from the 1-D Jacobi coefficients in the
+    # angle variables, against K*(p, z_k) / K*(z_k, z_k) from the dense rows
+    nodes, spec, w, _ = family_rule("gencheb", n, alpha, beta)
+    kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
+    pts = np.vstack([np.random.default_rng(n).uniform(-1, 1, (200, 2)), nodes.points[::7]])
+    want = kernel_star_matrix(spec, nodes.points, pts) / kdiag[:, None]
+    got = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))).cardinal_matrix(pts)
+    # relative to the largest sum_k |ell_k(p)|, which bounds an interpolant's
+    # values: at (-0.7, 2.1) and n = 47 both paths are 1e-11 off the identity
+    # at the nodes (cardinal values up to 110), and 5.5e-15 apart on this scale
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_gencheb_minus_half_lebesgue_is_cheb1(n):
+    # gencheb(-1/2, -1/2) is the cheb1 weight on the same nodes, through the
+    # other basis and the other T-basis map
+    want = lebesgue_constant("cheb1", n, grid_resolution=129)
+    assert lebesgue_constant("gencheb", n, 129, -0.5, -0.5) == pytest.approx(want, rel=1e-13)
+
+
 @pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24), ("cheb1", 64)])
 def test_lebesgue_memory_bounded(family, n):
     # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 / 1107 MB
