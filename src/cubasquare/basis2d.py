@@ -25,11 +25,15 @@ With that S, the weights satisfy
 lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 
-Each formula has one source.  ``_gencheb_core`` evaluates the gencheb
-members from one pair of Jacobi tables at z1, z2 = cos(theta -+ phi); the
-gencheb basis groups its rows in four families of one Jacobi pair and
-prefactor, and maps them to the rows T_{d-k}(x) T_k(y) from 1-D
-Jacobi-to-Chebyshev coefficients in the angle variables, with no solve.
+Each formula has one source.  Each basis builds the 1-D tables at the
+points once (``_tables``: the two per-axis Jacobi tables, or per gencheb
+family one pair of Jacobi tables at z1, z2 = cos(theta -+ phi)) and forms the
+rows of a degree from them by one formula (``_rows``: p_{d-k}(x) q_k(y), or
+prefactor * ``_core`` / norm per gencheb family).  ``eval_upto``,
+``eval_degree``, ``p_general`` and ``node_reductions`` (the calibration's
+|F_low|^2, F_low w and degree-n rows over node blocks) are built on those two.
+The gencheb rows map to T_{d-k}(x) T_k(y) from 1-D Jacobi-to-Chebyshev
+coefficients in the angle variables, with no solve.
 ``_kernel_star_diag`` forms K*(z_k, z_k) for the cubature checks and the
 interpolation factor, ``_kernel_star_node_factor`` the node factor
 G = [F_low; q^T S^-1 Q], ``kernel_star_matrix`` the dense reference.
@@ -89,27 +93,35 @@ class OrthoBasis2D:
     """Evaluator for an orthonormal basis of the degree-0..n spaces V_d(W).
 
     Rows of ``eval_upto`` are ordered by (degree, index-in-degree); each
-    degree d contributes d+1 members.
+    degree d contributes d+1 members.  A subclass builds its 1-D tables at the
+    points once, ``_tables(n, x, y, lo)`` for the rows of ``eval_upto(n)`` from row
+    ``lo`` on, and forms the degree-d rows from them by one formula, ``_rows(tables,
+    d, out)``, which ``eval_upto``, ``eval_degree`` and ``node_reductions`` read.
+    ``chebyshev_coeffs(n, coeffs)`` turns each column c of ``coeffs`` (rows of
+    ``eval_upto(n)``) in place into the t with c @ eval_upto(n, x, y) ==
+    t @ _cheb_total_degree_rows(n, x, y).
     """
 
     def __init__(self, weight: WeightSpec):
         self.weight = weight
         self.mass = weight_mass(weight)
 
-    def eval_upto(self, n: int, x, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
-        """The same polynomials in the rows T_{d-k}(x) T_k(y) of degree <= n:
-        each column c of the float array ``coeffs`` (rows of ``eval_upto(n)``)
-        becomes, in place, the t with
-        c @ eval_upto(n, x, y) == t @ _cheb_total_degree_rows(n, x, y).
-        Returns ``coeffs``."""
-        raise NotImplementedError
-
     def eval_degree(self, n: int, x, y) -> np.ndarray:
-        lo = dim_upto(n - 1) if n > 0 else 0
-        return self.eval_upto(n, x, y)[lo:]
+        """The degree-n rows of ``eval_upto(n)``, bit for bit, from their tables alone."""
+        out = np.empty((n + 1,) + np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return self._rows(self._tables(n, x, y, dim_upto(n - 1)), n, out)
+
+    def node_reductions(self, n: int, pts: np.ndarray, w_unit: np.ndarray):
+        """The node reductions of ``cubature._checked_calibration``: per block
+        of the nodes ``pts`` (unit-mass weights ``w_unit``), the start, |F_low|^2,
+        the degree-n rows and F_low w (F_low the rows of degree <= n-1; the
+        subclass's ``_low_reductions``), from one ``_tables`` of the block,
+        which with its products holds at most ``_BLOCK_BYTES``."""
+        step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
+        for s in range(0, len(pts), step):
+            tables = self._tables(n, *pts[s:s + step].T)
+            low_sq, low_w = self._low_reductions(n, tables, w_unit[s:s + step])
+            yield s, low_sq, self._rows(tables, n, np.empty((n + 1, len(low_sq)))), low_w
 
 
 class _ProductOrthoBasis2D(OrthoBasis2D):
@@ -119,13 +131,24 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
         super().__init__(weight)
         self._ax, self._ay = _axis_params(weight)
 
-    def axis_tables(self, n: int, x, y):
-        """The per-axis tables p_0..p_n at x and q_0..q_n at y."""
+    def _tables(self, n: int, x, y, lo: int = 0):
+        # p_0..p_n at x and q_0..q_n at y: each row of degree n needs both whole
         return (jacobi_normalized_table(self._ax[0], self._ax[1], n, x),
                 jacobi_normalized_table(self._ay[0], self._ay[1], n, y))
 
+    @staticmethod
+    def _rows(tables, d: int, out: np.ndarray) -> np.ndarray:
+        return np.multiply(tables[0][d::-1], tables[1][:d + 1], out=out)  # p_{d-k}(x) q_k(y)
+
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        return _total_degree_rows(*self.axis_tables(n, x, y))
+        return _total_degree_rows(*self._tables(n, x, y))
+
+    def _low_reductions(self, n: int, tables, w: np.ndarray):
+        # |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y), C_j = sum_{b <= j} q_b(y)^2,
+        # and F_low w the entries a + b <= n-1 of P_x diag(w) P_y^T
+        px, py = tables
+        low_sq = np.einsum("ij,ij->j", np.square(px[:n]), np.cumsum(np.square(py[:n]), axis=0)[::-1])
+        return low_sq, ((px[:n] * w) @ py[:n].T)[_degree_pairs(n - 1)]
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # p_a(x) q_b(y) = sum_ij cx[a, i] cy[b, j] T_i(x) T_j(y): one per-axis
@@ -156,14 +179,18 @@ def _square(coeffs: np.ndarray, n: int) -> np.ndarray:
     return sq
 
 
+def _stack_rows(rows_of, tables, n: int, shape) -> np.ndarray:
+    """The rows of degrees 0..n, each degree's block by rows_of(tables, d, out)."""
+    rows = np.empty((dim_upto(n),) + shape)
+    for d in range(n + 1):
+        rows_of(tables, d, rows[dim_upto(d - 1):dim_upto(d)])
+    return rows
+
+
 def _total_degree_rows(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """Rows tx[d-k] * ty[k] ordered by (degree d, k) from two per-axis tables."""
-    n = len(tx) - 1
-    rows = np.empty((dim_upto(n),) + np.broadcast_shapes(tx.shape[1:], ty.shape[1:]))
-    for d in range(n + 1):
-        r = dim_upto(d - 1)
-        np.multiply(tx[d::-1], ty[:d + 1], out=rows[r:r + d + 1])
-    return rows
+    return _stack_rows(_ProductOrthoBasis2D._rows, (tx, ty), len(tx) - 1,
+                       np.broadcast_shapes(tx.shape[1:], ty.shape[1:]))
 
 
 def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
@@ -179,41 +206,40 @@ def _split_z(x, y):
     return x * y + s, x * y - s
 
 
-def _gencheb_core(pair: tuple[float, float], gamma: float, blocks, x, y):
-    """Yield, for each (d, k0, k1) of ``blocks``, the members P_{k,d}(2xy, x^2+y^2-1)
-    for k = k0..k1-1 stacked along a new first axis, all with the Jacobi
-    parameter ``pair``, from one pair of normalized Jacobi tables at
-    z1, z2 = cos(theta -+ phi).
-
-    gamma -1/2 gives the symmetrized product p_d(z1) p_k(z2) + p_k(z1) p_d(z2);
-    gamma +1/2 the divided difference
-    (p_{d+1}(z1) p_k(z2) - p_k(z1) p_{d+1}(z2)) / (z1 - z2), whose
-    coincident-argument limit is taken from derivative values at z1 = z2 = xy.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _angle_tables(pair: tuple[float, float], gamma: float, deg: int, x: np.ndarray, y: np.ndarray):
+    """What ``_core`` reads for core degrees <= ``deg`` at the float arrays x, y:
+    the Jacobi(``pair``) tables at z1, z2 = ``_split_z(x, y)``, and for gamma +1/2
+    (else None) z1 - z2, set to 1 where |z1 - z2| < ``_DIVDIFF_TOL``, that
+    mask and, if it holds anywhere, the value and derivative tables at xy."""
     z1, z2 = _split_z(x, y)
-    up = int(gamma > 0)
-    deg = max(max(d + up, k1 - 1) for d, _, k1 in blocks)
-    t1 = jacobi_normalized_table(*pair, deg, z1)
-    t2 = jacobi_normalized_table(*pair, deg, z2)
+    t1, t2 = (jacobi_normalized_table(*pair, deg + (gamma > 0), z) for z in (z1, z2))
     if gamma < 0:
-        for d, k0, k1 in blocks:
-            core = t1[d] * t2[k0:k1]
-            core += t1[k0:k1] * t2[d]
-            yield core
-        return
+        return t1, t2, None
     den = z1 - z2
     small = np.abs(den) < _DIVDIFF_TOL
-    safe = np.where(small, 1.0, den)
-    limit = np.any(small)
-    if limit:
-        pm, dpm = jacobi_normalized_table_with_derivative(*pair, deg, x * y)
-    for d, k0, k1 in blocks:
-        core = (t1[d + 1] * t2[k0:k1] - t1[k0:k1] * t2[d + 1]) / safe
-        if limit:
-            core = np.where(small, dpm[d + 1] * pm[k0:k1] - dpm[k0:k1] * pm[d + 1], core)
-        yield core
+    limit = jacobi_normalized_table_with_derivative(*pair, deg + 1, x * y) if small.any() else None
+    return t1, t2, (np.where(small, 1.0, den), small, limit)
+
+
+def _core(tables, D: int, ks: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """P_{k,D}(2xy, x^2+y^2-1) for k in ``ks``, stacked along the first axis of
+    ``out`` (or a new array), from ``_angle_tables``: for gamma -1/2 the
+    symmetrized product p_D(z1) p_k(z2) + p_k(z1) p_D(z2), for gamma +1/2 the
+    divided difference (p_{D+1}(z1) p_k(z2) - p_k(z1) p_{D+1}(z2)) / (z1 - z2),
+    with its coincident-argument limit from derivative values at z1 = z2 = xy."""
+    t1, t2, divided = tables
+    if divided is None:
+        out = np.multiply(t1[D], t2[ks], out=out)
+        out += t1[ks] * t2[D]
+        return out
+    den, small, limit = divided
+    out = np.multiply(t1[D + 1], t2[ks], out=out)
+    out -= t1[ks] * t2[D + 1]
+    out /= den
+    if limit is not None:
+        pm, dpm = limit
+        np.copyto(out, dpm[D + 1] * pm[ks] - dpm[ks] * pm[D + 1], where=small)
+    return out
 
 
 def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> np.ndarray:
@@ -225,7 +251,8 @@ def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> n
     """
     if sign not in (-0.5, 0.5):
         raise ValueError("sign must be -1/2 or +1/2")
-    return next(_gencheb_core((alpha, beta), sign, [(n, k, k + 1)], x, y))[0]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _core(_angle_tables((alpha, beta), sign, max(n, k), x, y), n, slice(k, k + 1))[0]
 
 
 _PREFACTORS = {
@@ -276,23 +303,47 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
                  jacobi_recurrence(*pair, 1)[1][0] * np.sqrt(c[f] / self.mass))  # M_ab sqrt(c / mass)
                 for (pair, pref), f in zip(pairs, (fam == i for i in range(4))) if f.any()]
 
-    def _eval_raw(self, n: int, x, y) -> np.ndarray:
+    def _tables(self, n: int, x, y, lo: int = 0):
+        # per family of families(n) with rows from row lo on: the family, where its rows of
+        # each degree start in it, its prefactor (1.0 for none) and its _angle_tables
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        rows = np.empty((dim_upto(n),) + np.broadcast(x, y).shape)
-        for pair, pref, D, k, r, _ in self.families(n):
-            p = _PREFACTORS[pref](x, y) if pref else 1.0
-            blocks = [(d, 0, d + 1) for d in D[k == 0].tolist()]  # rows k = 0..D of each core degree D
-            for s, core in zip(r[k == 0], _gencheb_core(pair, self.weight.gamma, blocks, x, y)):
-                np.multiply(core, p, out=rows[s:s + len(core)])
-        return rows
+        firsts = dim_upto(np.arange(n + 2) - 1)
+        return [(fam, np.searchsorted(fam[4], firsts).tolist(), _PREFACTORS[fam[1]](x, y) if fam[1] else 1.0,
+                 _angle_tables(fam[0], self.weight.gamma, fam[2][-1], x, y))
+                for fam in self.families(n) if fam[4][-1] >= lo]
+
+    def _rows(self, tables, d: int, out: np.ndarray) -> np.ndarray:
+        # prefactor * P_{k,D} / norm for k = 0..D, per family with rows of degree d
+        lo = dim_upto(d - 1)
+        for (_, _, D, _, rows, norms), at, f, tabs in tables:
+            i, e = at[d], at[d + 1]
+            if i < e:
+                block = _core(tabs, D[i], slice(0, e - i), out[rows[i] - lo:rows[e - 1] - lo + 1])
+                block *= f
+                block /= norms[i:e].reshape((-1,) + (1,) * (block.ndim - 1))
+        return out
 
     def eval_upto(self, n: int, x, y) -> np.ndarray:
-        rows = self._eval_raw(n, x, y)
-        norms = np.empty(len(rows))
-        for *_, r, nrm in self.families(n):
-            norms[r] = nrm
-        rows /= norms.reshape((-1,) + (1,) * (rows.ndim - 1))
-        return rows
+        return _stack_rows(self._rows, self._tables(n, x, y), n, np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+    def _low_reductions(self, n: int, tables, w: np.ndarray):
+        # gamma -1/2: a family's rows (D, k) below degree n are k <= D < m, with norms
+        # nu sqrt(1 + [k = D]).  With prefactor f, it adds f^2 (C(z1) C(z2) + K^2) / nu^2
+        # to |F_low|^2 (C = sum_{d < m} p_d^2, K = sum_{d < m} p_d(z1) p_d(z2)) and the
+        # entries (D, k) of A + A^T, A = P(z1) diag(f w) P(z2)^T, to F_low w
+        if self.weight.gamma > 0:
+            raise NotImplementedError("node reductions of the gamma = +1/2 gencheb basis")
+        lo = dim_upto(n - 1)
+        low_sq, low_w = np.zeros(len(w)), np.empty(lo)
+        for (_, _, D, k, rows, norms), _, f, (t1, t2, _) in tables:
+            low = rows < lo
+            m = D[low].max(initial=-1) + 1
+            c = np.einsum("ij,ij->j", t1[:m], t2[:m])
+            nu2 = norms[0] ** 2 / 2  # row (0, 0) has the norm nu sqrt 2
+            low_sq += f * f * (np.square(t1[:m]).sum(axis=0) * np.square(t2[:m]).sum(axis=0) + c * c) / nu2
+            a = (t1[:m] * (f * w)) @ t2[:m].T
+            low_w[rows[low]] = (a + a.T)[D[low], k[low]] / norms[low]
+        return low_sq, low_w
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # With x = cos(u+v), y = cos(u-v), z1 and z2 are cos 2u and cos 2v and
@@ -364,25 +415,17 @@ def three_term(w: WeightSpec, n: int) -> ThreeTermCoefficients:
     """Three-term matrices: closed form for product weights, moment-oracle
     projections otherwise."""
     if w.kind == "gencheb":
-        return _three_term_projected(w, n)
-    ax, ay = _axis_params(w)
-    _, rbx = jacobi_recurrence(ax[0], ax[1], n + 2)
-    _, rby = jacobi_recurrence(ay[0], ay[1], n + 2)
-    cx = np.sqrt(rbx)
-    cy = np.sqrt(rby)
+        basis = basis_for(w)
+        X, Y, wts = tensor_oracle(w, 2 * n + 4)
+        Pn = basis.eval_degree(n, X, Y)
+        Pn1 = basis.eval_degree(n + 1, X, Y)
+        A1 = ((X * Pn) * wts) @ Pn1.T / basis.mass
+        A2 = ((Y * Pn) * wts) @ Pn1.T / basis.mass
+        return ThreeTermCoefficients(n=n, A1=A1, A2=A2)
+    cx, cy = (np.sqrt(jacobi_recurrence(*ab, n + 2)[1]) for ab in _axis_params(w))
     A1, A2, k = np.zeros((n + 1, n + 2)), np.zeros((n + 1, n + 2)), np.arange(n + 1)
     A1[k, k] = cx[n - k + 1]
     A2[k, k + 1] = cy[k + 1]
-    return ThreeTermCoefficients(n=n, A1=A1, A2=A2)
-
-
-def _three_term_projected(w: WeightSpec, n: int) -> ThreeTermCoefficients:
-    basis = basis_for(w)
-    X, Y, wts = tensor_oracle(w, 2 * n + 4)
-    Pn = basis.eval_degree(n, X, Y)
-    Pn1 = basis.eval_degree(n + 1, X, Y)
-    A1 = ((X * Pn) * wts) @ Pn1.T / basis.mass
-    A2 = ((Y * Pn) * wts) @ Pn1.T / basis.mass
     return ThreeTermCoefficients(n=n, A1=A1, A2=A2)
 
 

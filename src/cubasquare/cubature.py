@@ -11,10 +11,7 @@ import numpy as np
 from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
-    _degree_pairs,
-    _PREFACTORS,
     _kernel_star_diag,
-    _ProductOrthoBasis2D,
     _split_z,
     basis_for,
     dim_upto,
@@ -131,49 +128,6 @@ def _closed_form_weights(w: WeightSpec, n: int, points: np.ndarray) -> np.ndarra
     return c / c.sum()
 
 
-def _separable_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
-    """The node reductions of ``_checked_calibration`` for a product basis
-    p_a(x) q_b(y), over node blocks, from the 1-D tables alone:
-    |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y) with C_j = sum_{b <= j} q_b(y)^2,
-    the degree-n rows p_{n-k}(x) q_k(y), and F_low w, the entries a + b <= n-1
-    of P_x diag(w) P_y^T.  The tables of a block and their products hold at
-    most ``_BLOCK_BYTES``."""
-    dx, dy = _degree_pairs(n - 1)
-    step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
-    for s in range(0, len(pts), step):
-        px, py = basis.axis_tables(n, pts[s:s + step, 0], pts[s:s + step, 1])
-        low_sq = np.einsum("ij,ij->j", np.square(px[:n]), np.cumsum(np.square(py[:n]), axis=0)[::-1])
-        low_w = ((px[:n] * w_unit[s:s + step]) @ py[:n].T)[dx, dy]
-        yield s, low_sq, px[n::-1] * py, low_w
-
-
-def _angle_reductions(basis, n: int, pts: np.ndarray, w_unit: np.ndarray):
-    """The node reductions of ``_checked_calibration`` for the gencheb basis
-    (gamma -1/2) over node blocks, from one pair of Jacobi tables at
-    z1, z2 = ``_split_z(x, y)`` per family of ``basis.families(n)``, whose rows
-    (D, k) below degree n are k <= D < m with norms nu sqrt(1 + [k = D]).  With
-    prefactor f, a family adds f^2 (C(z1) C(z2) + K^2) / nu^2 to |F_low|^2
-    (C = sum_{d < m} p_d^2, K = sum_{d < m} p_d(z1) p_d(z2)) and the entries
-    (D, k) of A + A^T, A = P(z1) diag(f w) P(z2)^T, to F_low w.  A block's
-    tables and their products hold at most ``_BLOCK_BYTES``."""
-    lo, fams = dim_upto(n - 1), basis.families(n)
-    step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
-    for s in range(0, len(pts), step):
-        x, y = pts[s:s + step].T
-        low_sq, Fn, low_w = np.zeros(len(x)), np.empty((n + 1, len(x))), np.empty(lo)
-        for pair, pref, D, k, rows, norms in fams:
-            f = _PREFACTORS[pref](x, y) if pref else np.ones(len(x))
-            t1, t2 = (jacobi_normalized_table(*pair, D[-1], z) for z in _split_z(x, y))
-            top, m = rows >= lo, D[rows < lo].max(initial=-1) + 1
-            c = np.einsum("ij,ij->j", t1[:m], t2[:m])
-            nu2 = norms[0] ** 2 / 2  # row (0, 0) has the norm nu sqrt 2
-            low_sq += f * f * (np.square(t1[:m]).sum(axis=0) * np.square(t2[:m]).sum(axis=0) + c * c) / nu2
-            a = (t1[:m] * (f * w_unit[s:s + step])) @ t2[:m].T
-            low_w[rows[~top]] = (a + a.T)[D[~top], k[~top]] / norms[~top]
-            Fn[rows[top] - lo] = f * (t1[D[top]] * t2[k[top]] + t1[k[top]] * t2[D[top]]) / norms[top, None]
-        yield s, low_sq, Fn, low_w
-
-
 def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
     (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
@@ -181,9 +135,8 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     One path for every family: the closed-form weights, their moment
     residuals through the declared degree + ``_EXTRA_DEGREES`` (the build
     check through the declared degree, and the oracle report
-    ``exactness_check`` would give), then ``_checked_calibration`` from 1-D
-    tables over node blocks, in x and y for product bases and in the angle
-    variables for gencheb, so no N x N or dim x N array is formed."""
+    ``exactness_check`` would give), then ``_checked_calibration`` on the
+    basis's ``node_reductions``, so no N x N or dim x N array is formed."""
     if weight_string(w) != weight_string(spec.weight):
         raise CubatureError("weight does not match kernel spec")
     basis = basis_for(w)
@@ -193,12 +146,10 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     degree = 2 * n - 1 if sigma else 2 * n - 2
     w_unit = _closed_form_weights(w, n, pts)
     residuals = _degree_residuals(w, pts, basis.mass * w_unit, degree + _EXTRA_DEGREES)
-    failures = []
     resid = float(residuals[:degree + 1].max())
-    if not resid <= 1e-10:
-        failures.append(f"closed-form weights miss the moments through degree {degree} (residual {resid:.2e})")
-    reductions = _separable_reductions if isinstance(basis, _ProductOrthoBasis2D) else _angle_reductions
-    spec = _checked_calibration(spec, reductions(basis, n, pts, w_unit), w_unit, failures)[0]
+    failures = () if resid <= 1e-10 else (
+        f"closed-form weights miss the moments through degree {degree} (residual {resid:.2e})",)
+    spec = _checked_calibration(spec, basis.node_reductions(n, pts, w_unit), w_unit, failures)[0]
     rule = CubatureRule(
         weight=w,
         degree=degree,
@@ -210,19 +161,20 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     return rule, spec
 
 
-def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, failures: list[str]):
+def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, earlier: tuple[str, ...] = ()):
     """Check a kernel spec, and unit-mass weights ``w_unit`` (one per node) on
     it, over node blocks; return the spec calibrated with S = (Q w) Q^T
     (as it is for sigma = 0) and mass * K*(z_k, z_k).  Each block of
-    ``reductions`` is (start, |F_low|^2, degree-n rows, F_low w over the
-    block), with F_low the basis rows of degree <= n-1.
+    ``reductions`` (``node_reductions``) is (start, |F_low|^2, degree-n rows,
+    F_low w over the block), with F_low the basis rows of degree <= n-1.
 
     The vanishing combinations must vanish on the nodes to 1e-12 of the
     largest degree-n value there, at least 1 (1.2e8 for gencheb (-0.9, 3) at
     n = 64).  The weights must satisfy the unisolvent equations
     [F_low; Q] w = e_0, K* must be positive, and mass / K* must reproduce
-    mass * w; each failing one is named in the error, after ``failures``.
+    mass * w; each failing one is named in the error, after ``earlier``.
     """
+    failures = list(earlier)
     low_sq = np.empty(len(w_unit))  # |F_low(z_k)|^2
     Q = np.empty((spec.sigma, len(w_unit)))
     low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w

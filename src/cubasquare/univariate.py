@@ -12,7 +12,7 @@ symmetric Jacobi matrix, followed by one Newton polish step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma as _gamma
+from math import exp, lgamma, log, gamma as _gamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -76,7 +76,10 @@ def jacobi_recurrence(alpha: float, beta: float, n: int):
     ra, rb = np.zeros(max(n, 1)), np.zeros(max(n, 1))
     apb = alpha + beta
     ra[0] = (beta - alpha) / (apb + 2.0)
-    rb[0] = 2.0 ** (apb + 1.0) * _gamma(alpha + 1.0) * _gamma(beta + 1.0) / _gamma(apb + 2.0)
+    try:
+        rb[0] = 2.0 ** (apb + 1.0) * _gamma(alpha + 1.0) * _gamma(beta + 1.0) / _gamma(apb + 2.0)
+    except OverflowError:  # a gamma value past the float range (alpha + beta >~ 170): the same mass in logs
+        rb[0] = exp((apb + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(apb + 2.0))
     if n > 1:
         ra[1] = (beta * beta - alpha * alpha) / ((apb + 2.0) * (apb + 4.0))
         rb[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))

@@ -1,5 +1,7 @@
 """Tests for the 2-D orthonormal bases, three-term matrices, and kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,8 +21,10 @@ from cubasquare.basis2d import (
     three_term,
 )
 from cubasquare.interp import _lobatto_grid
+from cubasquare.nodes import gencheb_nodes, min_t_nodes_even
 from cubasquare.univariate import jacobi_normalized_table
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass, tensor_oracle
+from cubasquare.weights import (cheb1, cheb2, constant, gegenbauer_product, gencheb, jacobi_product, mass,
+                                tensor_oracle)
 
 
 def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
@@ -77,14 +81,24 @@ class TestBasisCache:
         x = np.array([0.1, -0.3])
         assert np.array_equal(b.eval_upto(40, x, x[::-1])[:dim_upto(5)], b.eval_upto(5, x, x[::-1]))
 
-    @pytest.mark.parametrize("w", [gencheb(0.5, 0.5, -0.5), gencheb(1.5, 0.5, 0.5)])
+    @pytest.mark.parametrize("w", [gencheb(0.5, 0.5, -0.5), gencheb(1.5, 0.5, 0.5), constant(), cheb1(), cheb2(),
+                                   gegenbauer_product(1.5), jacobi_product(0.3, -0.4)])
     def test_gencheb_rows_on_2d_points(self, w):
+        """Rows on a 2-D point array, for every kind of basis: ``eval_upto``
+        keeps the array's shape, and ``eval_degree(n)`` is its degree-n block
+        bit for bit.  The last four columns hold points on the diagonal x = y
+        and on the edges, where z1 = z2 and the gamma = +1/2 rows take their
+        coincident-argument limit."""
         rng = np.random.default_rng(4)
         x, y = rng.uniform(-1, 1, (2, 3, 4))
+        x = np.hstack([x, [[1.0, -1.0, 0.3, 0.6], [0.25, 1 - 1e-13, -0.7, 1.0], [-1.0, 0.8, 0.999999999, 0.0]]])
+        y = np.hstack([y, [[0.3, -0.2, 1.0, 0.6], [0.25, 0.7, -1.0, 1.0], [-1.0, 0.8, 0.3, 0.0]]])
         b = basis_for(w)
         rows = b.eval_upto(4, x, y)
-        assert rows.shape == (15, 3, 4)
+        assert rows.shape == (15, 3, 8)
         assert np.array_equal(rows.reshape(15, -1), b.eval_upto(4, x.ravel(), y.ravel()))
+        for n in (0, 1, 2, 5, 8, 13):
+            assert np.array_equal(b.eval_degree(n, x, y), b.eval_upto(n, x, y)[dim_upto(n - 1):])
 
     def test_product_rows_match_degree_loop(self):
         rng = np.random.default_rng(3)
@@ -265,11 +279,34 @@ def test_gencheb_rows_are_prefactor_times_p_general(a, b, g):
     x = np.concatenate([[1.0, -1.0, 0.3, -0.6, 1 - 1e-13, 0.999999999, 0.4], np.linspace(-0.9, 0.8, 9)])
     y = np.concatenate([[0.3, -0.2, 1.0, -1.0, 0.7, 0.3, 0.4], np.linspace(0.85, -0.95, 9)])
     n = 9
-    rows = iter(basis_for(gencheb(a, b, g))._eval_raw(n, x, y))
+    basis = basis_for(gencheb(a, b, g))
+    norms = np.empty(dim_upto(n))
+    for *_, r, nrm in basis.families(n):
+        norms[r] = nrm
+    rows = zip(basis.eval_upto(n, x, y), norms)
     for d in range(n + 1):
         for (pa, pb), k, deg, pref in gencheb_members(a, b, d):
+            row, nrm = next(rows)
             want = p_general(pa, pb, g, k, deg, x, y)
-            assert np.array_equal(next(rows), want if pref is None else pref(x, y) * want)
+            assert np.array_equal(row, (want if pref is None else pref(x, y) * want) / nrm)
+
+
+@pytest.mark.parametrize("w,nodes", [(cheb1(), lambda: min_t_nodes_even(96)),
+                                     (gencheb(0.5, 0.5), lambda: gencheb_nodes(0.5, 0.5, 96))],
+                         ids=["cheb1", "gencheb"])
+def test_eval_degree_memory(w, nodes):
+    # the degree-96 rows at these 4,704 nodes are 3.5 MB; they come from the
+    # tables of that degree's rows alone (peaks of 10.5 and 12.3 MB), where a
+    # slice of eval_upto(96) peaked at 177.5 and 179.6 MB
+    x, y = nodes().points.T
+    b = basis_for(w)
+    tracemalloc.start()
+    try:
+        b.eval_degree(96, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestGeneralizedFamilies:

@@ -174,6 +174,20 @@ def test_gencheb_parameters_outside_the_oracle(args, tmp_path):
         assert run(["verify", str(out)]) == 0
 
 
+def test_gencheb_parameters_past_the_gamma_range(tmp_path):
+    # alpha + beta = 200 puts Gamma(alpha + beta + 2) past the float range;
+    # the Jacobi mass then comes through lgamma, and the rule builds and verifies
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; from cubasquare.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = tmp_path / "rule.json"
+    for argv in (["rule", "gencheb", "16", "--alpha", "100", "--beta", "100", "--out", str(out)],
+                 ["verify", str(out)]):
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("args", [["nodes", "mint", "4", "--curve"], ["nodes", "padua", "4", "--curve"],
                                   ["nodes", "mint", "4", "--svg", "unused.svg", "--curve"]],
                          ids=["mint", "padua-without-svg", "mint-with-svg"])

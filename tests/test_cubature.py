@@ -172,7 +172,7 @@ def unisolvent_weights(nodes, spec):
     rhs = np.zeros(len(nodes))
     rhs[0] = 1.0
     w_unit = np.linalg.solve(np.vstack([F[:lo], spec.q_coeffs @ F[lo:]]), rhs)
-    kdiag = cubature._checked_calibration(spec, row_reductions(F, spec.n, w_unit), w_unit, [])[1]
+    kdiag = cubature._checked_calibration(spec, row_reductions(F, spec.n, w_unit), w_unit)[1]
     return basis.mass / kdiag
 
 
@@ -344,10 +344,10 @@ class TestSeparableCalibration:
         raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit, [])
+        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit)
         # blocks of 7 nodes, so the last block is partial
-        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
-        sep = cubature._checked_calibration(raw, cubature._separable_reductions(basis, n, pts, w_unit), w_unit, [])
+        monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 48 * (n + 1) * 7)
+        sep = cubature._checked_calibration(raw, basis.node_reductions(n, pts, w_unit), w_unit)
         if spec.sigma:
             S = dense[0].s_matrix
             assert np.abs(sep[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
@@ -365,10 +365,10 @@ class TestSeparableCalibration:
         raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
-        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit, [])
+        dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit)
         # blocks of 7 nodes, so the last block is partial
-        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 48 * (n + 1) * 7)
-        ang = cubature._checked_calibration(raw, cubature._angle_reductions(basis, n, pts, w_unit), w_unit, [])
+        monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 48 * (n + 1) * 7)
+        ang = cubature._checked_calibration(raw, basis.node_reductions(n, pts, w_unit), w_unit)
         S = dense[0].s_matrix
         assert np.abs(ang[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
         assert_allclose(ang[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
@@ -386,9 +386,8 @@ class TestSeparableCalibration:
         for family in ("gencheb", "cheb1"):
             nodes, spec, w, rule = family_rule(family, n, -0.5, -0.5)
             basis, w_unit = basis2d.basis_for(w), rule.lambdas / mass(w)
-            reduce = cubature._angle_reductions if family == "gencheb" else cubature._separable_reductions
             kdiag = cubature._checked_calibration(replace(spec, s_matrix=None),
-                                                  reduce(basis, n, nodes.points, w_unit), w_unit, [])[1]
+                                                  basis.node_reductions(n, nodes.points, w_unit), w_unit)[1]
             order = np.lexsort(np.round(nodes.points, 12).T[::-1])
             rules[family] = nodes.points[order], rule.lambdas, kdiag[order] / basis.mass
         (pg, lg, kg), (pc, lc, kc) = rules["gencheb"], rules["cheb1"]

@@ -1,6 +1,6 @@
 """Tests for univariate polynomial evaluation, zeros, and Gauss rules."""
 
-from math import gamma
+from math import exp, gamma, lgamma, log
 
 import numpy as np
 import pytest
@@ -190,6 +190,16 @@ class TestJacobiNormalized:
             )
             expected = eval_jacobi(n, a, b, x) * np.sqrt(mass / h)
             assert_allclose(jacobi_normalized_table(a, b, n, x)[n], expected, atol=1e-12)
+
+
+def test_recurrence_mass_past_the_gamma_range():
+    # Gamma(202) overflows a float, so rb[0] = 2^201 Gamma(101)^2 / Gamma(202)
+    # comes through lgamma; where the gamma expression is finite it is kept
+    # bit for bit
+    rb0 = jacobi_recurrence(100.0, 100.0, 4)[1][0]
+    assert np.isfinite(rb0)
+    assert rb0 == pytest.approx(exp(201.0 * log(2.0) + 2 * lgamma(101.0) - lgamma(202.0)), rel=1e-13, abs=0)
+    assert jacobi_recurrence(0.5, -0.5, 4)[1][0] == 2.0 ** (0.0 + 1.0) * gamma(1.5) * gamma(0.5) / gamma(0.0 + 2.0)
 
 
 class TestRecurrenceConsistency:
