@@ -7,8 +7,6 @@ from .basis2d import (
     ThreeTermCoefficients,
     basis_for,
     kernel_star_matrix,
-    p_general,
-    q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_gencheb,
@@ -44,15 +42,12 @@ from .nodes import (
     moeller_count,
     near_min_t_nodes_odd,
     padua_points,
-    vanishing_polynomials,
     vanishing_residual,
 )
 from .univariate import (
-    JacobiAngleGrid,
     eval_chebyshev_t,
     eval_chebyshev_u,
     gauss_rule_1d,
-    jacobi_angle_grid,
 )
 from .weights import (
     WeightSpec,

@@ -30,8 +30,10 @@ points once (``_tables``: the two per-axis Jacobi tables, or per gencheb
 family one pair of Jacobi tables at z1, z2 = cos(theta -+ phi)) and forms the
 rows of a degree from them by one formula (``_rows``: p_{d-k}(x) q_k(y), or
 prefactor * ``_core`` / norm per gencheb family).  ``eval_upto``,
-``eval_degree``, ``p_general`` and ``node_reductions`` (the calibration's
-|F_low|^2, F_low w and degree-n rows over node blocks) are built on those two.
+``eval_degree`` and ``node_reductions`` (the calibration's |F_low|^2, F_low w
+and degree-n rows over node blocks) are built on those two; the vanishing
+rows ``p_coeffs @ eval_degree(n)`` of the kernel specs are the generating
+polynomials that ``nodes.vanishing_residual`` reads.
 The gencheb rows map to T_{d-k}(x) T_k(y) from 1-D Jacobi-to-Chebyshev
 coefficients in the angle variables, with no solve.
 ``_kernel_star_diag`` forms K*(z_k, z_k) for the cubature checks and the
@@ -73,8 +75,6 @@ __all__ = [
     "star_spec_cheb1",
     "star_spec_gencheb",
     "star_spec_padua",
-    "p_general",
-    "q_m_polynomial",
 ]
 
 _DIVDIFF_TOL = 1e-6
@@ -242,40 +242,11 @@ def _core(tables, D: int, ks: slice, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def p_general(alpha: float, beta: float, sign: float, k: int, n: int, x, y) -> np.ndarray:
-    """The symmetric-function polynomial P_{k,n} evaluated at (2xy, x^2+y^2-1).
-
-    sign -1/2 uses the symmetrized product of normalized Jacobi values;
-    sign +1/2 uses the divided-difference quotient, with the boundary
-    limit (coincident arguments) taken via derivative values.
-    """
-    if sign not in (-0.5, 0.5):
-        raise ValueError("sign must be -1/2 or +1/2")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _core(_angle_tables((alpha, beta), sign, max(n, k), x, y), n, slice(k, k + 1))[0]
-
-
 _PREFACTORS = {
     "x+y": lambda x, y: x + y,
     "x-y": lambda x, y: x - y,
     "xx-yy": lambda x, y: x * x - y * y,
 }
-
-
-def q_m_polynomial(alpha: float, beta: float, m: int):
-    """Extra degree-(2m+1) orthogonal polynomial with the (x+y) factor."""
-    if alpha <= -1 or beta <= -1:
-        raise ValueError("alpha, beta must exceed -1")
-
-    def f(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.stack(_split_z(x, y))
-        ta = jacobi_normalized_table(alpha, beta + 1, m, z)[m]
-        tb = jacobi_normalized_table(alpha + 1, beta, m, z)[m]
-        return (x + y) * (ta[0] * tb[1] + ta[1] * tb[0])
-
-    return f
 
 
 class _GenChebOrthoBasis2D(OrthoBasis2D):

@@ -14,6 +14,13 @@ lattice (x_a, y_b) with a + b of one parity (``_checkerboard``).
 * ``gencheb``:        fourfold symmetrization of the half-angle sums and
                       differences of Jacobi-zero angles.
 
+The generating polynomials of the minimal, near-minimal and gencheb
+families are the vanishing rows ``p_coeffs @ eval_degree(n, x, y)`` of
+their kernel specs (``basis2d.star_spec_cheb1``, ``star_spec_gencheb``),
+the rows every build checks; ``vanishing_residual`` reads them there.
+``gauss_u`` (quasi-orthogonal: its spec records no rows) and ``padua``
+(degree n + 1) keep closed forms in Chebyshev U and T.
+
 The published index ranges for the first three lattices contain
 typographical inconsistencies; the forms above are the unique variants
 that satisfy the cardinality formulas, make the stated generating
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .univariate import eval_chebyshev_t, eval_chebyshev_u, jacobi_angle_grid
+from .basis2d import basis_for, star_spec_cheb1, star_spec_gencheb
+from .univariate import _chebyshev, chebyshev_t_table, gauss_rule_1d
 
 __all__ = [
     "NodeSet",
@@ -37,7 +45,6 @@ __all__ = [
     "padua_points",
     "gencheb_nodes",
     "lissajous_curve_point",
-    "vanishing_polynomials",
     "vanishing_residual",
     "moeller_count",
 ]
@@ -188,7 +195,9 @@ def gencheb_nodes(alpha: float, beta: float, n: int) -> NodeSet:
     if n < 2:
         raise ValueError("n must be >= 2")
     odd, m = n % 2, n // 2
-    th = jacobi_angle_grid(alpha + 1 if odd else alpha, beta, m).thetas[1 - odd:]
+    th = np.arccos(gauss_rule_1d(alpha + 1 if odd else alpha, beta, m)[0])[::-1]
+    if odd:  # the fixed angle 0 joins the Gauss-Jacobi angles
+        th = np.concatenate([[0.0], th])
     j, k = np.triu_indices(len(th))
     s, t = np.cos((th[j] - th[k]) / 2.0), np.cos((th[j] + th[k]) / 2.0)
     try:
@@ -206,60 +215,21 @@ def lissajous_curve_point(n: int, t):
     return np.stack([-np.cos((n + 1) * t), -np.cos(n * t)], axis=-1)
 
 
-def vanishing_polynomials(ns: NodeSet):
-    """Generating polynomials that vanish on every node of the family."""
-    n = ns.n
-    if ns.family == "gauss_u":
-        def make(k):
-            return lambda x, y: (
-                eval_chebyshev_u(n - k, x) * eval_chebyshev_u(k, y)
-                - eval_chebyshev_u(k, x) * eval_chebyshev_u(n - 1 - k, y)
-            )
-        return [make(k) for k in range(n + 1)]
-    if ns.family == "min_t_even":
-        def make(k):
-            return lambda x, y: (
-                eval_chebyshev_t(n - k, x) * eval_chebyshev_t(k, y)
-                + eval_chebyshev_t(k, x) * eval_chebyshev_t(n - k, y)
-            )
-        return [make(k) for k in range(n // 2 + 1)]
-    if ns.family == "near_min_t_odd":
-        m = (n + 1) // 2
-        def make(k):
-            return lambda x, y: (
-                eval_chebyshev_t(2 * m - k, x) * eval_chebyshev_t(k - 1, y)
-                - eval_chebyshev_t(k - 1, x) * eval_chebyshev_t(2 * m - k, y)
-            )
-        return [make(k) for k in range(1, m + 1)]
-    if ns.family == "padua":
-        def q0(x, y):
-            return eval_chebyshev_t(n + 1, x) - eval_chebyshev_t(n - 1, x)
-        def make(k):
-            return lambda x, y: (
-                eval_chebyshev_t(n - k + 1, x) * eval_chebyshev_t(k, y)
-                + eval_chebyshev_t(n - k + 1, y) * eval_chebyshev_t(k - 1, x)
-            )
-        return [q0] + [make(k) for k in range(1, n + 2)]
-    if ns.family in ("gencheb_even", "gencheb_odd"):
-        from .basis2d import p_general
-
-        a, b = ns.alpha, ns.beta
-        if ns.family == "gencheb_even":
-            m = n // 2
-            def make(k):
-                return lambda x, y: p_general(a, b, -0.5, k, m, x, y)
-            return [make(k) for k in range(m + 1)]
-        m = (n - 1) // 2
-        def make(k):
-            return lambda x, y: (
-                (np.asarray(x, float) - np.asarray(y, float))
-                * p_general(a + 1, b, -0.5, k, m, x, y)
-            )
-        return [make(k) for k in range(m + 1)]
-    raise ValueError(f"unknown family {ns.family!r}")
-
-
 def vanishing_residual(ns: NodeSet) -> float:
-    """Max absolute value of the generating polynomials over the node set."""
-    x, y = ns.points[:, 0], ns.points[:, 1]
-    return max(float(np.abs(p(x, y)).max()) for p in vanishing_polynomials(ns))
+    """Max absolute value of the family's generating polynomials over the node set."""
+    x, y = ns.points.T
+    n = ns.n
+    if ns.family == "gauss_u":  # U_{n-k}(x) U_k(y) - U_k(x) U_{n-1-k}(y), k = 0..n; row -1 is U_{-1} = 0
+        ux, uy = (np.vstack([_chebyshev(n, z, 2.0), np.zeros((1, len(z)))]) for z in (x, y))
+        k = np.arange(n + 1)
+        vals = ux[n - k] * uy[k] - ux[k] * uy[n - 1 - k]
+    elif ns.family == "padua":  # T_{n+1}(x) - T_{n-1}(x) and T_{n+1-k}(x) T_k(y) + T_{n+1-k}(y) T_{k-1}(x)
+        tx, ty = chebyshev_t_table(n + 1, x), chebyshev_t_table(n + 1, y)
+        k = np.arange(1, n + 2)
+        vals = np.vstack([tx[n + 1] - tx[n - 1], tx[n + 1 - k] * ty[k] + ty[n + 1 - k] * tx[k - 1]])
+    elif ns.family in ("min_t_even", "near_min_t_odd", "gencheb_even", "gencheb_odd"):
+        spec = star_spec_gencheb(ns.alpha, ns.beta, n) if ns.family.startswith("gencheb") else star_spec_cheb1(n)
+        vals = spec.p_coeffs @ basis_for(spec.weight).eval_degree(n, x, y)
+    else:
+        raise ValueError(f"unknown family {ns.family!r}")
+    return float(np.abs(vals).max())

@@ -11,8 +11,8 @@ symmetric Jacobi matrix, followed by one Newton polish step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, lgamma, log, gamma as _gamma
+from contextlib import suppress
+from math import exp, inf, lgamma, log, gamma as _gamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,19 +25,15 @@ __all__ = [
     "jacobi_normalized_table",
     "jacobi_normalized_table_with_derivative",
     "jacobi_chebyshev_coeffs",
-    "JacobiAngleGrid",
-    "jacobi_angle_grid",
     "gauss_rule_1d",
 ]
 
 
-def _chebyshev(n: int, x, first: float, keep: int) -> np.ndarray:
-    """p_0..p_n at x of p_{k+1} = 2 x p_k - p_{k-1}, p_0 = 1, p_1 = first * x,
-    each filled in place into row k % ``keep`` of a (keep,) + x.shape array:
-    keep = n + 1 gives the table, keep = 3 only the last three rows."""
-    out = np.empty((keep,) + np.shape(x))
-    r = list(out.reshape(keep, -1))
-    r = [r[k % keep] for k in range(n + 1)]
+def _chebyshev(n: int, x, first: float) -> np.ndarray:
+    """Table of p_0..p_n at x, shape (n+1,) + x.shape, of p_{k+1} = 2 x p_k - p_{k-1},
+    p_0 = 1, p_1 = first * x, each row filled in place."""
+    out = np.empty((n + 1,) + np.shape(x))
+    r = list(out.reshape(n + 1, -1))
     x = np.asarray(x, dtype=float).reshape(-1)
     x2 = 2.0 * x
     r[0].fill(1.0)
@@ -51,18 +47,33 @@ def _chebyshev(n: int, x, first: float, keep: int) -> np.ndarray:
 
 def eval_chebyshev_t(n: int, x):
     """Chebyshev polynomial of the first kind, T_n(x); 0 for n < 0."""
-    return _chebyshev(n, x, 1.0, 3)[n % 3] if n >= 0 else np.zeros_like(x, dtype=float)
+    return _chebyshev(n, x, 1.0)[n] if n >= 0 else np.zeros_like(x, dtype=float)
 
 
 def chebyshev_t_table(n: int, x) -> np.ndarray:
     """Table of T_0..T_n at x, shape (n+1,) + x.shape; row k equals
     ``eval_chebyshev_t(k, x)`` bit for bit (same recurrence)."""
-    return _chebyshev(n, x, 1.0, n + 1)
+    return _chebyshev(n, x, 1.0)
 
 
 def eval_chebyshev_u(n: int, x):
     """Chebyshev polynomial of the second kind, U_n(x); 0 for n < 0."""
-    return _chebyshev(n, x, 2.0, 3)[n % 3] if n >= 0 else np.zeros_like(x, dtype=float)
+    return _chebyshev(n, x, 2.0)[n] if n >= 0 else np.zeros_like(x, dtype=float)
+
+
+def _jacobi_mass(alpha: float, beta: float) -> float:
+    """The mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2) of (1-x)^alpha (1+x)^beta
+    on [-1, 1]; from logs where a Gamma value or the product leaves the float
+    range (alpha + beta >~ 150), and a ValueError where the mass itself does."""
+    apb = alpha + beta
+    with suppress(OverflowError):
+        mass = 2.0 ** (apb + 1.0) * _gamma(alpha + 1.0) * _gamma(beta + 1.0) / _gamma(apb + 2.0)
+        if mass < inf:
+            return mass
+    try:
+        return exp((apb + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(apb + 2.0))
+    except OverflowError:
+        raise ValueError(f"the Jacobi mass at alpha = {alpha}, beta = {beta} is past the float range") from None
 
 
 def jacobi_recurrence(alpha: float, beta: float, n: int):
@@ -76,10 +87,7 @@ def jacobi_recurrence(alpha: float, beta: float, n: int):
     ra, rb = np.zeros(max(n, 1)), np.zeros(max(n, 1))
     apb = alpha + beta
     ra[0] = (beta - alpha) / (apb + 2.0)
-    try:
-        rb[0] = 2.0 ** (apb + 1.0) * _gamma(alpha + 1.0) * _gamma(beta + 1.0) / _gamma(apb + 2.0)
-    except OverflowError:  # a gamma value past the float range (alpha + beta >~ 170): the same mass in logs
-        rb[0] = exp((apb + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(apb + 2.0))
+    rb[0] = _jacobi_mass(alpha, beta)
     if n > 1:
         ra[1] = (beta * beta - alpha * alpha) / ((apb + 2.0) * (apb + 4.0))
         rb[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
@@ -153,27 +161,6 @@ def jacobi_chebyshev_coeffs(alpha: float, beta: float, nmax: int) -> np.ndarray:
         xp[:-1] += 0.5 * p[1:]
         out[k + 1] = (xp - ra[k] * p - (c[k] * out[k - 1] if k else 0.0)) / c[k + 1]
     return out
-
-
-@dataclass(frozen=True)
-class JacobiAngleGrid:
-    """Angles 0 = thetas[0] < thetas[1] < ... < thetas[m] < pi.
-
-    cos(thetas[k]) for k >= 1 are the zeros of the degree-m Jacobi
-    polynomial with parameters (alpha, beta).
-    """
-
-    alpha: float
-    beta: float
-    m: int
-    thetas: np.ndarray
-
-
-def jacobi_angle_grid(alpha: float, beta: float, m: int) -> JacobiAngleGrid:
-    """Angle grid from the degree-m Jacobi zeros, the m-point Gauss-Jacobi nodes."""
-    z = gauss_rule_1d(alpha, beta, m)[0]
-    thetas = np.concatenate([[0.0], np.arccos(z)[::-1]])
-    return JacobiAngleGrid(alpha=alpha, beta=beta, m=m, thetas=thetas)
 
 
 def gauss_rule_1d(alpha: float, beta: float, m: int):

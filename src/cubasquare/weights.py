@@ -21,6 +21,7 @@ Canonical textual forms: ``const``, ``cheb1``, ``cheb2``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "mass",
     "moment",
     "chebyshev_moments",
-    "weight_values",
     "tensor_oracle",
 ]
 
@@ -169,8 +169,12 @@ def _angle_rule(w: WeightSpec, degree: int):
     """The gencheb oracle in the angle variables (t, s) of the module docstring:
     the Gauss-Jacobi(alpha, beta) rule (g, wg) and the factor
     P[a, b] = ((g_b - g_a)/2)^(2 gamma + 1), together exact through ``degree``
-    in t and in s."""
+    in t and in s.  A ValueError names alpha and beta where the mass, about M^2
+    for the Jacobi mass M, is past the float range."""
     g, wg = gauss_rule_1d(w.alpha, w.beta, degree // 2 + 1 + _ORACLE_MARGIN)
+    m = float(wg.sum())
+    if m * m == inf:
+        raise ValueError(f"the gencheb mass at alpha = {w.alpha}, beta = {w.beta} is past the float range")
     return g, wg, ((g[None, :] - g[:, None]) / 2) ** (2 * w.gamma + 1)
 
 
@@ -253,20 +257,3 @@ def mass(w: WeightSpec) -> float:
     """Total mass moment(w, 0, 0)."""
     return moment(w, 0, 0)
 
-
-def weight_values(w: WeightSpec, x, y) -> np.ndarray:
-    """Pointwise values W(x, y); infinite on the boundary for singular kinds."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if w.kind == "const":
-        return np.ones_like(x)
-    with np.errstate(divide="ignore"):
-        if w.kind == "gegenbauer":
-            return ((1 - x * x) * (1 - y * y)) ** (w.alpha - 0.5)
-        if w.kind == "jacobi2":
-            return (1 - x * x) ** w.alpha * (1 - y * y) ** w.beta
-        return (
-            np.abs(x - y) ** (2 * w.alpha + 1)
-            * np.abs(x + y) ** (2 * w.beta + 1)
-            * ((1 - x * x) * (1 - y * y)) ** w.gamma
-        )

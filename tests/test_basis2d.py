@@ -13,8 +13,6 @@ from cubasquare.basis2d import (
     basis_for,
     dim_upto,
     kernel_star_matrix,
-    p_general,
-    q_m_polynomial,
     star_spec_cheb1,
     star_spec_gaussian,
     star_spec_padua,
@@ -41,6 +39,13 @@ def p_general_trig(alpha, beta, sign, k, n, theta, phi) -> np.ndarray:
     t1 = jacobi_normalized_table(alpha, beta, deg, z1)
     t2 = jacobi_normalized_table(alpha, beta, deg, z2)
     return (t1[deg] * t2[k] - t1[k] * t2[deg]) / (2.0 * np.sin(theta) * np.sin(phi))
+
+
+def p_general(alpha, beta, sign, k, n, x, y) -> np.ndarray:
+    """P_{k,n} at (2xy, x^2+y^2-1) from the basis's own angle tables and core:
+    the symmetrized product (sign -1/2) or the divided difference (+1/2)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return basis2d._core(basis2d._angle_tables((alpha, beta), sign, max(n, k), x, y), n, slice(k, k + 1))[0]
 
 
 def gram(w, nmax):
@@ -365,41 +370,3 @@ class TestGeneralizedFamilies:
         v = p_general(0.5, 0.5, 0.5, 1, 3, x, y)
         assert np.all(np.isfinite(v))
         assert abs(v[0] - v[1]) < 1e-6
-
-
-class TestQm:
-    def test_vanishes_on_antidiagonal(self):
-        q = q_m_polynomial(0.5, 0.5, 3)
-        x = np.linspace(-1, 1, 17)
-        assert_allclose(q(x, -x), 0.0, atol=1e-13)
-
-    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5)])
-    def test_orthogonal_to_lower_degrees(self, a, b):
-        m = 2
-        w = gencheb(a, b, -0.5)
-        q = q_m_polynomial(a, b, m)
-        X, Y, wts = tensor_oracle(w, 4 * m + 6)
-        qv = q(X, Y)
-        scale = np.sqrt((wts * qv * qv).sum())
-        for i in range(2 * m + 1):
-            for j in range(2 * m + 1 - i):
-                val = (wts * qv * X**i * Y**j).sum()
-                assert abs(val) < 1e-9 * scale
-
-    def test_total_degree(self):
-        # fitting to a total-degree basis: exact at 2m+1, deficient at 2m
-        m = 2
-        q = q_m_polynomial(0.5, 0.5, m)
-        rng = np.random.default_rng(2)
-        x, y = rng.uniform(-1, 1, (2, 200))
-        vals = q(x, y)
-
-        def fit_residual(deg):
-            cols = [x**i * y**j for i in range(deg + 1) for j in range(deg + 1 - i)]
-            A = np.array(cols).T
-            _, res, *_ = np.linalg.lstsq(A, vals, rcond=None)
-            pred = A @ np.linalg.lstsq(A, vals, rcond=None)[0]
-            return np.abs(pred - vals).max()
-
-        assert fit_residual(2 * m + 1) < 1e-10
-        assert fit_residual(2 * m) > 1e-3

@@ -188,6 +188,22 @@ def test_gencheb_parameters_past_the_gamma_range(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("alpha, mass", [("1100", "Jacobi"), ("1000", "gencheb")])
+def test_gencheb_mass_past_the_float_range(alpha, mass, tmp_path):
+    # the Jacobi mass 2^1101 / 1101 is past the float range; at alpha = 1000 it
+    # is 2.1e298, but the gencheb mass, its square, is not: one error line names
+    # alpha and beta, before any overflowing product
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; from cubasquare.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["rule", "gencheb", "16", "--alpha", alpha, "--beta", "0", "--out", str(tmp_path / "rule.json")]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == f"error: the {mass} mass at alpha = {alpha}.0, beta = 0.0 is past the float range\n"
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+    assert not (tmp_path / "rule.json").exists()
+
+
 @pytest.mark.parametrize("args", [["nodes", "mint", "4", "--curve"], ["nodes", "padua", "4", "--curve"],
                                   ["nodes", "mint", "4", "--svg", "unused.svg", "--curve"]],
                          ids=["mint", "padua-without-svg", "mint-with-svg"])

@@ -17,7 +17,7 @@ from cubasquare.nodes import (
     padua_points,
     vanishing_residual,
 )
-from cubasquare.univariate import jacobi_angle_grid
+from cubasquare.univariate import eval_chebyshev_t, gauss_rule_1d, jacobi_normalized_table
 
 
 def as_set(pts, digits=10):
@@ -57,6 +57,37 @@ class TestCardinalities:
             near_min_t_nodes_odd(8)
 
 
+def closed_form_residual(ns):
+    """Max |p| over the nodes of the paper's closed forms p of the generating
+    polynomials of the minimal, near-minimal and gencheb families: a reference
+    for the kernel-spec rows that ``vanishing_residual`` reads."""
+    x, y = ns.points.T
+    n, T = ns.n, eval_chebyshev_t
+    if ns.family == "min_t_even":
+        polys = [T(n - k, x) * T(k, y) + T(k, x) * T(n - k, y) for k in range(n // 2 + 1)]
+    elif ns.family == "near_min_t_odd":
+        m = (n + 1) // 2
+        polys = [T(2 * m - k, x) * T(k - 1, y) - T(k - 1, x) * T(2 * m - k, y) for k in range(1, m + 1)]
+    else:
+        # p_m(z1) p_k(z2) + p_k(z1) p_m(z2), k = 0..m, at z1, z2 = xy -+ sqrt((1 - x^2)(1 - y^2)): Jacobi
+        # (alpha, beta) for even n = 2m, and (alpha + 1, beta) times (x - y) for odd n = 2m + 1
+        odd, m = n % 2, n // 2
+        root = np.sqrt(np.maximum((1 - x * x) * (1 - y * y), 0.0))
+        p1, p2 = (jacobi_normalized_table(ns.alpha + odd, ns.beta, m, z) for z in (x * y + root, x * y - root))
+        polys = [(x - y if odd else 1.0) * (p1[m] * p2[k] + p1[k] * p2[m]) for k in range(m + 1)]
+    return max(float(np.abs(p).max()) for p in polys)
+
+
+VANISHING = {
+    "gauss_u": lambda: gauss_u_nodes(20),
+    "min_t_even": lambda: min_t_nodes_even(20),
+    "near_min_t_odd": lambda: near_min_t_nodes_odd(19),
+    "padua": lambda: padua_points(20),
+    "gencheb_even": lambda: gencheb_nodes(0.5, -0.5, 20),
+    "gencheb_odd": lambda: gencheb_nodes(1.5, 0.5, 19),
+}
+
+
 class TestVanishing:
     def test_all_families(self):
         for n in range(1, 22):
@@ -64,13 +95,30 @@ class TestVanishing:
             assert vanishing_residual(padua_points(n)) < 1e-10
         for n in range(2, 22, 2):
             assert vanishing_residual(min_t_nodes_even(n)) < 1e-10
+            assert closed_form_residual(min_t_nodes_even(n)) < 1e-10
         for n in range(3, 22, 2):
             assert vanishing_residual(near_min_t_nodes_odd(n)) < 1e-10
+            assert closed_form_residual(near_min_t_nodes_odd(n)) < 1e-10
 
     def test_gencheb(self):
         for n in range(2, 14):
-            assert vanishing_residual(gencheb_nodes(0.5, 0.5, n)) < 1e-10
-            assert vanishing_residual(gencheb_nodes(0.5, -0.5, n)) < 1e-10
+            for ns in (gencheb_nodes(0.5, 0.5, n), gencheb_nodes(0.5, -0.5, n)):
+                assert vanishing_residual(ns) < 1e-10
+                assert closed_form_residual(ns) < 1e-10
+
+    @pytest.mark.parametrize("family", sorted(VANISHING))
+    def test_moved_node_fails(self, family):
+        # one node moved by 1e-6 leaves the common-zero set: the residual rises
+        # by orders of magnitude above the 1e-10 of the exact nodes
+        ns = VANISHING[family]()
+        pts = ns.points.copy()
+        pts[len(pts) // 3, 0] += 1e-6
+        moved = NodeSet(points=pts, family=ns.family, n=ns.n, expected_count=len(pts), alpha=ns.alpha,
+                        beta=ns.beta)
+        assert vanishing_residual(ns) < 1e-10
+        assert vanishing_residual(moved) > 1e-8
+        if family not in ("gauss_u", "padua"):
+            assert closed_form_residual(moved) > 1e-8
 
 
 class TestGeometry:
@@ -215,13 +263,13 @@ def reference_gencheb(alpha, beta, n):
         raise ValueError("n must be >= 2")
     if n % 2 == 0:
         m = n // 2
-        grid = jacobi_angle_grid(alpha, beta, m)
+        z = gauss_rule_1d(alpha, beta, m)[0]
         lo, expected, family = 1, moeller_count(n), "gencheb_even"
     else:
         m = (n - 1) // 2
-        grid = jacobi_angle_grid(alpha + 1, beta, m)
+        z = gauss_rule_1d(alpha + 1, beta, m)[0]
         lo, expected, family = 0, moeller_count(n) + 1, "gencheb_odd"
-    th = grid.thetas
+    th = np.concatenate([[0.0], np.arccos(z)[::-1]])  # angle 0, then the Jacobi-zero angles increasing
     pts = []
     for j in range(lo, m + 1):
         for k in range(j, m + 1):

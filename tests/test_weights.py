@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
-from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from cubasquare.univariate import chebyshev_t_table, gauss_rule_1d
@@ -199,23 +198,6 @@ class TestAdaptiveQuadratureAgreement:
         for i, j in [(0, 0), (2, 0), (2, 2), (4, 0)]:
             ref = quad(lambda x: x**i * inner(x, j), -1, 1, weight="alg", wvar=(-0.5, -0.5))[0]
             assert moment(w, i, j) == pytest.approx(ref, rel=1e-11)
-
-
-class TestCentralSymmetry:
-    def test_all_kinds(self):
-        from cubasquare.weights import weight_values
-
-        x, y = np.random.default_rng(1).uniform(-0.99, 0.99, (2, 50))
-        for w in ALL_WEIGHTS:
-            assert_allclose(weight_values(w, x, y), weight_values(w, -x, -y), rtol=1e-13)
-
-    def test_gencheb_pointwise(self):
-        from cubasquare.weights import weight_values
-
-        w = gencheb(0.5, -0.5, -0.5)
-        rng = np.random.default_rng(0)
-        x, y = rng.uniform(-0.99, 0.99, (2, 50))
-        assert_allclose(weight_values(w, x, y), weight_values(w, -x, -y), rtol=1e-13)
 
 
 class TestCanonicalStrings:
