@@ -209,6 +209,7 @@ def cmd_discover(args) -> int:
     report["solutions"] = [[format(v, ".17g") for v in s.h] for s in sols]
     if mode == "odd":
         report["algebraic_only"] = [[format(v, ".17g") for v in s.h] for s in search.algebraic_only]
+        report["stalled_fits"] = search.stalled
     if ref is not None:
         entry = {"reference_residual": float(np.abs(ref.residual()).max())}
         if sols:

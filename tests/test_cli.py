@@ -349,6 +349,14 @@ class TestDiscover:
         assert r0["oracle_report"]["passed"]
         assert list(outdir.glob("odd_n3_*.json"))
 
+    def test_odd_report_counts_stalled_fits(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["discover", "odd", "7", "--seeds", "2", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "not-found" and rep["stalled_fits"] == 2
+        assert run(["discover", "even", "5", "--seeds", "2", "--out", str(out)]) == 0
+        assert "stalled_fits" not in json.loads(out.read_text())
+
     def test_even_n6_not_found(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["discover", "even", "6", "--seeds", "25", "--rng", "0", "--out", str(out)]) == 0

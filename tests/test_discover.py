@@ -19,12 +19,16 @@ from cubasquare.cubature import exactness_check, weights_from_vandermonde
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
     KNOWN_ODD_HANKEL,
+    _STALL_STATUS,
+    _STALL_WINDOW,
     CommonZeroError,
     HankelParam,
     align_to_reference,
     common_zeros,
     _HankelSystem,
     _jacobi_system,
+    _Stalled,
+    _StallWatch,
     gamma_coefficient,
     least_squares,
     odd_system_search,
@@ -302,10 +306,30 @@ def write_lm_fits(path):
     Path(path).write_bytes(pickle.dumps(fits))
 
 
-@pytest.fixture(scope="module")
-def lm_fits(tmp_path_factory):
-    """The LM fits of ``write_lm_fits``, run in a fresh interpreter in which
-    glibc overwrites all freed memory with the byte 0x01 (no thread cache).
+WATCHED_SYSTEMS = [label for label, s in LM_SYSTEMS.items() if s.tail and label[:4] in ("odd4", "odd5")]
+
+
+def write_watched_fits(path):
+    """Fit the odd 4 and odd 5 rank-penalised systems from their fixed starts
+    with ``_HankelSystem.fit`` (under the stall watch) and with plain
+    ``discover.least_squares``; pickle {label: [(watched, plain), ...]} to path."""
+    fits = {}
+    for label in WATCHED_SYSTEMS:
+        system, pairs = LM_SYSTEMS[label], []
+        for x0 in fixed_starts(system):
+            h0 = np.zeros(system.nvar)
+            h0[system.free] = x0
+            plain = least_squares(system.residual, x0, jac=system.jacobian, method="lm",
+                                  max_nfev=600, **FIT_TOLS)
+            pairs.append((system.fit(h0, 600), plain))
+        fits[label] = pairs
+    Path(path).write_bytes(pickle.dumps(fits))
+
+
+def fits_in_child(tmp_path_factory, writer):
+    """The fits pickled by ``test_discover.<writer>``, run in a fresh
+    interpreter in which glibc overwrites all freed memory with the byte 0x01
+    (no thread cache).
 
     scipy's MINPACK lmder (scipy 1.17) reads the double just past its m x n
     Jacobian buffer, and a large stale value there (1e2 is enough for
@@ -317,11 +341,23 @@ def lm_fits(tmp_path_factory):
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
                MALLOC_PERTURB_="1", GLIBC_TUNABLES="glibc.malloc.tcache_count=0")
-    code = f"import test_discover; test_discover.write_lm_fits({str(path)!r})"
+    code = f"import test_discover; test_discover.{writer}({str(path)!r})"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
     return pickle.loads(path.read_bytes())
+
+
+@pytest.fixture(scope="module")
+def lm_fits(tmp_path_factory):
+    """The LM fits of ``write_lm_fits``, run by ``fits_in_child``."""
+    return fits_in_child(tmp_path_factory, "write_lm_fits")
+
+
+@pytest.fixture(scope="module")
+def watched_fits(tmp_path_factory):
+    """The fits of ``write_watched_fits``, run by ``fits_in_child``."""
+    return fits_in_child(tmp_path_factory, "write_watched_fits")
 
 
 class TestLeastSquares:
@@ -365,6 +401,72 @@ class TestLeastSquares:
             assert np.abs(r[:P] - ref_r[:P]).max() <= 1e-14 * np.abs(ref_r[:P]).max()
             assert np.abs(r[P:] - ref_r[P:]).max() <= 1e-14 * np.abs(ref_r[P:]).max()
             assert np.abs(J - ref_J).max() <= 1e-14 * np.abs(ref_J).max()
+
+
+class TestStallExit:
+    """The stall watch of the rank-penalised fits (``tail > 0``)."""
+
+    def test_window_rule(self):
+        """A flat |r| stops at evaluation _STALL_WINDOW + 1 with the first x,
+        one that falls by 0.6 per window there with the last x; one that
+        halves in fewer than _STALL_WINDOW evaluations never stops."""
+        for rate, best_x in ((1.0, 1.0), (0.6, _STALL_WINDOW + 1.0)):
+            watch = _StallWatch(lambda x: np.array([rate ** (x[0] / _STALL_WINDOW)]), None)
+            with pytest.raises(_Stalled) as stop:
+                for k in range(1, 3 * _STALL_WINDOW):
+                    watch.residual(np.array([float(k)]))
+            assert (stop.value.nfev, stop.value.njev, stop.value.x[0]) == (_STALL_WINDOW + 1, 0, best_x)
+        steady = _StallWatch(lambda x: np.array([0.5 ** (x[0] / (_STALL_WINDOW - 1))]), None)
+        for k in range(1, 5 * _STALL_WINDOW):
+            steady.residual(np.array([float(k)]))
+
+    def test_penalised_odd7_fit_stalls(self):
+        system = LM_SYSTEMS["odd7-pen-full"]
+        res = system.fit(fixed_starts(system, 1)[0], 600)
+        assert res.status == _STALL_STATUS
+        assert _STALL_WINDOW < res.nfev < 600 and 0 < res.njev < res.nfev
+        assert np.linalg.norm(res.fun) > 1e-3
+        assert np.array_equal(res.fun, system.residual(res.x))  # the best point and its residual
+        report = odd_system_search(7, seeds=3, rng_seed=0)
+        assert report.status == "not-found" and report.stalled == 3
+
+    def test_converged_fits_run_as_unwatched(self, watched_fits):
+        """Where the plain fit converges within the window, the watched fit
+        ends at the same point (to rounding: MINPACK fits are not
+        bit-reproducible within a process) with the same counts and status."""
+        compared = 0
+        for label in WATCHED_SYSTEMS:
+            system = LM_SYSTEMS[label]
+            for watched, plain in watched_fits[label]:
+                if plain.nfev > _STALL_WINDOW or np.abs(plain.fun).max() > 1e-10:
+                    continue
+                compared += 1
+                assert np.abs(watched.x[system.free] - plain.x).max() <= 1e-12 * system.scale, label
+                assert (watched.nfev, watched.njev, watched.status) == (plain.nfev, plain.njev,
+                                                                         plain.status), label
+        assert compared >= 7
+
+    def test_unpenalised_fits_are_not_watched(self):
+        # from this start the fit plateaus at |r| ~ 1e-2 and ends by xtol after 218 evaluations
+        system = _HankelSystem("odd", 6).restricted()
+        h0 = np.zeros(system.nvar)
+        h0[system.free] = fixed_starts(system, 1)[0]
+        res = system.fit(h0, 600)
+        assert res.nfev > _STALL_WINDOW and res.status != _STALL_STATUS
+
+    @pytest.mark.parametrize("method", ["lm", "trf"])
+    def test_least_squares_returns_the_stall(self, method):
+        system = LM_SYSTEMS["odd5-pen-full"] if method == "lm" else _HankelSystem("odd", 3)
+        assert system.method == method
+        x0 = fixed_starts(system, 1)[0]
+        best = system.residual(x0)
+
+        def fun(x):
+            raise _Stalled(x0, best, 7, 3)
+
+        res = least_squares(fun, x0, jac=system.jacobian, method=method, max_nfev=600, **FIT_TOLS)
+        assert res.status == _STALL_STATUS and (res.nfev, res.njev) == (7, 3)
+        assert res.x is x0 and res.fun is best
 
 
 def reference_poly_system(n, coeff_n, coeff_nm1, x, y):
