@@ -26,21 +26,15 @@ from .cubature import (
     rule_to_json,
     weights_from_vandermonde,
 )
-from .interp import convergence_report, family_rule, lebesgue_constant
-from .nodes import (
-    NodeSet,
-    gauss_u_nodes,
-    gencheb_nodes,
-    lissajous_curve_point,
-    min_t_nodes_even,
-    near_min_t_nodes_odd,
-    padua_points,
-)
+from .interp import _family_parts, convergence_report, family_rule, lebesgue_constant
+from .nodes import NodeSet, lissajous_curve_point
 from .weights import constant
 
 __all__ = ["main"]
 
-_FAMILIES = {"gaussu": 1, "mint": 2, "nearmint": 3, "padua": 1, "gencheb": 2}  # the smallest n of each
+# per family: its kernel family (``interp.family_rule``), its smallest n, and the parity n must have
+_FAMILIES = {"gaussu": ("cheb2", 1, None), "mint": ("cheb1", 2, 0), "nearmint": ("cheb1", 3, 1),
+             "padua": ("padua", 1, None), "gencheb": ("gencheb", 2, None)}
 
 _TEST_FUNCTIONS = {
     "exp_xy": lambda x, y: np.exp(x + y),
@@ -61,31 +55,19 @@ def _gencheb_shape(args):
     args.beta = 0.5 if args.beta is None else args.beta
 
 
-def _check_n(family: str, n: int):
-    """Each family from its smallest n; mint for even n only, nearmint for odd n only."""
-    if n < _FAMILIES[family]:
-        raise UsageError(f"family {family!r} needs n >= {_FAMILIES[family]}, not n = {n}")
-    if family == "mint" and n % 2:
-        raise UsageError("family 'mint' needs even n")
-    if family == "nearmint" and n % 2 == 0:
-        raise UsageError("family 'nearmint' needs odd n")
-
-
-def _build_nodes(family: str, n: int, alpha: float, beta: float) -> NodeSet:
-    _check_n(family, n)
-    if family == "gencheb":
-        return gencheb_nodes(alpha, beta, n)
-    return {"gaussu": gauss_u_nodes, "mint": min_t_nodes_even, "nearmint": near_min_t_nodes_odd,
-            "padua": padua_points}[family](n)
-
-
-def _kernel_family_name(family: str) -> str:
-    return {"gaussu": "cheb2", "mint": "cheb1", "nearmint": "cheb1", "padua": "padua",
-            "gencheb": "gencheb"}[family]
+def _kernel_family(family: str, n: int) -> str:
+    """The kernel family of ``family`` at n, once n is checked: each family
+    from its smallest n, mint for even n only, nearmint for odd n only."""
+    kernel, smallest, parity = _FAMILIES[family]
+    if n < smallest:
+        raise UsageError(f"family {family!r} needs n >= {smallest}, not n = {n}")
+    if parity is not None and n % 2 != parity:
+        raise UsageError(f"family {family!r} needs {('even', 'odd')[parity]} n")
+    return kernel
 
 
 def _table_family(args) -> tuple[str, list[int]]:
-    """interp/lebesgue family name and --n-list, each n checked by ``_check_n``;
+    """interp/lebesgue kernel family and --n-list, each n checked by ``_kernel_family``;
     the default list is odd for nearmint and even otherwise."""
     default = "5,9,17" if args.family == "nearmint" else "4,8,16"
     text = default if args.n_list is None else args.n_list
@@ -94,8 +76,8 @@ def _table_family(args) -> tuple[str, list[int]]:
     except ValueError:
         raise UsageError(f"--n-list takes comma-separated integers, not {text!r}") from None
     for n in n_list:
-        _check_n(args.family, n)
-    return _kernel_family_name(args.family), n_list
+        kernel = _kernel_family(args.family, n)
+    return kernel, n_list
 
 
 def _write_out(text: str, path: str | None):
@@ -109,7 +91,7 @@ def _write_out(text: str, path: str | None):
 def cmd_nodes(args) -> int:
     if args.curve and (args.family != "padua" or not args.svg):
         raise UsageError("--curve draws the Padua generating curve: it needs family 'padua' and --svg")
-    ns = _build_nodes(args.family, args.n, args.alpha, args.beta)
+    ns = _family_parts(_kernel_family(args.family, args.n), args.n, args.alpha, args.beta)[1]
     _write_out(ns.to_json(), args.out)
     if args.svg:
         curve = None
@@ -120,8 +102,7 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_rule(args) -> int:
-    _check_n(args.family, args.n)
-    rule = family_rule(_kernel_family_name(args.family), args.n, args.alpha, args.beta)[3]
+    rule = family_rule(_kernel_family(args.family, args.n), args.n, args.alpha, args.beta)[3]
     _write_out(rule_to_json(rule), args.out)
     return 0 if rule.oracle_report.passed else 1
 

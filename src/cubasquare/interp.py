@@ -42,7 +42,8 @@ from .basis2d import (
     star_spec_padua,
 )
 from .cubature import _calibrated_rule
-from .nodes import NodeSet, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd, padua_points
+from .nodes import (NodeSet, _cosines, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd,
+                    padua_points)
 from .univariate import chebyshev_t_table
 from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle, weight_string
 
@@ -157,6 +158,21 @@ def interpolate_padua(n: int, f_values) -> Interpolant:
     return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=deg, collocation_cond=cond)
 
 
+def _family_parts(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
+    """Weight, node set and uncalibrated kernel spec of a named
+    interpolation family (see ``family_rule``)."""
+    if family == "cheb1":
+        return cheb1(), min_t_nodes_even(n) if n % 2 == 0 else near_min_t_nodes_odd(n), star_spec_cheb1(n)
+    if family == "cheb2":
+        w = cheb2()
+        return w, gauss_u_nodes(n), star_spec_gaussian(w, n)
+    if family == "gencheb":
+        return gencheb(alpha, beta, -0.5), gencheb_nodes(alpha, beta, n), star_spec_gencheb(alpha, beta, n)
+    if family == "padua":
+        return cheb1(), padua_points(n), star_spec_padua(n)
+    raise ValueError(f"unknown kernel family {family!r}")
+
+
 def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
     """Node set, kernel spec calibrated on it, weight, and rule for a named
     interpolation family.
@@ -165,36 +181,15 @@ def family_rule(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
     ``cheb2`` (Gaussian), ``gencheb`` (alpha, beta; gamma = -1/2),
     ``padua`` (the Padua points, cheb1 weight).
     """
-    if family == "cheb1":
-        w = cheb1()
-        nodes = min_t_nodes_even(n) if n % 2 == 0 else near_min_t_nodes_odd(n)
-        spec = star_spec_cheb1(n)
-    elif family == "cheb2":
-        w = cheb2()
-        nodes = gauss_u_nodes(n)
-        spec = star_spec_gaussian(w, n)
-    elif family == "gencheb":
-        w = gencheb(alpha, beta, -0.5)
-        nodes = gencheb_nodes(alpha, beta, n)
-        spec = star_spec_gencheb(alpha, beta, n)
-    elif family == "padua":
-        w = cheb1()
-        nodes = padua_points(n)
-        spec = star_spec_padua(n)
-    else:
-        raise ValueError(f"unknown kernel family {family!r}")
+    w, nodes, spec = _family_parts(family, n, alpha, beta)
     rule, spec = _calibrated_rule(nodes, spec, w)
     return nodes, spec, w, rule
 
 
-def _lobatto_nodes(resolution: int) -> np.ndarray:
-    """Chebyshev-Lobatto points cos(k pi / (R-1)); nested under R -> 2R-1."""
-    return np.cos(np.arange(resolution) * np.pi / (resolution - 1))
-
-
 def _lobatto_grid(resolution: int) -> np.ndarray:
-    """Tensor grid of the Lobatto points, x varying slowest."""
-    g = _lobatto_nodes(resolution)
+    """Tensor grid of the Chebyshev-Lobatto points cos(k pi / (R-1)), x
+    varying slowest; nested under R -> 2R-1."""
+    g = _cosines(resolution - 1)
     X, Y = np.meshgrid(g, g, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
@@ -251,7 +246,7 @@ def lebesgue_constant(
     # j, then the y-degree, and add the |ell_k| into the running sums over k
     # at every grid point.
     m, R, factor = interp.degree, grid_resolution, interp.factor
-    refl, g = _reflections(interp), _lobatto_nodes(R)
+    refl, g = _reflections(interp), _cosines(R - 1)
     half = g[:(R + 1) // 2]  # g >= 0, the zero line included for odd R
     tx = chebyshev_t_table(m, half if "x" in refl else g)
     ty = chebyshev_t_table(m, half if "y" in refl or refl == {"central"} else g)

@@ -14,6 +14,9 @@ lattice (x_a, y_b) with a + b of one parity (``_checkerboard``).
 * ``gencheb``:        fourfold symmetrization of the half-angle sums and
                       differences of Jacobi-zero angles.
 
+Every builder makes each point once; ``_finish`` sorts them, and
+``_DEDUP_TOL`` only guards: two points that close are an error, not a merge.
+
 The generating polynomials of the minimal, near-minimal and gencheb
 families are the vanishing rows ``p_coeffs @ eval_degree(n, x, y)`` of
 their kernel specs (``basis2d.star_spec_cheb1``, ``star_spec_gencheb``),
@@ -116,19 +119,15 @@ def _json_text(fields: dict, **arrays: str) -> str:
 
 
 def _finish(points: np.ndarray, **kw) -> NodeSet:
-    """Sort the rows lexicographically, drop each point within ``_DEDUP_TOL``
-    (max norm) of the last point kept before it, and build the set.  Each
-    pass compares with the points the previous pass kept, which settles at
-    least one more leading point; the greedy choice is the fixed point."""
+    """Sort the rows lexicographically and build the set.  The builders make
+    each point once; ``_DEDUP_TOL`` only guards that: a ValueError names the
+    family, n, and alpha, beta if two neighbours in the sorted order lie
+    within it (max norm)."""
     pts = points[np.lexsort(points.T[::-1])]
-    keep = np.ones(len(pts), bool)
-    while True:
-        last = np.maximum.accumulate(np.where(keep, np.arange(len(pts)), 0))[:-1]
-        new = keep.copy()
-        new[1:] = np.abs(pts[1:] - pts[last]).max(axis=1) > _DEDUP_TOL
-        if np.array_equal(new, keep):
-            return NodeSet(points=pts[keep], **kw)
-        keep = new
+    if (np.abs(np.diff(pts, axis=0)) <= _DEDUP_TOL).all(axis=1).any():
+        where = ", ".join(f"{key}={kw[key]}" for key in ("n", "alpha", "beta") if key in kw)
+        raise ValueError(f"{kw['family']}({where}): two points lie within {_DEDUP_TOL:g} of each other")
+    return NodeSet(points=pts, **kw)
 
 
 def _cosines(d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -186,9 +185,11 @@ def gencheb_nodes(alpha: float, beta: float, n: int) -> NodeSet:
 
     Even n = 2m uses the degree-m Jacobi angles with parameters
     (alpha, beta) over 1 <= j <= k <= m; odd n = 2m+1 uses parameters
-    (alpha+1, beta) over 0 <= j <= k <= m, which places 2(m+1) points on
-    the main diagonal.  Each pair gives s = cos((th_j - th_k)/2),
-    t = cos((th_j + th_k)/2) and the images (s, t), (t, s), (-s, -t), (-t, -s).
+    (alpha+1, beta) over 0 <= j <= k <= m, th_0 = 0.  Each pair gives
+    s = cos((th_j - th_k)/2), t = cos((th_j + th_k)/2) and the images
+    (s, t), (t, s), (-s, -t), (-t, -s); the pairs with th_j = 0 have s == t
+    exactly and give (s, t) and (-s, -t) alone, the 2(m+1) points on the
+    main diagonal.  Every point is made once.
     """
     if alpha <= -1 or beta <= -1:
         raise ValueError("alpha, beta must exceed -1")
@@ -200,13 +201,12 @@ def gencheb_nodes(alpha: float, beta: float, n: int) -> NodeSet:
         th = np.concatenate([[0.0], th])
     j, k = np.triu_indices(len(th))
     s, t = np.cos((th[j] - th[k]) / 2.0), np.cos((th[j] + th[k]) / 2.0)
-    try:
-        return _finish(np.column_stack([s, t, t, s, -s, -t, -t, -s]).reshape(-1, 2),
-                       family=("gencheb_even", "gencheb_odd")[odd], n=n, expected_count=moeller_count(n) + odd,
-                       alpha=alpha, beta=beta,
-                       provenance=f"fourfold symmetrized half-angle lattice, jacobi degree {m}")
-    except ValueError as exc:
-        raise ValueError(f"gencheb node count degenerated for ({alpha}, {beta}, {n}): {exc}") from None
+    pts = np.column_stack([s, t, t, s, -s, -t, -t, -s]).reshape(-1, 2)
+    if odd:  # the first m + 1 pairs have th_j = 0: drop their (t, s), (-t, -s)
+        pts = np.delete(pts, np.arange(1, 4 * (m + 1), 2), axis=0)
+    return _finish(pts, family=("gencheb_even", "gencheb_odd")[odd], n=n, expected_count=moeller_count(n) + odd,
+                   alpha=alpha, beta=beta,
+                   provenance=f"fourfold symmetrized half-angle lattice, jacobi degree {m}")
 
 
 def lissajous_curve_point(n: int, t):

@@ -110,12 +110,12 @@ class TestNodesCommand:
                              ids=lambda a: "-".join(a))
     def test_file_is_the_stdlib_json_text(self, argv, tmp_path, capsys):
         # the one-pass writer gives the text json.dumps writes for the node file's fields
-        from cubasquare.cli import _build_nodes
+        from cubasquare.cli import _family_parts, _kernel_family
 
         out = tmp_path / "nodes.json"
         assert run(["nodes", *argv, "--out", str(out)]) == 0
         alpha, beta = (0.3, -0.2) if "--alpha" in argv else (0.5, 0.5)
-        ns = _build_nodes(argv[0], int(argv[1]), alpha, beta)
+        ns = _family_parts(_kernel_family(argv[0], int(argv[1])), int(argv[1]), alpha, beta)[1]
         want = {"family": ns.family, "n": ns.n, "count": len(ns),
                 "points": [[format(x, ".17g"), format(y, ".17g")] for x, y in ns.points],
                 "provenance": ns.provenance}
@@ -186,6 +186,21 @@ def test_gencheb_parameters_past_the_gamma_range(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["nodes", "rule"])
+def test_gencheb_parameters_below_the_weight_range(command, tmp_path):
+    # nodes and rule pick the family's parts in one place: alpha <= -1 is the
+    # weight's one error line, exit 1, and nothing is written
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; from cubasquare.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [command, "gencheb", "8", "--alpha", "-1.5", "--out", str(tmp_path / "out.json")]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: gencheb weight needs alpha, beta > -1\n"
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("alpha, mass", [("1100", "Jacobi"), ("1000", "gencheb")])
@@ -322,6 +337,7 @@ class TestTables:
 # that names n, and nothing is written
 @pytest.mark.parametrize("command,message", [
     ("discover odd 1", "discover needs n >= 2, not n = 1"),
+    ("nodes gaussu 0", "family 'gaussu' needs n >= 1, not n = 0"),
     ("rule padua 0", "family 'padua' needs n >= 1, not n = 0"),
     ("rule gencheb 1", "family 'gencheb' needs n >= 2, not n = 1"),
     ("nodes nearmint 1", "family 'nearmint' needs n >= 3, not n = 1"),

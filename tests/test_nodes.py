@@ -326,13 +326,12 @@ class TestLoopReferences:
     def test_gencheb_bad_parameters(self, alpha, beta):
         assert_same_error(gencheb_nodes, reference_gencheb, alpha, beta, 8)
 
-    def test_dedupe_is_greedy_against_the_last_kept_point(self):
-        # a chain of points 0.8e-12 apart: each is within the tolerance of its
-        # predecessor, but only every other one of the point kept before it
-        chain = [(0.8e-12 * i, 0.5) for i in range(7)] + [(0.3, -0.1), (0.3, -0.1 + 1e-13), (0.3, 0.2)]
-        meta = dict(family="chain", n=1, expected_count=6)
-        rng = np.random.default_rng(0)
-        shuffled = np.array(chain)[rng.permutation(len(chain))]
-        got = _finish(shuffled, **meta)
-        assert_same_set(got, reference_finish(list(map(tuple, shuffled)), **meta))
-        assert np.array_equal(got.points[:, 0][:4], 1.6e-12 * np.arange(4))
+    def test_points_within_the_guard_are_an_error(self):
+        # the builders make each point once; _finish sorts and merges nothing
+        pts = np.array([(0.3, -0.1), (-0.5, 0.2), (0.3, -0.1 + 1e-13), (0.9, 0.0)])
+        with pytest.raises(ValueError, match=r"^close\(n=1\): two points lie within 1e-12 of each other$"):
+            _finish(pts, family="close", n=1, expected_count=4)
+        with pytest.raises(ValueError, match=r"^close\(n=5, alpha=0\.3, beta=-0\.2\): "):
+            _finish(pts, family="close", n=5, expected_count=4, alpha=0.3, beta=-0.2)
+        got = _finish(pts[[3, 2, 1]], family="close", n=1, expected_count=3)
+        assert np.array_equal(got.points, pts[[1, 2, 3]])
