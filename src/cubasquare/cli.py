@@ -158,7 +158,8 @@ def cmd_lebesgue(args) -> int:
         if fam == "gencheb":
             row["per_power"] = lam / n ** (2 * max(args.alpha, args.beta) + 1)
         rows.append(row)
-    if args.format == "json":
+    if args.format == "json":  # per_log2 is undefined at n = 1: null, as JSON has no NaN
+        rows = [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in r.items()} for r in rows]
         _write_out(json.dumps(rows, indent=2), args.out)
     else:
         cols = list(rows[0].keys())

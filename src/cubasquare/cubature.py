@@ -374,9 +374,13 @@ def rule_from_dict(d: dict) -> CubatureRule:
         lambdas = np.fromiter(map(float, lam), float, len(lam))
     except TypeError:
         raise ValueError("every coordinate and weight must be a number or a numeric string") from None
+    if not (np.isfinite(pts).all() and np.isfinite(lambdas).all()):
+        raise ValueError("every coordinate and weight must be finite")
     for name in ("degree", "n"):
         if type(d[name]) is not int:
             raise ValueError(f"{name} must be an integer, not {d[name]!r}")
+    if d["degree"] < 0:
+        raise ValueError(f"degree must be non-negative, not {d['degree']}")
     if not isinstance(d["weight"], str):
         raise ValueError(f"weight must be a string, not {d['weight']!r}")
     ns = NodeSet(

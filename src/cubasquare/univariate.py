@@ -6,7 +6,11 @@ kernel for Chebyshev T and U and one for the normalized Jacobi polynomials
 order of the plain array recurrence, so each table is bit for bit its values.
 Polynomials of negative degree evaluate to 0 throughout the package.  Zeros
 and quadrature rules come from the Golub-Welsch eigenvalue method on the
-symmetric Jacobi matrix, followed by one Newton polish step.
+symmetric Jacobi matrix, followed by one Newton polish step.  The eigenvalue
+solve is numpy's LAPACK ``dsyevd`` on the dense tridiagonal matrix: its
+Householder step is the identity there, so it runs the divide and conquer
+(``dstedc``) of LAPACK's tridiagonal ``dstevd``, and the module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from contextlib import suppress
 from math import exp, inf, lgamma, log, gamma as _gamma
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "eval_chebyshev_t",
@@ -172,7 +175,9 @@ def gauss_rule_1d(alpha: float, beta: float, m: int):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ra, rb = jacobi_recurrence(alpha, beta, m)
-    z, vec = eigh_tridiagonal(ra, np.sqrt(rb[1:m]))
+    jac = np.diag(ra)
+    np.fill_diagonal(jac[:, 1:], np.sqrt(rb[1:m]))  # the upper diagonal, all that eigh reads
+    z, vec = np.linalg.eigh(jac, UPLO="U")
     w = rb[0] * vec[0] ** 2
     p, dp = jacobi_normalized_table_with_derivative(alpha, beta, m, z)
     z = z - p[m] / dp[m]

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,14 +18,38 @@ def run(args):
     return main(args)
 
 
-def test_parser_does_not_load_scipy_optimize():
-    # only `discover` needs scipy.optimize; every other command skips its import time
+def test_parser_loads_no_scipy():
+    # only `discover` needs scipy; importing the CLI and building its parser loads none of it
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys; from cubasquare import cli; cli._parser(); print('scipy.optimize' in sys.modules)"
+    code = ("import sys; from cubasquare import cli; cli._parser(); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_only_discover_loads_scipy(tmp_path):
+    # nodes, rule (gencheb, through the Gauss-Jacobi rules), verify, interp and
+    # lebesgue run on numpy alone; discover then loads scipy in the same process
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = textwrap.dedent("""
+        import json, sys
+        from cubasquare.cli import main
+        out, rule = sys.argv[1], sys.argv[2]
+        runs = [["nodes", "mint", "4", "--out", out], ["rule", "gencheb", "6", "--out", rule], ["verify", rule],
+                ["interp", "padua", "--n-list", "4", "--resolution", "11", "--out", out],
+                ["lebesgue", "mint", "--n-list", "4", "--resolution", "64", "--out", out]]
+        codes = [main(argv) for argv in runs]
+        before = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        codes.append(main(["discover", "even", "3", "--seeds", "1", "--out", out]))
+        print(json.dumps({"codes": codes, "before": before, "after": "scipy" in sys.modules}))
+    """)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out"), str(tmp_path / "rule.json")],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.strip().splitlines()[-1])
+    assert got == {"codes": [0] * 6, "before": [], "after": True}
 
 
 def test_one_parser_serves_every_command(tmp_path, monkeypatch, capsys):
@@ -287,6 +313,29 @@ class TestRuleAndVerify:
         assert capsys.readouterr().err.startswith("error: cannot load rule file: ")
 
 
+    @pytest.mark.parametrize("edit", ["nan-coordinate", "inf-weight", "negative-degree"])
+    def test_unusable_values_exit_2(self, edit, tmp_path, capsys):
+        # a non-finite coordinate or weight, or a negative degree, is a load
+        # error: nothing is graded and no numpy warning is printed
+        rf = tmp_path / "rule.json"
+        assert run(["rule", "mint", "8", "--out", str(rf)]) == 0
+        d = json.loads(rf.read_text())
+        if edit == "nan-coordinate":
+            d["nodes"][1][0] = "nan"
+        elif edit == "inf-weight":
+            d["lambdas"][2] = "inf"
+        else:
+            d["degree"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load rule file: ")
+
     @pytest.mark.parametrize("field,value", [("degree", None), ("n", None), ("weight", 5),
                                              ("degree", 15.5), ("degree", True)])
     def test_wrong_scalar_type_exit_2(self, field, value, tmp_path, capsys):
@@ -324,6 +373,18 @@ class TestTables:
         out = tmp_path / "table.csv"
         assert run([command, "mint", "--n-list", "4", "--resolution", resolution, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_lebesgue_json_is_strict_json_at_n_1(self, tmp_path):
+        # per_log2 is undefined at n = 1; the file holds null there, not a bare NaN
+        out = tmp_path / "leb.json"
+        assert run(["lebesgue", "padua", "--n-list", "1,2", "--resolution", "64", "--format", "json",
+                    "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        assert [r["per_log2"] is None for r in rows] == [True, False]
 
     def test_interp_json(self, tmp_path):
         out = tmp_path / "conv.json"

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 
 from cubasquare.univariate import (
     chebyshev_t_table,
@@ -303,3 +304,21 @@ class TestGaussRule:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             gauss_rule_1d(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (-0.5, -0.5), (0.3, -0.2), (1.5, -0.5), (5.0, 5.0), (-0.9, 3.0),
+                                     (-0.99, 20.0), (20.0, -0.99), (100.0, 100.0), (170.0, 0.0)])
+    def test_matches_the_tridiagonal_reference(self, a, b):
+        # the dense symmetric solve against scipy's tridiagonal one, with the same
+        # weights and Newton step: a few ulps apart at most, so that another
+        # LAPACK build may round differently
+        eps = np.finfo(float).eps
+        for m in (1, 2, 3, 8, 17, 64, 65, 129, 130, 260, 520):
+            ra, rb = jacobi_recurrence(a, b, m)
+            z, vec = eigh_tridiagonal(ra, np.sqrt(rb[1:m]))
+            w = rb[0] * vec[0] ** 2
+            p, dp = jacobi_normalized_table_with_derivative(a, b, m, z)
+            z = z - p[m] / dp[m]
+            order = np.argsort(z)
+            x, wx = gauss_rule_1d(a, b, m)
+            assert_allclose(x, z[order], rtol=0, atol=4 * eps)
+            assert_allclose(wx, w[order], rtol=4 * eps, atol=4 * eps * w.max())
