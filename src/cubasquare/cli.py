@@ -265,10 +265,13 @@ def _parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_interp)
 
     q = sub.add_parser("lebesgue", help="Lebesgue constant table",
-                       description="Lebesgue constant table on the R x R Chebyshev-Lobatto grid.  Cost per "
-                       "node: m + 1 multiply-adds per grid point kept and dim = (m + 1)(m + 2) / 2 per "
-                       "x point kept (m the interpolant's degree); the verified reflections of the node "
-                       "set keep half or a quarter of the grid.  mint 64 at R = 256: 2.8e9 multiply-adds.")
+                       description="Lebesgue constant table on the R x R Chebyshev-Lobatto grid; the verified "
+                       "reflections of the node set, and for mint the diagonal swap, keep half, a quarter or "
+                       "an eighth of it.  mint, nearmint, padua and gaussu: m + 1 multiply-adds per node and "
+                       "grid point kept (m the interpolant's degree), O(n^2 R) memory.  At R = 256 (one "
+                       "process, 2 vCPUs): mint 64 0.22 s and 40 MB peak RSS, mint 128 0.58 s and 70 MB, "
+                       "padua 64 0.4 s and 44 MB, padua 128 1.2 s and 91 MB.  gencheb forms the dim x N "
+                       "cardinal factor: 0.41 s and 87 MB at n = 64, 3.7 s and 608 MB at n = 128.")
     add_family(q, with_n=False)
     add_table(q, resolution=256)
     q.set_defaults(fn=cmd_lebesgue)

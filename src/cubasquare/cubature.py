@@ -168,27 +168,21 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, e
     ``reductions`` (``node_reductions``) is (start, |F_low|^2, degree-n rows,
     F_low w over the block), with F_low the basis rows of degree <= n-1.
 
-    The vanishing combinations must vanish on the nodes to 1e-12 of the
-    largest degree-n value there, at least 1 (1.2e8 for gencheb (-0.9, 3) at
-    n = 64).  The weights must satisfy the unisolvent equations
-    [F_low; Q] w = e_0, K* must be positive, and mass / K* must reproduce
-    mass * w; each failing one is named in the error, after ``earlier``.
+    The nodes must be common zeros of the vanishing combinations
+    (``_common_zero_checked``).  The weights must satisfy the unisolvent
+    equations [F_low; Q] w = e_0, K* must be positive, and mass / K* must
+    reproduce mass * w; each failing one is named in the error, after
+    ``earlier``.
     """
     failures = list(earlier)
     low_sq = np.empty(len(w_unit))  # |F_low(z_k)|^2
     Q = np.empty((spec.sigma, len(w_unit)))
     low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w
-    van = top = 0.0  # largest |p_coeffs F_n| and |F_n| over the nodes
-    for s, sq, Fn, lw in reductions:
+    for s, sq, Fn, lw in _common_zero_checked(spec, reductions):
         e = s + len(sq)
-        van = max(van, float(np.abs(spec.p_coeffs @ Fn).max(initial=0.0)))
-        top = max(top, float(Fn.max(initial=0.0)), -float(Fn.min(initial=0.0)))
         low_sq[s:e] = sq
         Q[:, s:e] = spec.q_coeffs @ Fn
         low_w += lw
-    if not van <= 1e-12 * max(1.0, top):
-        raise CubatureError(f"node set is not the common-zero set of the spec (residual {van:.2e}, "
-                            f"largest degree-{spec.n} value {top:.2e})")
     kdiag = low_sq  # K* = K_{n-1} for sigma = 0
     if spec.sigma:
         spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
@@ -205,6 +199,33 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, e
     if failures:
         raise CubatureError("; ".join(failures))
     return spec, kdiag
+
+
+def _common_zero_checked(spec: KernelStarSpec, reductions):
+    """Pass the node reductions on, block by block, and once they are used up
+    raise a CubatureError unless the vanishing combinations p_coeffs F_n
+    vanish on the nodes to the rounding of the nodes: at each node z_k, to
+    64 eps n^2 max(1, max_r |F_r(z_k)|).  The coordinates are rounded to
+    about eps |z|, and the gradient of a degree-n polynomial can reach n^2
+    times its size on the square (Markov), so the residual of exact nodes
+    grows with n.  Measured on exact node sets (cheb1 n = 2..512, gencheb
+    at 13 (alpha, beta) pairs up to n = 128): at most 6.7 eps n^2 times the
+    node's largest value; a node moved by 1e-6 leaves 1.8e9 to 8e9 times."""
+    n = spec.n
+    scale = 64 * np.finfo(float).eps * n * n
+    worst, at = 0.0, (0.0, 0.0)  # the largest residual / bound, and that node's residual and bound
+    for block in reductions:
+        Fn = block[2]
+        van = np.abs(spec.p_coeffs @ Fn).max(axis=0, initial=0.0)
+        bound = scale * np.maximum(1.0, np.abs(Fn).max(axis=0, initial=0.0))
+        ratio = van / bound
+        if ratio.size and not ratio.max() <= worst:  # NaN counts as the worst
+            k = int(np.argmax(ratio))
+            worst, at = ratio[k], (van[k], bound[k])
+        yield block
+    if not worst <= 1.0:
+        raise CubatureError(f"node set is not the common-zero set of the spec (residual {at[0]:.2e} "
+                            f"at a node where the bound is {at[1]:.2e})")
 
 
 def weights_from_vandermonde(nodes: NodeSet, w: WeightSpec, exact_degree: int) -> CubatureRule:

@@ -13,11 +13,18 @@ through its (m + 1)^2 coefficient square and the 1-D tables at the points.
 
 Lebesgue constants are estimated from below on Chebyshev-Lobatto tensor
 grids (nested when the resolution goes R -> 2R-1, so the estimate is
-monotone along that refinement path); there the cardinal values factor
-into an x-degree contraction over the total-degree triangle and a y-degree
-one with the table T_i(g) of the 1-D grid g, and Lambda is evaluated on one
-point of each orbit of the reflections verified on the nodes and on the
-factor (2.8e9 multiply-adds at n = 64, R = 256, from 1.1e10).
+monotone along that refinement path), on one point of each orbit of the
+folds verified on the nodes: the reflections x -> -x, y -> -y and
+(x, y) -> (-x, -y), and the diagonal swap (x, y) -> (y, x) where both axes
+are folded alike.  The basis type picks the route.  For a product basis
+p_i(x) q_j(y) (cheb1: minimal, near-minimal and Padua nodes; cheb2:
+Gaussian nodes) the kernel is sum_ij C_ij p_i(x_k) p_i(x) q_j(y_k) q_j(y)
+with one coefficient per (i, j), 1 below degree n and read from the
+calibrated spec on degree n, so the cardinal values on the grid come from
+1-D tables per node column: N A B (m + 1) multiply-adds on the folded
+A x B grid (1.4e9 for the minimal nodes at n = 64, R = 256) in O(n^2 R)
+memory, with no dim x N factor.  gencheb, whose basis is no product in x
+and y, contracts the cardinal factor of ``interpolate_kernel``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import numpy as np
 from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
+    OrthoBasis2D,
+    _ProductOrthoBasis2D,
     _cheb_total_degree_rows,
     _degree_pairs,
     _kernel_star_node_factor,
@@ -41,10 +50,10 @@ from .basis2d import (
     star_spec_gencheb,
     star_spec_padua,
 )
-from .cubature import _calibrated_rule
+from .cubature import CubatureError, _calibrated_rule
 from .nodes import (NodeSet, _cosines, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd,
                     padua_points)
-from .univariate import chebyshev_t_table
+from .univariate import chebyshev_t_table, jacobi_normalized_table
 from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle, weight_string
 
 __all__ = [
@@ -194,62 +203,165 @@ def _lobatto_grid(resolution: int) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
-def _reflections(interp: Interpolant) -> set[str]:
-    """Reflections "x" (x -> -x), "y" (y -> -y), "central" ((x, y) -> (-x, -y))
-    verified to map the Lebesgue function onto itself: the nodes map onto
-    themselves, z_pi(k) = sigma z_k to 1e-12 (paired by sorting coordinates
-    rounded to 2^-30), and D factor == factor[:, pi] to 1e-12 relative with
-    D = (-1)^i, (-1)^j or (-1)^(i+j) on the rows T_i(x) T_j(y), compared
-    through one product with a fixed random vector (O(dim + N) memory).
-    Then ell_k(sigma p) = ell_pi(k)(p), so Lambda(sigma p) = Lambda(p)."""
-    pts, factor = interp.nodes.points, interp.factor
-    i, j = _degree_pairs(interp.degree)
-    v = np.random.default_rng(0).uniform(-1.0, 1.0, len(factor))
-    vf, order = v @ factor, np.lexsort(np.rint(pts * 2**30).T[::-1])
-    tol = 1e-12 * max(factor.max(), -factor.min()) * np.abs(v).sum()
-    found = set()
-    for name, sx, sy in (("x", 1, 0), ("y", 0, 1), ("central", 1, 1)):
-        image = pts * [(-1) ** sx, (-1) ** sy]
+# grid rows per block of the grid route: few enough that the blocks of the
+# diagonal's triangle a >= b overshoot it by one block width, enough for
+# full-speed GEMMs
+_GRID_ROWS = 32
+
+_FOLDS = {  # name: (x sign, y sign, x and y swapped)
+    "x": (-1.0, 1.0, False), "y": (1.0, -1.0, False), "central": (-1.0, -1.0, False),
+    "diagonal": (1.0, 1.0, True),
+}
+
+
+def _reflections(pts: np.ndarray, same) -> set[str]:
+    """The folds of the square, "x" (x -> -x), "y" (y -> -y), "central"
+    ((x, y) -> (-x, -y)) and, once "x" and "y" hold, "diagonal"
+    ((x, y) -> (y, x)), verified to map the Lebesgue function onto itself.
+    The nodes ``pts`` must map onto themselves, z_pi(k) = sigma z_k to 1e-12
+    (paired by sorting coordinates rounded to 2^-30), and ``same(name, pi)``
+    must confirm that the route's per-node data maps with them.  Then
+    ell_k(sigma p) = ell_pi(k)(p), so Lambda(sigma p) = Lambda(p)."""
+    def sort(p):
+        return np.lexsort(np.rint(p * 2**30).T[::-1])
+
+    order, found = sort(pts), set()
+    for name, (sx, sy, swap) in _FOLDS.items():
+        if swap and not {"x", "y"} <= found:
+            continue
+        image = (pts[:, ::-1] if swap else pts) * [sx, sy]
         pi = np.empty(len(pts), dtype=int)
-        pi[np.lexsort(np.rint(image * 2**30).T[::-1])] = order
-        if (np.abs(pts[pi] - image).max() <= 1e-12
-                and np.abs((v * (-1.0) ** (sx * i + sy * j)) @ factor - vf[pi]).max() <= tol):
+        pi[sort(image)] = order
+        if np.abs(pts[pi] - image).max() <= 1e-12 and same(name, pi):
             found.add(name)
     return found
 
 
-def lebesgue_constant(
-    family: str,
-    n: int,
-    grid_resolution: int = 256,
-    alpha: float = 0.5,
-    beta: float = 0.5,
-) -> float:
-    """Lower estimate of the sup-norm Lebesgue constant on a tensor grid.
+def _kept(g: np.ndarray, folds: set[str]):
+    """The x and y points of the 1-D grid g that the folds keep: g >= 0 (the
+    zero line included for odd R) on an axis with its reflection, on y for
+    the central one alone."""
+    half = g[:(len(g) + 1) // 2]
+    return half if "x" in folds else g, half if "y" in folds or folds == {"central"} else g
 
-    Lambda = sum_k |ell_k| is evaluated on one point of each orbit of the
-    reflections that ``_reflections`` verifies: an x or y reflection keeps
-    the Lobatto points g >= 0 of that axis, the central one alone those of
-    y.  Per node, the x-contraction runs over the total-degree triangle and
-    the y-contraction over the m + 1 y-degrees.  At n = 64, R = 256 (minimal
-    nodes, both axes halved) that is 2112 x (2145 x 128 + 65 x 128^2) =
-    2.8e9 multiply-adds, against 1.1e10 on the full grid with the
-    zero-filled (m + 1)^2 square.
-    """
-    if grid_resolution < 64:
-        raise ValueError("grid_resolution must be >= 64")
-    nodes, spec, w, _ = family_rule(family, n, alpha, beta)
-    interp = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
+
+def _factor_match(interp: Interpolant):
+    """``same`` of ``_reflections`` for the factor route: D factor ==
+    factor[:, pi] to 1e-12 relative with D = (-1)^i, (-1)^j or (-1)^(i+j) on the
+    rows T_i(x) T_j(y), compared through one product with a fixed random
+    vector (O(dim + N) memory).  This route folds by the reflections alone."""
+    factor = interp.factor
+    i, j = _degree_pairs(interp.degree)
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, len(factor))
+    vf = v @ factor
+    tol = 1e-12 * max(factor.max(), -factor.min()) * np.abs(v).sum()
+
+    def same(name, pi):
+        sx, sy, swap = _FOLDS[name]
+        return not swap and np.abs((v * sx**i * sy**j) @ factor - vf[pi]).max() <= tol
+    return same
+
+
+def _kappa_match(basis: OrthoBasis2D, C: np.ndarray, kappa: np.ndarray):
+    """``same`` of ``_reflections`` for the grid route: kappa[pi] == kappa to
+    1e-12 of the largest.  The kernel sum_ij C_ij p_i(x) p_i(x') q_j(y) q_j(y')
+    is itself invariant under each reflection (p_i(-x) = (-1)^i p_i(x) for
+    the symmetric Jacobi axes of a product weight), and under the swap when
+    both axes have one basis and C is symmetric, which is checked too."""
+    swaps = basis._ax == basis._ay and np.abs(C - C.T).max() <= 1e-12 * np.abs(C).max()
+
+    def same(name, pi):
+        return (swaps or not _FOLDS[name][2]) and np.abs(kappa[pi] - kappa).max() <= 1e-12 * kappa.max()
+    return same
+
+
+def _degree_n_coefficients(basis: OrthoBasis2D, spec: KernelStarSpec, pts: np.ndarray) -> np.ndarray:
+    """c_k, the coefficient of the degree-n row k, p_{n-k}(x) q_k(y), in the
+    kernel's degree-n block q^T S^-1 q as the nodes ``pts`` see it: the
+    least-squares ratio over the nodes of row k of q^T S^-1 q F_n to row k of
+    F_n (F_n the degree-n rows at the nodes; 0 where F_n's row is 0).  The
+    ratio must hold at every node to 1e-12 of the largest |q^T S^-1 q F_n|,
+    else a CubatureError.  0 for sigma = 0, where K* = K_{n-1}."""
+    n = spec.n
+    c = np.zeros(n + 1)
+    if not spec.sigma:
+        return c
+    Fn = basis.eval_degree(n, *pts.T)
+    MF = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ Fn)
+    ff = np.einsum("kj,kj->k", Fn, Fn)
+    np.divide(np.einsum("kj,kj->k", MF, Fn), ff, out=c, where=ff > 0)
+    scale = np.abs(MF).max()
+    Fn *= c[:, None]
+    MF -= Fn
+    misfit = np.abs(MF).max() / scale
+    if not misfit <= 1e-12:
+        raise CubatureError(f"the degree-{n} block of the kernel is not one coefficient per row at the "
+                            f"nodes (misfit {misfit:.2e})")
+    return c
+
+
+def _grid_kernel(basis: OrthoBasis2D, spec: KernelStarSpec, pts: np.ndarray):
+    """The coefficient square C and the diagonal kappa_k = mass K*(z_k, z_k)
+    of the kernel interpolant of a product basis p_i(x) q_j(y) at the nodes
+    ``pts``: mass K*(z_k, p) = sum_ij C_ij p_i(x_k) p_i(x) q_j(y_k) q_j(y) over
+    i + j <= m.  C is 1 below degree n and c_k (``_degree_n_coefficients``)
+    on the degree-n row k, (i, j) = (n - k, k); m = n, or n - 1 when every
+    c_k is 0 (the Gaussian nodes).  kappa comes from the 1-D tables at the
+    nodes."""
+    n = spec.n
+    c = _degree_n_coefficients(basis, spec, pts)
+    m = n if c.any() else n - 1
+    C = _square(np.ones((dim_upto(m), 1)), m)[:, :, 0]
+    if m == n:
+        C[n - np.arange(n + 1), np.arange(n + 1)] = c
+    px, py = (np.square(jacobi_normalized_table(*ab, m, t)) for ab, t in zip((basis._ax, basis._ay), pts.T))
+    return C, np.einsum("jk,jk->k", py, C.T @ px)
+
+
+def _grid_lebesgue(basis: OrthoBasis2D, pts: np.ndarray, C: np.ndarray, kappa: np.ndarray, g: np.ndarray) -> float:
+    """max over the grid g x g of sum_k |ell_k|, ell_k = mass K*(z_k, .) / kappa_k
+    from ``_grid_kernel``, on the grid points kept by the folds that
+    ``_reflections`` verifies (see ``lebesgue_constant``)."""
+    m = len(C) - 1
+    folds = _reflections(pts, _kappa_match(basis, C, kappa))
+    gx, gy = _kept(g, folds)
+    pg = jacobi_normalized_table(*basis._ax, m, gx)
+    qg = jacobi_normalized_table(*basis._ay, m, gy)
+    xs, col = np.unique(pts[:, 0], return_inverse=True)
+    px = jacobi_normalized_table(*basis._ax, m, xs)
+    columns = {}  # the node columns by their y-coordinates
+    for c in range(len(xs)):
+        ks = np.flatnonzero(col == c)
+        columns.setdefault(pts[ks, 1].tobytes(), []).append((c, ks))
+    sums = np.zeros((len(gx), len(gy)))
+    for group in columns.values():
+        K = len(group[0][1])
+        qy = jacobi_normalized_table(*basis._ay, m, pts[group[0][1], 1])
+        Y = (qg[:, :, None] * qy[:, None, :]).reshape(m + 1, -1)  # (j, b k): q_j(g_b) q_j(y_k)
+        step = max(1, min(_GRID_ROWS, _BLOCK_BYTES // (8 * len(gy) * K)))
+        for c, ks in group:
+            Z = pg.T @ (px[:, c, None] * C)  # (a, j): sum_i C_ij p_i(x_c) p_i(g_a)
+            inv = 1.0 / kappa[ks]
+            for a in range(0, len(gx), step):
+                e = min(a + step, len(gx))
+                b = e if "diagonal" in folds else len(gy)
+                L = Z[a:e] @ Y[:, :b * K]  # (a, b, k)
+                sums[a:e, :b] += (np.abs(L, out=L).reshape(-1, K) @ inv).reshape(e - a, b)
+    return float(sums.max())
+
+
+def _factor_lebesgue(interp: Interpolant, g: np.ndarray) -> float:
+    """max over the grid g x g of sum_k |ell_k| from the cardinal factor of
+    ``interp``, on the grid points kept by the reflections that
+    ``_reflections`` verifies (see ``lebesgue_constant``)."""
     # ell_k(g_a, g_b) = sum_j T_j(g_b) sum_i T_i(g_a) factor[(i, j), k]: per
     # block of nodes, gathered once with the rows of each y-degree j (rows
     # dim_upto(d-1) + j, d = j..m) side by side, contract the x-degree on each
     # j, then the y-degree, and add the |ell_k| into the running sums over k
     # at every grid point.
-    m, R, factor = interp.degree, grid_resolution, interp.factor
-    refl, g = _reflections(interp), _cosines(R - 1)
-    half = g[:(R + 1) // 2]  # g >= 0, the zero line included for odd R
-    tx = chebyshev_t_table(m, half if "x" in refl else g)
-    ty = chebyshev_t_table(m, half if "y" in refl or refl == {"central"} else g)
+    m, R, factor = interp.degree, len(g), interp.factor
+    folds = _reflections(interp.nodes.points, _factor_match(interp))
+    tx, ty = (chebyshev_t_table(m, t) for t in _kept(g, folds))
     first = dim_upto(np.arange(m + 1) - 1)  # first row of each degree
     # the rows T_i(x) T_j(y) grouped by y-degree j, i = 0..m-j: group j is
     # columns edges[j]:edges[j + 1] of a node-major block
@@ -265,6 +377,45 @@ def lebesgue_constant(
         L = (ty.T @ W.reshape(m + 1, -1)).reshape(len(sums), len(blk), -1)  # (b, k, a)
         sums += np.abs(L, out=L).sum(axis=1)
     return float(sums.max())
+
+
+def lebesgue_constant(
+    family: str,
+    n: int,
+    grid_resolution: int = 256,
+    alpha: float = 0.5,
+    beta: float = 0.5,
+) -> float:
+    """Lower estimate of the sup-norm Lebesgue constant on a tensor grid.
+
+    Lambda = sum_k |ell_k| is evaluated on the R x R Chebyshev-Lobatto grid,
+    on one point of each orbit of the folds that ``_reflections`` verifies:
+    an x or y reflection keeps the points g >= 0 of that axis, the central
+    one alone those of y, and the diagonal swap the triangle a >= b of the
+    quarter grid.  The basis type picks the route.
+
+    Product bases (cheb1: minimal, near-minimal and Padua nodes; cheb2:
+    Gaussian nodes) go through ``_grid_kernel``'s coefficient square C and
+    kappa, from 1-D tables alone: per node column (one x), the A x (m + 1)
+    table sum_i C_ij p_i(x) p_i(g_a), one GEMM with the (m + 1) x B x K table
+    q_j(g_b) q_j(y_k) of the column's K nodes (one per set of y-coordinates),
+    |.| in place, and the 1/kappa-weighted sum over the column as one GEMV.
+    That is N A B (m + 1) multiply-adds on the folded A x B grid, and
+    O(n^2 R) memory.  For the minimal nodes at n = 64, R = 256 it is 1.4e9
+    (the quarter grid's triangle, in blocks of 32 rows), against 2.8e9 for
+    the factor route on the quarter grid.
+
+    gencheb, whose basis is no product in x and y, contracts the dim x N
+    cardinal factor of ``interpolate_kernel`` over node blocks: the x-degree
+    over the total-degree triangle, then the y-degree.
+    """
+    if grid_resolution < 64:
+        raise ValueError("grid_resolution must be >= 64")
+    nodes, spec, w, _ = family_rule(family, n, alpha, beta)
+    basis, g = basis_for(w), _cosines(grid_resolution - 1)
+    if isinstance(basis, _ProductOrthoBasis2D):
+        return _grid_lebesgue(basis, nodes.points, *_grid_kernel(basis, spec, nodes.points), g)
+    return _factor_lebesgue(interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))), g)
 
 
 def convergence_report(

@@ -354,6 +354,23 @@ class TestRuleAndVerify:
         assert captured.err.startswith("error: cannot load rule file: ")
 
 class TestTables:
+    def test_lebesgue_json_independent_of_blas_threads(self):
+        # both Lebesgue routes and all four grid folds, each command run in a
+        # child interpreter under one and under two BLAS threads: the same bytes
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys; from cubasquare.cli import main; sys.exit(max([main(a.split()) for a in sys.argv[1:]]))"
+        commands = [f"lebesgue {args} --format json" for args in
+                    ("mint --n-list 16,32,64", "padua --n-list 32", "gaussu --n-list 20", "gencheb --n-list 24")]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", code, *commands], env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0].count('"lebesgue"') == 6
+        assert outs[0] == outs[1]
+
     def test_lebesgue_csv(self, tmp_path, capsys):
         out = tmp_path / "leb.csv"
         assert run(["lebesgue", "mint", "--n-list", "4,8", "--resolution", "65", "--out", str(out)]) == 0

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from cubasquare import basis2d, cubature
 from cubasquare.basis2d import (
     KernelStarSpec,
+    basis_for,
     dim_upto,
     kernel_star_matrix,
     star_spec_cheb1,
@@ -276,6 +277,28 @@ class TestClosedFormWeights:
         pts[5, 0] += 1e-6
         with pytest.raises(CubatureError, match="common-zero"):
             weights_from_kernel(replace(nodes, points=pts), star_spec_cheb1(8), cheb1())
+
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_common_zero_check_at_511_and_512(self, n):
+        # the exact cheb1 nodes leave a rounding residual of 3.1e-12 (n = 511)
+        # and 2.0e-12 (n = 512) of the largest degree-n value, which a bound
+        # of 1e-12 times it rejected; one node moved by 1e-6 leaves 0.35.  The
+        # check alone runs on the degree-n rows over node blocks, the moved
+        # node's on its own block
+        nodes = min_t_nodes_even(n) if n % 2 == 0 else near_min_t_nodes_odd(n)
+        spec, basis = star_spec_cheb1(n), basis_for(cheb1())
+
+        def blocks(pts, step=4096):
+            for s in range(0, len(pts), step):
+                yield s, None, basis.eval_degree(n, *pts[s:s + step].T), None
+
+        for _ in cubature._common_zero_checked(spec, blocks(nodes.points)):
+            pass
+        pts = nodes.points[:4096].copy()
+        pts[5, 0] += 1e-6
+        with pytest.raises(CubatureError, match="common-zero"):
+            for _ in cubature._common_zero_checked(spec, blocks(pts)):
+                pass
 
     def test_moved_gaussian_pair_fails_every_weight_check(self, no_rows):
         # (x0, y0) and (-x0, y0) both moved by +1e-6 in x: the moment of

@@ -9,12 +9,14 @@ from numpy.testing import assert_allclose
 
 from cubasquare import interp as interp_module
 from cubasquare.basis2d import (
+    _degree_pairs,
     _kernel_star_node_factor,
     _ProductOrthoBasis2D,
     basis_for,
     kernel_star_matrix,
     star_spec_cheb1,
 )
+from cubasquare.cubature import CubatureError
 from cubasquare.interp import (
     convergence_report,
     family_rule,
@@ -51,8 +53,8 @@ def build(family, n, f_values=None):
             lambda p: kernel_star_matrix(spec, nodes.points, p) / kdiag[:, None])
 
 
-# reflections verified: x+y (cheb1 8, gencheb 8), central only (cheb1 7,
-# gencheb 9), x only (cheb2 8, padua 8), y only (cheb2 9, padua 9)
+# folds verified: x+y with the diagonal (cheb1 8), x+y (gencheb 8), central
+# only (cheb1 7, gencheb 9), x only (cheb2 8, padua 8), y only (cheb2 9, padua 9)
 FAMILIES = [("cheb1", 8), ("cheb1", 7), ("cheb2", 8), ("gencheb", 8), ("padua", 8),
             ("cheb2", 9), ("gencheb", 9), ("padua", 9)]
 
@@ -239,44 +241,129 @@ class TestLebesgue:
         ("cheb1", 64, 13.033260140565384), ("padua", 16, 8.40743628465043),
         ("padua", 32, 10.993594541100592),
         ("gencheb", 24, 241.24211584659213), ("cheb2", 20, 215.23571149209832),
+        # folds and coefficients the CLI defaults do not reach: central fold
+        # only, y fold, and c = 0 on degree n
+        ("cheb1", 33, 10.166587949722866), ("cheb1", 63, 12.960974222326815),
+        ("padua", 33, 11.117523283576132), ("cheb2", 21, 236.90095327527382),
     ])
     def test_fixture_values(self, family, n, value):
         assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-13)
 
 
+def folds(family, n):
+    """The folds ``lebesgue_constant`` applies to a family at degree n."""
+    nodes, spec, w, _ = family_rule(family, n)
+    if family == "gencheb":
+        return interp_module._reflections(nodes.points, interp_module._factor_match(build(family, n)[0]))
+    basis = basis_for(w)
+    kernel = interp_module._grid_kernel(basis, spec, nodes.points)
+    return interp_module._reflections(nodes.points, interp_module._kappa_match(basis, *kernel))
+
+
+class TestGridKernel:
+    """The coefficient square C and kappa of the grid route."""
+
+    @pytest.mark.parametrize("family", ["cheb1", "padua", "cheb2"])
+    def test_degree_n_coefficients_closed_forms(self, family):
+        # C_ij on the row (n - k, k) of degree n: 1/4 at k = 0, n and 1/2
+        # between for the minimal and near-minimal nodes, 0 where T_{n/2}(x)
+        # T_{n/2}(y) vanishes on the minimal nodes (Xu 1996); 1/2 at (n, 0)
+        # and 1 elsewhere for the Padua points (Caliari et al. 2011); 0 for
+        # the Gaussian nodes (K* = K_{n-1}), which drops degree n
+        for n in range(2, 13):
+            nodes, spec, w, rule = family_rule(family, n)
+            basis = basis_for(w)
+            C, kappa = interp_module._grid_kernel(basis, spec, nodes.points)
+            k = np.arange(n + 1)
+            if family == "cheb1":
+                want = np.where((k == 0) | (k == n), 0.25, np.where(2 * k == n, 0.0, 0.5))
+            else:
+                want = np.where(k == 0, 0.5, 1.0) if family == "padua" else np.zeros(n + 1)
+            m = n if want.any() else n - 1
+            assert C.shape == (m + 1, m + 1)
+            assert np.array_equal(C[_degree_pairs(n - 1)], np.ones(n * (n + 1) // 2))
+            if m == n:
+                assert_allclose(C[n - k, k], want, rtol=0, atol=1e-13)
+            assert not np.triu(C[::-1], 1).any()  # zero above total degree m
+            # mass K*(z_k, z_k) = mass / lambda_k, the calibration's diagonal
+            assert_allclose(kappa, basis.mass / rule.lambdas, rtol=1e-12)
+
+    def test_degree_n_block_not_diagonal_raises(self):
+        nodes, spec, w, _ = family_rule("cheb1", 8)
+        S = spec.s_matrix.copy()
+        S[0, 1] += 1e-6
+        S[1, 0] += 1e-6
+        interp_module._grid_kernel(basis_for(w), spec, nodes.points)
+        with pytest.raises(CubatureError, match="degree-8 block"):
+            interp_module._grid_kernel(basis_for(w), replace(spec, s_matrix=S), nodes.points)
+
+
 class TestReflections:
-    """The reflections of the square that ``lebesgue_constant`` may fold the
-    grid by, each verified on the nodes and on the factor."""
+    """The folds of the square that ``lebesgue_constant`` may apply to the
+    grid, each verified on the nodes and on kappa (grid route) or on the
+    cardinal factor (gencheb's factor route)."""
 
     @pytest.mark.parametrize("family,n,want", [
-        ("cheb1", 8, {"x", "y", "central"}), ("cheb1", 9, {"central"}),
+        ("cheb1", 8, {"x", "y", "central", "diagonal"}), ("cheb1", 9, {"central"}),
         ("padua", 32, {"x"}), ("padua", 33, {"y"}), ("cheb2", 20, {"x"}), ("cheb2", 21, {"y"}),
         ("gencheb", 24, {"x", "y", "central"}), ("gencheb", 25, {"central"}),
     ], ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v))
     def test_reflections_found(self, family, n, want):
-        assert interp_module._reflections(build(family, n)[0]) == want
+        assert folds(family, n) == want
 
     def test_moved_node_refused(self):
-        # the factor alone still passes: the node sort pairs the same nodes
-        interp = build("cheb1", 8)[0]
-        pts = interp.nodes.points.copy()
+        # kappa alone still passes: the node sort pairs the same nodes
+        nodes, spec, w, _ = family_rule("cheb1", 8)
+        basis = basis_for(w)
+        same = interp_module._kappa_match(basis, *interp_module._grid_kernel(basis, spec, nodes.points))
+        pts = nodes.points.copy()
         pts[5, 0] += 1e-11
-        assert interp_module._reflections(replace(interp, nodes=replace(interp.nodes, points=pts))) == set()
+        assert interp_module._reflections(nodes.points, same) == {"x", "y", "central", "diagonal"}
+        assert interp_module._reflections(pts, same) == set()
+
+    @pytest.mark.parametrize("scale", [3.0, 1 / 3], ids=["3", "1/3"])
+    def test_scaled_kappa_refused(self, scale, monkeypatch):
+        # kappa of the node in the x, y < 0 quadrant scaled: ell_k is divided
+        # by the scale, and at 1/3 it raises the Lebesgue function there, off
+        # the triangle of the quarter grid that the four folds would keep
+        nodes, spec, w, _ = family_rule("cheb1", 8)
+        basis, grid_kernel = basis_for(w), interp_module._grid_kernel
+        k = int(np.argmin(nodes.points.sum(axis=1)))
+
+        def scaled(*args):
+            C, kappa = grid_kernel(*args)
+            kappa[k] *= scale
+            return C, kappa
+
+        monkeypatch.setattr(interp_module, "_grid_kernel", scaled)
+        same = interp_module._kappa_match(basis, *scaled(basis, spec, nodes.points))
+        assert interp_module._reflections(nodes.points, same) == set()
+        kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
+        L = kernel_star_matrix(spec, nodes.points, interp_module._lobatto_grid(65)) / kdiag[:, None]
+        L[k] /= scale
+        ref = np.abs(L).sum(axis=0).max()
+        assert lebesgue_constant("cheb1", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
+        if scale < 1:
+            monkeypatch.setattr(interp_module, "_reflections", lambda pts, same: {"x", "y", "central", "diagonal"})
+            assert lebesgue_constant("cheb1", 8, grid_resolution=65) < 0.9 * ref
 
     def test_perturbed_column_refused(self, monkeypatch):
-        # scaling the column of the node in the x, y < 0 quadrant raises the
-        # Lebesgue function there, off the quarter grid that x+y would keep
-        interp = build("cheb1", 8)[0]
+        # the factor route: scaling the column of the node in the x, y < 0
+        # quadrant raises the Lebesgue function there, off the quarter grid
+        # that x+y would keep
+        interp = build("gencheb", 8)[0]
         k = int(np.argmin(interp.nodes.points.sum(axis=1)))
         factor = interp.factor.copy()
         factor[:, k] *= 3.0
         bent = replace(interp, factor=factor)
-        assert interp_module._reflections(bent) == set()
+        assert interp_module._reflections(interp.nodes.points, interp_module._factor_match(interp)) == {
+            "x", "y", "central"}
+        assert interp_module._reflections(bent.nodes.points, interp_module._factor_match(bent)) == set()
         monkeypatch.setattr(interp_module, "interpolate_kernel", lambda *args: bent)
         ref = np.abs(bent.cardinal_matrix(interp_module._lobatto_grid(65))).sum(axis=0).max()
-        assert lebesgue_constant("cheb1", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
-        monkeypatch.setattr(interp_module, "_reflections", lambda interp: {"x", "y", "central"})
-        assert lebesgue_constant("cheb1", 8, grid_resolution=65) < 0.9 * ref
+        assert lebesgue_constant("gencheb", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
+        monkeypatch.setattr(interp_module, "_reflections", lambda pts, same: {"x", "y", "central"})
+        assert lebesgue_constant("gencheb", 8, grid_resolution=65) < 0.9 * ref
 
 
 NODE_BLOCK = 7
@@ -284,9 +371,10 @@ NODE_BLOCK = 7
 
 class TestStreaming:
     """Blocked evaluation against dense references.  On the 65^2-point grid
-    the Lebesgue loop takes blocks of 7 nodes, which no node count here is
-    a multiple of, and point blocks hold 657 or 821 points, so both loops
-    end in a partial block."""
+    the factor route's Lebesgue loop (gencheb) takes blocks of 7 nodes,
+    which no node count here is a multiple of, the grid route blocks of 32
+    of the 33 or 65 grid rows it keeps, and point blocks hold 657 or 821
+    points, so every loop ends in a partial block."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -340,26 +428,42 @@ def test_gencheb_minus_half_lebesgue_is_cheb1(n):
 
 @pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24), ("cheb1", 64)])
 def test_lebesgue_memory_bounded(family, n):
-    # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 / 1107 MB
+    # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 / 1107 MB;
+    # the traced peaks are 2.0 / 3.8 / 10.6 / 5.8 MB, and the bounds leave
+    # about a quarter above them
+    bound = {("cheb1", 32): 2.5, ("padua", 32): 5, ("gencheb", 24): 13, ("cheb1", 64): 7.5}[family, n]
     tracemalloc.start()
     try:
         lebesgue_constant(family, n, grid_resolution=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 * 2**20
+    assert peak < bound * 2**20
 
 
 def test_lebesgue_memory_at_minimal_64():
-    # the 36 MB node factor and the grid loop's blocks; a dim x N temporary in
-    # the build, the reflection check or the contraction would add another 36 MB
+    # a 5.8 MB traced peak: the calibration and the grid loop each reach
+    # about that; the 36 MB dim x N cardinal factor alone would be nearly
+    # five times the bound
     tracemalloc.start()
     try:
         lebesgue_constant("cheb1", 64, grid_resolution=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 52 * 2**20
+    assert peak < 7.5 * 2**20
+
+
+def test_lebesgue_memory_at_minimal_128():
+    # 25.2 MB traced, from the degree-n rows and the 1-D tables at the 8,385
+    # nodes; the 554 MB dim x N cardinal factor is never formed
+    tracemalloc.start()
+    try:
+        lebesgue_constant("cheb1", 128, grid_resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_kernel_factor_memory():
