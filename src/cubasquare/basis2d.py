@@ -37,7 +37,7 @@ polynomials that ``nodes.vanishing_residual`` reads.
 The gencheb rows map to T_{d-k}(x) T_k(y) from 1-D Jacobi-to-Chebyshev
 coefficients in the angle variables, with no solve.
 ``_kernel_star_diag`` forms K*(z_k, z_k) for the cubature checks and the
-interpolation factor, ``_kernel_star_node_factor`` the node factor
+interpolant's node blocks, ``_kernel_star_node_factor`` the node factor
 G = [F_low; q^T S^-1 Q], ``kernel_star_matrix`` the dense reference.
 """
 
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .univariate import (
-    chebyshev_t_table,
     jacobi_chebyshev_coeffs,
     jacobi_normalized_table,
     jacobi_normalized_table_with_derivative,
@@ -99,7 +98,7 @@ class OrthoBasis2D:
     d, out)``, which ``eval_upto``, ``eval_degree`` and ``node_reductions`` read.
     ``chebyshev_coeffs(n, coeffs)`` turns each column c of ``coeffs`` (rows of
     ``eval_upto(n)``) in place into the t with c @ eval_upto(n, x, y) ==
-    t @ _cheb_total_degree_rows(n, x, y).
+    t @ T, T the rows T_{d-k}(x) T_k(y) in the order of ``eval_upto``.
     """
 
     def __init__(self, weight: WeightSpec):
@@ -191,11 +190,6 @@ def _total_degree_rows(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
     """Rows tx[d-k] * ty[k] ordered by (degree d, k) from two per-axis tables."""
     return _stack_rows(_ProductOrthoBasis2D._rows, (tx, ty), len(tx) - 1,
                        np.broadcast_shapes(tx.shape[1:], ty.shape[1:]))
-
-
-def _cheb_total_degree_rows(n: int, x, y) -> np.ndarray:
-    """Rows T_{d-k}(x) T_k(y), ordered by (degree, k), at the points."""
-    return _total_degree_rows(chebyshev_t_table(n, x), chebyshev_t_table(n, y))
 
 
 def _split_z(x, y):

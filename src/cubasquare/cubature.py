@@ -167,6 +167,7 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, e
     (as it is for sigma = 0) and mass * K*(z_k, z_k).  Each block of
     ``reductions`` (``node_reductions``) is (start, |F_low|^2, degree-n rows,
     F_low w over the block), with F_low the basis rows of degree <= n-1.
+    S and K* are summed and formed over blocks: Q is the one sigma x N array.
 
     The nodes must be common zeros of the vanishing combinations
     (``_common_zero_checked``).  The weights must satisfy the unisolvent
@@ -175,18 +176,21 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, e
     ``earlier``.
     """
     failures = list(earlier)
-    low_sq = np.empty(len(w_unit))  # |F_low(z_k)|^2
+    kdiag = np.empty(len(w_unit))  # |F_low(z_k)|^2, then mass K*(z_k, z_k) (K* = K_{n-1} for sigma = 0)
     Q = np.empty((spec.sigma, len(w_unit)))
+    S = np.zeros((spec.sigma, spec.sigma))
     low_w = np.zeros(dim_upto(spec.n - 1))  # F_low w
     for s, sq, Fn, lw in _common_zero_checked(spec, reductions):
         e = s + len(sq)
-        low_sq[s:e] = sq
+        kdiag[s:e] = sq
         Q[:, s:e] = spec.q_coeffs @ Fn
+        S += (Q[:, s:e] * w_unit[s:e]) @ Q[:, s:e].T
         low_w += lw
-    kdiag = low_sq  # K* = K_{n-1} for sigma = 0
     if spec.sigma:
-        spec = replace(spec, s_matrix=(Q * w_unit) @ Q.T)
-        kdiag = _kernel_star_diag(spec, low_sq, Q)[0]
+        spec = replace(spec, s_matrix=S)
+        step = max(1, _BLOCK_BYTES // (8 * spec.sigma))
+        for s in range(0, len(kdiag), step):
+            kdiag[s:s + step] = _kernel_star_diag(spec, kdiag[s:s + step], Q[:, s:s + step])[0]
     low_w[0] -= 1.0
     resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max(initial=0.0)))
     if not resid <= 1e-10:

@@ -2,29 +2,21 @@
 convergence diagnostics.
 
 Every family, the Padua points included, interpolates through the
-cardinal functions K*(., z_k)/K*(z_k, z_k).  Every interpolant of degree m
-keeps one node-side factor in the product-Chebyshev total-degree basis,
-the rows T_{d-k}(x) T_k(y) with d <= m, formed once, at build time.  For
-the cheb1 weight (minimal, near-minimal and Padua nodes) the orthonormal
-basis is s_a s_b T_a(x) T_b(y) with s_0 = 1 and s_a = sqrt 2, so the factor
-comes from the 1-D Chebyshev tables and one row scaling; the other weights
-convert theirs from their orthonormal basis.  The interpolant is evaluated
-through its (m + 1)^2 coefficient square and the 1-D tables at the points.
+cardinal functions K*(., z_k)/K*(z_k, z_k), a kernel sum over the nodes
+(Xu, J. Approx. Theory 87, 1996; Caliari, De Marchi, Sommariva, Vianello,
+Numer. Algorithms 56, 2011).  So an ``Interpolant`` keeps no dim x N
+cardinal factor: its fields are the nodes, ``f_values``, the calibrated
+``spec``, ``degree``, the coefficient square ``square`` in the rows
+T_i(x) T_j(y) and, for the Padua points, ``collocation_cond``.  The build
+and ``cardinal_matrix`` read the cardinal columns one node block at a time
+(``_cardinal_blocks``).
 
 Lebesgue constants are estimated from below on Chebyshev-Lobatto tensor
 grids (nested when the resolution goes R -> 2R-1, so the estimate is
 monotone along that refinement path), on one point of each orbit of the
-folds verified on the nodes: the reflections x -> -x, y -> -y and
-(x, y) -> (-x, -y), and the diagonal swap (x, y) -> (y, x) where both axes
-are folded alike.  The basis type picks the route.  For a product basis
-p_i(x) q_j(y) (cheb1: minimal, near-minimal and Padua nodes; cheb2:
-Gaussian nodes) the kernel is sum_ij C_ij p_i(x_k) p_i(x) q_j(y_k) q_j(y)
-with one coefficient per (i, j), 1 below degree n and read from the
-calibrated spec on degree n, so the cardinal values on the grid come from
-1-D tables per node column: N A B (m + 1) multiply-adds on the folded
-A x B grid (1.4e9 for the minimal nodes at n = 64, R = 256) in O(n^2 R)
-memory, with no dim x N factor.  gencheb, whose basis is no product in x
-and y, contracts the cardinal factor of ``interpolate_kernel``.
+folds verified on the nodes; ``lebesgue_constant`` describes its two
+routes, from 1-D tables for the product bases and through the cardinal
+factor for gencheb.
 """
 
 from __future__ import annotations
@@ -38,11 +30,9 @@ from .basis2d import (
     KernelStarSpec,
     OrthoBasis2D,
     _ProductOrthoBasis2D,
-    _cheb_total_degree_rows,
     _degree_pairs,
     _kernel_star_node_factor,
     _square,
-    _total_degree_rows,
     basis_for,
     dim_upto,
     star_spec_cheb1,
@@ -54,7 +44,7 @@ from .cubature import CubatureError, _calibrated_rule
 from .nodes import (NodeSet, _cosines, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd,
                     padua_points)
 from .univariate import chebyshev_t_table, jacobi_normalized_table
-from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle, weight_string
+from .weights import WeightSpec, cheb1, cheb2, gencheb, tensor_oracle
 
 __all__ = [
     "Interpolant",
@@ -65,39 +55,78 @@ __all__ = [
     "convergence_report",
 ]
 
+
+def _cardinal_blocks(spec: KernelStarSpec, pts: np.ndarray, m: int):
+    """Per block of at most ``_BLOCK_BYTES`` of the nodes ``pts``: its start, G(z_k) in the
+    rows of ``eval_upto(m)`` and kappa_k = mass K*(z_k, z_k) (``_kernel_star_node_factor``),
+    which give the cardinal functions ell_k(p) = G[:, k] . F(p) / kappa_k."""
+    basis = basis_for(spec.weight)
+    step = max(1, _BLOCK_BYTES // (8 * dim_upto(m)))
+    for s in range(0, len(pts), step):
+        G = basis.eval_upto(m, *pts[s:s + step].T)
+        kappa = _kernel_star_node_factor(spec, G)
+        yield s, G, kappa
+        del G  # before the next block; so must the caller
+
+
 @dataclass(frozen=True)
 class Interpolant:
     """Interpolation operator frozen at a node set with sampled values.
 
-    ``factor`` (rows T_{d-k}(x) T_k(y) of degree d <= ``degree``, x nodes) is
-    computed once from the nodes; the cardinal functions are
-    ell_k(p) = (factor.T @ _cheb_total_degree_rows(degree, x, y))[k], which
-    ``cardinal_matrix`` evaluates.  The interpolant itself is evaluated
-    through its coefficient square C[i, j] of T_i(x) T_j(y) (zero above total
-    degree ``degree``), formed once from ``factor @ f_values``:
-    sum_j T_j(y) (C^T T(x))_j, from the 1-D tables alone.
+    ``square`` holds C[i, j] of T_i(x) T_j(y), zero above total degree
+    ``degree``: the column G (f / kappa) summed over the node blocks of
+    ``_cardinal_blocks`` (``spec`` calibrated on the nodes), mapped to the T
+    square by ``chebyshev_coeffs``.  A call reads C and the 1-D tables at the
+    points alone: sum_j T_j(y) (C^T T(x))_j.  For the Padua spec (sigma =
+    n + 1), ``collocation_cond`` is the 1-norm condition number of the
+    collocation matrix V (rows T_{d-k}(x) T_k(y) at the nodes), else None.
     """
 
     nodes: NodeSet
     f_values: np.ndarray
-    factor: np.ndarray = field(repr=False)
-    degree: int
-    collocation_cond: float | None = None  # Padua: 1-norm condition number of the collocation matrix
+    spec: KernelStarSpec = field(repr=False)
+    degree: int = field(init=False)  # n, or n - 1 for sigma = 0, where K* = K_{n-1}
+    collocation_cond: float | None = field(init=False, default=None)
     square: np.ndarray = field(init=False, repr=False)  # C, (degree + 1) x (degree + 1)
 
     def __post_init__(self):
         f_values = np.asarray(self.f_values, dtype=float)
         if len(f_values) != len(self.nodes):
             raise ValueError("need one sampled value per node")
+        spec, pts = self.spec, self.nodes.points
+        m = spec.n if spec.sigma else spec.n - 1
+        padua = spec.sigma == spec.n + 1
+        coeffs, rows, v1 = np.zeros((dim_upto(m), 1)), np.zeros(dim_upto(m)), 0.0
+        for s, G, kappa in _cardinal_blocks(spec, pts, m):
+            coeffs[:, 0] += G @ (f_values[s:s + len(kappa)] / kappa)
+            if padua:  # ||V||_1 = max_k sum_j |T_j(y_k)| sum_{i <= n-j} |T_i(x_k)|, and the row sums of |G / kappa|
+                t = np.abs(chebyshev_t_table(m, pts[s:s + len(kappa)].T))
+                v1 = max(v1, np.einsum("jk,jk->k", t[:, 1], np.cumsum(t[:, 0], axis=0)[::-1]).max())
+                rows += np.abs(G, out=G) @ (1.0 / kappa)
+            del G
         object.__setattr__(self, "f_values", f_values)
-        object.__setattr__(self, "square", _square((self.factor @ f_values)[:, None], self.degree)[:, :, 0])
+        object.__setattr__(self, "degree", m)
+        object.__setattr__(self, "square", _square(basis_for(spec.weight).chebyshev_coeffs(m, coeffs), m)[:, :, 0])
+        if padua:
+            # the T-basis cardinal factor is V^-T, and ||V^-1||_1 = ||V^-T||_inf; the
+            # Padua rows in T are the cheb1 rows scaled by s_a s_b (s_0 = 1, s_a = sqrt 2)
+            sc = np.where(np.arange(m + 1) > 0, np.sqrt(2.0), 1.0)
+            dx, dy = _degree_pairs(m)
+            object.__setattr__(self, "collocation_cond", float(v1 * (rows * sc[dx] * sc[dy]).max()))
 
     def cardinal_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """Matrix L[k, p] = ell_k(pts[p]), from the basis rows at blocks of ``pts``."""
+        """Matrix L[k, p] = ell_k(pts[p]): per node block of ``_cardinal_blocks``,
+        its columns against the basis rows at blocks of ``pts``."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        step = max(1, _BLOCK_BYTES // (8 * len(self.factor)))
-        return np.hstack([self.factor.T @ _cheb_total_degree_rows(self.degree, *pts[s:s + step].T)
-                          for s in range(0, max(len(pts), 1), step)])
+        basis, m = basis_for(self.spec.weight), self.degree
+        L = np.empty((len(self.nodes), len(pts)))
+        step = max(1, _BLOCK_BYTES // (8 * dim_upto(m)))
+        for s, G, kappa in _cardinal_blocks(self.spec, self.nodes.points, m):
+            for p in range(0, len(pts), step):
+                L[s:s + len(kappa), p:p + step] = G.T @ basis.eval_upto(m, *pts[p:p + step].T)
+            L[s:s + len(kappa)] /= kappa[:, None]
+            del G
+        return L
 
     def __call__(self, x, y) -> np.ndarray:
         """Values at (x, y), broadcast together; a ValueError names both shapes if they do not."""
@@ -113,34 +142,6 @@ class Interpolant:
         return vals.reshape(x.shape)
 
 
-def _kernel_factor(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
-    """The cardinal factor of the kernel interpolant at ``nodes`` in the rows
-    T_{d-k}(x) T_k(y), and its degree; calibrates an uncalibrated ``spec``
-    (sigma > 0, no ``s_matrix``) on ``nodes`` first, on a copy.
-
-    The basis rows F at the nodes become G in place, and the cardinal factor
-    is G(z_k) / (G . F)(z_k); for sigma = 0, K* = K_{n-1} needs no degree-n
-    rows.  For the cheb1 weight p_a = s_a T_a (s_0 = 1, s_a = sqrt 2), so F
-    comes from the T tables and the T-basis factor is G scaled by s_a s_b on
-    row (a, b); the other weights convert G through their basis."""
-    if spec.sigma and spec.s_matrix is None:
-        spec = _calibrated_rule(nodes, spec, w)[1]
-    deg = spec.n if spec.sigma else spec.n - 1
-    x, y = nodes.points.T
-    if weight_string(spec.weight) != "cheb1":
-        basis = basis_for(spec.weight)
-        G = basis.eval_upto(deg, x, y)
-        G /= _kernel_star_node_factor(spec, G)
-        return basis.chebyshev_coeffs(deg, G), deg
-    s = np.full((deg + 1, 1), np.sqrt(2.0))
-    s[0] = 1.0
-    G = _total_degree_rows(s * chebyshev_t_table(deg, x), s * chebyshev_t_table(deg, y))
-    G /= _kernel_star_node_factor(spec, G)
-    dx, dy = _degree_pairs(deg)
-    G *= s[dx] * s[dy]
-    return G, deg
-
-
 def interpolate_kernel(
     nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec, f_values
 ) -> Interpolant:
@@ -149,22 +150,17 @@ def interpolate_kernel(
     An uncalibrated ``spec`` (sigma > 0, no ``s_matrix``) is calibrated on
     ``nodes`` first; the caller's spec is not changed.
     """
-    factor, deg = _kernel_factor(nodes, spec, w)
-    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=deg)
+    if spec.sigma and spec.s_matrix is None:
+        spec = _calibrated_rule(nodes, spec, w)[1]
+    return Interpolant(nodes=nodes, f_values=f_values, spec=spec)
 
 
 def interpolate_padua(n: int, f_values) -> Interpolant:
     """Unique Pi_n^2 interpolant at the Padua points, through the kernel of
     ``family_rule("padua", n)``, with the 1-norm condition number of the
     collocation matrix V (rows T_{d-k}(x) T_k(y) at the nodes)."""
-    nodes, spec, w, _ = family_rule("padua", n)
-    factor, deg = _kernel_factor(nodes, spec, w)
-    # ||V||_1 = max_k sum_j |T_j(y_k)| sum_{i <= n-j} |T_i(x_k)| from the 1-D
-    # tables, and the cardinal factor is V^-T, so ||V^-1||_1 = ||factor||_inf
-    t = np.abs(chebyshev_t_table(n, nodes.points.T))
-    v1 = np.einsum("jk,jk->k", t[:, 1], np.cumsum(t[:, 0], axis=0)[::-1]).max()
-    cond = float(v1 * np.linalg.norm(factor, np.inf))
-    return Interpolant(nodes=nodes, f_values=f_values, factor=factor, degree=deg, collocation_cond=cond)
+    nodes, spec, _, _ = family_rule("padua", n)
+    return Interpolant(nodes=nodes, f_values=f_values, spec=spec)
 
 
 def _family_parts(family: str, n: int, alpha: float = 0.5, beta: float = 0.5):
@@ -245,13 +241,12 @@ def _kept(g: np.ndarray, folds: set[str]):
     return half if "x" in folds else g, half if "y" in folds or folds == {"central"} else g
 
 
-def _factor_match(interp: Interpolant):
+def _factor_match(factor: np.ndarray, m: int):
     """``same`` of ``_reflections`` for the factor route: D factor ==
     factor[:, pi] to 1e-12 relative with D = (-1)^i, (-1)^j or (-1)^(i+j) on the
-    rows T_i(x) T_j(y), compared through one product with a fixed random
-    vector (O(dim + N) memory).  This route folds by the reflections alone."""
-    factor = interp.factor
-    i, j = _degree_pairs(interp.degree)
+    rows T_i(x) T_j(y), i + j <= m, compared through one product with a fixed
+    random vector (O(dim + N) memory).  This route folds by the reflections alone."""
+    i, j = _degree_pairs(m)
     v = np.random.default_rng(0).uniform(-1.0, 1.0, len(factor))
     vf = v @ factor
     tol = 1e-12 * max(factor.max(), -factor.min()) * np.abs(v).sum()
@@ -350,17 +345,17 @@ def _grid_lebesgue(basis: OrthoBasis2D, pts: np.ndarray, C: np.ndarray, kappa: n
     return float(sums.max())
 
 
-def _factor_lebesgue(interp: Interpolant, g: np.ndarray) -> float:
-    """max over the grid g x g of sum_k |ell_k| from the cardinal factor of
-    ``interp``, on the grid points kept by the reflections that
-    ``_reflections`` verifies (see ``lebesgue_constant``)."""
+def _factor_lebesgue(pts: np.ndarray, factor: np.ndarray, m: int, g: np.ndarray) -> float:
+    """max over the grid g x g of sum_k |ell_k| from the cardinal factor (rows
+    T_i(x) T_j(y), i + j <= m, one column per node of ``pts``), on the grid points
+    kept by the reflections that ``_reflections`` verifies (see ``lebesgue_constant``)."""
     # ell_k(g_a, g_b) = sum_j T_j(g_b) sum_i T_i(g_a) factor[(i, j), k]: per
     # block of nodes, gathered once with the rows of each y-degree j (rows
     # dim_upto(d-1) + j, d = j..m) side by side, contract the x-degree on each
     # j, then the y-degree, and add the |ell_k| into the running sums over k
     # at every grid point.
-    m, R, factor = interp.degree, len(g), interp.factor
-    folds = _reflections(interp.nodes.points, _factor_match(interp))
+    R = len(g)
+    folds = _reflections(pts, _factor_match(factor, m))
     tx, ty = (chebyshev_t_table(m, t) for t in _kept(g, folds))
     first = dim_upto(np.arange(m + 1) - 1)  # first row of each degree
     # the rows T_i(x) T_j(y) grouped by y-degree j, i = 0..m-j: group j is
@@ -405,9 +400,9 @@ def lebesgue_constant(
     (the quarter grid's triangle, in blocks of 32 rows), against 2.8e9 for
     the factor route on the quarter grid.
 
-    gencheb, whose basis is no product in x and y, contracts the dim x N
-    cardinal factor of ``interpolate_kernel`` over node blocks: the x-degree
-    over the total-degree triangle, then the y-degree.
+    gencheb, whose basis is no product in x and y, forms its dim x N
+    cardinal factor in the T rows in one piece and contracts it over node
+    blocks: the x-degree over the total-degree triangle, then the y-degree.
     """
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
@@ -415,7 +410,9 @@ def lebesgue_constant(
     basis, g = basis_for(w), _cosines(grid_resolution - 1)
     if isinstance(basis, _ProductOrthoBasis2D):
         return _grid_lebesgue(basis, nodes.points, *_grid_kernel(basis, spec, nodes.points), g)
-    return _factor_lebesgue(interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))), g)
+    G = basis.eval_upto(n, *nodes.points.T)  # gencheb: sigma > 0, degree n
+    G /= _kernel_star_node_factor(spec, G)
+    return _factor_lebesgue(nodes.points, basis.chebyshev_coeffs(n, G), n, g)
 
 
 def convergence_report(

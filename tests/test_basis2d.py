@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from cubasquare import basis2d
 from cubasquare.basis2d import (
     KernelStarSpec,
-    _cheb_total_degree_rows,
+    _total_degree_rows,
     basis_for,
     dim_upto,
     kernel_star_matrix,
@@ -20,7 +20,7 @@ from cubasquare.basis2d import (
 )
 from cubasquare.interp import _lobatto_grid
 from cubasquare.nodes import gencheb_nodes, min_t_nodes_even
-from cubasquare.univariate import jacobi_normalized_table
+from cubasquare.univariate import chebyshev_t_table, jacobi_normalized_table
 from cubasquare.weights import (cheb1, cheb2, constant, gegenbauer_product, gencheb, jacobi_product, mass,
                                 tensor_oracle)
 
@@ -132,7 +132,7 @@ def test_chebyshev_coeffs_reproduce_basis(name, m, monkeypatch):
     work = coeffs.copy()
     converted = basis.chebyshev_coeffs(m, work)
     assert converted is work  # converted in place
-    got = converted.T @ _cheb_total_degree_rows(m, x, y)
+    got = converted.T @ _total_degree_rows(chebyshev_t_table(m, x), chebyshev_t_table(m, y))
     # relative to the largest value on the square (the 65^2 Lobatto grid holds
     # the boundary, where these polynomials peak), at the 300 random points
     assert np.abs(got - want)[:, :300].max() < 1e-13 * np.abs(want).max()

@@ -8,14 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cubasquare import interp as interp_module
-from cubasquare.basis2d import (
-    _degree_pairs,
-    _kernel_star_node_factor,
-    _ProductOrthoBasis2D,
-    basis_for,
-    kernel_star_matrix,
-    star_spec_cheb1,
-)
+from cubasquare.basis2d import _degree_pairs, basis_for, dim_upto, kernel_star_matrix, star_spec_cheb1
 from cubasquare.cubature import CubatureError
 from cubasquare.interp import (
     convergence_report,
@@ -166,12 +159,14 @@ class TestPaduaInterpolation:
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_kernel_factor_is_the_collocation_inverse(self, n):
-        # the factor of the Padua kernel interpolant against a dense solve with
-        # the collocation matrix V: the cardinal functions are V^-1 rows(p)
+        # the cardinal functions of the Padua kernel interpolant against a
+        # dense solve with the collocation matrix V: ell(p) = V^-1 rows(p), at
+        # the nodes and at random points
         nodes = padua_points(n)
         V = cheb_rows(n, nodes.points)
-        want = np.linalg.solve(V.T, np.eye(len(V)))
-        got = interpolate_padua(n, np.zeros(len(nodes))).factor
+        pts = np.vstack([nodes.points, np.random.default_rng(n).uniform(-1, 1, (50, 2))])
+        want = np.linalg.solve(V, cheb_rows(n, pts))
+        got = interpolate_padua(n, np.zeros(len(nodes))).cardinal_matrix(pts)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_value_count_checked(self):
@@ -186,23 +181,28 @@ class TestPaduaInterpolation:
         assert len(built) == 1
 
 
-@pytest.mark.parametrize("family,n", [("cheb1", 8), ("cheb1", 9), ("padua", 8)])
-def test_cheb1_factor_from_t_tables(family, n, monkeypatch):
-    # the cheb1 factor is the orthonormal one scaled by s_a s_b on each row,
-    # with no basis rows and no conversion through the basis
-    nodes, spec, w, _ = family_rule(family, n)
-    basis = basis_for(w)
-    G = basis.eval_upto(n, nodes.points[:, 0], nodes.points[:, 1])
-    G /= _kernel_star_node_factor(spec, G)
-    want = basis.chebyshev_coeffs(n, G)
-
-    def refuse(*args):
-        raise AssertionError("basis rows evaluated")
-
-    monkeypatch.setattr(_ProductOrthoBasis2D, "eval_upto", refuse)
-    monkeypatch.setattr(_ProductOrthoBasis2D, "chebyshev_coeffs", refuse)
-    got = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))).factor
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+@pytest.mark.parametrize("family,n,alpha,beta,tol", [
+    ("cheb1", 128, 0.5, 0.5, 2e-13), ("padua", 128, 0.5, 0.5, 2e-13), ("cheb2", 64, 0.5, 0.5, 2e-13),
+    ("gencheb", 48, 0.5, 0.5, 2e-13),
+    # the weight's orthonormal polynomials reach 2.5e3 in T coefficients here,
+    # and the interpolant of a T polynomial loses digits to that map: 0.5 to
+    # 3.8e-12 over four seeds, and through a dim x N T-basis factor 0.5 to 2.3e-12
+    ("gencheb", 48, 1.5, -0.5, 2e-11),
+])
+def test_square_reproduces_polynomials(family, n, alpha, beta, tol):
+    # a random T polynomial of total degree <= n - 1 lies in every family's
+    # interpolation space, so the square must be its coefficients
+    if family == "padua":
+        nodes = padua_points(n)
+    else:
+        nodes, spec, w, _ = family_rule(family, n, alpha, beta)
+    m = n - 1 if family == "cheb2" else n
+    want = np.zeros((m + 1, m + 1))
+    low = _degree_pairs(n - 1)
+    want[low] = np.random.default_rng(n).standard_normal(len(low[0]))
+    f = np.polynomial.chebyshev.chebval2d(*nodes.points.T, want)
+    interp = interpolate_padua(n, f) if family == "padua" else interpolate_kernel(nodes, spec, w, f)
+    assert np.abs(interp.square - want).max() <= tol * np.abs(want).max()
 
 
 class TestLebesgue:
@@ -250,11 +250,22 @@ class TestLebesgue:
         assert lebesgue_constant(family, n, grid_resolution=256) == pytest.approx(value, rel=1e-13)
 
 
+def lebesgue_factor(n, grid_resolution=65):
+    """(node points, T-basis cardinal factor, degree, grid) that gencheb's
+    Lebesgue route contracts at degree n."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp_module, "_factor_lebesgue", lambda *args: seen.append(args) or 0.0)
+        lebesgue_constant("gencheb", n, grid_resolution)
+    return seen[0]
+
+
 def folds(family, n):
     """The folds ``lebesgue_constant`` applies to a family at degree n."""
     nodes, spec, w, _ = family_rule(family, n)
     if family == "gencheb":
-        return interp_module._reflections(nodes.points, interp_module._factor_match(build(family, n)[0]))
+        pts, factor, m, _ = lebesgue_factor(n)
+        return interp_module._reflections(pts, interp_module._factor_match(factor, m))
     basis = basis_for(w)
     kernel = interp_module._grid_kernel(basis, spec, nodes.points)
     return interp_module._reflections(nodes.points, interp_module._kappa_match(basis, *kernel))
@@ -351,43 +362,49 @@ class TestReflections:
         # the factor route: scaling the column of the node in the x, y < 0
         # quadrant raises the Lebesgue function there, off the quarter grid
         # that x+y would keep
-        interp = build("gencheb", 8)[0]
-        k = int(np.argmin(interp.nodes.points.sum(axis=1)))
-        factor = interp.factor.copy()
-        factor[:, k] *= 3.0
-        bent = replace(interp, factor=factor)
-        assert interp_module._reflections(interp.nodes.points, interp_module._factor_match(interp)) == {
-            "x", "y", "central"}
-        assert interp_module._reflections(bent.nodes.points, interp_module._factor_match(bent)) == set()
-        monkeypatch.setattr(interp_module, "interpolate_kernel", lambda *args: bent)
-        ref = np.abs(bent.cardinal_matrix(interp_module._lobatto_grid(65))).sum(axis=0).max()
+        pts, factor, m, _ = lebesgue_factor(8)
+        k = int(np.argmin(pts.sum(axis=1)))
+        bent = factor.copy()
+        bent[:, k] *= 3.0
+        assert interp_module._reflections(pts, interp_module._factor_match(factor, m)) == {"x", "y", "central"}
+        assert interp_module._reflections(pts, interp_module._factor_match(bent, m)) == set()
+        factor_lebesgue = interp_module._factor_lebesgue
+        monkeypatch.setattr(interp_module, "_factor_lebesgue", lambda p, f, m, g: factor_lebesgue(p, bent, m, g))
+        ref = np.abs(bent.T @ cheb_rows(m, interp_module._lobatto_grid(65))).sum(axis=0).max()
         assert lebesgue_constant("gencheb", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
         monkeypatch.setattr(interp_module, "_reflections", lambda pts, same: {"x", "y", "central"})
         assert lebesgue_constant("gencheb", 8, grid_resolution=65) < 0.9 * ref
 
 
-NODE_BLOCK = 7
+NODE_BLOCK = 11  # nodes per block of the build at degree 8
+LEBESGUE_NODE_BLOCK = 7  # nodes per block of the factor route on the 65^2 grid
 
 
 class TestStreaming:
-    """Blocked evaluation against dense references.  On the 65^2-point grid
-    the factor route's Lebesgue loop (gencheb) takes blocks of 7 nodes,
-    which no node count here is a multiple of, the grid route blocks of 32
-    of the 33 or 65 grid rows it keeps, and point blocks hold 657 or 821
-    points, so every loop ends in a partial block."""
+    """Blocked evaluation against dense references.  The node blocks of the
+    build and of ``cardinal_matrix`` hold 9 to 13 nodes (11 at degree 8), and
+    their point blocks 9 to 13 points (``cardinal_matrix``) or 16 to 20
+    (calls).  The Lebesgue loops run with larger blocks: on the 65^2-point
+    grid gencheb's factor route takes blocks of 7 nodes and the grid route
+    blocks of 32 of the 33 or 65 grid rows it keeps.  No node count here is
+    a multiple of 7 or of its build block, so every loop ends in a partial
+    block."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 65**2 * NODE_BLOCK)
+        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * dim_upto(8) * NODE_BLOCK)
 
     @pytest.mark.parametrize("family,n", FAMILIES)
-    def test_lebesgue_matches_dense_reference(self, family, n):
+    def test_lebesgue_matches_dense_reference(self, family, n, monkeypatch):
         interp, dense = build(family, n)
-        assert len(interp.nodes) % NODE_BLOCK
+        block = interp_module._BLOCK_BYTES // (8 * dim_upto(interp.degree))
+        assert 1 < block < len(interp.nodes) and len(interp.nodes) % block
         pts = interp_module._lobatto_grid(65)
         L = dense(pts)
         assert np.abs(interp.cardinal_matrix(pts) - L).max() < 1e-12 * np.abs(L).max()
         ref = np.abs(L).sum(axis=0).max()
+        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 65**2 * LEBESGUE_NODE_BLOCK)
+        assert len(interp.nodes) % LEBESGUE_NODE_BLOCK
         assert lebesgue_constant(family, n, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("family,n", FAMILIES)
@@ -405,16 +422,17 @@ class TestStreaming:
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.5, -0.5), (0.3, -0.2), (-0.7, 2.1)])
 @pytest.mark.parametrize("n", [8, 9, 32, 33, 47, 48])
 def test_gencheb_cardinals_match_dense_kernel(alpha, beta, n):
-    # the factor mapped to the T basis from the 1-D Jacobi coefficients in the
-    # angle variables, against K*(p, z_k) / K*(z_k, z_k) from the dense rows
+    # the cardinal columns in the weight's own basis, read over node blocks,
+    # against K*(p, z_k) / K*(z_k, z_k) from the dense rows
     nodes, spec, w, _ = family_rule("gencheb", n, alpha, beta)
     kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
     pts = np.vstack([np.random.default_rng(n).uniform(-1, 1, (200, 2)), nodes.points[::7]])
     want = kernel_star_matrix(spec, nodes.points, pts) / kdiag[:, None]
     got = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))).cardinal_matrix(pts)
     # relative to the largest sum_k |ell_k(p)|, which bounds an interpolant's
-    # values: at (-0.7, 2.1) and n = 47 both paths are 1e-11 off the identity
-    # at the nodes (cardinal values up to 110), and 5.5e-15 apart on this scale
+    # values: the two paths are at most 4.7e-15 apart on this scale (4e-17 at
+    # (-0.7, 2.1) and n = 47, where the cardinal values reach 110 and are
+    # 1.3e-12 off the identity at the nodes)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
 
 
@@ -466,17 +484,26 @@ def test_lebesgue_memory_at_minimal_128():
     assert peak < 100 * 2**20
 
 
-def test_kernel_factor_memory():
-    # the cheb1 node factor is formed and scaled to the Chebyshev rows in
-    # place: 36 MB for the factor plus its 1-D tables
-    nodes, spec, w, _ = family_rule("cheb1", 64)
+def build_peak(n):
+    """tracemalloc peak of ``interpolate_kernel`` at cheb1 n, the spec calibrated beforehand."""
+    nodes, spec, w, _ = family_rule("cheb1", n)
     tracemalloc.start()
     try:
         interpolate_kernel(nodes, spec, w, np.zeros(len(nodes)))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 44 * 2**20
+
+
+def test_interpolant_memory_at_minimal_64():
+    # 17.1 MB traced: one node block of the cardinal columns (at most 16 MB)
+    # and its tables; a dim x N cardinal factor alone would take 36 MB
+    assert build_peak(64) < 21.5 * 2**20
+
+
+def test_interpolant_memory_at_minimal_128():
+    # 16.7 MB traced; the dim x N cardinal factor alone would take 554 MB
+    assert build_peak(128) < 64 * 2**20
 
 
 def test_call_memory():
