@@ -282,7 +282,7 @@ def _degree_n_coefficients(basis: OrthoBasis2D, spec: KernelStarSpec, pts: np.nd
     if not spec.sigma:
         return c
     Fn = basis.eval_degree(n, *pts.T)
-    MF = spec.q_coeffs.T @ np.linalg.solve(spec.s_matrix, spec.q_coeffs @ Fn)
+    MF = spec.q_coeffs.T @ (spec.s_inverse @ (spec.q_coeffs @ Fn))
     ff = np.einsum("kj,kj->k", Fn, Fn)
     np.divide(np.einsum("kj,kj->k", MF, Fn), ff, out=c, where=ff > 0)
     scale = np.abs(MF).max()

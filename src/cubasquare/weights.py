@@ -1,10 +1,12 @@
 """Weight functions on the square and the exact moment oracle.
 
-Every weight here is centrally symmetric, W(x, y) = W(-x, -y).  Moments
-are computed with tensor Gauss rules whose order is chosen so the result
-is exact up to roundoff.  The modified moments of ``chebyshev_moments``
-(Chebyshev tensor basis) are the ground truth for every exactness
-assertion in the package.
+Every weight here is centrally symmetric, W(x, y) = W(-x, -y).  The
+modified moments of ``chebyshev_moments`` (Chebyshev tensor basis) are the
+ground truth for every exactness assertion in the package.  A product
+weight's are closed-form: int T_k(x) (1-x^2)^e dx = int_0^pi cos(k theta)
+sin^(2e+1) theta d theta is 0 for odd k and obeys mu_{2p+2} / mu_{2p} =
+(p - e - 1/2) / (p + e + 3/2).  The mass and the other moments come from
+tensor Gauss rules, of an order that makes them exact up to roundoff.
 
 The gencheb weight is a product in its angle variables: with
 x = cos(u+v), y = cos(u-v), t = cos 2u, s = cos 2v and each integrand
@@ -200,23 +202,25 @@ def tensor_oracle(w: WeightSpec, degree: int):
 def chebyshev_moments(w: WeightSpec, degree: int) -> np.ndarray:
     """Modified moments M[i, j] = int T_i(x) T_j(y) W for i, j <= degree.
 
-    |T_i| <= 1 on the square, so |M[i, j]| <= mass at every degree.  The
-    product weights use the tensor oracle's per-axis rules in factored form,
-    an outer product.  For gencheb and even i + j, T_i(x) T_j(y) averages over
-    the four images of (t, s) to (T_p(t) T_q(s) + T_q(t) T_p(s)) / 2 with
-    p = (i+j)/2, q = |i-j|/2, so M[i, j] = A[p, q] with
-    A = (T(g) wg) P (T(g) wg)^T from ``_angle_rule``.
+    |T_i| <= 1 on the square, so |M[i, j]| <= mass at every degree.  A
+    product weight gives the outer product of its axes' mu_k = int_0^pi
+    cos(k theta) sin^(2e+1) theta d theta (e from ``_axis_params``), by
+    mu_{2p+2} = mu_{2p} (p - e - 1/2) / (p + e + 3/2) from M[0, 0] = ``mass``.
+    For gencheb and even i + j, T_i(x) T_j(y) averages over the four images
+    of (t, s) to (T_p(t) T_q(s) + T_q(t) T_p(s)) / 2 with p = (i+j)/2,
+    q = |i-j|/2, so M[i, j] = A[p, q], A = (T(g) wg) P (T(g) wg)^T from ``_angle_rule``.
     """
+    if w.kind != "gencheb":
+        (ex, _), (ey, _) = _axis_params(w)
+        p = np.arange(degree // 2)
+        rx, ry = (np.concatenate(([1.0], np.cumprod((p - e - 0.5) / (p + e + 1.5)))) for e in (ex, ey))
+        out = np.zeros((degree + 1, degree + 1))
+        out[::2, ::2] = mass(w) * np.outer(rx, ry)
+        return out
     i = np.arange(degree + 1)
-    if w.kind == "gencheb":
-        g, wg, P = _angle_rule(w, degree)
-        tg = chebyshev_t_table(degree, g) * wg
-        out = (tg @ P @ tg.T)[(i[:, None] + i) // 2, np.abs(i[:, None] - i) // 2]
-    else:
-        (xg, wx), (yg, wy) = _oracle_axes(w, degree)
-        tx = chebyshev_t_table(degree, xg) * wx
-        ty = tx if yg is xg else chebyshev_t_table(degree, yg) * wy
-        out = np.outer(tx.sum(axis=1), ty.sum(axis=1))
+    g, wg, P = _angle_rule(w, degree)
+    tg = chebyshev_t_table(degree, g) * wg
+    out = (tg @ P @ tg.T)[(i[:, None] + i) // 2, np.abs(i[:, None] - i) // 2]
     # central symmetry: odd total-degree moments vanish identically
     out[(i[:, None] + i) % 2 == 1] = 0.0
     return out

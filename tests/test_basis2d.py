@@ -267,6 +267,23 @@ class TestKernelStar:
         assert d.min() > 0
 
 
+@pytest.mark.parametrize("family,n,alpha,beta", [("cheb1", 128, None, None), ("cheb1", 256, None, None),
+                                                  ("padua", 64, None, None), ("gencheb", 64, -0.99, 20),
+                                                  ("gencheb", 64, 40, 40), ("gencheb", 16, 50, -0.9),
+                                                  ("gencheb", 128, 0.5, 0.5)])
+def test_kernel_star_diag_matches_solve(family, n, alpha, beta):
+    # S^-1 applied as solve(S, I) and one product, against solve(S, Q), on the
+    # calibrated S; relative to K*(z_k, z_k) = mass / lambda_k at each node
+    from cubasquare.interp import family_rule
+
+    nodes, spec, w, rule = family_rule(family, n, alpha, beta)
+    Q = spec.q_coeffs @ basis_for(w).eval_degree(n, *nodes.points.T)
+    zero = np.zeros(len(nodes))
+    got = basis2d._kernel_star_diag(spec, zero, Q)[0]
+    ref = np.einsum("ij,ij->j", Q, np.linalg.solve(spec.s_matrix, Q))
+    assert (np.abs(got - ref) * rule.lambdas / mass(w)).max() <= 1e-13
+
+
 def gencheb_members(a, b, n):
     """(Jacobi pair, k, core degree, prefactor) of each degree-n gencheb member, in row order."""
     m = n // 2

@@ -43,8 +43,8 @@ from cubasquare.nodes import (
     near_min_t_nodes_odd,
     padua_points,
 )
-from cubasquare.univariate import gauss_rule_1d
-from cubasquare.weights import cheb1, cheb2, constant, gencheb, jacobi_product, mass
+from cubasquare.univariate import chebyshev_t_table, gauss_rule_1d
+from cubasquare.weights import cheb1, cheb2, chebyshev_moments, constant, gencheb, jacobi_product, mass
 
 
 @pytest.fixture
@@ -444,6 +444,16 @@ SHARP_DEGREE_CASES = (
 )
 
 
+def full_square_residuals(w, points, lambdas, degree):
+    """The per-degree residuals of ``cubature._degree_residuals`` from the whole
+    (degree + 1)^2 square of rule sums, in one block."""
+    t, mom = chebyshev_t_table(degree, points.T), chebyshev_moments(w, degree)
+    err = np.abs((t[:, 0] * lambdas) @ t[:, 1].T - mom) / mom[0, 0]
+    residuals = np.zeros(2 * degree + 1)
+    np.maximum.at(residuals, np.add.outer(np.arange(degree + 1), np.arange(degree + 1)), err)
+    return residuals[: degree + 1]
+
+
 class TestExactnessCheck:
     @pytest.mark.parametrize("family,n", SHARP_DEGREE_CASES)
     def test_declared_degree_is_sharp(self, family, n):
@@ -522,6 +532,29 @@ class TestExactnessCheck:
         # blocks of 7 of the 144 nodes, so the last block is partial
         monkeypatch.setattr(cubature, "_BLOCK_BYTES", 16 * (rule.degree + 4) * 7)
         assert_allclose(exactness_check(rule).residuals, one, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("family,n", SHARP_DEGREE_CASES)
+    def test_triangle_sums_match_full_square(self, family, n):
+        # an odd and an even degree each where the rule is exact, so that a sum left out shows
+        # its moment, and where the report scans past a failure
+        rule = RULE_BUILDERS[family](n)
+        for d in (rule.degree - 1, rule.degree, rule.degree + 3, rule.degree + 4):
+            got = cubature._degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, d)
+            ref = full_square_residuals(rule.weight, rule.nodes.points, rule.lambdas, d)
+            assert_allclose(got, ref, rtol=0, atol=1e-14)
+            deg = min(d, rule.degree)
+            a, b = cubature._exactness_report(deg, got), cubature._exactness_report(deg, ref)
+            assert (a.passed, a.first_failure_degree) == (b.passed, b.first_failure_degree)
+
+    @pytest.mark.parametrize("degree", [30, 31])
+    def test_triangle_sums_over_partial_blocks(self, degree, monkeypatch):
+        rule = RULE_BUILDERS["gencheb0.3,-0.2"](16)  # exact through 31, its even-total moments nonzero
+        ref = full_square_residuals(rule.weight, rule.nodes.points, rule.lambdas, degree)
+        # blocks of 7 nodes, so the last block is partial
+        monkeypatch.setattr(cubature, "_BLOCK_BYTES", 16 * (degree + 1) * 7)
+        assert len(rule.nodes) % 7
+        got = cubature._degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, degree)
+        assert_allclose(got, ref, rtol=0, atol=1e-14)
 
     def test_nan_weight_fails(self):
         rule = RULE_BUILDERS["mint"](4)
