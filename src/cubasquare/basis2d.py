@@ -9,19 +9,20 @@ extra factors.
 
 The augmented kernel used for minimal and near-minimal rules is
 
-    K*_n(z, z') = K_{n-1}(z, z') + Q(z)^T S^{-1} Q(z'),
+    K*_n(z, z') = K_{n-1}(z, z') + sum_i Q_i(z) Q_i(z') / s_i,
 
 where Q collects an orthonormal basis of the complement of the span of
-the node-vanishing polynomials inside the degree-n space, and S is the
-discrete Gram matrix of Q under the cubature weights.  S is the
-identity for Gaussian configurations (sigma = 0); for the other
-configurations it is calibrated from the node set together with the
-cubature weights (``interp.family_rule`` returns the calibrated spec).
+the node-vanishing polynomials inside the degree-n space, and s is the
+diagonal of their discrete Gram matrix S under the cubature weights, which
+is diagonal on every node family here (Xu, J. Approx. Theory 87, 1996;
+Caliari, De Marchi, Sommariva, Vianello, Numer. Algorithms 56, 2011).
+s = 1 for Gaussian configurations (sigma = 0); otherwise s is calibrated
+from the node set and the weights (``interp.family_rule`` returns it).
 Minimal and near-minimal nodes keep about half of the degree-n members
 (sigma = floor(n/2) or floor(n/2) + 1); the Padua points keep all of them
 (sigma = n + 1), so K*_n is the reproducing kernel of all of Pi_n^2 under
 the discrete inner product and no member vanishes on the nodes.
-With that S, the weights satisfy
+With that s, the weights satisfy
 lambda_k = 1/K*_n(z_k, z_k) exactly and the cardinal functions
 K*_n(., z_k)/K*_n(z_k, z_k) vanish at the other nodes.
 
@@ -36,9 +37,9 @@ rows ``p_coeffs @ eval_degree(n)`` of the kernel specs are the generating
 polynomials that ``nodes.vanishing_residual`` reads.
 The gencheb rows map to T_{d-k}(x) T_k(y) from 1-D Jacobi-to-Chebyshev
 coefficients in the angle variables, with no solve.
-``_kernel_star_diag`` forms K*(z_k, z_k) for the cubature checks and the
-interpolant's node blocks, ``_kernel_star_node_factor`` the node factor
-G = [F_low; q^T S^-1 Q], ``kernel_star_matrix`` the dense reference.
+At a node the kernel is one coefficient per basis row (``KernelStarSpec.row_coeffs``),
+which the calibration, the interpolants and the Lebesgue grid route read;
+``kernel_star_matrix`` is the dense reference.
 """
 
 from __future__ import annotations
@@ -400,12 +401,12 @@ class KernelStarSpec:
 
     q_coeffs (sigma x (n+1)) and p_coeffs ((n+1-sigma) x (n+1)) express the
     complement set and the vanishing set in the coordinates of the
-    orthonormal degree-n basis.  sigma is 0 (Gaussian), floor(n/2) or
-    floor(n/2)+1 (minimal and near-minimal), or n+1 (Padua: no member
-    vanishes).  ``s_matrix`` is the discrete Gram of the complement under
-    the cubature weights; ``None`` means the identity (exact for sigma = 0).
-    For sigma > 0, ``interp.family_rule`` returns a spec calibrated on its
-    node set.
+    orthonormal degree-n basis; no two complement members share a basis row.
+    sigma is 0 (Gaussian), floor(n/2) or floor(n/2)+1 (minimal and
+    near-minimal), or n+1 (Padua: no member vanishes).  ``s_diag`` is the
+    diagonal of the discrete Gram S of the complement under the cubature
+    weights (S is diagonal); ``None`` means the identity (exact for sigma = 0).
+    For sigma > 0, ``interp.family_rule`` returns a spec calibrated on its node set.
     """
 
     weight: WeightSpec
@@ -413,7 +414,7 @@ class KernelStarSpec:
     sigma: int
     q_coeffs: np.ndarray
     p_coeffs: np.ndarray
-    s_matrix: np.ndarray | None = field(default=None)
+    s_diag: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         half = self.n // 2
@@ -423,12 +424,20 @@ class KernelStarSpec:
             )
         if self.q_coeffs.shape != (self.sigma, self.n + 1):
             raise ValueError("q_coeffs has wrong shape")
+        if np.count_nonzero(self.q_coeffs, axis=0).max(initial=0) > 1:
+            raise ValueError("two rows of q_coeffs share a basis row")
 
     @functools.cached_property
-    def s_inverse(self) -> np.ndarray:
-        """S^-1 as solve(S, I), formed once per spec: one GEMM then applies it to
-        node columns, several times faster than solve(S, Q); S is well conditioned."""
-        return np.linalg.solve(self.s_matrix, np.eye(self.sigma))
+    def row_coeffs(self) -> np.ndarray:
+        """C_r for each row r of ``eval_upto(m)`` (m = n, or n - 1 for sigma = 0), with
+        mass K*(z_k, p) = sum_r C_r F_r(z_k) F_r(p) at the nodes z_k: 1 below degree n,
+        1/s_i on the degree-n rows of complement member i, else 0 (at a node, the rows
+        of member i's support are q_ir Q_i, as the vanishing members are zero there)."""
+        if self.sigma and self.s_diag is None:
+            raise ValueError(f"the kernel spec (n = {self.n}, sigma = {self.sigma}) is not calibrated on a node "
+                             "set: interp.family_rule or interp.interpolate_kernel calibrates it")
+        ones = np.ones(dim_upto(self.n - 1))
+        return np.concatenate([ones, (self.q_coeffs != 0).T @ (1.0 / self.s_diag)]) if self.sigma else ones
 
 
 def star_spec_gaussian(w: WeightSpec, n: int) -> KernelStarSpec:
@@ -479,7 +488,8 @@ def star_spec_padua(n: int) -> KernelStarSpec:
 
 
 def kernel_star_matrix(spec: KernelStarSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Raw augmented-kernel matrix K*_n(a_i, b_j)."""
+    """Raw augmented-kernel matrix K*_n(a_i, b_j) from the dense basis rows and
+    q^T diag(1/s) q, valid at any points: the reference for ``row_coeffs``."""
     basis = basis_for(spec.weight)
     pa = np.asarray(pts_a, dtype=float).reshape(-1, 2)
     pb = np.asarray(pts_b, dtype=float).reshape(-1, 2)
@@ -488,34 +498,6 @@ def kernel_star_matrix(spec: KernelStarSpec, pts_a: np.ndarray, pts_b: np.ndarra
     lo = dim_upto(spec.n - 1)
     K = Fa[:lo].T @ Fb[:lo]
     if spec.sigma:
-        Qa = spec.q_coeffs @ Fa[lo:]
-        Qb = spec.q_coeffs @ Fb[lo:]
-        S = spec.s_matrix
-        if S is None:
-            K = K + Qa.T @ Qb
-        else:
-            K = K + Qa.T @ np.linalg.solve(S, Qb)
+        s = np.ones(spec.sigma) if spec.s_diag is None else spec.s_diag
+        K += (spec.q_coeffs @ Fa[lo:] / s[:, None]).T @ (spec.q_coeffs @ Fb[lo:])
     return K / basis.mass
-
-
-def _kernel_star_node_factor(spec: KernelStarSpec, F: np.ndarray) -> np.ndarray:
-    """Turn the basis rows F at the nodes z_j (degrees <= n; <= n-1 suffice for
-    sigma = 0) into G = [F_low; q^T S^-1 Q] in place, so that
-    K*(z_j, p) = G[:, j] . F(p) / mass, and return the diagonal
-    mass * K*(z_j, z_j) = sum_i G[i, j] F[i, j].  ``spec.s_matrix`` must be
-    set when sigma > 0."""
-    lo = dim_upto(spec.n - 1)
-    low_sq = np.einsum("ij,ij->j", F[:lo], F[:lo])
-    if not spec.sigma:
-        return low_sq
-    kdiag, sq = _kernel_star_diag(spec, low_sq, spec.q_coeffs @ F[lo:])
-    F[lo:] = spec.q_coeffs.T @ sq
-    return kdiag
-
-
-def _kernel_star_diag(spec: KernelStarSpec, low_sq: np.ndarray, Q: np.ndarray):
-    """mass * K*(z_j, z_j) = low_sq[j] + Q[:, j]^T S^-1 Q[:, j] from the squared
-    norms ``low_sq`` of the degree <= n-1 rows and the complement rows
-    Q = q F_deg at the nodes, together with S^-1 Q."""
-    sq = spec.s_inverse @ Q
-    return low_sq + np.einsum("ij,ij->j", Q, sq), sq

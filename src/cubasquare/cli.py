@@ -129,9 +129,9 @@ def cmd_verify(args) -> int:
 def cmd_interp(args) -> int:
     f = _TEST_FUNCTIONS[args.function]
     fam, n_list = _table_family(args)
-    if args.resolution < 2:
-        raise UsageError("--resolution must be at least 2")
-    rows = convergence_report(fam, f, n_list, norm=args.norm, grid_resolution=args.resolution,
+    if args.resolution is not None and (args.norm == "L2" or args.resolution < 2):
+        raise UsageError("--resolution, at least 2, sets the grid of --norm sup; --norm L2 reads no grid")
+    rows = convergence_report(fam, f, n_list, norm=args.norm, grid_resolution=args.resolution or 101,
                               alpha=args.alpha, beta=args.beta)
     if args.format == "json":
         _write_out(json.dumps([{"n": n, "error": e} for n, e in rows], indent=2), args.out)
@@ -261,12 +261,12 @@ def _parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("interp", help="interpolation error table",
-                       description="Interpolation errors, sup norm on the R x R Chebyshev-Lobatto grid or L2 in the "
-                       "family weight.  Interpolants read their cardinal columns in node blocks of at most 16 MB, "
-                       "no dim x N array.  One process, 2 vCPUs: mint 128 0.4 s and 57 MB peak RSS, padua 128 0.5 s "
-                       "and 62 MB, gencheb 96 0.4 s and 53 MB, mint 256 4.2 s and 88 MB, padua 256 5.9 s and 121 MB.")
+                       description="Interpolation errors: sup norm on the R x R Chebyshev-Lobatto grid (--resolution "
+                       "R, default 101) or L2 in the family weight.  Cardinal columns are read in node blocks of at "
+                       "most 16 MB.  One process, 2 vCPUs: mint 128 0.4 s and 57 MB peak RSS, padua 128 0.5 s and 62 "
+                       "MB, gencheb 96 0.4 s and 53 MB, mint 256 4.2 s and 88 MB, padua 256 5.9 s and 121 MB.")
     add_family(q, with_n=False)
-    add_table(q, resolution=101)
+    add_table(q, resolution=None)
     q.add_argument("--function", choices=sorted(_TEST_FUNCTIONS), default="exp_xy")
     q.add_argument("--norm", choices=("sup", "L2"), default="sup")
     q.set_defaults(fn=cmd_interp)

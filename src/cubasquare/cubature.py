@@ -11,7 +11,6 @@ import numpy as np
 from .basis2d import (
     _BLOCK_BYTES,
     KernelStarSpec,
-    _kernel_star_diag,
     _split_z,
     basis_for,
     dim_upto,
@@ -45,6 +44,7 @@ __all__ = [
 _EXACT_TOL = 1e-9  # largest moment error, relative to the mass, of an exact degree
 _EXTRA_DEGREES = 3  # degrees scanned past the declared one to locate the first failure
 _VANDERMONDE_TOL = 1e-10  # largest moment residual of least-squares weights, relative to the mass
+_DIAGONAL_TOL = 1e-10  # largest off-diagonal S_ij of the calibrated Gram, relative to sqrt(S_ii S_jj)
 
 
 class CubatureError(RuntimeError):
@@ -130,7 +130,7 @@ def _closed_form_weights(w: WeightSpec, n: int, points: np.ndarray) -> np.ndarra
 
 def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
     """``weights_from_kernel`` together with the spec calibrated on ``nodes``
-    (a copy whose ``s_matrix`` is the discrete Gram S; ``spec`` for sigma = 0).
+    (a copy holding the diagonal ``s_diag`` of the Gram S; ``spec`` for sigma = 0).
 
     One path for every family: the closed-form weights, their moment
     residuals through the declared degree + ``_EXTRA_DEGREES`` (the build
@@ -163,17 +163,17 @@ def _calibrated_rule(nodes: NodeSet, spec: KernelStarSpec, w: WeightSpec):
 
 def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, earlier: tuple[str, ...] = ()):
     """Check a kernel spec, and unit-mass weights ``w_unit`` (one per node) on
-    it, over node blocks; return the spec calibrated with S = (Q w) Q^T
-    (as it is for sigma = 0) and mass * K*(z_k, z_k).  Each block of
-    ``reductions`` (``node_reductions``) is (start, |F_low|^2, degree-n rows,
-    F_low w over the block), with F_low the basis rows of degree <= n-1.
-    S and K* are summed and formed over blocks: Q is the one sigma x N array.
+    it, over node blocks; return the spec calibrated with the diagonal s of
+    S = (Q w) Q^T (as it is for sigma = 0) and mass K*(z_k, z_k) = |F_low(z_k)|^2
+    + sum_i Q_i(z_k)^2 / s_i.  Each block of ``reductions`` (``node_reductions``)
+    is (start, |F_low|^2, degree-n rows, F_low w over the block), F_low the rows
+    of degree <= n-1.  S is summed over blocks: Q is the one sigma x N array.
 
     The nodes must be common zeros of the vanishing combinations
-    (``_common_zero_checked``).  The weights must satisfy the unisolvent
-    equations [F_low; Q] w = e_0, K* must be positive, and mass / K* must
-    reproduce mass * w; each failing one is named in the error, after
-    ``earlier``.
+    (``_common_zero_checked``), S must be diagonal (each off-diagonal at most
+    ``_DIAGONAL_TOL`` sqrt(S_ii S_jj)), the weights must satisfy [F_low; Q] w =
+    e_0, K* must be positive and mass / K* must reproduce mass * w; each
+    failing one is named in the error, after ``earlier``.
     """
     failures = list(earlier)
     kdiag = np.empty(len(w_unit))  # |F_low(z_k)|^2, then mass K*(z_k, z_k) (K* = K_{n-1} for sigma = 0)
@@ -186,13 +186,16 @@ def _checked_calibration(spec: KernelStarSpec, reductions, w_unit: np.ndarray, e
         Q[:, s:e] = spec.q_coeffs @ Fn
         S += (Q[:, s:e] * w_unit[s:e]) @ Q[:, s:e].T
         low_w += lw
-    if spec.sigma:
-        spec = replace(spec, s_matrix=S)
-        step = max(1, _BLOCK_BYTES // (8 * spec.sigma))
-        for s in range(0, len(kdiag), step):
-            kdiag[s:s + step] = _kernel_star_diag(spec, kdiag[s:s + step], Q[:, s:s + step])[0]
     low_w[0] -= 1.0
     resid = max(float(np.abs(low_w).max()), float(np.abs(Q @ w_unit).max(initial=0.0)))
+    if spec.sigma:
+        s_diag = np.diag(S).copy()
+        off = float((np.abs(S - np.diag(s_diag)) / np.sqrt(np.outer(s_diag, s_diag))).max())
+        if not off <= _DIAGONAL_TOL:  # NaN (an s_i of 0) counts as failing
+            failures.append(f"the discrete Gram S of the complement is not diagonal (off-diagonal "
+                            f"{off:.2e} of sqrt(S_ii S_jj), tolerance {_DIAGONAL_TOL:.0e})")
+        spec = replace(spec, s_diag=s_diag)
+        kdiag += (1.0 / s_diag) @ np.square(Q, out=Q)  # Q is not read again
     if not resid <= 1e-10:
         failures.append(f"weights miss the unisolvent equations [F_low; Q] w = e_0 (residual {resid:.2e})")
     if not kdiag.min() > 0:

@@ -7,8 +7,9 @@ cardinal functions K*(., z_k)/K*(z_k, z_k), a kernel sum over the nodes
 Numer. Algorithms 56, 2011).  So an ``Interpolant`` keeps no dim x N
 cardinal factor: its fields are the nodes, ``f_values``, the calibrated
 ``spec``, ``degree``, the coefficient square ``square`` in the rows
-T_i(x) T_j(y) and, for the Padua points, ``collocation_cond``.  The build
-and ``cardinal_matrix`` read the cardinal columns one node block at a time
+T_i(x) T_j(y) and, for the Padua points, ``collocation_cond``.  The build,
+``cardinal_matrix`` and gencheb's Lebesgue factor read the cardinal columns,
+the basis rows scaled by ``spec.row_coeffs``, one node block at a time
 (``_cardinal_blocks``).
 
 Lebesgue constants are estimated from below on Chebyshev-Lobatto tensor
@@ -31,7 +32,6 @@ from .basis2d import (
     OrthoBasis2D,
     _ProductOrthoBasis2D,
     _degree_pairs,
-    _kernel_star_node_factor,
     _square,
     basis_for,
     dim_upto,
@@ -40,7 +40,7 @@ from .basis2d import (
     star_spec_gencheb,
     star_spec_padua,
 )
-from .cubature import CubatureError, _calibrated_rule
+from .cubature import _calibrated_rule
 from .nodes import (NodeSet, _cosines, gauss_u_nodes, gencheb_nodes, min_t_nodes_even, near_min_t_nodes_odd,
                     padua_points)
 from .univariate import chebyshev_t_table, jacobi_normalized_table
@@ -57,14 +57,16 @@ __all__ = [
 
 
 def _cardinal_blocks(spec: KernelStarSpec, pts: np.ndarray, m: int):
-    """Per block of at most ``_BLOCK_BYTES`` of the nodes ``pts``: its start, G(z_k) in the
-    rows of ``eval_upto(m)`` and kappa_k = mass K*(z_k, z_k) (``_kernel_star_node_factor``),
-    which give the cardinal functions ell_k(p) = G[:, k] . F(p) / kappa_k."""
-    basis = basis_for(spec.weight)
+    """Per block of at most ``_BLOCK_BYTES`` of the nodes ``pts``: its start, G(z_k) = C F(z_k)
+    in the rows F of ``eval_upto(m)`` (C = ``spec.row_coeffs``) and kappa_k = mass K*(z_k, z_k)
+    = sum_r C_r F_r(z_k)^2, which give the cardinal functions ell_k(p) = G[:, k] . F(p) / kappa_k."""
+    # C = 1 below degree n: only the rows from lo on are weighted and scaled (cheb1 128 builds 1.4x faster)
+    basis, C, lo = basis_for(spec.weight), spec.row_coeffs, dim_upto(spec.n - 1)
     step = max(1, _BLOCK_BYTES // (8 * dim_upto(m)))
     for s in range(0, len(pts), step):
         G = basis.eval_upto(m, *pts[s:s + step].T)
-        kappa = _kernel_star_node_factor(spec, G)
+        kappa = np.einsum("rk,rk->k", G[:lo], G[:lo]) + np.einsum("r,rk,rk->k", C[lo:], G[lo:], G[lo:])
+        G[lo:] *= C[lo:, None]
         yield s, G, kappa
         del G  # before the next block; so must the caller
 
@@ -75,9 +77,9 @@ class Interpolant:
 
     ``square`` holds C[i, j] of T_i(x) T_j(y), zero above total degree
     ``degree``: the column G (f / kappa) summed over the node blocks of
-    ``_cardinal_blocks`` (``spec`` calibrated on the nodes), mapped to the T
-    square by ``chebyshev_coeffs``.  A call reads C and the 1-D tables at the
-    points alone: sum_j T_j(y) (C^T T(x))_j.  For the Padua spec (sigma =
+    ``_cardinal_blocks`` (``spec`` calibrated on the nodes, else a ValueError),
+    mapped to the T square by ``chebyshev_coeffs``.  A call reads C and the 1-D
+    tables at the points alone: sum_j T_j(y) (C^T T(x))_j.  For the Padua spec (sigma =
     n + 1), ``collocation_cond`` is the 1-norm condition number of the
     collocation matrix V (rows T_{d-k}(x) T_k(y) at the nodes), else None.
     """
@@ -147,10 +149,10 @@ def interpolate_kernel(
 ) -> Interpolant:
     """Kernel interpolant sum_k f(z_k) K*(. , z_k)/K*(z_k, z_k).
 
-    An uncalibrated ``spec`` (sigma > 0, no ``s_matrix``) is calibrated on
+    An uncalibrated ``spec`` (sigma > 0, no ``s_diag``) is calibrated on
     ``nodes`` first; the caller's spec is not changed.
     """
-    if spec.sigma and spec.s_matrix is None:
+    if spec.sigma and spec.s_diag is None:
         spec = _calibrated_rule(nodes, spec, w)[1]
     return Interpolant(nodes=nodes, f_values=f_values, spec=spec)
 
@@ -270,45 +272,13 @@ def _kappa_match(basis: OrthoBasis2D, C: np.ndarray, kappa: np.ndarray):
     return same
 
 
-def _degree_n_coefficients(basis: OrthoBasis2D, spec: KernelStarSpec, pts: np.ndarray) -> np.ndarray:
-    """c_k, the coefficient of the degree-n row k, p_{n-k}(x) q_k(y), in the
-    kernel's degree-n block q^T S^-1 q as the nodes ``pts`` see it: the
-    least-squares ratio over the nodes of row k of q^T S^-1 q F_n to row k of
-    F_n (F_n the degree-n rows at the nodes; 0 where F_n's row is 0).  The
-    ratio must hold at every node to 1e-12 of the largest |q^T S^-1 q F_n|,
-    else a CubatureError.  0 for sigma = 0, where K* = K_{n-1}."""
-    n = spec.n
-    c = np.zeros(n + 1)
-    if not spec.sigma:
-        return c
-    Fn = basis.eval_degree(n, *pts.T)
-    MF = spec.q_coeffs.T @ (spec.s_inverse @ (spec.q_coeffs @ Fn))
-    ff = np.einsum("kj,kj->k", Fn, Fn)
-    np.divide(np.einsum("kj,kj->k", MF, Fn), ff, out=c, where=ff > 0)
-    scale = np.abs(MF).max()
-    Fn *= c[:, None]
-    MF -= Fn
-    misfit = np.abs(MF).max() / scale
-    if not misfit <= 1e-12:
-        raise CubatureError(f"the degree-{n} block of the kernel is not one coefficient per row at the "
-                            f"nodes (misfit {misfit:.2e})")
-    return c
-
-
 def _grid_kernel(basis: OrthoBasis2D, spec: KernelStarSpec, pts: np.ndarray):
-    """The coefficient square C and the diagonal kappa_k = mass K*(z_k, z_k)
-    of the kernel interpolant of a product basis p_i(x) q_j(y) at the nodes
-    ``pts``: mass K*(z_k, p) = sum_ij C_ij p_i(x_k) p_i(x) q_j(y_k) q_j(y) over
-    i + j <= m.  C is 1 below degree n and c_k (``_degree_n_coefficients``)
-    on the degree-n row k, (i, j) = (n - k, k); m = n, or n - 1 when every
-    c_k is 0 (the Gaussian nodes).  kappa comes from the 1-D tables at the
-    nodes."""
-    n = spec.n
-    c = _degree_n_coefficients(basis, spec, pts)
-    m = n if c.any() else n - 1
-    C = _square(np.ones((dim_upto(m), 1)), m)[:, :, 0]
-    if m == n:
-        C[n - np.arange(n + 1), np.arange(n + 1)] = c
+    """The coefficient square C (``spec.row_coeffs`` on the square; m = n, or
+    n - 1 for the Gaussian nodes) and kappa_k = mass K*(z_k, z_k) from the 1-D
+    tables at the nodes ``pts`` of a product basis p_i(x) q_j(y):
+    mass K*(z_k, p) = sum_ij C_ij p_i(x_k) p_i(x) q_j(y_k) q_j(y), i + j <= m."""
+    m = spec.n if spec.sigma else spec.n - 1
+    C = _square(spec.row_coeffs[:, None], m)[:, :, 0]
     px, py = (np.square(jacobi_normalized_table(*ab, m, t)) for ab, t in zip((basis._ax, basis._ay), pts.T))
     return C, np.einsum("jk,jk->k", py, C.T @ px)
 
@@ -400,9 +370,10 @@ def lebesgue_constant(
     (the quarter grid's triangle, in blocks of 32 rows), against 2.8e9 for
     the factor route on the quarter grid.
 
-    gencheb, whose basis is no product in x and y, forms its dim x N
-    cardinal factor in the T rows in one piece and contracts it over node
-    blocks: the x-degree over the total-degree triangle, then the y-degree.
+    gencheb, whose basis is no product in x and y, fills its dim x N
+    cardinal factor from the node blocks of ``_cardinal_blocks``, maps it to
+    the T rows in place and contracts it over node blocks: the x-degree over
+    the total-degree triangle, then the y-degree.
     """
     if grid_resolution < 64:
         raise ValueError("grid_resolution must be >= 64")
@@ -410,9 +381,11 @@ def lebesgue_constant(
     basis, g = basis_for(w), _cosines(grid_resolution - 1)
     if isinstance(basis, _ProductOrthoBasis2D):
         return _grid_lebesgue(basis, nodes.points, *_grid_kernel(basis, spec, nodes.points), g)
-    G = basis.eval_upto(n, *nodes.points.T)  # gencheb: sigma > 0, degree n
-    G /= _kernel_star_node_factor(spec, G)
-    return _factor_lebesgue(nodes.points, basis.chebyshev_coeffs(n, G), n, g)
+    factor = np.empty((dim_upto(n), len(nodes)))  # gencheb: sigma > 0, degree n
+    for s, G, kappa in _cardinal_blocks(spec, nodes.points, n):
+        np.divide(G, kappa, out=factor[:, s:s + len(kappa)])
+        del G
+    return _factor_lebesgue(nodes.points, basis.chebyshev_coeffs(n, factor), n, g)
 
 
 def convergence_report(
@@ -426,14 +399,15 @@ def convergence_report(
 ):
     """Interpolation errors ||f - L_n f|| over a list of degrees.
 
-    ``sup`` measures on a fixed Lobatto grid; ``L2`` integrates the
-    squared error against the family weight with a tensor oracle.
-    Returns a list of (n, error) pairs.
+    ``sup`` measures on the Lobatto grid of ``grid_resolution`` points a side;
+    ``L2`` integrates the squared error against the family weight with a
+    tensor oracle, and builds no grid.  Returns a list of (n, error) pairs.
     """
     if norm not in ("sup", "L2"):
         raise ValueError("norm must be 'sup' or 'L2'")
-    pts = _lobatto_grid(grid_resolution)
-    fg = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    if norm == "sup":
+        pts = _lobatto_grid(grid_resolution)
+        fg = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     out = []
     for n in n_list:
         nodes, spec, w, _ = family_rule(family, n, alpha, beta)

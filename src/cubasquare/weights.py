@@ -5,8 +5,9 @@ modified moments of ``chebyshev_moments`` (Chebyshev tensor basis) are the
 ground truth for every exactness assertion in the package.  A product
 weight's are closed-form: int T_k(x) (1-x^2)^e dx = int_0^pi cos(k theta)
 sin^(2e+1) theta d theta is 0 for odd k and obeys mu_{2p+2} / mu_{2p} =
-(p - e - 1/2) / (p + e + 3/2).  The mass and the other moments come from
-tensor Gauss rules, of an order that makes them exact up to roundoff.
+(p - e - 1/2) / (p + e + 3/2), from the mass, the product of the axes'
+closed-form Jacobi masses.  ``moment`` takes the other monomial moments
+from tensor Gauss rules, of an order that makes them exact up to roundoff.
 
 The gencheb weight is a product in its angle variables: with
 x = cos(u+v), y = cos(u-v), t = cos 2u, s = cos 2v and each integrand
@@ -23,11 +24,11 @@ Canonical textual forms: ``const``, ``cheb1``, ``cheb2``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, prod
 
 import numpy as np
 
-from .univariate import chebyshev_t_table, gauss_rule_1d
+from .univariate import _jacobi_mass, chebyshev_t_table, gauss_rule_1d
 
 __all__ = [
     "WeightSpec",
@@ -252,12 +253,15 @@ def moment(w: WeightSpec, i: int, j: int) -> float:
     if w.kind == "gencheb":
         X, Y, wts = tensor_oracle(w, i + j)
         return float((wts * X**i * Y**j).sum())
+    if i + j == 0:
+        return mass(w)
     # product weights separate into two 1-D integrals
     (xg, wx), (yg, wy) = _oracle_axes(w, max(i, j))
     return float((wx * xg**i).sum() * (wy * yg**j).sum())
 
 
 def mass(w: WeightSpec) -> float:
-    """Total mass moment(w, 0, 0)."""
-    return moment(w, 0, 0)
+    """Total mass moment(w, 0, 0); for a product weight the product of its
+    axes' closed-form Jacobi masses."""
+    return moment(w, 0, 0) if w.kind == "gencheb" else prod(_jacobi_mass(*ab) for ab in _axis_params(w))
 

@@ -1,6 +1,7 @@
 """Tests for the 2-D orthonormal bases, three-term matrices, and kernels."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,16 +273,27 @@ class TestKernelStar:
                                                   ("gencheb", 64, 40, 40), ("gencheb", 16, 50, -0.9),
                                                   ("gencheb", 128, 0.5, 0.5)])
 def test_kernel_star_diag_matches_solve(family, n, alpha, beta):
-    # S^-1 applied as solve(S, I) and one product, against solve(S, Q), on the
-    # calibrated S; relative to K*(z_k, z_k) = mass / lambda_k at each node
+    # the calibration's mass K*(z_k, z_k) = |F_low|^2 + sum_i Q_i^2 / s_i against
+    # |F_low|^2 + Q^T solve(S, Q) with the full Gram S = (Q w) Q^T formed here from
+    # the dense degree-n rows at the nodes, to 1e-13 of K*(z_k, z_k) plus what the
+    # rounding of S's off-diagonals moves the solve by: with S = D (I + E) D,
+    # D^2 = diag(S), Q^T S^-1 Q is within ||E|| / (1 - ||E||) sum_i Q_i^2 / s_i of
+    # sum_i Q_i^2 / s_i (||E|| = 1.7e-11 at gencheb (-0.99, 20), n = 64)
+    from cubasquare.cubature import _checked_calibration
     from cubasquare.interp import family_rule
 
     nodes, spec, w, rule = family_rule(family, n, alpha, beta)
-    Q = spec.q_coeffs @ basis_for(w).eval_degree(n, *nodes.points.T)
-    zero = np.zeros(len(nodes))
-    got = basis2d._kernel_star_diag(spec, zero, Q)[0]
-    ref = np.einsum("ij,ij->j", Q, np.linalg.solve(spec.s_matrix, Q))
-    assert (np.abs(got - ref) * rule.lambdas / mass(w)).max() <= 1e-13
+    basis, pts = basis_for(w), nodes.points
+    w_unit = rule.lambdas / basis.mass
+    got = _checked_calibration(replace(spec, s_diag=None), basis.node_reductions(n, pts, w_unit), w_unit)[1]
+    low_sq = np.concatenate([block[1] for block in basis.node_reductions(n, pts, w_unit)])
+    Q = spec.q_coeffs @ basis.eval_degree(n, *pts.T)
+    S = (Q * w_unit) @ Q.T
+    ref = low_sq + np.einsum("ij,ij->j", Q, np.linalg.solve(S, Q))
+    s = np.diag(S)
+    e = np.linalg.norm(S / np.sqrt(np.outer(s, s)) - np.eye(len(s)), 2)
+    assert e < 1e-10
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref + e / (1 - e) * np.einsum("ij,ij->j", Q / s[:, None], Q))
 
 
 def gencheb_members(a, b, n):

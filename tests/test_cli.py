@@ -391,6 +391,21 @@ class TestTables:
         assert run([command, "mint", "--n-list", "4", "--resolution", resolution, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_resolution_with_l2_rejected(self, tmp_path):
+        # --norm L2 integrates with the weight's tensor oracle and reads no grid
+        out = tmp_path / "table.csv"
+        assert run(["interp", "mint", "--n-list", "4", "--norm", "L2", "--resolution", "101", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_interp_resolution_defaults_to_101(self, capsys):
+        base = ["interp", "mint", "--n-list", "4,8", "--function", "runge"]
+        assert run(base) == 0
+        default = capsys.readouterr().out
+        assert run(base + ["--resolution", "101"]) == 0
+        assert capsys.readouterr().out == default
+        assert run(base + ["--resolution", "50"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_lebesgue_json_is_strict_json_at_n_1(self, tmp_path):
         # per_log2 is undefined at n = 1; the file holds null there, not a bare NaN
         out = tmp_path / "leb.json"

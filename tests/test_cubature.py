@@ -83,7 +83,7 @@ class TestKernelWeights:
     def test_spec_not_mutated(self):
         spec = star_spec_cheb1(6)
         weights_from_kernel(min_t_nodes_even(6), spec, cheb1())
-        assert spec.s_matrix is None
+        assert spec.s_diag is None
 
     def test_cheb2_gaussian_degrees(self):
         for n in range(2, 13):
@@ -364,7 +364,7 @@ class TestSeparableCalibration:
                                           ("cheb2", 20), ("cheb2", 21)])
     def test_matches_dense_rows(self, family, n, monkeypatch):
         nodes, spec, w, rule = family_rule(family, n)
-        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
+        raw, pts, basis = replace(spec, s_diag=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
         dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit)
@@ -372,8 +372,8 @@ class TestSeparableCalibration:
         monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 48 * (n + 1) * 7)
         sep = cubature._checked_calibration(raw, basis.node_reductions(n, pts, w_unit), w_unit)
         if spec.sigma:
-            S = dense[0].s_matrix
-            assert np.abs(sep[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
+            s = dense[0].s_diag
+            assert np.abs(sep[0].s_diag - s).max() <= 1e-13 * s.max()
         assert_allclose(sep[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
         assert_allclose(rule.lambdas, basis.mass / dense[1], rtol=1e-13, atol=0)
 
@@ -385,15 +385,15 @@ class TestSeparableCalibration:
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 33, 47, 48])
     def test_gencheb_matches_dense_rows(self, alpha, beta, n, monkeypatch):
         nodes, spec, w, rule = family_rule("gencheb", n, alpha, beta)
-        raw, pts, basis = replace(spec, s_matrix=None), nodes.points, basis2d.basis_for(w)
+        raw, pts, basis = replace(spec, s_diag=None), nodes.points, basis2d.basis_for(w)
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
         dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit)
         # blocks of 7 nodes, so the last block is partial
         monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 48 * (n + 1) * 7)
         ang = cubature._checked_calibration(raw, basis.node_reductions(n, pts, w_unit), w_unit)
-        S = dense[0].s_matrix
-        assert np.abs(ang[0].s_matrix - S).max() <= 1e-13 * np.abs(S).max()
+        s = dense[0].s_diag
+        assert np.abs(ang[0].s_diag - s).max() <= 1e-13 * s.max()
         assert_allclose(ang[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
         assert_allclose(rule.lambdas, basis.mass / ang[1], rtol=1e-13, atol=0)
 
@@ -409,7 +409,7 @@ class TestSeparableCalibration:
         for family in ("gencheb", "cheb1"):
             nodes, spec, w, rule = family_rule(family, n, -0.5, -0.5)
             basis, w_unit = basis2d.basis_for(w), rule.lambdas / mass(w)
-            kdiag = cubature._checked_calibration(replace(spec, s_matrix=None),
+            kdiag = cubature._checked_calibration(replace(spec, s_diag=None),
                                                   basis.node_reductions(n, nodes.points, w_unit), w_unit)[1]
             order = np.lexsort(np.round(nodes.points, 12).T[::-1])
             rules[family] = nodes.points[order], rule.lambdas, kdiag[order] / basis.mass

@@ -1,16 +1,18 @@
 """Tests for interpolation, Lebesgue constants, and convergence diagnostics."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cubasquare import cubature
 from cubasquare import interp as interp_module
-from cubasquare.basis2d import _degree_pairs, basis_for, dim_upto, kernel_star_matrix, star_spec_cheb1
+from cubasquare.basis2d import (KernelStarSpec, _degree_pairs, basis_for, dim_upto, kernel_star_matrix,
+                                star_spec_cheb1)
 from cubasquare.cubature import CubatureError
 from cubasquare.interp import (
+    Interpolant,
     convergence_report,
     family_rule,
     interpolate_kernel,
@@ -55,11 +57,16 @@ FAMILIES = [("cheb1", 8), ("cheb1", 7), ("cheb2", 8), ("gencheb", 8), ("padua", 
 class TestKernelInterpolation:
     def test_uncalibrated_spec_calibrated_on_a_copy(self):
         nodes, spec, w, _ = family_rule("cheb1", 8)
-        assert spec.s_matrix is not None
+        assert spec.s_diag is not None
         raw = star_spec_cheb1(8)
         L = interpolate_kernel(nodes, raw, w, np.zeros(len(nodes))).cardinal_matrix(nodes.points)
-        assert raw.s_matrix is None
+        assert raw.s_diag is None
         assert np.abs(L - np.eye(len(nodes))).max() < 1e-10
+
+    def test_uncalibrated_spec_refused_by_interpolant(self):
+        nodes, _, _, _ = family_rule("cheb1", 8)
+        with pytest.raises(ValueError, match="not calibrated"):
+            Interpolant(nodes=nodes, f_values=np.zeros(len(nodes)), spec=star_spec_cheb1(8))
 
     def test_constant_reproduced(self):
         nodes, spec, w, _ = family_rule("cheb1", 6)
@@ -276,11 +283,12 @@ class TestGridKernel:
 
     @pytest.mark.parametrize("family", ["cheb1", "padua", "cheb2"])
     def test_degree_n_coefficients_closed_forms(self, family):
-        # C_ij on the row (n - k, k) of degree n: 1/4 at k = 0, n and 1/2
+        # row_coeffs on the row (n - k, k) of degree n: 1/4 at k = 0, n and 1/2
         # between for the minimal and near-minimal nodes, 0 where T_{n/2}(x)
         # T_{n/2}(y) vanishes on the minimal nodes (Xu 1996); 1/2 at (n, 0)
-        # and 1 elsewhere for the Padua points (Caliari et al. 2011); 0 for
-        # the Gaussian nodes (K* = K_{n-1}), which drops degree n
+        # and 1 elsewhere for the Padua points (Caliari et al. 2011); none for
+        # the Gaussian nodes (K* = K_{n-1}), which drop degree n.  The grid
+        # route's square C holds them at (n - k, k)
         for n in range(2, 13):
             nodes, spec, w, rule = family_rule(family, n)
             basis = basis_for(w)
@@ -289,24 +297,67 @@ class TestGridKernel:
             if family == "cheb1":
                 want = np.where((k == 0) | (k == n), 0.25, np.where(2 * k == n, 0.0, 0.5))
             else:
-                want = np.where(k == 0, 0.5, 1.0) if family == "padua" else np.zeros(n + 1)
+                want = np.where(k == 0, 0.5, 1.0) if family == "padua" else np.zeros(0)
             m = n if want.any() else n - 1
+            lo = dim_upto(n - 1)
+            assert spec.row_coeffs.shape == (dim_upto(m),)
+            assert np.array_equal(spec.row_coeffs[:lo], np.ones(lo))
+            assert_allclose(spec.row_coeffs[lo:], want, rtol=0, atol=1e-13)
             assert C.shape == (m + 1, m + 1)
-            assert np.array_equal(C[_degree_pairs(n - 1)], np.ones(n * (n + 1) // 2))
-            if m == n:
-                assert_allclose(C[n - k, k], want, rtol=0, atol=1e-13)
+            assert np.array_equal(C[_degree_pairs(m)], spec.row_coeffs)
             assert not np.triu(C[::-1], 1).any()  # zero above total degree m
             # mass K*(z_k, z_k) = mass / lambda_k, the calibration's diagonal
             assert_allclose(kappa, basis.mass / rule.lambdas, rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (-0.99, 20), (50, -0.9), (40, 40)])
+    @pytest.mark.parametrize("n", [8, 9, 33, 64])
+    def test_gencheb_row_coeffs_match_least_squares(self, alpha, beta, n):
+        # the degree-n row_coeffs against the grid route's former coefficients: the
+        # least-squares ratio, over the nodes, of each row of q^T S^-1 q F_n to
+        # that row of F_n, with the full Gram S formed from the degree-n rows.
+        # Where the reference's kernel diagonal reproduces the weights to 1e-12,
+        # the two agree to 1e-12.  Elsewhere (the extreme pairs at n >= 9) the
+        # solve of S loses digits: rows of F_n reach 1e32 at (50, -0.9), so the
+        # rounding of S's off-diagonals moves the small rows' ratios by up to 12%,
+        # and the coefficients must then reproduce the weights better than it does
+        nodes, spec, w, rule = family_rule("gencheb", n, alpha, beta)
+        basis, lo = basis_for(w), dim_upto(n - 1)
+        F = basis.eval_upto(n, *nodes.points.T)
+        Fn, w_unit = F[lo:], rule.lambdas / basis.mass
+        Q = spec.q_coeffs @ Fn
+        MF = spec.q_coeffs.T @ np.linalg.solve((Q * w_unit) @ Q.T, Q)
+        ff = np.einsum("kj,kj->k", Fn, Fn)
+        ratio = np.divide(np.einsum("kj,kj->k", MF, Fn), ff, out=np.zeros(n + 1), where=ff > 0)
+        low_sq = np.einsum("ij,ij->j", F[:lo], F[:lo])
+
+        def gap(c):  # of mass K*(z_k, z_k) from the degree-n coefficients c, against mass / lambda_k
+            return np.abs(w_unit * (low_sq + np.einsum("r,rk,rk->k", c, Fn, Fn)) - 1.0).max()
+
+        got = spec.row_coeffs[lo:]
+        assert gap(got) <= 1e-10
+        if gap(ratio) <= 1e-12:
+            assert_allclose(got, ratio, rtol=0, atol=1e-12 * got.max())
+        else:
+            assert gap(got) < gap(ratio)
+
     def test_degree_n_block_not_diagonal_raises(self):
-        nodes, spec, w, _ = family_rule("cheb1", 8)
-        S = spec.s_matrix.copy()
-        S[0, 1] += 1e-6
-        S[1, 0] += 1e-6
-        interp_module._grid_kernel(basis_for(w), spec, nodes.points)
-        with pytest.raises(CubatureError, match="degree-8 block"):
-            interp_module._grid_kernel(basis_for(w), replace(spec, s_matrix=S), nodes.points)
+        # weights moved at one node leave a Gram S with off-diagonals, which the
+        # calibration names
+        nodes, spec, w, rule = family_rule("cheb1", 8)
+        basis, pts = basis_for(w), nodes.points
+        w_unit = rule.lambdas / basis.mass
+        cubature._checked_calibration(spec, basis.node_reductions(8, pts, w_unit), w_unit)
+        w_unit[3] *= 1.01
+        with pytest.raises(CubatureError, match="discrete Gram S of the complement is not diagonal"):
+            cubature._checked_calibration(spec, basis.node_reductions(8, pts, w_unit), w_unit)
+
+    def test_shared_basis_row_raises(self):
+        # two complement members on the degree-4 row 3 could not give one kernel
+        # coefficient per basis row
+        q = np.zeros((2, 5))
+        q[0, [0, 3]] = q[1, [1, 3]] = np.sqrt(0.5)
+        with pytest.raises(ValueError, match="share a basis row"):
+            KernelStarSpec(weight=cheb1(), n=4, sigma=2, q_coeffs=q, p_coeffs=np.eye(5)[[2, 4]])
 
 
 class TestReflections:
@@ -545,6 +596,17 @@ class TestConvergence:
         f = lambda x, y: np.exp(x + y)
         rows = dict(convergence_report("cheb1", f, [4, 8], norm="L2"))
         assert rows[8] < rows[4]
+
+    def test_l2_norm_builds_no_grid(self, monkeypatch):
+        f = lambda x, y: np.exp(x + y)
+        want = convergence_report("gencheb", f, [8, 9], norm="L2")
+
+        def no_grid(resolution):
+            raise AssertionError("the L2 norm built a grid")
+        monkeypatch.setattr(interp_module, "_lobatto_grid", no_grid)
+        assert convergence_report("gencheb", f, [8, 9], norm="L2", grid_resolution=5) == want
+        with pytest.raises(AssertionError, match="built a grid"):
+            convergence_report("gencheb", f, [8], norm="sup")
 
     def test_padua_family(self):
         f = lambda x, y: np.exp(x + y)

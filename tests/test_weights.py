@@ -42,6 +42,14 @@ class TestMoments:
     def test_cheb1_mass_pi_squared(self):
         assert moment(cheb1(), 0, 0) == pytest.approx(np.pi**2, rel=1e-14)
 
+    def test_product_mass_is_closed_form(self):
+        # the product of the axes' Jacobi masses 2^(2e+1) Gamma(e+1)^2 / Gamma(2e+2),
+        # which moment(w, 0, 0) returns too: the area is 4 exactly
+        assert mass(constant()) == moment(constant(), 0, 0) == 4.0
+        for w, want in [(cheb2(), np.pi**2 / 4), (gegenbauer_product(1.5), (4 / 3) ** 2),
+                        (jacobi_product(0.5, 1.0), np.pi / 2 * 4 / 3)]:
+            assert mass(w) == moment(w, 0, 0) == pytest.approx(want, rel=4e-16)
+
     def test_odd_symmetry(self):
         assert moment(constant(), 1, 4) == 0.0
 

@@ -1,0 +1,88 @@
+"""md5 of CLI outputs in a parent tree and in this checkout, command by command.
+
+    python3 tools/output_hashes.py PARENT_TREE
+
+PARENT_TREE is a checkout of the parent commit (``git clone`` or
+``git archive``); the change is the checkout this script belongs to.  Each
+command of ``COMMANDS`` runs once per tree as ``python -m cubasquare.cli``
+with ``PYTHONPATH=<tree>/src``, in a temporary directory of its own, under
+the environment this script was started with (rule files depend on the BLAS
+thread count, so both sides share it).  A ``verify`` reads the rule file that
+the same tree's ``rule`` command printed.  Per command the script prints the
+md5 of the standard output and the exit code of each side and ``same`` or
+``DIFF``; it exits 1 if any command differs.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parent.parent
+
+RULES = [
+    ["mint", "64"],
+    ["nearmint", "63"],
+    ["gaussu", "64"],
+    ["padua", "48"],
+    ["gencheb", "48"],
+    ["gencheb", "64", "--alpha", "-0.99", "--beta", "20"],
+]
+
+# (name, argv, file the standard output is also written to, or None)
+COMMANDS = (
+    [(f"rule {' '.join(r)}", ["rule", *r], f"rule{i}.json") for i, r in enumerate(RULES)]
+    + [(f"verify rule {' '.join(r)}", ["verify", f"rule{i}.json"], None) for i, r in enumerate(RULES)]
+    + [(" ".join(argv), argv, None) for argv in (
+        ["lebesgue", "mint", "--n-list", "16,32,64"],
+        ["lebesgue", "padua", "--n-list", "32,33"],
+        ["lebesgue", "gencheb", "--n-list", "24,25"],
+        ["interp", "mint", "--n-list", "8,16,32"],
+        ["interp", "mint", "--n-list", "8,16,32", "--norm", "L2"],
+        ["interp", "gencheb", "--n-list", "8,16,24", "--norm", "L2"],
+        ["discover", "odd", "3", "--seeds", "20"],
+    )]
+)
+
+
+def run_all(tree: Path, work: Path) -> list[tuple[str, int]]:
+    """(md5 of the standard output, exit code) of each command of COMMANDS, run in ``work``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = []
+    for _, argv, save in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "cubasquare.cli", *argv], cwd=work, env=env,
+                              capture_output=True)
+        if save:
+            (work / save).write_bytes(proc.stdout)
+        out.append((hashlib.md5(proc.stdout).hexdigest(), proc.returncode))
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    if not (parent / "src" / "cubasquare").is_dir():
+        print(f"{parent} holds no src/cubasquare", file=sys.stderr)
+        return 2
+    results = {}
+    for side, tree in (("parent", parent), ("change", CHANGE)):
+        with tempfile.TemporaryDirectory(prefix=f"output_hashes_{side}_") as work:
+            results[side] = run_all(tree, Path(work))
+    differ = 0
+    for (name, _, _), (hp, cp), (hc, cc) in zip(COMMANDS, results["parent"], results["change"]):
+        same = (hp, cp) == (hc, cc)
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  parent {hp} exit {cp}  change {hc} exit {cc}  {name}")
+    print(f"{differ} of {len(COMMANDS)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
