@@ -211,18 +211,17 @@ class _HankelSystem:
 
     with a = (X0^T M X0 - C)[iu], L[p, l] = (B_l^T M X0 + X0^T M B_l)[p] and
     Q[p, l, m] = (B_l^T M B_m + B_m^T M B_l)[p], symmetric in l and m; a
-    residual or a Jacobian is then one matrix-vector product on the flat
-    (P * nvar, nvar) view ``Qf`` of Q.  With ``rank_penalty`` (odd mode)
-    the smallest ``_nullity(n)`` eigenvalues of X are appended to R.  They
-    come from LAPACK dsyevd on the lower triangle of X, without
-    eigenvectors in ``residual`` and with them in ``jacobian``, the calls
-    behind ``np.linalg.eigvalsh`` and ``eigh``; the two eigenvalue sets
-    differ in their last bits, so each keeps its own decomposition.
-    ``free`` lists the entries of h the system solves for; the others stay
-    zero.
+    residual is one matrix-vector product on the flat (P * nvar, nvar) view
+    ``Qf`` of Q, which a Jacobian at the same h reuses.  The copy from
+    ``penalised()`` (odd mode) appends the smallest ``_nullity(n)``
+    eigenvalues of X to R, from LAPACK dsyevd on the lower triangle of X,
+    without eigenvectors in ``residual`` and with them in ``jacobian``, the
+    calls behind ``np.linalg.eigvalsh`` and ``eigh``; the two eigenvalue
+    sets differ in their last bits, so each keeps its own decomposition.
+    ``free`` lists the entries of h the system solves for; the others stay zero.
     """
 
-    def __init__(self, mode: str, n: int, rank_penalty: bool = False):
+    def __init__(self, mode: str, n: int):
         if n < 2:
             raise ValueError("n must be >= 2")
         tt = three_term(constant(), n - 1)
@@ -230,7 +229,7 @@ class _HankelSystem:
         M = A1.T @ A2 - A2.T @ A1
         cols = _hankel_cols(mode, n)
         Gr, Gc = scaling_matrix(n), scaling_matrix(cols - 1)
-        E = np.array([HankelParam(mode, n, e).matrix for e in np.eye(n + cols)])
+        E = 1.0 * (np.add.outer(np.arange(n + 1), np.arange(cols)) == np.arange(n + cols)[:, None, None])
         B = Gr @ E @ Gc.T
         if mode == "even":
             X0, C = np.zeros((n + 1, cols)), A1 @ A2.T - A2 @ A1.T
@@ -242,44 +241,52 @@ class _HankelSystem:
         self.a = (X0.T @ M @ X0 - C)[i, j]
         D = np.swapaxes(B, 1, 2) @ (M @ X0) + (X0.T @ M) @ B
         self.L = np.ascontiguousarray(D[:, i, j].T)
-        T = np.einsum("lap,ab,mbp->plm", B[:, :, i], M, B[:, :, j], optimize=True)
+        # the contraction order optimize=True picks from these shapes at every n the CLI admits
+        T = np.einsum("lap,ab,mbp->plm", B[:, :, i], M, B[:, :, j], optimize=["einsum_path", (0, 1), (0, 1)])
         self.Q = T + np.swapaxes(T, 1, 2)
         self.Qf = self.Q.reshape(-1, len(B))
         self.X0, self.B = X0, B.reshape(len(B), -1)
-        self.tail = _nullity(n) if rank_penalty else 0
-        self.neq = len(i) + self.tail
-        self.nvar = len(B)
-        self.free = np.arange(self.nvar)
+        self.nvar, self.free, self.tail, self.neq, self._last = len(B), np.arange(len(B)), 0, len(i), (None,)
+
+    def _derive(self, **changes) -> "_HankelSystem":
+        sub = copy.copy(self)
+        sub.__dict__.update(changes, _last=(None,))
+        return sub
 
     def restricted(self) -> "_HankelSystem":
         """The reflection-symmetric subspace: odd-index entries pinned at zero."""
-        sub = copy.copy(self)
-        sub.free, sub.B, sub.L = self.free[::2], self.B[::2], self.L[:, ::2]
-        sub.Q = np.ascontiguousarray(self.Q[:, ::2, ::2])
-        sub.Qf = sub.Q.reshape(-1, len(sub.free))
-        return sub
+        Q = np.ascontiguousarray(self.Q[:, ::2, ::2])
+        return self._derive(free=self.free[::2], B=self.B[::2], L=self.L[:, ::2], Q=Q, Qf=Q.reshape(-1, Q.shape[1]))
+
+    def penalised(self) -> "_HankelSystem":
+        """The same odd system with the rank penalty; it shares a, L and Q."""
+        return self._derive(tail=(tail := _nullity(len(self.X0) - 1)), neq=len(self.a) + tail)
 
     @property
     def method(self) -> str:
         # MINPACK's LM needs at least as many residuals as unknowns
         return "lm" if self.neq >= len(self.free) else "trf"
 
-    def _Qh(self, h) -> np.ndarray:
-        return (self.Qf @ h).reshape(self.L.shape)
+    def _products(self, h):  # Q h and (rank penalty) X(h), kept for the next call at the same h
+        if self._last[0] != (key := h.tobytes()):  # the bytes, as MINPACK overwrites its x in place
+            self._last = key, (self.Qf @ h).reshape(self.L.shape), self.X(h) if self.tail else None
+        return self._last
 
     def X(self, h) -> np.ndarray:
         return self.X0 + (h @ self.B).reshape(self.X0.shape)
 
     def residual(self, h) -> np.ndarray:
-        r = self.a + (self.L + 0.5 * self._Qh(h)) @ h
+        _, Qh, X = self._products(h)
+        r = self.a + (self.L + 0.5 * Qh) @ h
         if self.tail:
-            r = np.concatenate([r, _syevd(self.X(h), 0)[0][: self.tail]])
+            r = np.concatenate([r, _syevd(X, 0)[0][: self.tail]])
         return r
 
     def jacobian(self, h) -> np.ndarray:
-        J = self.L + self._Qh(h)
+        _, Qh, X = self._products(h)
+        J = self.L + Qh
         if self.tail:
-            Qt = np.ascontiguousarray(_syevd(self.X(h), 1)[1][:, : self.tail])
+            Qt = np.ascontiguousarray(_syevd(X, 1)[1][:, : self.tail])
             # d lambda_k / dh_l = Qt_k^T B_l Qt_k, against the flattened outer products
             outer = (Qt[:, None, :] * Qt[None, :, :]).reshape(-1, self.tail)
             J = np.concatenate([J, (self.B @ outer).T])
@@ -411,9 +418,8 @@ def odd_system_search(n: int, seeds: int = 80, rng_seed: int = 0) -> OddSearchRe
     subspace, which isolates manifold solutions, then the plain algebraic
     system, which records solutions failing the PSD/rank filter.
     """
-    penalised = _HankelSystem("odd", n, rank_penalty=True)
     algebraic = _HankelSystem("odd", n)
-    tail = penalised.tail
+    penalised = algebraic.penalised()
     verified: dict[tuple, np.ndarray] = {}
     other: dict[tuple, np.ndarray] = {}
 
@@ -421,7 +427,7 @@ def odd_system_search(n: int, seeds: int = 80, rng_seed: int = 0) -> OddSearchRe
         if np.abs(algebraic.residual(h)).max() > _RESID_TOL:
             return
         ev = np.linalg.eigvalsh(HankelParam("odd", n, h).system)
-        small, lead = np.abs(ev[:tail]).max(), ev[tail:].min()
+        small, lead = np.abs(ev[: penalised.tail]).max(), ev[penalised.tail:].min()
         key, canon = _canonical(h, "odd")
         psd_rank = small <= 1e-9 and lead > 1e-8 and lead > 100.0 * small
         (verified if psd_rank else other).setdefault(key, canon)

@@ -466,6 +466,44 @@ class TestDiscover:
         assert run(["discover", "even", "5", "--seeds", "2", "--out", str(out)]) == 0
         assert "stalled_fits" not in json.loads(out.read_text())
 
+    def test_n_past_the_memory_bound_is_refused_unbuilt(self, tmp_path, capsys, monkeypatch):
+        # odd 120's quadratic form, 3.37e9 bytes of Q and 2.65 times that to
+        # build, would exhaust the memory: a usage error before any allocation
+        import tracemalloc
+
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert run(["discover", "odd", "120", "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("usage error: discover odd 120 would peak at 8939362872 bytes building its "
+                       "quadratic form, over 1 GiB\n")
+        assert run(["discover", "odd", "71"]) == 2 and run(["discover", "even", "72"]) == 2
+        # the largest n of each mode passes the bound and reaches the search
+        from cubasquare import discover
+
+        def reached(n, *args, **kwargs):
+            raise LookupError(n)
+
+        monkeypatch.setattr(discover, "odd_system_search", reached)
+        monkeypatch.setattr(discover, "solve_even_system", reached)
+        for mode, n in (("odd", 70), ("even", 71)):
+            with pytest.raises(LookupError):
+                run(["discover", mode, str(n)])
+
+    @pytest.mark.parametrize("mode", ["even", "odd"])
+    def test_memory_bound_reads_the_built_quadratic_form(self, mode):
+        # the guard's Q shape is the one _HankelSystem builds
+        from cubasquare.cli import _discover_peak
+        from cubasquare.discover import _HankelSystem
+
+        for n in (2, 3, 6, 11):
+            assert _discover_peak(mode, n) == pytest.approx(2.65 * _HankelSystem(mode, n).Q.nbytes, abs=1)
+
     def test_even_n6_not_found(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["discover", "even", "6", "--seeds", "25", "--rng", "0", "--out", str(out)]) == 0

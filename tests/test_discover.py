@@ -15,6 +15,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from cubasquare.basis2d import basis_for, dim_upto, three_term
+from cubasquare.cli import _discover_peak
 from cubasquare.cubature import exactness_check, weights_from_vandermonde
 from cubasquare.discover import (
     KNOWN_EVEN_HANKEL,
@@ -155,6 +156,12 @@ def reference_even_jacobian(n, h):
     return np.array(cols).T
 
 
+def hankel_system(mode, n, rank_penalty=False):
+    """A freshly built system; penalised through ``penalised()``, its one route."""
+    system = _HankelSystem(mode, n)
+    return system.penalised() if rank_penalty else system
+
+
 def reference_odd_jacobian(n, h, rank_penalty):
     """Per-entry loop: columns dR/dh_l of W M W (and the trailing eigenvalues of W)."""
     G = scaling_matrix(n)
@@ -193,13 +200,13 @@ class TestJacobian:
     @pytest.mark.parametrize("rank_penalty", [True, False])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_odd(self, n, rank_penalty):
-        system = _HankelSystem("odd", n, rank_penalty)
+        system = hankel_system("odd", n, rank_penalty)
         h = np.random.default_rng(n).standard_normal(2 * n + 1) * system.scale
         self.close(system.jacobian(h), reference_odd_jacobian(n, h, rank_penalty))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_odd_restricted(self, n):
-        system = _HankelSystem("odd", n, rank_penalty=True).restricted()
+        system = _HankelSystem("odd", n).penalised().restricted()
         x = np.random.default_rng(n).standard_normal(n + 1) * system.scale
         h = np.zeros(2 * n + 1)
         h[::2] = x
@@ -233,7 +240,7 @@ class TestQuadraticForm:
 
     @staticmethod
     def system_and_embed(mode, n, rank_penalty, restricted):
-        system = _HankelSystem(mode, n, rank_penalty)
+        system = hankel_system(mode, n, rank_penalty)
         if restricted:
             system = system.restricted()
 
@@ -278,7 +285,7 @@ def hankel_systems():
     restricted, as (label, system)."""
     for n in range(3, 8):
         for mode, rp in (("even", False), ("odd", False), ("odd", True)):
-            system = _HankelSystem(mode, n, rp)
+            system = hankel_system(mode, n, rp)
             for sub in (False, True):
                 yield f"{mode}{n}-{'pen' if rp else 'alg'}-{'sub' if sub else 'full'}", (
                     system.restricted() if sub else system)
@@ -401,6 +408,117 @@ class TestLeastSquares:
             assert np.abs(r[:P] - ref_r[:P]).max() <= 1e-14 * np.abs(ref_r[:P]).max()
             assert np.abs(r[P:] - ref_r[P:]).max() <= 1e-14 * np.abs(ref_r[P:]).max()
             assert np.abs(J - ref_J).max() <= 1e-14 * np.abs(ref_J).max()
+
+
+def reference_quadratic_form(mode, n):
+    """a, L and Q formed as ``_HankelSystem`` first did: one ``HankelParam``
+    per anti-diagonal matrix E_l, and einsum's own contraction-path search."""
+    A1, A2 = legendre_A(n - 1)
+    M = A1.T @ A2 - A2.T @ A1
+    cols = n if mode == "even" else n + 1
+    E = np.array([HankelParam(mode, n, e).matrix for e in np.eye(n + cols)])
+    B = scaling_matrix(n) @ E @ scaling_matrix(cols - 1).T
+    if mode == "even":
+        X0, C = np.zeros((n + 1, cols)), A1 @ A2.T - A2 @ A1.T
+    else:
+        X0, C, B = np.eye(n + 1), 0.0, -B
+    i, j = np.triu_indices(cols, 1)
+    D = np.swapaxes(B, 1, 2) @ (M @ X0) + (X0.T @ M) @ B
+    T = np.einsum("lap,ab,mbp->plm", B[:, :, i], M, B[:, :, j], optimize=True)
+    return (X0.T @ M @ X0 - C)[i, j], np.ascontiguousarray(D[:, i, j].T), T + np.swapaxes(T, 1, 2)
+
+
+REUSE_CASES = [(mode, n, rp, sub) for n in (4, 5) for sub in (False, True)
+               for mode, rp in (("even", False), ("odd", False), ("odd", True))]
+
+
+def fresh_system(mode, n, rank_penalty, restricted):
+    system = hankel_system(mode, n, rank_penalty)
+    return system.restricted() if restricted else system
+
+
+def same_bits(got, ref):
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestProductReuse:
+    """The system's construction and its penalised copy, and the Q h and X(h)
+    that a Jacobian reuses from the residual at the same h: each must give
+    the bits a freshly built system gives."""
+
+    @pytest.mark.parametrize("mode", ["even", "odd"])
+    @pytest.mark.parametrize("n", [*range(2, 11), 30])
+    def test_construction_matches_per_entry_reference(self, mode, n):
+        system = _HankelSystem(mode, n)
+        for got, ref in zip((system.a, system.L, system.Q), reference_quadratic_form(mode, n)):
+            same_bits(got, ref)
+
+    @pytest.mark.parametrize("mode", ["even", "odd"])
+    def test_einsum_path_is_the_searched_one_at_every_admitted_n(self, mode):
+        """The fixed contraction path is what optimize=True picks from the
+        operand shapes alone, at every n up to the CLI's memory bound;
+        zero-stride operands keep this free of allocation."""
+        n = 2
+        while _discover_peak(mode, n) <= 2**30:
+            cols = n + (mode == "odd")
+            Bi = np.broadcast_to(0.0, (2 * n + (mode == "odd"), n + 1, cols * (cols - 1) // 2))
+            M = np.broadcast_to(0.0, (n + 1, n + 1))
+            assert np.einsum_path("lap,ab,mbp->plm", Bi, M, Bi, optimize=True)[0] == [
+                "einsum_path", (0, 1), (0, 1)], n
+            n += 1
+        assert n - 1 == {"odd": 70, "even": 71}[mode]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_penalised_copy_shares_the_quadratic_form(self, n):
+        algebraic = _HankelSystem("odd", n)
+        penalised = algebraic.penalised()
+        assert penalised.Q is algebraic.Q and penalised.a is algebraic.a and penalised.L is algebraic.L
+        assert penalised.tail == (n + 1) - n // 2 and penalised.neq == len(algebraic.a) + penalised.tail
+        assert algebraic.tail == 0 and algebraic.neq == len(algebraic.a)
+
+    @pytest.mark.parametrize("case", REUSE_CASES)
+    def test_jacobian_after_residual(self, case):
+        system = fresh_system(*case)
+        x1, x2 = fixed_starts(system, 2)
+        system.residual(x1)
+        same_bits(system.jacobian(x2), fresh_system(*case).jacobian(x2))  # another point
+        same_bits(system.residual(x1), fresh_system(*case).residual(x1))
+        same_bits(system.jacobian(x1), fresh_system(*case).jacobian(x1))  # the residual's point
+        h = x1.copy()  # one array changed in place between the calls, as MINPACK does with its x
+        system.residual(h)
+        h[:] = x2
+        same_bits(system.jacobian(h), fresh_system(*case).jacobian(x2))
+        same_bits(system.residual(h), fresh_system(*case).residual(x2))
+
+    @pytest.mark.parametrize("case", REUSE_CASES)
+    def test_returned_arrays_are_new(self, case):
+        system = fresh_system(*case)
+        x = fixed_starts(system, 1)[0]
+        r, J = system.residual(x), system.jacobian(x)
+        r_ref, J_ref = r.copy(), J.copy()
+        r[:], J[:] = np.nan, np.nan
+        same_bits(system.jacobian(x), J_ref)
+        same_bits(system.residual(x), r_ref)
+        J = system.jacobian(x)
+        J[:] = np.nan
+        same_bits(system.jacobian(x), J_ref)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_copies_keep_no_products(self, n):
+        """restricted() and penalised() copies of a system already called at
+        h give a fresh system's bits, and their calls leave the parent's alone."""
+        algebraic = _HankelSystem("odd", n)
+        h = fixed_starts(algebraic, 1)[0]
+        algebraic.residual(h)
+        penalised = algebraic.penalised()
+        same_bits(penalised.jacobian(h), hankel_system("odd", n, True).jacobian(h))
+        sub = algebraic.restricted()
+        x = h[sub.free]
+        same_bits(sub.jacobian(x), _HankelSystem("odd", n).restricted().jacobian(x))
+        penalised.residual(2.0 * h)
+        same_bits(algebraic.jacobian(h), _HankelSystem("odd", n).jacobian(h))
+        pen_sub = penalised.restricted()
+        same_bits(pen_sub.jacobian(x), hankel_system("odd", n, True).restricted().jacobian(x))
 
 
 class TestStallExit:

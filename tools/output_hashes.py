@@ -45,6 +45,15 @@ COMMANDS = (
         ["interp", "mint", "--n-list", "8,16,32", "--norm", "L2"],
         ["interp", "gencheb", "--n-list", "8,16,24", "--norm", "L2"],
         ["discover", "odd", "3", "--seeds", "20"],
+        # searches of the discovery benchmark's kinds: the 12-node odd 4, 15-node
+        # even 5 and 17-node odd 5 rules, and the negative results at odd 7 and even 6
+        ["discover", "odd", "5", "--seeds", "6", "--rng", "3"],
+        ["discover", "odd", "5", "--seeds", "10"],
+        ["discover", "odd", "7", "--seeds", "2", "--rng", "1"],
+        ["discover", "even", "5", "--seeds", "20", "--rng", "2"],
+        ["discover", "even", "6", "--seeds", "10", "--rng", "4"],
+        ["discover", "odd", "4", "--seeds", "10", "--rng", "2"],
+        ["discover", "even", "3", "--seeds", "10"],
     )]
 )
 
