@@ -84,6 +84,20 @@ _DIVDIFF_TOL = 1e-6
 _BLOCK_BYTES = 16 * 2**20
 
 
+def node_grid(points: np.ndarray, weights: np.ndarray, rows: float | None = None):
+    """(u, v, iu, iv, W): the sorted distinct x and y values, each node's indices into
+    them and the weights summed onto their grid; None when W would pass ``_BLOCK_BYTES``
+    or, given the ``rows`` a per-node route contracts per node, when the grid is the
+    dearer contraction: len(u) (len(v) + rows) multiply-adds per table row against rows N."""
+    x, y = np.asarray(points, dtype=float).T
+    u, v = np.unique(x), np.unique(y)
+    size = len(u) * len(v)
+    if 8 * size > _BLOCK_BYTES or rows is not None and size > rows * (len(x) - len(u)):
+        return None
+    iu, iv = np.searchsorted(u, x), np.searchsorted(v, y)
+    return u, v, iu, iv, np.bincount(iu * len(v) + iv, weights, minlength=size).reshape(len(u), len(v))
+
+
 def dim_upto(n: int) -> int:
     """dim of Pi_n^2 = number of members of degrees 0..n."""
     return (n + 1) * (n + 2) // 2
@@ -97,9 +111,13 @@ class OrthoBasis2D:
     points once, ``_tables(n, x, y, lo)`` for the rows of ``eval_upto(n)`` from row
     ``lo`` on, and forms the degree-d rows from them by one formula, ``_rows(tables,
     d, out)``, which ``eval_upto``, ``eval_degree`` and ``node_reductions`` read.
-    ``chebyshev_coeffs(n, coeffs)`` turns each column c of ``coeffs`` (rows of
-    ``eval_upto(n)``) in place into the t with c @ eval_upto(n, x, y) ==
-    t @ T, T the rows T_{d-k}(x) T_k(y) in the order of ``eval_upto``.
+    ``node_reductions(n, pts, w_unit)`` yields what ``cubature._checked_calibration``
+    reads per block of the nodes (unit-mass weights ``w_unit``) whose work arrays
+    hold at most ``_BLOCK_BYTES``: the start, |F_low|^2, the degree-n rows and F_low w
+    (F_low the rows of degree <= n-1).  ``chebyshev_coeffs(n, coeffs)`` turns each
+    column c of ``coeffs`` (rows of ``eval_upto(n)``) in place into the t with
+    c @ eval_upto(n, x, y) == t @ T, T the rows T_{d-k}(x) T_k(y) in the order of
+    ``eval_upto``.
     """
 
     def __init__(self, weight: WeightSpec):
@@ -110,18 +128,6 @@ class OrthoBasis2D:
         """The degree-n rows of ``eval_upto(n)``, bit for bit, from their tables alone."""
         out = np.empty((n + 1,) + np.broadcast_shapes(np.shape(x), np.shape(y)))
         return self._rows(self._tables(n, x, y, dim_upto(n - 1)), n, out)
-
-    def node_reductions(self, n: int, pts: np.ndarray, w_unit: np.ndarray):
-        """The node reductions of ``cubature._checked_calibration``: per block
-        of the nodes ``pts`` (unit-mass weights ``w_unit``), the start, |F_low|^2,
-        the degree-n rows and F_low w (F_low the rows of degree <= n-1; the
-        subclass's ``_low_reductions``), from one ``_tables`` of the block,
-        which with its products holds at most ``_BLOCK_BYTES``."""
-        step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
-        for s in range(0, len(pts), step):
-            tables = self._tables(n, *pts[s:s + step].T)
-            low_sq, low_w = self._low_reductions(n, tables, w_unit[s:s + step])
-            yield s, low_sq, self._rows(tables, n, np.empty((n + 1, len(low_sq)))), low_w
 
 
 class _ProductOrthoBasis2D(OrthoBasis2D):
@@ -143,12 +149,24 @@ class _ProductOrthoBasis2D(OrthoBasis2D):
     def eval_upto(self, n: int, x, y) -> np.ndarray:
         return _total_degree_rows(*self._tables(n, x, y))
 
-    def _low_reductions(self, n: int, tables, w: np.ndarray):
-        # |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y), C_j = sum_{b <= j} q_b(y)^2,
-        # and F_low w the entries a + b <= n-1 of P_x diag(w) P_y^T
-        px, py = tables
-        low_sq = np.einsum("ij,ij->j", np.square(px[:n]), np.cumsum(np.square(py[:n]), axis=0)[::-1])
-        return low_sq, ((px[:n] * w) @ py[:n].T)[_degree_pairs(n - 1)]
+    def node_reductions(self, n: int, pts: np.ndarray, w_unit: np.ndarray):
+        # from the tables at the distinct coordinates (``node_grid``): F_low w = (P_x W P_y^T)[a + b < n]
+        # and |F_low|^2 = sum_a p_a(x)^2 C_{n-1-a}(y), C_j = sum_{b <= j} q_b(y)^2, on the grid;
+        # per node block the degree-n rows p_{n-k}(x) q_k(y) of ``_rows``, gathered bit for bit
+        grid = node_grid(pts, w_unit)
+        if grid is None:
+            from .cubature import CubatureError  # cubature imports this module
+            raise CubatureError(f"node coordinates span a grid past {_BLOCK_BYTES} bytes: no degree-{n} common zeros")
+        u, v, iu, iv, W = grid
+        px, py = self._tables(n, u, v)
+        low_w = ((px[:n] @ W) @ py[:n].T)[_degree_pairs(n - 1)]
+        low_sq = (np.square(px[:n]).T @ np.cumsum(np.square(py[:n]), axis=0)[::-1])[iu, iv]
+        del grid, W, iu, iv  # the blocks hold no more than the tables and |F_low|^2
+        step = max(1, _BLOCK_BYTES // (48 * (n + 1)))
+        for s in range(0, len(pts), step):
+            rows = px[::-1, np.searchsorted(u, pts[s:s + step, 0])]
+            rows *= py[:, np.searchsorted(v, pts[s:s + step, 1])]
+            yield s, low_sq[s:s + step], rows, low_w if s == 0 else 0.0
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # p_a(x) q_b(y) = sum_ij cx[a, i] cy[b, j] T_i(x) T_j(y): one per-axis
@@ -292,24 +310,26 @@ class _GenChebOrthoBasis2D(OrthoBasis2D):
     def eval_upto(self, n: int, x, y) -> np.ndarray:
         return _stack_rows(self._rows, self._tables(n, x, y), n, np.broadcast_shapes(np.shape(x), np.shape(y)))
 
-    def _low_reductions(self, n: int, tables, w: np.ndarray):
-        # gamma -1/2: a family's rows (D, k) below degree n are k <= D < m, with norms
-        # nu sqrt(1 + [k = D]).  With prefactor f, it adds f^2 (C(z1) C(z2) + K^2) / nu^2
-        # to |F_low|^2 (C = sum_{d < m} p_d^2, K = sum_{d < m} p_d(z1) p_d(z2)) and the
+    def node_reductions(self, n: int, pts: np.ndarray, w_unit: np.ndarray):
+        # from one _tables per node block.  gamma -1/2: a family's rows (D, k) below degree n are
+        # k <= D < m, with norms nu sqrt(1 + [k = D]).  With prefactor f, it adds f^2 (C(z1) C(z2) + K^2)
+        # / nu^2 to |F_low|^2 (C = sum_{d < m} p_d^2, K = sum_{d < m} p_d(z1) p_d(z2)) and the
         # entries (D, k) of A + A^T, A = P(z1) diag(f w) P(z2)^T, to F_low w
         if self.weight.gamma > 0:
             raise NotImplementedError("node reductions of the gamma = +1/2 gencheb basis")
-        lo = dim_upto(n - 1)
-        low_sq, low_w = np.zeros(len(w)), np.empty(lo)
-        for (_, _, D, k, rows, norms), _, f, (t1, t2, _) in tables:
-            low = rows < lo
-            m = D[low].max(initial=-1) + 1
-            c = np.einsum("ij,ij->j", t1[:m], t2[:m])
-            nu2 = norms[0] ** 2 / 2  # row (0, 0) has the norm nu sqrt 2
-            low_sq += f * f * (np.square(t1[:m]).sum(axis=0) * np.square(t2[:m]).sum(axis=0) + c * c) / nu2
-            a = (t1[:m] * (f * w)) @ t2[:m].T
-            low_w[rows[low]] = (a + a.T)[D[low], k[low]] / norms[low]
-        return low_sq, low_w
+        lo, step = dim_upto(n - 1), max(1, _BLOCK_BYTES // (48 * (n + 1)))
+        for s in range(0, len(pts), step):
+            tables, w = self._tables(n, *pts[s:s + step].T), w_unit[s:s + step]
+            low_sq, low_w = np.zeros(len(w)), np.empty(lo)
+            for (_, _, D, k, rows, norms), _, f, (t1, t2, _) in tables:
+                low = rows < lo
+                m = D[low].max(initial=-1) + 1
+                c = np.einsum("ij,ij->j", t1[:m], t2[:m])
+                nu2 = norms[0] ** 2 / 2  # row (0, 0) has the norm nu sqrt 2
+                low_sq += f * f * (np.square(t1[:m]).sum(axis=0) * np.square(t2[:m]).sum(axis=0) + c * c) / nu2
+                a = (t1[:m] * (f * w)) @ t2[:m].T
+                low_w[rows[low]] = (a + a.T)[D[low], k[low]] / norms[low]
+            yield s, low_sq, self._rows(tables, n, np.empty((n + 1, len(w)))), low_w
 
     def chebyshev_coeffs(self, n: int, coeffs: np.ndarray) -> np.ndarray:
         # With x = cos(u+v), y = cos(u-v), z1 and z2 are cos 2u and cos 2v and

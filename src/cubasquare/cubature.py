@@ -14,6 +14,7 @@ from .basis2d import (
     _split_z,
     basis_for,
     dim_upto,
+    node_grid,
     three_term,
 )
 from .nodes import NodeSet, _json_text, _points_json, moeller_count
@@ -325,20 +326,28 @@ def _exactness_report(deg: int, residuals: np.ndarray) -> ExactnessReport:
 
 def _degree_residuals(w: WeightSpec, points: np.ndarray, lambdas: np.ndarray, degree: int) -> np.ndarray:
     """Largest |sum_k lambda_k T_i(x_k) T_j(y_k) - int T_i T_j W| / mass over
-    i + j = t, for each total degree t = 0..degree; the sums accumulate over
-    node blocks whose two T tables hold at most ``_BLOCK_BYTES``, on 3/4 of the
-    square: rows i < h against every j, the others against j <= degree - h."""
-    mom = chebyshev_moments(w, degree)
-    err = -mom
+    i + j = t, for each total degree t = 0..degree, from the sums on 3/4 of the
+    square: rows i < h against every j, the others against j <= degree - h: T(u) W T(v)^T
+    on the grid of ``node_grid`` where that is the cheaper contraction (every family's
+    nodes), else sums over node blocks whose two T tables hold at most ``_BLOCK_BYTES``."""
+    err = -chebyshev_moments(w, degree)
+    scale = -err[0, 0]  # the mass
     h = (degree + 2) // 2
-    step = max(1, _BLOCK_BYTES // (16 * (degree + 1)))
-    for s in range(0, len(points), step):
-        t = chebyshev_t_table(degree, points[s:s + step].T)  # the x and y tables in one array
-        t[:, 0] *= lambdas[s:s + step]
-        err[:h] += t[:h, 0] @ t[:, 1].T
-        err[h:, :degree + 1 - h] += t[h:, 0] @ t[:degree + 1 - h, 1].T
-        del t  # before the next block's table
-    err = np.abs(err, out=err) / mom[0, 0]
+    grid = node_grid(points, lambdas, 0.75 * (degree + 1))
+    if grid is not None:
+        u, v, _, _, W = grid
+        tu, wv = chebyshev_t_table(degree, u), W @ chebyshev_t_table(degree, v).T  # wv[a, j] = sum_b W_ab T_j(v_b)
+        err[:h] += tu[:h] @ wv
+        err[h:, :degree + 1 - h] += tu[h:] @ wv[:, :degree + 1 - h]
+    else:
+        step = max(1, _BLOCK_BYTES // (16 * (degree + 1)))
+        for s in range(0, len(points), step):
+            t = chebyshev_t_table(degree, points[s:s + step].T)  # the x and y tables in one array
+            t[:, 0] *= lambdas[s:s + step]
+            err[:h] += t[:h, 0] @ t[:, 1].T
+            err[h:, :degree + 1 - h] += t[h:, 0] @ t[:degree + 1 - h, 1].T
+            del t  # before the next block's table
+    err = np.abs(err, out=err) / scale
     # largest error (NaN if any) on each anti-diagonal i + j = t: err[i, t - i] is the view's [t, i], i <= t
     diag = np.lib.stride_tricks.as_strided(err, (degree + 1, degree + 1), (err.itemsize, err.itemsize * degree))
     return np.max(diag, axis=1, where=np.tri(degree + 1, dtype=bool), initial=0.0)

@@ -353,22 +353,35 @@ class TestRuleAndVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot load rule file: ")
 
+def outputs_by_blas_threads(commands):
+    """The standard output of the CLI ``commands`` (argument strings), all run in
+    one child interpreter under one BLAS thread and in another under two."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys; from cubasquare.cli import main; sys.exit(max([main(a.split()) for a in sys.argv[1:]]))"
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code, *commands], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    return outs
+
+
 class TestTables:
     def test_lebesgue_json_independent_of_blas_threads(self):
-        # both Lebesgue routes and all four grid folds, each command run in a
-        # child interpreter under one and under two BLAS threads: the same bytes
-        src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys; from cubasquare.cli import main; sys.exit(max([main(a.split()) for a in sys.argv[1:]]))"
-        commands = [f"lebesgue {args} --format json" for args in
-                    ("mint --n-list 16,32,64", "padua --n-list 32", "gaussu --n-list 20", "gencheb --n-list 24")]
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", code, *commands], env=env, capture_output=True, text=True,
-                                  timeout=120)
-            assert done.returncode == 0, done.stderr
-            outs.append(done.stdout)
+        # both Lebesgue routes and all four grid folds: the same bytes
+        outs = outputs_by_blas_threads([f"lebesgue {args} --format json" for args in (
+            "mint --n-list 16,32,64", "padua --n-list 32", "gaussu --n-list 20", "gencheb --n-list 24")])
         assert outs[0].count('"lebesgue"') == 6
+        assert outs[0] == outs[1]
+
+    def test_rule_files_independent_of_blas_threads(self):
+        # four of the benchmark's rule files, whose oracle sums run on the grid of
+        # distinct coordinates: the same bytes (gaussu 64 still differs, in one
+        # residual past the declared degree, by the thread split of a GEMM)
+        outs = outputs_by_blas_threads(["rule mint 64", "rule nearmint 63", "rule padua 48", "rule gencheb 48"])
+        assert outs[0].count('"oracle_report"') == 4
         assert outs[0] == outs[1]
 
     def test_lebesgue_csv(self, tmp_path, capsys):

@@ -33,6 +33,7 @@ from cubasquare.cubature import (
     weights_from_kernel,
     weights_from_vandermonde,
 )
+from cubasquare.discover import KNOWN_ODD_HANKEL, common_zeros
 from cubasquare.interp import family_rule
 from cubasquare.nodes import (
     NodeSet,
@@ -368,14 +369,27 @@ class TestSeparableCalibration:
         w_unit = rule.lambdas / basis.mass
         F = basis.eval_upto(n, pts[:, 0], pts[:, 1])
         dense = cubature._checked_calibration(raw, row_reductions(F, n, w_unit), w_unit)
-        # blocks of 7 nodes, so the last block is partial
-        monkeypatch.setattr(basis2d, "_BLOCK_BYTES", 48 * (n + 1) * 7)
+        # blocks of 7 nodes, or of as few as leave room for the grid of distinct
+        # coordinates (10 at cheb1 64, 8 at padua 48), so the last block is partial
+        grid = 8 * len(np.unique(pts[:, 0])) * len(np.unique(pts[:, 1]))
+        monkeypatch.setattr(basis2d, "_BLOCK_BYTES", max(48 * (n + 1) * 7, grid))
         sep = cubature._checked_calibration(raw, basis.node_reductions(n, pts, w_unit), w_unit)
         if spec.sigma:
             s = dense[0].s_diag
             assert np.abs(sep[0].s_diag - s).max() <= 1e-13 * s.max()
         assert_allclose(sep[1], dense[1], rtol=1e-13, atol=0)  # mass * K*(z_k, z_k)
         assert_allclose(rule.lambdas, basis.mass / dense[1], rtol=1e-13, atol=0)
+
+    def test_product_calibration_refuses_nodes_off_a_grid(self, monkeypatch):
+        # every node of mint 64 moved: 2,112 distinct values per axis, whose grid
+        # (35.7 MB) passes the block budget; refused before any Jacobi table is built
+        def refuse(*args):
+            raise AssertionError("Jacobi table built")
+
+        rule = RULE_BUILDERS["mint-moved"](64)
+        monkeypatch.setattr(basis2d, "jacobi_normalized_table", refuse)
+        with pytest.raises(CubatureError, match="coordinates span a grid past"):
+            list(basis_for(cheb1()).node_reductions(64, rule.nodes.points, rule.lambdas / mass(cheb1())))
 
     @pytest.mark.parametrize("family,n", [("cheb1", 9), ("padua", 8), ("cheb2", 8)])
     def test_product_builds_use_no_rows(self, family, n, no_rows):
@@ -428,8 +442,23 @@ def gencheb_rule(alpha, beta, n):
                                gencheb(alpha, beta, -0.5))
 
 
+def moved_rule(rule):
+    """``rule`` with every coordinate moved by up to 1e-9, so that no two nodes share one."""
+    pts = rule.nodes.points + np.random.default_rng(0).uniform(-1e-9, 1e-9, rule.nodes.points.shape)
+    return replace(rule, nodes=replace(rule.nodes, points=pts), validate=False)
+
+
+def discovered_rule(n):
+    """The degree-(2n - 1) constant-weight rule on the common zeros of the known odd Hankel solution."""
+    pts = common_zeros(KNOWN_ODD_HANKEL[n])
+    nodes = NodeSet(points=pts, family="discovered_odd", n=n, expected_count=len(pts))
+    return weights_from_vandermonde(nodes, constant(), 2 * n - 1)
+
+
 RULE_BUILDERS = {
     "mint": lambda n: weights_from_kernel(min_t_nodes_even(n), star_spec_cheb1(n), cheb1()),
+    "mint-moved": lambda n: moved_rule(RULE_BUILDERS["mint"](n)),
+    "odd": discovered_rule,
     "nearmint": lambda n: weights_from_kernel(near_min_t_nodes_odd(n), star_spec_cheb1(n), cheb1()),
     "gaussu": lambda n: weights_from_kernel(gauss_u_nodes(n), star_spec_gaussian(cheb2(), n), cheb2()),
     "padua": lambda n: family_rule("padua", n)[3],
@@ -442,6 +471,10 @@ SHARP_DEGREE_CASES = (
     + [(fam, n) for fam in ("gaussu", "padua", "gencheb") for n in (2, 3, 16, 33, 63, 64)]
     + [("gencheb0.3,-0.2", n) for n in (8, 9, 32, 33)]
 )
+# the route of the oracle: the rules workload's five files on the grid of distinct
+# coordinates, a rule with every node moved and the 17-node discovered rule per node
+ORACLE_ROUTES = {("mint", 64): "grid", ("nearmint", 63): "grid", ("gaussu", 64): "grid", ("padua", 48): "grid",
+                 ("gencheb", 48): "grid", ("mint-moved", 64): "nodes", ("odd", 5): "nodes"}
 
 
 def full_square_residuals(w, points, lambdas, degree):
@@ -528,16 +561,19 @@ class TestExactnessCheck:
 
     def test_node_blocks_match_one_block(self, monkeypatch):
         rule = RULE_BUILDERS["mint"](16)
-        one = exactness_check(rule).residuals
-        # blocks of 7 of the 144 nodes, so the last block is partial
+        one = exactness_check(rule).residuals  # on the grid route
+        # the per-node route in blocks of 7 of the 144 nodes, so the last block is partial
+        monkeypatch.setattr(cubature, "node_grid", lambda *a: None)
         monkeypatch.setattr(cubature, "_BLOCK_BYTES", 16 * (rule.degree + 4) * 7)
         assert_allclose(exactness_check(rule).residuals, one, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("family,n", SHARP_DEGREE_CASES)
-    def test_triangle_sums_match_full_square(self, family, n):
+    @pytest.mark.parametrize("family,n", SHARP_DEGREE_CASES + [c for c in ORACLE_ROUTES if c not in SHARP_DEGREE_CASES])
+    def test_triangle_sums_match_full_square(self, family, n, monkeypatch):
         # an odd and an even degree each where the rule is exact, so that a sum left out shows
-        # its moment, and where the report scans past a failure
+        # its moment, and where the report scans past a failure; by the route node_grid picks
         rule = RULE_BUILDERS[family](n)
+        grids = []
+        monkeypatch.setattr(cubature, "node_grid", lambda *a: grids.append(basis2d.node_grid(*a)) or grids[-1])
         for d in (rule.degree - 1, rule.degree, rule.degree + 3, rule.degree + 4):
             got = cubature._degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, d)
             ref = full_square_residuals(rule.weight, rule.nodes.points, rule.lambdas, d)
@@ -545,14 +581,37 @@ class TestExactnessCheck:
             deg = min(d, rule.degree)
             a, b = cubature._exactness_report(deg, got), cubature._exactness_report(deg, ref)
             assert (a.passed, a.first_failure_degree) == (b.passed, b.first_failure_degree)
+        if (family, n) in ORACLE_ROUTES:
+            assert {"nodes" if g is None else "grid" for g in grids} == {ORACLE_ROUTES[family, n]}
+
+    def test_moved_nodes_allocate_no_grid(self):
+        # the per-node route on the moved mint 64 rule peaks at 4.67 MB traced (4.80 MB
+        # before the grid route existed); its 2,112 x 2,112 grid alone would be 35.7 MB
+        rule = RULE_BUILDERS["mint-moved"](64)
+        tracemalloc.start()
+        try:
+            rep = exactness_check(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.residuals[128] > 0.1  # and the moves show as 3e-8 of the mass from degree 14 on
+        assert peak <= 4_804_851
+
+    def test_sharp_at_512(self):
+        # the closed-form weights on the mint 512 nodes through degree 1023, and not 1024
+        pts = min_t_nodes_even(512).points
+        lam = mass(cheb1()) * cubature._closed_form_weights(cheb1(), 512, pts)
+        rep = cubature._exactness_report(1023, cubature._degree_residuals(cheb1(), pts, lam, 1024))
+        assert rep.passed and rep.max_rel_error < 1e-12
+        assert rep.first_failure_degree == 1024 and rep.residuals[1024] > 0.1
 
     @pytest.mark.parametrize("degree", [30, 31])
     def test_triangle_sums_over_partial_blocks(self, degree, monkeypatch):
         rule = RULE_BUILDERS["gencheb0.3,-0.2"](16)  # exact through 31, its even-total moments nonzero
         ref = full_square_residuals(rule.weight, rule.nodes.points, rule.lambdas, degree)
-        # blocks of 7 nodes, so the last block is partial
+        # blocks of 7 nodes, so the last block is partial (58 x 58 distinct coordinates: the per-node route)
         monkeypatch.setattr(cubature, "_BLOCK_BYTES", 16 * (degree + 1) * 7)
-        assert len(rule.nodes) % 7
+        assert len(rule.nodes) % 7 and basis2d.node_grid(rule.nodes.points, rule.lambdas, 0.75 * (degree + 1)) is None
         got = cubature._degree_residuals(rule.weight, rule.nodes.points, rule.lambdas, degree)
         assert_allclose(got, ref, rtol=0, atol=1e-14)
 

@@ -10,12 +10,17 @@ the environment this script was started with (rule files depend on the BLAS
 thread count, so both sides share it).  A ``verify`` reads the rule file that
 the same tree's ``rule`` command printed.  Per command the script prints the
 md5 of the standard output and the exit code of each side and ``same`` or
-``DIFF``; it exits 1 if any command differs.  Uses the standard library only.
+``DIFF``; for a ``rule`` command that differs, also the top-level fields of the
+two rule files that differ, the fields of ``oracle_report`` that differ, and
+the largest move in ``oracle_report.residuals``: absolute among the residuals
+at most 1e-9 (exact degrees), relative among the others.  It exits 1 if any
+command differs.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -58,8 +63,9 @@ COMMANDS = (
 )
 
 
-def run_all(tree: Path, work: Path) -> list[tuple[str, int]]:
-    """(md5 of the standard output, exit code) of each command of COMMANDS, run in ``work``."""
+def run_all(tree: Path, work: Path) -> list[tuple[str, int, bytes]]:
+    """(md5 of the standard output, exit code, the output itself) of each command
+    of COMMANDS, run in ``work``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     out = []
     for _, argv, save in COMMANDS:
@@ -67,8 +73,29 @@ def run_all(tree: Path, work: Path) -> list[tuple[str, int]]:
                               capture_output=True)
         if save:
             (work / save).write_bytes(proc.stdout)
-        out.append((hashlib.md5(proc.stdout).hexdigest(), proc.returncode))
+        out.append((hashlib.md5(proc.stdout).hexdigest(), proc.returncode, proc.stdout))
     return out
+
+
+def rule_moves(parent: bytes, change: bytes) -> str:
+    """What differs between two rule files: the top-level fields, the fields of
+    ``oracle_report`` and the largest moves in its ``residuals``."""
+    try:
+        a, b = json.loads(parent), json.loads(change)
+    except ValueError:
+        return "not both rule files"
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return "not both rule files"
+    fields = [k for k in {**a, **b} if a.get(k) != b.get(k)]
+    ra, rb = (d.get("oracle_report") or {} for d in (a, b))
+    report = [k for k in {**ra, **rb} if ra.get(k) != rb.get(k)]
+    line = f"fields {', '.join(fields) or 'none'}; oracle_report fields {', '.join(report) or 'none'}"
+    pairs = list(zip(ra.get("residuals") or [], rb.get("residuals") or []))
+    if pairs and all(isinstance(x, float) and isinstance(y, float) for x, y in pairs):
+        exact = max((abs(x - y) for x, y in pairs if x <= 1e-9), default=0.0)
+        large = max((abs(x - y) / x for x, y in pairs if x > 1e-9), default=0.0)
+        line += f"; largest residual move {exact:.2g} (residuals <= 1e-9), {large:.2g} relative (the others)"
+    return line
 
 
 def main(argv=None) -> int:
@@ -85,10 +112,12 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix=f"output_hashes_{side}_") as work:
             results[side] = run_all(tree, Path(work))
     differ = 0
-    for (name, _, _), (hp, cp), (hc, cc) in zip(COMMANDS, results["parent"], results["change"]):
+    for (name, argv, _), (hp, cp, op), (hc, cc, oc) in zip(COMMANDS, results["parent"], results["change"]):
         same = (hp, cp) == (hc, cc)
         differ += not same
         print(f"{'same' if same else 'DIFF'}  parent {hp} exit {cp}  change {hc} exit {cc}  {name}")
+        if not same and argv[0] == "rule":
+            print(f"      {rule_moves(op, oc)}")
     print(f"{differ} of {len(COMMANDS)} commands differ")
     return 1 if differ else 0
 
