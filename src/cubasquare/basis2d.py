@@ -421,7 +421,8 @@ class KernelStarSpec:
 
     q_coeffs (sigma x (n+1)) and p_coeffs ((n+1-sigma) x (n+1)) express the
     complement set and the vanishing set in the coordinates of the
-    orthonormal degree-n basis; no two complement members share a basis row.
+    orthonormal degree-n basis; no two complement members share a basis row,
+    and each vanishing member combines at most two.
     sigma is 0 (Gaussian), floor(n/2) or floor(n/2)+1 (minimal and
     near-minimal), or n+1 (Padua: no member vanishes).  ``s_diag`` is the
     diagonal of the discrete Gram S of the complement under the cubature
@@ -446,6 +447,8 @@ class KernelStarSpec:
             raise ValueError("q_coeffs has wrong shape")
         if np.count_nonzero(self.q_coeffs, axis=0).max(initial=0) > 1:
             raise ValueError("two rows of q_coeffs share a basis row")
+        if np.count_nonzero(self.p_coeffs, axis=1).max(initial=0) > 2:
+            raise ValueError("a row of p_coeffs combines more than two basis rows")
 
     @functools.cached_property
     def row_coeffs(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from .basis2d import (
     node_grid,
     three_term,
 )
-from .nodes import NodeSet, _json_text, _points_json, moeller_count
+from .nodes import NodeSet, _json_text, _strings_json, moeller_count
 from .univariate import chebyshev_t_table, jacobi_normalized_table
 from .weights import (
     WeightSpec,
@@ -222,9 +222,12 @@ def _common_zero_checked(spec: KernelStarSpec, reductions):
     n = spec.n
     scale = 64 * np.finfo(float).eps * n * n
     worst, at = 0.0, (0.0, 0.0)  # the largest residual / bound, and that node's residual and bound
+    # a row of p_coeffs has at most two nonzeros (KernelStarSpec): p_coeffs F_n gathers two rows of F_n
+    cols = np.argsort(spec.p_coeffs == 0, axis=1, kind="stable")[:, :2].T
+    coefs = np.take_along_axis(spec.p_coeffs.T, cols, axis=0)[:, :, None]
     for block in reductions:
         Fn = block[2]
-        van = np.abs(spec.p_coeffs @ Fn).max(axis=0, initial=0.0)
+        van = np.abs(sum(c * Fn[j] for c, j in zip(coefs, cols))).max(axis=0, initial=0.0)
         bound = scale * np.maximum(1.0, np.abs(Fn).max(axis=0, initial=0.0))
         ratio = van / bound
         if ratio.size and not ratio.max() <= worst:  # NaN counts as the worst
@@ -397,9 +400,26 @@ def _rule_fields(rule: CubatureRule, nodes, lambdas) -> dict:
 
 
 def rule_to_dict(rule: CubatureRule) -> dict:
-    """The rule file as a dict; coordinates and weights are 17-digit strings."""
+    """The rule file as a dict; coordinates and weights are 17-digit strings.
+
+    Each value is formatted on its own, so that ``json.dumps`` of this dict
+    stays an independent reference for ``rule_to_json``, which formats each
+    distinct value once.
+    """
     nodes = [[format(x, ".17g"), format(y, ".17g")] for x, y in rule.nodes.points.tolist()]
     return _rule_fields(rule, nodes, [format(v, ".17g") for v in rule.lambdas.tolist()])
+
+
+def _numbers(entries: list) -> np.ndarray:
+    """``float`` of each entry, as an array.  When every entry is a string, as
+    in files ``rule_to_json`` writes, each distinct string is parsed once.
+    Numbers are converted one by one: -0.0 and 0.0 would share a dict key."""
+    distinct = set(entries)  # a TypeError for a list or a dict
+    if all(type(v) is str for v in distinct):
+        values = map(dict(zip(distinct, map(float, distinct))).__getitem__, entries)
+    else:
+        values = map(float, entries)
+    return np.fromiter(values, float, len(entries))
 
 
 def rule_from_dict(d: dict) -> CubatureRule:
@@ -409,8 +429,8 @@ def rule_from_dict(d: dict) -> CubatureRule:
     if not isinstance(rows, list) or set(map(type, rows)) - {list} or set(map(len, rows)) - {2}:
         raise ValueError("every node needs exactly two coordinates")
     try:
-        pts = np.fromiter(map(float, chain.from_iterable(rows)), float, 2 * len(rows)).reshape(-1, 2)
-        lambdas = np.fromiter(map(float, lam), float, len(lam))
+        pts = _numbers(list(chain.from_iterable(rows))).reshape(-1, 2)
+        lambdas = _numbers(lam)
     except TypeError:
         raise ValueError("every coordinate and weight must be a number or a numeric string") from None
     if not (np.isfinite(pts).all() and np.isfinite(lambdas).all()):
@@ -446,21 +466,17 @@ def rule_from_dict(d: dict) -> CubatureRule:
     )
 
 
-# the separator of the lambdas at their indent-2 depth
-_LAMBDA_SEP = '",\n    "'
-
-
 def rule_to_json(rule: CubatureRule) -> str:
     """The rule file: the text of ``json.dumps(rule_to_dict(rule), indent=2)``.
 
     This is the only writer of rule files.  The scalar fields go through
-    ``json.dumps``; the nodes array (by ``nodes._points_json``, the writer of
-    node files' points) and the lambdas are formatted in one pass each, as
-    the same indent-2 layout of 17-significant-digit strings.
+    ``json.dumps``; the nodes and the lambdas go through
+    ``nodes._strings_json``, the writer of node files' points, which formats
+    each distinct value once into the same indent-2 layout of
+    17-significant-digit strings.
     """
-    lam = rule.lambdas.tolist()
-    lambdas = '[\n    "' + _LAMBDA_SEP.join(map("{:.17g}".format, lam)) + '"\n  ]' if lam else "[]"
-    return _json_text(_rule_fields(rule, [], []), nodes=_points_json(rule.nodes.points), lambdas=lambdas)
+    return _json_text(_rule_fields(rule, [], []), nodes=_strings_json(rule.nodes.points),
+                      lambdas=_strings_json(rule.lambdas))
 
 
 def rule_from_json(text: str) -> CubatureRule:

@@ -91,20 +91,27 @@ class NodeSet:
                   "provenance": self.provenance}
         if self.alpha is not None:
             fields.update(alpha=self.alpha, beta=self.beta)
-        return _json_text(fields, points=_points_json(self.points))
+        return _json_text(fields, points=_strings_json(self.points))
 
 
 # one point of a points array at its indent-2 depth
-_POINT_TEXT = '    [\n      "{:.17g}",\n      "{:.17g}"\n    ]'.format
+_POINT_TEXT = '    [\n      "{}",\n      "{}"\n    ]'.format
 
 
-def _points_json(points: np.ndarray) -> str:
-    """An N x 2 array as the indent-2 JSON array of 17-significant-digit
-    string pairs that ``json.dumps`` writes for it as a field of an object,
-    in one pass: the one format of node and rule files."""
-    if not len(points):
+def _strings_json(values: np.ndarray) -> str:
+    """A 1-D array, or the rows of an N x 2 array, as the indent-2 JSON array
+    of 17-significant-digit strings that ``json.dumps`` writes for it as a
+    field of an object: the one format of node and rule files.  Each distinct
+    value is formatted once; values are told apart by bit pattern, so 0.0
+    and -0.0 (equal as floats) keep their own strings."""
+    if not values.size:
         return "[]"
-    return "[\n" + ",\n".join(map(_POINT_TEXT, *points.T.tolist())) + "\n  ]"
+    distinct, at = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = list(map("{:.17g}".format, distinct.view(float).tolist()))
+    strings = list(map(text.__getitem__, at.ravel().tolist()))
+    if values.ndim == 1:
+        return '[\n    "' + '",\n    "'.join(strings) + '"\n  ]'
+    return "[\n" + ",\n".join(map(_POINT_TEXT, strings[0::2], strings[1::2])) + "\n  ]"
 
 
 def _json_text(fields: dict, **arrays: str) -> str:

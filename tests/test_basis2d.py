@@ -260,6 +260,14 @@ class TestKernelStar:
         with pytest.raises(ValueError, match="sigma must be"):
             KernelStarSpec(weight=cheb1(), n=4, sigma=4, q_coeffs=np.eye(5)[:4], p_coeffs=np.eye(5)[4:])
 
+    def test_vanishing_member_combines_at_most_two_basis_rows(self):
+        p = np.eye(5)[[0, 2]]
+        p[0, 4] = p[1, 4] = 0.5
+        KernelStarSpec(weight=cheb1(), n=4, sigma=2, q_coeffs=np.eye(5)[[1, 3]], p_coeffs=p)
+        p[0, 2] = 0.5
+        with pytest.raises(ValueError, match="more than two basis rows"):
+            KernelStarSpec(weight=cheb1(), n=4, sigma=2, q_coeffs=np.eye(5)[[1, 3]], p_coeffs=p)
+
     def test_positive_at_nodes(self):
         from cubasquare.interp import family_rule
 

@@ -1,6 +1,7 @@
 """Tests for cubature weights, exactness checking, bounds, serialization."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -299,6 +300,20 @@ class TestClosedFormWeights:
         pts[5, 0] += 1e-6
         with pytest.raises(CubatureError, match="common-zero"):
             for _ in cubature._common_zero_checked(spec, blocks(pts)):
+                pass
+
+    @pytest.mark.parametrize("spec", [star_spec_cheb1(8), star_spec_cheb1(9), star_spec_gencheb(0.5, 0.5, 8),
+                                      star_spec_gencheb(0.3, -0.2, 9)], ids=["cheb1-8", "cheb1-9", "gencheb8", "gencheb9"])
+    def test_common_zero_residual_is_the_dense_combination(self, spec):
+        # the check gathers the two rows of F_n each vanishing member combines;
+        # the residual it reports is that of the dense p_coeffs @ F_n
+        basis = basis_for(spec.weight)
+        pts = np.random.default_rng(spec.n).uniform(-1, 1, (40, 2))
+        Fn = basis.eval_degree(spec.n, *pts.T)
+        van = np.abs(spec.p_coeffs @ Fn).max(axis=0)
+        ratio = van / (64 * np.finfo(float).eps * spec.n**2 * np.maximum(1.0, np.abs(Fn).max(axis=0)))
+        with pytest.raises(CubatureError, match=re.escape(f"residual {van[np.argmax(ratio)]:.2e} at")):
+            for _ in cubature._common_zero_checked(spec, [(0, None, Fn[:, :25], None), (25, None, Fn[:, 25:], None)]):
                 pass
 
     def test_moved_gaussian_pair_fails_every_weight_check(self, no_rows):
@@ -744,6 +759,9 @@ def float_bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+# values the rule-file writer must keep apart, or write as the stdlib does
+REPEATED_VALUES = [0.0, -0.0, 5e-324, float("nan"), float("inf"), 1.0000000000000002]
+
 RULES_FAMILIES = [("cheb1", 6, None, None), ("cheb1", 7, None, None), ("cheb2", 8, None, None),
                   ("padua", 6, None, None), ("gencheb", 8, 0.5, 0.5), ("gencheb", 9, 0.3, -0.2)]
 
@@ -804,6 +822,50 @@ class TestRuleFileWriter:
         assert rule.nodes.points.shape == (len(d["nodes"]), 2)
         assert np.array_equal(float_bits(rule.nodes.points), float_bits([[float(x), float(y)] for x, y in d["nodes"]]))
         assert np.array_equal(float_bits(rule.lambdas), float_bits([float(v) for v in d["lambdas"]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_distinct_values_written_and_read_bit_for_bit(self, data):
+        # arrays with repeats, drawn from a small pool of special and random doubles: the
+        # writer formats each distinct value once, so equal floats with other bits
+        # (0.0 and -0.0) and values one ulp apart must keep their own strings
+        pool = REPEATED_VALUES + data.draw(st.lists(st.floats(width=64), max_size=4))
+        count = data.draw(st.integers(0, 12))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=3 * count, max_size=3 * count))
+        points, lambdas = np.array(values[:2 * count]).reshape(-1, 2), np.array(values[2 * count:])
+        ns = NodeSet(points=points, family="padua", n=1, expected_count=count, provenance="drawn")
+        rule = CubatureRule(weight=cheb1(), degree=1, nodes=ns, lambdas=lambdas, validate=False)
+        text = rule_to_json(rule)
+        assert text == reference_rule_text(rule)
+        node_fields = {"family": "padua", "n": 1, "count": count,
+                       "points": rule_to_dict(rule)["nodes"], "provenance": "drawn"}
+        assert ns.to_json() == json.dumps(node_fields, indent=2)
+        if not np.isfinite(values).all():
+            with pytest.raises(ValueError, match="^every coordinate and weight must be finite$"):
+                rule_from_json(text)
+            return
+        loaded = rule_from_json(text)
+        assert np.array_equal(float_bits(loaded.nodes.points), float_bits(points.reshape(-1, 2)))
+        assert np.array_equal(float_bits(loaded.lambdas), float_bits(lambdas))
+
+    def test_reader_keeps_the_sign_of_numeric_zeros(self):
+        # numbers are not told apart by a dict: -0.0 == 0.0 would share a key
+        d = rule_to_dict(family_rule("cheb1", 4)[3])
+        d["nodes"][0], d["lambdas"][:3] = [0.0, -0.0], [-0.0, 0, "-0"]
+        rule = rule_from_dict(d)
+        assert float_bits(rule.nodes.points[0]).tolist() == float_bits([0.0, -0.0]).tolist()
+        assert float_bits(rule.lambdas[:3]).tolist() == float_bits([-0.0, 0.0, -0.0]).tolist()
+
+    @pytest.mark.parametrize("where", ["node", "lambda"])
+    @pytest.mark.parametrize("bad", [[0.5], {"x": 0.5}, None], ids=["list", "dict", "none"])
+    def test_reader_rejects_an_entry_that_is_not_a_number(self, where, bad):
+        d = rule_to_dict(family_rule("cheb1", 4)[3])
+        if where == "node":
+            d["nodes"][3][1] = bad
+        else:
+            d["lambdas"][3] = bad
+        with pytest.raises(ValueError, match="^every coordinate and weight must be a number or a numeric string$"):
+            rule_from_dict(d)
 
     @pytest.mark.parametrize("row", [["0.5"], ["0.5", "0.5", "0.5"], []])
     def test_reader_rejects_a_node_without_two_coordinates(self, row):

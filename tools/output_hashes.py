@@ -43,6 +43,10 @@ COMMANDS = (
     [(f"rule {' '.join(r)}", ["rule", *r], f"rule{i}.json") for i, r in enumerate(RULES)]
     + [(f"verify rule {' '.join(r)}", ["verify", f"rule{i}.json"], None) for i, r in enumerate(RULES)]
     + [(" ".join(argv), argv, None) for argv in (
+        # node files go through the writer of rule files' nodes
+        ["nodes", "mint", "64"],
+        ["nodes", "padua", "48"],
+        ["nodes", "gencheb", "48"],
         ["lebesgue", "mint", "--n-list", "16,32,64"],
         ["lebesgue", "padua", "--n-list", "32,33"],
         ["lebesgue", "gencheb", "--n-list", "24,25"],
