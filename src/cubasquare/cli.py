@@ -262,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
     q = sub.add_parser("verify", help="re-verify a rule file against the moment oracle",
                        description="Compare the rule's sums with the T-tensor moments int T_i(x) T_j(y) W through the "
                        "declared degree + 3; PASS (exit 0) if each error through the declared degree is <= 1e-9 of the "
-                       "mass.  One process, 2 vCPUs: mint 64 0.2 s and 36 MB peak RSS, mint 512 0.5 s, 90 MB.")
+                       "mass.  One process, 2 vCPUs: mint 64 0.2 s and 32 MB peak RSS, mint 512 0.4 s, 90 MB.")
     q.add_argument("rulefile")
     q.set_defaults(fn=cmd_verify)
 
