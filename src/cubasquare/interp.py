@@ -212,35 +212,35 @@ _FOLDS = {  # name: (x sign, y sign, x and y swapped)
 }
 
 
-def _reflections(pts: np.ndarray, same) -> set[str]:
+def _reflections(pts: np.ndarray, same) -> dict[str, np.ndarray]:
     """The folds of the square, "x" (x -> -x), "y" (y -> -y), "central"
-    ((x, y) -> (-x, -y)) and, once "x" and "y" hold, "diagonal"
-    ((x, y) -> (y, x)), verified to map the Lebesgue function onto itself.
-    The nodes ``pts`` must map onto themselves, z_pi(k) = sigma z_k to 1e-12
-    (paired by sorting coordinates rounded to 2^-30), and ``same(name, pi)``
-    must confirm that the route's per-node data maps with them.  Then
-    ell_k(sigma p) = ell_pi(k)(p), so Lambda(sigma p) = Lambda(p)."""
+    ((x, y) -> (-x, -y)) and, once "x" and "y" hold, "diagonal" ((x, y) ->
+    (y, x)), each with its node permutation pi, verified to map the Lebesgue
+    function onto itself.  The nodes ``pts`` must map onto themselves,
+    z_pi(k) = sigma z_k to 1e-12 (paired by sorting coordinates rounded to
+    2^-30), and ``same(name, pi)`` must confirm that the route's per-node data
+    maps with them.  Then ell_k(sigma p) = ell_pi(k)(p), so Lambda(sigma p) = Lambda(p)."""
     def sort(p):
         return np.lexsort(np.rint(p * 2**30).T[::-1])
 
-    order, found = sort(pts), set()
+    order, found = sort(pts), {}
     for name, (sx, sy, swap) in _FOLDS.items():
-        if swap and not {"x", "y"} <= found:
+        if swap and not {"x", "y"} <= found.keys():
             continue
         image = (pts[:, ::-1] if swap else pts) * [sx, sy]
         pi = np.empty(len(pts), dtype=int)
         pi[sort(image)] = order
         if np.abs(pts[pi] - image).max() <= 1e-12 and same(name, pi):
-            found.add(name)
+            found[name] = pi
     return found
 
 
-def _kept(g: np.ndarray, folds: set[str]):
+def _kept(g: np.ndarray, folds: dict[str, np.ndarray]):
     """The x and y points of the 1-D grid g that the folds keep: g >= 0 (the
     zero line included for odd R) on an axis with its reflection, on y for
     the central one alone."""
     half = g[:(len(g) + 1) // 2]
-    return half if "x" in folds else g, half if "y" in folds or folds == {"central"} else g
+    return half if "x" in folds else g, half if "y" in folds or set(folds) == {"central"} else g
 
 
 def _factor_match(factor: np.ndarray, m: int):
@@ -287,31 +287,42 @@ def _grid_lebesgue(basis: OrthoBasis2D, pts: np.ndarray, C: np.ndarray, kappa: n
     """max over the grid g x g of sum_k |ell_k|, ell_k = mass K*(z_k, .) / kappa_k
     from ``_grid_kernel``, on the grid points kept by the folds that
     ``_reflections`` verifies (see ``lebesgue_constant``)."""
-    m = len(C) - 1
+    m, N, ax, ay = len(C) - 1, len(pts), basis._ax, basis._ay
     folds = _reflections(pts, _kappa_match(basis, C, kappa))
+    if "x" in folds and "y" not in folds:  # its only fold: swap the axes, so that it folds y
+        pts, C, ax, ay, folds = pts[:, ::-1], C.T, ay, ax, {"y": folds["x"]}
     gx, gy = _kept(g, folds)
-    pg = jacobi_normalized_table(*basis._ax, m, gx)
-    qg = jacobi_normalized_table(*basis._ay, m, gy)
+    pi = folds.get("y", np.arange(N))  # z_pi(k) = (x_k, -y_k): ell_k, ell_pi(k) = E +- O
+    parts = [slice(0, None, 2), slice(1, None, 2)] if "y" in folds else [slice(None)]
+    wts = 1.0 / kappa + np.where(pi != np.arange(N), 1.0 / kappa[pi], 0.0)
+    pg = jacobi_normalized_table(*ax, m, gx)
+    qg = jacobi_normalized_table(*ay, m, gy)
     xs, col = np.unique(pts[:, 0], return_inverse=True)
-    px = jacobi_normalized_table(*basis._ax, m, xs)
+    col[pts[:, 1] < pts[pi, 1]] = -1  # a pair's node at y < 0: in no column
+    px = jacobi_normalized_table(*ax, m, xs)
     columns = {}  # the node columns by their y-coordinates
     for c in range(len(xs)):
         ks = np.flatnonzero(col == c)
         columns.setdefault(pts[ks, 1].tobytes(), []).append((c, ks))
     sums = np.zeros((len(gx), len(gy)))
     for group in columns.values():
-        K = len(group[0][1])
-        qy = jacobi_normalized_table(*basis._ay, m, pts[group[0][1], 1])
-        Y = (qg[:, :, None] * qy[:, None, :]).reshape(m + 1, -1)  # (j, b k): q_j(g_b) q_j(y_k)
-        step = max(1, min(_GRID_ROWS, _BLOCK_BYTES // (8 * len(gy) * K)))
+        H = len(group[0][1])
+        qy = jacobi_normalized_table(*ay, m, pts[group[0][1], 1])
+        Ys = [(qg[p, :, None] * qy[p, None, :]).reshape(-1, len(gy) * H) for p in parts]  # (j, b k)
+        step = max(1, min(_GRID_ROWS, _BLOCK_BYTES // (8 * len(gy) * H * len(parts))))
+        buf = np.empty(len(parts) * step * len(gy) * H)  # one for the blocks: fresh ones fault their pages in
         for c, ks in group:
-            Z = pg.T @ (px[:, c, None] * C)  # (a, j): sum_i C_ij p_i(x_c) p_i(g_a)
-            inv = 1.0 / kappa[ks]
+            Zs = [pg.T @ (px[:, c, None] * C[:, p]) for p in parts]  # (a, j): sum_i C_ij p_i(x_c) p_i(g_a)
             for a in range(0, len(gx), step):
                 e = min(a + step, len(gx))
                 b = e if "diagonal" in folds else len(gy)
-                L = Z[a:e] @ Y[:, :b * K]  # (a, b, k)
-                sums[a:e, :b] += (np.abs(L, out=L).reshape(-1, K) @ inv).reshape(e - a, b)
+                L = buf[:len(parts) * (e - a) * b * H].reshape(len(parts), e - a, b * H)  # (part, a, b k)
+                for P, Z, Y in zip(L, Zs, Ys):
+                    np.matmul(Z[a:e], Y[:, :b * H], out=P)
+                np.abs(L, out=L)
+                if len(L) > 1:
+                    np.maximum(L[0], L[1], out=L[0])
+                sums[a:e, :b] += (L[0].reshape(-1, H) @ wts[ks]).reshape(e - a, b)
     return float(sums.max())
 
 
@@ -362,13 +373,17 @@ def lebesgue_constant(
     Product bases (cheb1: minimal, near-minimal and Padua nodes; cheb2:
     Gaussian nodes) go through ``_grid_kernel``'s coefficient square C and
     kappa, from 1-D tables alone: per node column (one x), the A x (m + 1)
-    table sum_i C_ij p_i(x) p_i(g_a), one GEMM with the (m + 1) x B x K table
-    q_j(g_b) q_j(y_k) of the column's K nodes (one per set of y-coordinates),
-    |.| in place, and the 1/kappa-weighted sum over the column as one GEMV.
-    That is N A B (m + 1) multiply-adds on the folded A x B grid, and
-    O(n^2 R) memory.  For the minimal nodes at n = 64, R = 256 it is 1.4e9
-    (the quarter grid's triangle, in blocks of 32 rows), against 2.8e9 for
-    the factor route on the quarter grid.
+    table sum_i C_ij p_i(x) p_i(g_a) meets the table q_j(g_b) q_j(y_k) of the
+    column's nodes (one per set of y-coordinates) in GEMMs, |.| is taken in
+    place and the 1/kappa-weighted sum over the column is one GEMV.  With a
+    y-fold (an x-fold alone swaps the axes first), the nodes (x, +-y) have
+    ell = E +- O, E and O the sums over the even and the odd j, and
+    |E + O| + |E - O| = 2 max(|E|, |O|): two GEMMs of depth about (m + 1)/2
+    with the column's nodes at y >= 0 and their max, weighted 2/kappa a pair,
+    go into the GEMV.  That is N A B (m + 1)/2 multiply-adds on the folded
+    A x B grid (twice that with no axis fold) and O(n^2 R) memory; 7.1e8 for
+    the minimal nodes at n = 64, R = 256 (the quarter grid's triangle, in
+    blocks of 32 rows), against 2.8e9 for the factor route on the quarter grid.
 
     gencheb, whose basis is no product in x and y, fills its dim x N
     cardinal factor from the node blocks of ``_cardinal_blocks``, maps it to

@@ -370,10 +370,13 @@ def outputs_by_blas_threads(commands):
 
 class TestTables:
     def test_lebesgue_json_independent_of_blas_threads(self):
-        # both Lebesgue routes and all four grid folds: the same bytes
+        # both Lebesgue routes, all four grid folds and the grid route's three
+        # loops (node pairs on y: mint, padua 33, gaussu 21; on x, the axes
+        # swapped: padua 32, gaussu 20; no pairs: nearmint): the same bytes
         outs = outputs_by_blas_threads([f"lebesgue {args} --format json" for args in (
-            "mint --n-list 16,32,64", "padua --n-list 32", "gaussu --n-list 20", "gencheb --n-list 24")])
-        assert outs[0].count('"lebesgue"') == 6
+            "mint --n-list 16,32,64", "padua --n-list 32,33", "gaussu --n-list 20,21", "gencheb --n-list 24",
+            "nearmint --n-list 33")])
+        assert outs[0].count('"lebesgue"') == 9
         assert outs[0] == outs[1]
 
     def test_rule_files_independent_of_blas_threads(self):

@@ -20,7 +20,7 @@ from cubasquare.interp import (
     lebesgue_constant,
 )
 from cubasquare.nodes import padua_points
-from cubasquare.univariate import eval_chebyshev_t
+from cubasquare.univariate import eval_chebyshev_t, jacobi_normalized_table
 from cubasquare.weights import cheb1, tensor_oracle
 
 
@@ -272,10 +272,10 @@ def folds(family, n):
     nodes, spec, w, _ = family_rule(family, n)
     if family == "gencheb":
         pts, factor, m, _ = lebesgue_factor(n)
-        return interp_module._reflections(pts, interp_module._factor_match(factor, m))
+        return set(interp_module._reflections(pts, interp_module._factor_match(factor, m)))
     basis = basis_for(w)
     kernel = interp_module._grid_kernel(basis, spec, nodes.points)
-    return interp_module._reflections(nodes.points, interp_module._kappa_match(basis, *kernel))
+    return set(interp_module._reflections(nodes.points, interp_module._kappa_match(basis, *kernel)))
 
 
 class TestGridKernel:
@@ -380,8 +380,8 @@ class TestReflections:
         same = interp_module._kappa_match(basis, *interp_module._grid_kernel(basis, spec, nodes.points))
         pts = nodes.points.copy()
         pts[5, 0] += 1e-11
-        assert interp_module._reflections(nodes.points, same) == {"x", "y", "central", "diagonal"}
-        assert interp_module._reflections(pts, same) == set()
+        assert set(interp_module._reflections(nodes.points, same)) == {"x", "y", "central", "diagonal"}
+        assert set(interp_module._reflections(pts, same)) == set()
 
     @pytest.mark.parametrize("scale", [3.0, 1 / 3], ids=["3", "1/3"])
     def test_scaled_kappa_refused(self, scale, monkeypatch):
@@ -399,14 +399,16 @@ class TestReflections:
 
         monkeypatch.setattr(interp_module, "_grid_kernel", scaled)
         same = interp_module._kappa_match(basis, *scaled(basis, spec, nodes.points))
-        assert interp_module._reflections(nodes.points, same) == set()
+        assert set(interp_module._reflections(nodes.points, same)) == set()
         kdiag = np.diag(kernel_star_matrix(spec, nodes.points, nodes.points))
         L = kernel_star_matrix(spec, nodes.points, interp_module._lobatto_grid(65)) / kdiag[:, None]
         L[k] /= scale
         ref = np.abs(L).sum(axis=0).max()
         assert lebesgue_constant("cheb1", 8, grid_resolution=65) == pytest.approx(ref, rel=1e-12)
         if scale < 1:
-            monkeypatch.setattr(interp_module, "_reflections", lambda pts, same: {"x", "y", "central", "diagonal"})
+            # the four folds of the nodes forced, with their permutations, on the kappa they do not fit
+            reflections = interp_module._reflections
+            monkeypatch.setattr(interp_module, "_reflections", lambda pts, same: reflections(pts, lambda *_: True))
             assert lebesgue_constant("cheb1", 8, grid_resolution=65) < 0.9 * ref
 
     def test_perturbed_column_refused(self, monkeypatch):
@@ -417,8 +419,8 @@ class TestReflections:
         k = int(np.argmin(pts.sum(axis=1)))
         bent = factor.copy()
         bent[:, k] *= 3.0
-        assert interp_module._reflections(pts, interp_module._factor_match(factor, m)) == {"x", "y", "central"}
-        assert interp_module._reflections(pts, interp_module._factor_match(bent, m)) == set()
+        assert set(interp_module._reflections(pts, interp_module._factor_match(factor, m))) == {"x", "y", "central"}
+        assert set(interp_module._reflections(pts, interp_module._factor_match(bent, m))) == set()
         factor_lebesgue = interp_module._factor_lebesgue
         monkeypatch.setattr(interp_module, "_factor_lebesgue", lambda p, f, m, g: factor_lebesgue(p, bent, m, g))
         ref = np.abs(bent.T @ cheb_rows(m, interp_module._lobatto_grid(65))).sum(axis=0).max()
@@ -470,6 +472,66 @@ class TestStreaming:
         assert interp.cardinal_matrix(np.empty((0, 2))).shape == (len(interp.nodes), 0)
 
 
+def unpaired_grid_lebesgue(basis, pts, C, kappa, g):
+    """The grid route without its node pairs: per node column, all its nodes
+    against all y-degrees in one GEMM, in blocks of ``_GRID_ROWS`` rows at
+    most, on the grid points kept by the same folds."""
+    m = len(C) - 1
+    folds = interp_module._reflections(pts, interp_module._kappa_match(basis, C, kappa))
+    gx, gy = interp_module._kept(g, folds)
+    pg = jacobi_normalized_table(*basis._ax, m, gx)
+    qg = jacobi_normalized_table(*basis._ay, m, gy)
+    xs, col = np.unique(pts[:, 0], return_inverse=True)
+    px = jacobi_normalized_table(*basis._ax, m, xs)
+    sums = np.zeros((len(gx), len(gy)))
+    for c in range(len(xs)):
+        ks = np.flatnonzero(col == c)
+        K = len(ks)
+        qy = jacobi_normalized_table(*basis._ay, m, pts[ks, 1])
+        Y = (qg[:, :, None] * qy[:, None, :]).reshape(m + 1, -1)  # (j, b k)
+        step = max(1, min(interp_module._GRID_ROWS, interp_module._BLOCK_BYTES // (8 * len(gy) * K)))
+        Z = pg.T @ (px[:, c, None] * C)  # (a, j)
+        for a in range(0, len(gx), step):
+            e = min(a + step, len(gx))
+            b = e if "diagonal" in folds else len(gy)
+            L = np.abs(Z[a:e] @ Y[:, :b * K])
+            sums[a:e, :b] += (L.reshape(-1, K) @ (1.0 / kappa[ks])).reshape(e - a, b)
+    return float(sums.max())
+
+
+class TestGridPairs:
+    """The grid route's loop, its node pairs contracted through the even and
+    the odd y-degrees, against the unpaired loop and against the dense
+    cardinal matrix at R = 65.  The blocks hold 10560 bytes: 3 to 10 of the
+    33 or 65 grid rows kept, so every column ends in a partial block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(interp_module, "_BLOCK_BYTES", 8 * 33 * 40)
+
+    @pytest.mark.parametrize("family,n,want", [
+        ("cheb1", 8, {"x", "y", "central", "diagonal"}), ("cheb1", 16, {"x", "y", "central", "diagonal"}),
+        ("padua", 8, {"x"}), ("cheb2", 8, {"x"}),  # the axes swapped
+        ("padua", 9, {"y"}), ("cheb2", 9, {"y"}),
+        ("cheb1", 7, {"central"}),  # no pairs: one part of all y-degrees
+    ], ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else str(v))
+    def test_matches_unpaired_loop_and_dense(self, family, n, want):
+        nodes, spec, w, _ = family_rule(family, n)
+        basis, pts = basis_for(w), nodes.points
+        C, kappa = interp_module._grid_kernel(basis, spec, pts)
+        found = interp_module._reflections(pts, interp_module._kappa_match(basis, C, kappa))
+        assert set(found) == want
+        if want != {"central"}:
+            # nodes on the mirror line, each its own pair: the columns with an odd count of nodes
+            pi = found["y"] if "y" in found else found["x"]
+            assert (pi == np.arange(len(pts))).any()
+        g = interp_module._cosines(64)
+        got = interp_module._grid_lebesgue(basis, pts, C, kappa, g)
+        assert got == pytest.approx(unpaired_grid_lebesgue(basis, pts, C, kappa, g), rel=1e-14)
+        L = interpolate_kernel(nodes, spec, w, np.zeros(len(nodes))).cardinal_matrix(interp_module._lobatto_grid(65))
+        assert got == pytest.approx(np.abs(L).sum(axis=0).max(), rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (1.5, -0.5), (0.3, -0.2), (-0.7, 2.1)])
 @pytest.mark.parametrize("n", [8, 9, 32, 33, 47, 48])
 def test_gencheb_cardinals_match_dense_kernel(alpha, beta, n):
@@ -498,8 +560,8 @@ def test_gencheb_minus_half_lebesgue_is_cheb1(n):
 @pytest.mark.parametrize("family,n", [("cheb1", 32), ("padua", 32), ("gencheb", 24), ("cheb1", 64)])
 def test_lebesgue_memory_bounded(family, n):
     # the dense cardinal matrix on the 256^2 grid alone takes 277 / 294 / 164 / 1107 MB;
-    # the traced peaks are 2.0 / 3.8 / 10.6 / 5.8 MB, and the bounds leave
-    # about a quarter above them
+    # the traced peaks (after a first call) are 1.8 / 2.0 / 9.8 / 4.4 MB, and
+    # the bounds leave at least a quarter above them
     bound = {("cheb1", 32): 2.5, ("padua", 32): 5, ("gencheb", 24): 13, ("cheb1", 64): 7.5}[family, n]
     tracemalloc.start()
     try:
@@ -511,9 +573,9 @@ def test_lebesgue_memory_bounded(family, n):
 
 
 def test_lebesgue_memory_at_minimal_64():
-    # a 5.8 MB traced peak: the calibration and the grid loop each reach
-    # about that; the 36 MB dim x N cardinal factor alone would be nearly
-    # five times the bound
+    # a 4.4 MB traced peak, in the grid loop (the calibration reaches 3.5 MB);
+    # the 36 MB dim x N cardinal factor alone would be nearly five times the
+    # bound
     tracemalloc.start()
     try:
         lebesgue_constant("cheb1", 64, grid_resolution=256)

@@ -13,8 +13,10 @@ md5 of the standard output and the exit code of each side and ``same`` or
 ``DIFF``; for a ``rule`` command that differs, also the top-level fields of the
 two rule files that differ, the fields of ``oracle_report`` that differ, and
 the largest move in ``oracle_report.residuals``: absolute among the residuals
-at most 1e-9 (exact degrees), relative among the others.  It exits 1 if any
-command differs.  Uses the standard library only.
+at most 1e-9 (exact degrees), relative among the others; for a ``lebesgue``
+or ``interp`` command that differs, the largest relative move over the
+numbers it prints, paired in order.  It exits 1 if any command differs.
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,6 +52,9 @@ COMMANDS = (
         ["nodes", "gencheb", "48"],
         ["lebesgue", "mint", "--n-list", "16,32,64"],
         ["lebesgue", "padua", "--n-list", "32,33"],
+        # all 17 digits: the CSV rounds to 12
+        ["lebesgue", "mint", "--n-list", "16,32,64", "--format", "json"],
+        ["lebesgue", "padua", "--n-list", "32,33", "--format", "json"],
         ["lebesgue", "gencheb", "--n-list", "24,25"],
         ["interp", "mint", "--n-list", "8,16,32"],
         ["interp", "mint", "--n-list", "8,16,32", "--norm", "L2"],
@@ -102,6 +108,19 @@ def rule_moves(parent: bytes, change: bytes) -> str:
     return line
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_moves(parent: bytes, change: bytes) -> str:
+    """The largest relative move between the numbers of two outputs of one
+    layout (the same text between the numbers), paired in order."""
+    a, b = NUMBER.findall(parent), NUMBER.findall(change)
+    if NUMBER.sub(b"#", parent) != NUMBER.sub(b"#", change):
+        return "not the same layout"
+    moves = [abs(float(y) - float(x)) / (abs(float(x)) or 1.0) for x, y in zip(a, b) if x != y]
+    return f"largest relative move {max(moves, default=0.0):.2g}; {len(moves)} of {len(a)} numbers differ"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -122,6 +141,8 @@ def main(argv=None) -> int:
         print(f"{'same' if same else 'DIFF'}  parent {hp} exit {cp}  change {hc} exit {cc}  {name}")
         if not same and argv[0] == "rule":
             print(f"      {rule_moves(op, oc)}")
+        elif not same and argv[0] in ("lebesgue", "interp"):
+            print(f"      {number_moves(op, oc)}")
     print(f"{differ} of {len(COMMANDS)} commands differ")
     return 1 if differ else 0
 
